@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.streaming import is_chunked
 from repro.errors import AnalysisError
 from repro.frame import Table
 
@@ -65,12 +64,11 @@ def _flags(jobs: Table, threshold: float) -> dict[str, np.ndarray]:
     return flags
 
 
-def _stream_flag_counts(jobs, threshold: float):
-    """One bounded pass: total rows, per-resource and per-pair counts.
+def _flag_counts(jobs, threshold: float):
+    """One chunk fold: total rows, per-resource and per-pair counts.
 
-    Integer counts divide into exactly the materialized
-    ``mask.mean()``, so all streamed bottleneck fractions are
-    bit-identical.
+    Fractions are integer counts over the total, so they are exact on
+    any chunking.
     """
     total = 0
     singles = {name: 0 for name in BOTTLENECK_COLUMNS}
@@ -89,46 +87,21 @@ def _stream_flag_counts(jobs, threshold: float):
 
 def single_bottlenecks(jobs: Table, threshold: float = SATURATION_THRESHOLD) -> dict[str, float]:
     """Fraction of jobs saturating each resource (Fig 7b / 8a)."""
-    if is_chunked(jobs):
-        total, singles, _ = _stream_flag_counts(jobs, threshold)
-        return {name: count / total for name, count in singles.items()}
-    if jobs.num_rows == 0:
-        raise AnalysisError("no jobs to analyse")
-    flags = _flags(jobs, threshold)
-    return {name: float(mask.mean()) for name, mask in flags.items()}
+    return analyse(jobs, threshold).single
 
 
 def pairwise_bottlenecks(
     jobs: Table, threshold: float = SATURATION_THRESHOLD
 ) -> dict[tuple[str, str], float]:
     """Fraction of jobs saturating both resources of each pair (Fig 8b)."""
-    if is_chunked(jobs):
-        total, _, pairs = _stream_flag_counts(jobs, threshold)
-        return {key: count / total for key, count in pairs.items()}
-    if jobs.num_rows == 0:
-        raise AnalysisError("no jobs to analyse")
-    flags = _flags(jobs, threshold)
-    out = {}
-    for a, b in itertools.combinations(sorted(BOTTLENECK_COLUMNS), 2):
-        out[(a, b)] = float((flags[a] & flags[b]).mean())
-    return out
+    return analyse(jobs, threshold).pairs
 
 
 def analyse(jobs: Table, threshold: float = SATURATION_THRESHOLD) -> BottleneckAnalysis:
-    """Full bottleneck analysis of a job summary table.
-
-    A chunked table takes a single fold for rows, single counts, and
-    pair counts together (one pass instead of three).
-    """
-    if is_chunked(jobs):
-        total, singles, pairs = _stream_flag_counts(jobs, threshold)
-        return BottleneckAnalysis(
-            num_jobs=total,
-            single={name: count / total for name, count in singles.items()},
-            pairs={key: count / total for key, count in pairs.items()},
-        )
+    """Full bottleneck analysis of a job summary table (one pass)."""
+    total, singles, pairs = _flag_counts(jobs, threshold)
     return BottleneckAnalysis(
-        num_jobs=jobs.num_rows,
-        single=single_bottlenecks(jobs, threshold),
-        pairs=pairwise_bottlenecks(jobs, threshold),
+        num_jobs=total,
+        single={name: count / total for name, count in singles.items()},
+        pairs={key: count / total for key, count in pairs.items()},
     )

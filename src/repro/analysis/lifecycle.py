@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.streaming import is_chunked
 from repro.errors import AnalysisError
 from repro.frame import QuantileSketch, Table
 from repro.slurm.job import LIFECYCLE_CLASSES
@@ -37,62 +36,43 @@ def classify_exit(exit_code: int, cancelled_by_user: bool, timed_out: bool) -> s
 def lifecycle_breakdown(gpu_jobs: Table) -> Table:
     """Job share, GPU-hour share, and median runtime per class (Fig 15).
 
-    On a chunked stream the job shares stay exact (integer counts),
-    hour shares fold chunk partials, and each class's median runtime
-    comes from a one-pass :class:`~repro.frame.QuantileSketch`.
+    One chunk fold: job shares from integer counts (exact), hour
+    shares from chunk partial sums, and each class's median runtime
+    from a :class:`~repro.frame.QuantileSketch` (exact on a one-chunk
+    input).
     """
-    if is_chunked(gpu_jobs):
-        counts = {cls: 0 for cls in LIFECYCLE_CLASSES}
-        hours_by_class = {cls: 0.0 for cls in LIFECYCLE_CLASSES}
-        runtime_sketches = {cls: QuantileSketch() for cls in LIFECYCLE_CLASSES}
-        total = 0
-        total_hours = 0.0
-        for chunk in gpu_jobs.chunks():
-            classes = np.asarray(list(chunk["lifecycle_class"]))
-            hours = np.asarray(chunk["gpu_hours"], dtype=float)
-            runtimes = np.asarray(chunk["run_time_s"], dtype=float)
-            total += classes.size
-            total_hours += float(hours.sum())
-            for cls in LIFECYCLE_CLASSES:
-                mask = classes == cls
-                counts[cls] += int(mask.sum())
-                hours_by_class[cls] += float(hours[mask].sum())
-                runtime_sketches[cls].update(runtimes[mask])
-        if total == 0:
-            raise AnalysisError("no jobs")
-        return Table.from_rows(
-            [
-                {
-                    "lifecycle_class": cls,
-                    "job_fraction": counts[cls] / total,
-                    "gpu_hour_fraction": hours_by_class[cls] / total_hours if total_hours else 0.0,
-                    "median_runtime_min": (
-                        runtime_sketches[cls].quantile(0.5) / 60.0 if counts[cls] else float("nan")
-                    ),
-                    "num_jobs": counts[cls],
-                }
-                for cls in LIFECYCLE_CLASSES
-            ]
-        )
-    if gpu_jobs.num_rows == 0:
+    counts = {cls: 0 for cls in LIFECYCLE_CLASSES}
+    hours_by_class = {cls: 0.0 for cls in LIFECYCLE_CLASSES}
+    runtime_sketches = {cls: QuantileSketch() for cls in LIFECYCLE_CLASSES}
+    total = 0
+    total_hours = 0.0
+    for chunk in gpu_jobs.chunks():
+        classes = np.asarray(list(chunk["lifecycle_class"]))
+        hours = np.asarray(chunk["gpu_hours"], dtype=float)
+        runtimes = np.asarray(chunk["run_time_s"], dtype=float)
+        total += classes.size
+        total_hours += float(hours.sum())
+        for cls in LIFECYCLE_CLASSES:
+            mask = classes == cls
+            counts[cls] += int(mask.sum())
+            hours_by_class[cls] += float(hours[mask].sum())
+            runtime_sketches[cls].update(runtimes[mask])
+    if total == 0:
         raise AnalysisError("no jobs")
-    classes = np.asarray(list(gpu_jobs["lifecycle_class"]))
-    hours = np.asarray(gpu_jobs["gpu_hours"], dtype=float)
-    runtimes = np.asarray(gpu_jobs["run_time_s"], dtype=float)
-    total_hours = hours.sum()
-    rows = []
-    for cls in LIFECYCLE_CLASSES:
-        mask = classes == cls
-        rows.append(
+    return Table.from_rows(
+        [
             {
                 "lifecycle_class": cls,
-                "job_fraction": float(mask.mean()),
-                "gpu_hour_fraction": float(hours[mask].sum() / total_hours) if total_hours else 0.0,
-                "median_runtime_min": float(np.median(runtimes[mask]) / 60.0) if mask.any() else float("nan"),
-                "num_jobs": int(mask.sum()),
+                "job_fraction": counts[cls] / total,
+                "gpu_hour_fraction": hours_by_class[cls] / total_hours if total_hours else 0.0,
+                "median_runtime_min": (
+                    runtime_sketches[cls].median() / 60.0 if counts[cls] else float("nan")
+                ),
+                "num_jobs": counts[cls],
             }
-        )
-    return Table.from_rows(rows)
+            for cls in LIFECYCLE_CLASSES
+        ]
+    )
 
 
 def class_utilization_boxes(
@@ -101,63 +81,42 @@ def class_utilization_boxes(
 ) -> Table:
     """Box-plot statistics of utilization per class (Fig 16).
 
-    A chunked stream keeps one rank-bounded quantile sketch per
-    ``(class, metric)`` cell and reads p25/median/p75 off it.
+    One quantile sketch per ``(class, metric)`` cell, read for
+    p25/median/p75 (exact on a one-chunk input, rank-bounded after).
     """
-    if is_chunked(gpu_jobs):
-        sketches = {
-            (cls, metric): QuantileSketch() for cls in LIFECYCLE_CLASSES for metric in metrics
-        }
-        counts = {cls: 0 for cls in LIFECYCLE_CLASSES}
-        total = 0
-        for chunk in gpu_jobs.chunks():
-            classes = np.asarray(list(chunk["lifecycle_class"]))
-            total += classes.size
-            for cls in LIFECYCLE_CLASSES:
-                mask = classes == cls
-                count = int(mask.sum())
-                counts[cls] += count
-                if not count:
-                    continue
-                for metric in metrics:
-                    values = np.asarray(chunk[metric], dtype=float)[mask]
-                    sketches[(cls, metric)].update(values)
-        if total == 0:
-            raise AnalysisError("no jobs")
-        return Table.from_rows(
-            [
-                {
-                    "lifecycle_class": cls,
-                    "metric": metric,
-                    "p25": sketches[(cls, metric)].quantile(0.25),
-                    "median": sketches[(cls, metric)].quantile(0.5),
-                    "p75": sketches[(cls, metric)].quantile(0.75),
-                }
-                for cls in LIFECYCLE_CLASSES
-                if counts[cls]
-                for metric in metrics
-            ]
-        )
-    if gpu_jobs.num_rows == 0:
+    sketches = {
+        (cls, metric): QuantileSketch() for cls in LIFECYCLE_CLASSES for metric in metrics
+    }
+    counts = {cls: 0 for cls in LIFECYCLE_CLASSES}
+    total = 0
+    for chunk in gpu_jobs.chunks():
+        classes = np.asarray(list(chunk["lifecycle_class"]))
+        total += classes.size
+        for cls in LIFECYCLE_CLASSES:
+            mask = classes == cls
+            count = int(mask.sum())
+            counts[cls] += count
+            if not count:
+                continue
+            for metric in metrics:
+                values = np.asarray(chunk[metric], dtype=float)[mask]
+                sketches[(cls, metric)].update(values)
+    if total == 0:
         raise AnalysisError("no jobs")
-    classes = np.asarray(list(gpu_jobs["lifecycle_class"]))
-    rows = []
-    for cls in LIFECYCLE_CLASSES:
-        mask = classes == cls
-        if not mask.any():
-            continue
-        for metric in metrics:
-            values = np.asarray(gpu_jobs[metric], dtype=float)[mask]
-            rows.append(
-                {
-                    "lifecycle_class": cls,
-                    "metric": metric,
-                    "p25": float(np.percentile(values, 25)),
-                    "median": float(np.median(values)),
-                    "p75": float(np.percentile(values, 75)),
-                }
-            )
-    return Table.from_rows(rows)
+    return Table.from_rows(
+        [
+            {
+                "lifecycle_class": cls,
+                "metric": metric,
+                "p25": sketches[(cls, metric)].quantile(0.25),
+                "median": sketches[(cls, metric)].median(),
+                "p75": sketches[(cls, metric)].quantile(0.75),
+            }
+            for cls in LIFECYCLE_CLASSES
+            if counts[cls]
+            for metric in metrics
+        ]
+    )
 
 
 def user_lifecycle_composition(gpu_jobs: Table, by: str = "jobs") -> Table:
@@ -172,42 +131,23 @@ def user_lifecycle_composition(gpu_jobs: Table, by: str = "jobs") -> Table:
         raise AnalysisError(f"by must be 'jobs' or 'gpu_hours', got {by!r}")
     reducer = "count" if by == "jobs" else "sum"
 
-    if is_chunked(gpu_jobs):
-        # The cross-tabulation streams as a (user, class) group-by —
-        # O(users x 4) state — and pivots the small aggregate in
-        # memory.  Job-count cells are exact integers, so the Fig 17a
-        # fractions match the materialized pivot bit for bit.
-        cells = gpu_jobs.group_by("user", "lifecycle_class").aggregate({"gpu_hours": reducer})
-        if cells.num_rows == 0:
-            raise AnalysisError("no jobs")
-        users: list = []
-        index: dict = {}
-        for user in cells["user"]:
-            if user not in index:
-                index[user] = len(users)
-                users.append(user)
-        per_class = {cls: np.zeros(len(users)) for cls in LIFECYCLE_CLASSES}
-        values = np.asarray(cells[f"gpu_hours_{reducer}"], dtype=float)
-        for user, cls, value in zip(cells["user"], cells["lifecycle_class"], values):
-            per_class[str(cls)][index[user]] = value
-        user_column = np.asarray(users, dtype=object)
-    else:
-        if gpu_jobs.num_rows == 0:
-            raise AnalysisError("no jobs")
-        # One cross-tabulation computes every (user, class) cell at
-        # once: job counts for Fig 17a, summed GPU hours for Fig 17b.
-        # Absent combinations fill with 0, absent classes get a zero
-        # column.
-        pivoted = gpu_jobs.pivot("user", "lifecycle_class", "gpu_hours", reducer)
-        per_class = {
-            cls: (
-                np.asarray(pivoted[cls], dtype=float)
-                if cls in pivoted
-                else np.zeros(pivoted.num_rows)
-            )
-            for cls in LIFECYCLE_CLASSES
-        }
-        user_column = pivoted["user"]
+    # The cross-tabulation runs as a (user, class) group-by — O(users
+    # x 4) state on a chunk stream — and pivots the small aggregate in
+    # memory.  Job-count cells are exact integers on any chunking.
+    cells = gpu_jobs.group_by("user", "lifecycle_class").aggregate({"gpu_hours": reducer})
+    if cells.num_rows == 0:
+        raise AnalysisError("no jobs")
+    users: list = []
+    index: dict = {}
+    for user in cells["user"]:
+        if user not in index:
+            index[user] = len(users)
+            users.append(user)
+    per_class = {cls: np.zeros(len(users)) for cls in LIFECYCLE_CLASSES}
+    values = np.asarray(cells[f"gpu_hours_{reducer}"], dtype=float)
+    for user, cls, value in zip(cells["user"], cells["lifecycle_class"], values):
+        per_class[str(cls)][index[user]] = value
+    user_column = np.asarray(users, dtype=object)
 
     total = np.sum(list(per_class.values()), axis=0)
     data: dict[str, np.ndarray] = {"user": user_column}

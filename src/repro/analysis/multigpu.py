@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.stats import coefficient_of_variation
-from repro.analysis.streaming import is_chunked, iter_sorted_groups
+from repro.analysis.streaming import iter_sorted_groups
 from repro.errors import AnalysisError
 from repro.frame import QuantileSketch, Table
 
@@ -28,65 +28,43 @@ IDLE_GPU_THRESHOLD = 0.5
 def gpu_count_breakdown(gpu_jobs: Table) -> Table:
     """Job share and GPU-hour share per size bucket (Fig 13).
 
-    A chunked stream folds integer job counts (shares bit-identical to
-    the materialized ``mask.mean()``) and per-bucket hour sums in one
-    bounded pass.
+    One chunk fold of integer job counts (shares exact on any
+    chunking) and per-bucket hour sums.
     """
-    if is_chunked(gpu_jobs):
-        total = 0
-        total_hours = 0.0
-        bucket_jobs = [0] * len(SIZE_BUCKETS)
-        bucket_hours = [0.0] * len(SIZE_BUCKETS)
-        for chunk in gpu_jobs.chunks():
-            counts = np.asarray(chunk["num_gpus"], dtype=float)
-            hours = np.asarray(chunk["gpu_hours"], dtype=float)
-            total += counts.size
-            total_hours += float(hours.sum())
-            for i, (lo, hi) in enumerate(SIZE_BUCKETS):
-                mask = (counts >= lo) & (counts <= hi)
-                bucket_jobs[i] += int(mask.sum())
-                bucket_hours[i] += float(hours[mask].sum())
-        if total == 0:
-            raise AnalysisError("no jobs")
-        return Table.from_rows(
-            [
-                {
-                    "gpus": label,
-                    "job_fraction": bucket_jobs[i] / total,
-                    "gpu_hour_fraction": bucket_hours[i] / total_hours if total_hours else 0.0,
-                    "num_jobs": bucket_jobs[i],
-                }
-                for i, label in enumerate(SIZE_LABELS)
-            ]
-        )
-    if gpu_jobs.num_rows == 0:
+    total = 0
+    total_hours = 0.0
+    bucket_jobs = [0] * len(SIZE_BUCKETS)
+    bucket_hours = [0.0] * len(SIZE_BUCKETS)
+    for chunk in gpu_jobs.chunks():
+        counts = np.asarray(chunk["num_gpus"], dtype=float)
+        hours = np.asarray(chunk["gpu_hours"], dtype=float)
+        total += counts.size
+        total_hours += float(hours.sum())
+        for i, (lo, hi) in enumerate(SIZE_BUCKETS):
+            mask = (counts >= lo) & (counts <= hi)
+            bucket_jobs[i] += int(mask.sum())
+            bucket_hours[i] += float(hours[mask].sum())
+    if total == 0:
         raise AnalysisError("no jobs")
-    counts = np.asarray(gpu_jobs["num_gpus"], dtype=float)
-    hours = np.asarray(gpu_jobs["gpu_hours"], dtype=float)
-    total_hours = hours.sum()
-    rows = []
-    for (lo, hi), label in zip(SIZE_BUCKETS, SIZE_LABELS):
-        mask = (counts >= lo) & (counts <= hi)
-        rows.append(
+    return Table.from_rows(
+        [
             {
                 "gpus": label,
-                "job_fraction": float(mask.mean()),
-                "gpu_hour_fraction": float(hours[mask].sum() / total_hours) if total_hours else 0.0,
-                "num_jobs": int(mask.sum()),
+                "job_fraction": bucket_jobs[i] / total,
+                "gpu_hour_fraction": bucket_hours[i] / total_hours if total_hours else 0.0,
+                "num_jobs": bucket_jobs[i],
             }
-        )
-    return Table.from_rows(rows)
+            for i, label in enumerate(SIZE_LABELS)
+        ]
+    )
 
 
 def user_gpu_breadth(gpu_jobs: Table) -> dict[str, float]:
     """Fraction of users who ever ran multi-GPU / 3+ / 9+ GPU jobs.
 
-    ``group_by("user")`` dispatches to the streaming aggregate on a
-    chunked table; ``max`` is an exact streaming reducer, so the
-    fractions are bit-identical on both paths.
+    ``max`` is an exact reducer on both the materialized and the
+    streaming group-by, so the fractions do not depend on chunking.
     """
-    if not is_chunked(gpu_jobs) and gpu_jobs.num_rows == 0:
-        raise AnalysisError("no jobs")
     breadth = gpu_jobs.group_by("user").aggregate({"num_gpus": "max"})
     if breadth.num_rows == 0:
         raise AnalysisError("no jobs")
@@ -101,43 +79,29 @@ def user_gpu_breadth(gpu_jobs: Table) -> dict[str, float]:
 def wait_by_size(gpu_jobs: Table) -> Table:
     """Median queue wait per size bucket (Sec. V text).
 
-    On a chunked stream each bucket's median comes from a one-pass
-    :class:`~repro.frame.QuantileSketch` (exact until the sketch first
-    compacts, rank-bounded after); job counts stay exact.
+    Each bucket's median comes from a one-pass
+    :class:`~repro.frame.QuantileSketch` (exact on a one-chunk input,
+    rank-bounded after); job counts stay exact.
     """
-    if is_chunked(gpu_jobs):
-        sketches = [QuantileSketch() for _ in SIZE_BUCKETS]
-        bucket_jobs = [0] * len(SIZE_BUCKETS)
-        for chunk in gpu_jobs.chunks():
-            counts = np.asarray(chunk["num_gpus"], dtype=float)
-            waits = np.asarray(chunk["wait_time_s"], dtype=float)
-            for i, (lo, hi) in enumerate(SIZE_BUCKETS):
-                mask = (counts >= lo) & (counts <= hi)
-                bucket_jobs[i] += int(mask.sum())
-                sketches[i].update(waits[mask])
-        return Table.from_rows(
-            [
-                {
-                    "gpus": label,
-                    "median_wait_s": sketches[i].quantile(0.5) if bucket_jobs[i] else float("nan"),
-                    "num_jobs": bucket_jobs[i],
-                }
-                for i, label in enumerate(SIZE_LABELS)
-            ]
-        )
-    counts = np.asarray(gpu_jobs["num_gpus"], dtype=float)
-    waits = np.asarray(gpu_jobs["wait_time_s"], dtype=float)
-    rows = []
-    for (lo, hi), label in zip(SIZE_BUCKETS, SIZE_LABELS):
-        mask = (counts >= lo) & (counts <= hi)
-        rows.append(
+    sketches = [QuantileSketch() for _ in SIZE_BUCKETS]
+    bucket_jobs = [0] * len(SIZE_BUCKETS)
+    for chunk in gpu_jobs.chunks():
+        counts = np.asarray(chunk["num_gpus"], dtype=float)
+        waits = np.asarray(chunk["wait_time_s"], dtype=float)
+        for i, (lo, hi) in enumerate(SIZE_BUCKETS):
+            mask = (counts >= lo) & (counts <= hi)
+            bucket_jobs[i] += int(mask.sum())
+            sketches[i].update(waits[mask])
+    return Table.from_rows(
+        [
             {
                 "gpus": label,
-                "median_wait_s": float(np.median(waits[mask])) if mask.any() else float("nan"),
-                "num_jobs": int(mask.sum()),
+                "median_wait_s": sketches[i].median() if bucket_jobs[i] else float("nan"),
+                "num_jobs": bucket_jobs[i],
             }
-        )
-    return Table.from_rows(rows)
+            for i, label in enumerate(SIZE_LABELS)
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -161,21 +125,17 @@ def multi_gpu_cov(
     ``cov_all`` includes idle GPUs; ``cov_active`` drops GPUs whose
     mean SM *and* memory utilization sit below ``idle_threshold``.
 
-    A chunked ``per_gpu`` stream (sorted by ``(job_id, gpu_index)``,
-    as the pipeline emits it) folds one job's rows at a time via
-    :func:`~repro.analysis.streaming.iter_sorted_groups`; each group's
-    row order matches the materialized ``group_by``, so every CoV is
-    bit-identical on both paths.
+    Folds one job's rows at a time via
+    :func:`~repro.analysis.streaming.iter_sorted_groups`, so results
+    come in ascending ``job_id`` order; each group keeps its rows'
+    stream order, so every CoV is bit-identical to a materialized
+    ``group_by("job_id")``.  A materialized ``per_gpu`` may be in any
+    row order; a chunked one must arrive job-id ordered across chunks,
+    as the pipeline emits it.
     """
-    if is_chunked(per_gpu):
-        groups = iter_sorted_groups(per_gpu, "job_id")
-    else:
-        if per_gpu.num_rows == 0:
-            raise AnalysisError("no per-GPU rows")
-        groups = ((key[0], group) for key, group in per_gpu.group_by("job_id"))
     empty = True
     results = []
-    for job_key, group in groups:
+    for job_key, group in iter_sorted_groups(per_gpu, "job_id"):
         empty = False
         if group.num_rows < 2:
             continue

@@ -182,9 +182,6 @@ def job_phase_table(store, jobs_with_context=None):
     at a time, so the table costs O(jobs) rows rather than O(samples).
     """
     accumulator = PhaseAccumulator()
-    series_iter = (
-        store.iter_sorted() if hasattr(store, "iter_sorted") else iter(store)
-    )
-    for series in series_iter:
+    for series in store.iter_sorted():
         accumulator.update(series)
     return accumulator.result(jobs_with_context)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.streaming import is_chunked
 from repro.errors import AnalysisError
 from repro.frame import QuantileSketch, StreamingMoments, Table
 
@@ -42,49 +41,33 @@ class PowerCapImpact:
 def power_cap_impact(jobs: Table, caps_w=DEFAULT_CAPS_W) -> list[PowerCapImpact]:
     """Evaluate each cap level against the jobs' avg/max power draw.
 
-    A chunked stream folds integer counts per cap level, so every
-    fraction is bit-identical to the materialized ``mask.mean()``.
+    One chunk fold of integer counts per cap level, so every fraction
+    is exact on any chunking.
     """
     for cap in caps_w:
         if cap <= 0:
             raise AnalysisError(f"cap must be positive, got {cap}")
-    if is_chunked(jobs):
-        total = 0
-        below = [0] * len(caps_w)
-        avg_above = [0] * len(caps_w)
-        for chunk in jobs.chunks():
-            avg = np.asarray(chunk["power_w_mean"], dtype=float)
-            peak = np.asarray(chunk["power_w_max"], dtype=float)
-            total += peak.size
-            for i, cap in enumerate(caps_w):
-                below[i] += int((peak < cap).sum())
-                avg_above[i] += int((avg >= cap).sum())
-        if total == 0:
-            raise AnalysisError("no jobs to analyse")
-        return [
-            PowerCapImpact(
-                cap_w=float(cap),
-                unimpacted_fraction=below[i] / total,
-                max_impacted_fraction=(total - below[i]) / total,
-                avg_impacted_fraction=avg_above[i] / total,
-            )
-            for i, cap in enumerate(caps_w)
-        ]
-    if jobs.num_rows == 0:
+    total = 0
+    below = [0] * len(caps_w)
+    avg_above = [0] * len(caps_w)
+    for chunk in jobs.chunks():
+        avg = np.asarray(chunk["power_w_mean"], dtype=float)
+        peak = np.asarray(chunk["power_w_max"], dtype=float)
+        total += peak.size
+        for i, cap in enumerate(caps_w):
+            below[i] += int((peak < cap).sum())
+            avg_above[i] += int((avg >= cap).sum())
+    if total == 0:
         raise AnalysisError("no jobs to analyse")
-    avg = np.asarray(jobs["power_w_mean"], dtype=float)
-    peak = np.asarray(jobs["power_w_max"], dtype=float)
-    out = []
-    for cap in caps_w:
-        out.append(
-            PowerCapImpact(
-                cap_w=float(cap),
-                unimpacted_fraction=float((peak < cap).mean()),
-                max_impacted_fraction=float((peak >= cap).mean()),
-                avg_impacted_fraction=float((avg >= cap).mean()),
-            )
+    return [
+        PowerCapImpact(
+            cap_w=float(cap),
+            unimpacted_fraction=below[i] / total,
+            max_impacted_fraction=(total - below[i]) / total,
+            avg_impacted_fraction=avg_above[i] / total,
         )
-    return out
+        for i, cap in enumerate(caps_w)
+    ]
 
 
 @dataclass(frozen=True)
@@ -102,34 +85,23 @@ class PowerHeadroom:
 def power_headroom(jobs: Table, board_power_w: float = 300.0) -> PowerHeadroom:
     """Summarise the population's power headroom.
 
-    A chunked stream sketches the two medians (rank-bounded) and folds
-    the mean through :class:`~repro.frame.StreamingMoments`.
+    One chunk fold: the two medians come from quantile sketches (exact
+    on a one-chunk input) and the mean from
+    :class:`~repro.frame.StreamingMoments`.
     """
-    if is_chunked(jobs):
-        avg_sketch, peak_sketch = QuantileSketch(), QuantileSketch()
-        avg_moments = StreamingMoments()
-        for chunk in jobs.chunks():
-            avg = np.asarray(chunk["power_w_mean"], dtype=float)
-            avg_sketch.update(avg)
-            avg_moments.update(avg)
-            peak_sketch.update(np.asarray(chunk["power_w_max"], dtype=float))
-        if avg_moments.count == 0:
-            raise AnalysisError("no jobs to analyse")
-        return PowerHeadroom(
-            board_power_w=board_power_w,
-            median_avg_power_w=avg_sketch.quantile(0.5),
-            median_max_power_w=peak_sketch.quantile(0.5),
-            mean_avg_power_w=avg_moments.mean(),
-            overprovision_factor_at_half_cap=board_power_w / (board_power_w / 2.0),
-        )
-    if jobs.num_rows == 0:
+    avg_sketch, peak_sketch = QuantileSketch(), QuantileSketch()
+    avg_moments = StreamingMoments()
+    for chunk in jobs.chunks():
+        avg = np.asarray(chunk["power_w_mean"], dtype=float)
+        avg_sketch.update(avg)
+        avg_moments.update(avg)
+        peak_sketch.update(np.asarray(chunk["power_w_max"], dtype=float))
+    if avg_moments.count == 0:
         raise AnalysisError("no jobs to analyse")
-    avg = np.asarray(jobs["power_w_mean"], dtype=float)
-    peak = np.asarray(jobs["power_w_max"], dtype=float)
     return PowerHeadroom(
         board_power_w=board_power_w,
-        median_avg_power_w=float(np.median(avg)),
-        median_max_power_w=float(np.median(peak)),
-        mean_avg_power_w=float(avg.mean()),
+        median_avg_power_w=avg_sketch.median(),
+        median_max_power_w=peak_sketch.median(),
+        mean_avg_power_w=avg_moments.mean(),
         overprovision_factor_at_half_cap=board_power_w / (board_power_w / 2.0),
     )

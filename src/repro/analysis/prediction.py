@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.streaming import iter_key_sorted_chunks
 from repro.errors import AnalysisError
 from repro.frame import Table
 
@@ -102,40 +103,21 @@ def predict_user_behavior(
 
     Predictions start after ``warmup`` prior jobs by the same user;
     the running global median serves both as the baseline strategy and
-    as the cold-start value it is compared against.
+    as the cold-start value it is compared against.  Rows replay in
+    submission order (see
+    :func:`~repro.analysis.streaming.iter_key_sorted_chunks`), so any
+    row order of a materialized table scores like
+    ``sort_by("submit_time_s")``.
     """
-    from repro.analysis.streaming import is_chunked
-
     if strategy not in STRATEGIES:
         raise AnalysisError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if warmup < 1:
         raise AnalysisError("warmup must be >= 1")
-    if is_chunked(gpu_jobs):
-        # The pipeline's job stream is already submit-ordered (job ids
-        # ascend with submit time); the generator verifies that, so
-        # the replay visits rows in exactly the order the materialized
-        # sort produces and every score is bit-identical.
-        def pairs():
-            last_submit = -math.inf
-            for chunk in gpu_jobs.chunks():
-                if chunk.num_rows == 0:
-                    continue
-                submits = np.asarray(chunk["submit_time_s"], dtype=float)
-                if submits[0] < last_submit or np.any(np.diff(submits) < 0):
-                    raise AnalysisError(
-                        "streaming prediction replay needs a submit-time-sorted job stream"
-                    )
-                last_submit = float(submits[-1])
-                yield from zip(
-                    list(chunk["user"]), np.asarray(chunk[metric], dtype=float)
-                )
-
-        stream = pairs()
-    else:
-        if gpu_jobs.num_rows == 0:
-            raise AnalysisError("no jobs")
-        ordered = gpu_jobs.sort_by("submit_time_s")
-        stream = zip(list(ordered["user"]), np.asarray(ordered[metric], dtype=float))
+    stream = (
+        pair
+        for chunk in iter_key_sorted_chunks(gpu_jobs, "submit_time_s")
+        for pair in zip(list(chunk["user"]), np.asarray(chunk[metric], dtype=float))
+    )
 
     import bisect
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import AnalysisError
+from repro.frame import StreamingMoments
 
 
 def erlang_c(servers: int, offered_load: float) -> float:
@@ -96,53 +97,30 @@ def workload_parameters(gpu_jobs) -> dict[str, float]:
 
     Returns arrival rate (jobs/s over the observed span), mean service
     time, its SCV, and the offered load in GPU-Erlangs (weighting each
-    job by its GPU count).  A chunked table folds the same four
-    numbers through :class:`~repro.frame.StreamingMoments` plus a
-    weighted-sum accumulator, one bounded pass.
+    job by its GPU count).  One chunk fold through
+    :class:`~repro.frame.StreamingMoments` plus a weighted-sum
+    accumulator.
     """
-    from repro.analysis.streaming import is_chunked
-    from repro.frame import StreamingMoments
-
-    if is_chunked(gpu_jobs):
-        submit_moments = StreamingMoments()
-        runtime_moments = StreamingMoments()
-        weighted = 0.0
-        for chunk in gpu_jobs.chunks():
-            runtimes = np.asarray(chunk["run_time_s"], dtype=float)
-            submit_moments.update(np.asarray(chunk["submit_time_s"], dtype=float))
-            runtime_moments.update(runtimes)
-            weighted += float((runtimes * np.asarray(chunk["num_gpus"], dtype=float)).sum())
-        if submit_moments.count < 2:
-            raise AnalysisError("need at least two jobs")
-        span = submit_moments.maximum - submit_moments.minimum
-        if span <= 0:
-            raise AnalysisError("all jobs submitted at the same instant")
-        mean_service = runtime_moments.mean()
-        std = runtime_moments.std()
-        return {
-            "arrival_rate_per_s": submit_moments.count / span,
-            "mean_service_s": mean_service,
-            "service_scv": std * std / mean_service**2 if mean_service > 0 else 0.0,
-            "offered_gpu_load": weighted / span,
-        }
-
-    submits = np.asarray(gpu_jobs["submit_time_s"], dtype=float)
-    runtimes = np.asarray(gpu_jobs["run_time_s"], dtype=float)
-    gpus = np.asarray(gpu_jobs["num_gpus"], dtype=float)
-    if submits.size < 2:
+    submit_moments = StreamingMoments()
+    runtime_moments = StreamingMoments()
+    weighted = 0.0
+    for chunk in gpu_jobs.chunks():
+        runtimes = np.asarray(chunk["run_time_s"], dtype=float)
+        submit_moments.update(np.asarray(chunk["submit_time_s"], dtype=float))
+        runtime_moments.update(runtimes)
+        weighted += float((runtimes * np.asarray(chunk["num_gpus"], dtype=float)).sum())
+    if submit_moments.count < 2:
         raise AnalysisError("need at least two jobs")
-    span = float(submits.max() - submits.min())
+    span = submit_moments.maximum - submit_moments.minimum
     if span <= 0:
         raise AnalysisError("all jobs submitted at the same instant")
-    arrival_rate = submits.size / span
-    mean_service = float(runtimes.mean())
-    scv = float(runtimes.var() / mean_service**2) if mean_service > 0 else 0.0
-    offered_gpu_load = float((runtimes * gpus).sum() / span)
+    mean_service = runtime_moments.mean()
+    std = runtime_moments.std()
     return {
-        "arrival_rate_per_s": arrival_rate,
+        "arrival_rate_per_s": submit_moments.count / span,
         "mean_service_s": mean_service,
-        "service_scv": scv,
-        "offered_gpu_load": offered_gpu_load,
+        "service_scv": std * std / mean_service**2 if mean_service > 0 else 0.0,
+        "offered_gpu_load": weighted / span,
     }
 
 

@@ -2,7 +2,11 @@
 
 The paper presents almost everything as empirical CDFs, coefficients
 of variation, and Spearman rank correlations; these are implemented
-here once and reused by every figure module.
+here once and reused by every figure module.  The column helpers
+(:func:`column_ecdf`, :func:`column_fraction`) fold ``source.chunks()``,
+so one implementation serves a materialized table (the one-chunk
+stream of itself) and a chunk stream: exact while the input is one
+chunk, within a tracked rank bound after.
 """
 
 from __future__ import annotations
@@ -58,60 +62,46 @@ def ecdf(values) -> Ecdf:
     return Ecdf(ordered, probs)
 
 
-def column_ecdf(source, name: str, *, transform=None, k: int | None = None):
-    """The distribution of one column, exact or sketched by source type.
+def column_ecdf(source, name: str, *, transform=None):
+    """The distribution of one column as a one-pass quantile sketch.
 
-    For a materialized :class:`~repro.frame.Table` this is the exact
-    :func:`ecdf` of the column; for a
-    :class:`~repro.frame.ChunkedTable` it is a one-pass
-    :class:`~repro.frame.QuantileSketch` (same query surface:
-    ``values``/``probabilities``/``evaluate``/``quantile``/``median``/
-    ``fraction_above``), so figure code can consume either without
-    branching.  ``transform`` is applied vectorized per chunk (e.g.
-    seconds to minutes); non-finite samples are dropped on both paths.
+    Folds ``source.chunks()`` into a :class:`~repro.frame.QuantileSketch`
+    (same query surface as :class:`Ecdf`: ``values``/``probabilities``/
+    ``evaluate``/``quantile``/``median``/``fraction_above``).  The
+    answer is exact while the input is one chunk — a materialized
+    :class:`~repro.frame.Table` is one — and within the sketch's
+    tracked rank bound after.  ``transform`` is applied vectorized per
+    chunk (e.g. seconds to minutes); non-finite samples are dropped.
     """
-    from repro.frame import DEFAULT_SKETCH_K, ChunkedTable, QuantileSketch
+    from repro.frame import QuantileSketch
 
-    if isinstance(source, ChunkedTable):
-        sketch = QuantileSketch(k=DEFAULT_SKETCH_K if k is None else k)
-        for chunk in source.chunks():
-            arr = np.asarray(chunk.column(name), dtype=float)
-            if transform is not None:
-                arr = transform(arr)
-            sketch.update(arr)
-        if sketch.num_samples == 0:
-            raise AnalysisError("cannot build an ECDF from zero finite samples")
-        return sketch
-    arr = np.asarray(source.column(name), dtype=float)
-    if transform is not None:
-        arr = transform(arr)
-    return ecdf(arr)
+    sketch = QuantileSketch()
+    for chunk in source.chunks():
+        arr = np.asarray(chunk.column(name), dtype=float)
+        if transform is not None:
+            arr = transform(arr)
+        sketch.update(arr)
+    if sketch.num_samples == 0:
+        raise AnalysisError("cannot build an ECDF from zero finite samples")
+    return sketch
 
 
 def column_fraction(source, name: str, predicate) -> float:
     """The exact mean of a boolean predicate over one column.
 
-    ``predicate`` maps a float array to a boolean array.  Streaming a
-    :class:`~repro.frame.ChunkedTable` accumulates integer true/total
-    counts, so the result is bit-for-bit the materialized
-    ``predicate(column).mean()``.
+    ``predicate`` maps a float array to a boolean array.  The chunk
+    fold accumulates integer true/total counts, so the result is
+    bit-for-bit ``predicate(column).mean()`` on any chunking.
     """
-    from repro.frame import ChunkedTable
-
-    if isinstance(source, ChunkedTable):
-        true_count = 0
-        total = 0
-        for chunk in source.chunks():
-            hits = np.asarray(predicate(np.asarray(chunk.column(name), dtype=float)))
-            true_count += int(hits.sum())
-            total += int(hits.size)
-        if total == 0:
-            raise AnalysisError("cannot take a fraction of zero samples")
-        return true_count / total
-    hits = np.asarray(predicate(np.asarray(source.column(name), dtype=float)))
-    if hits.size == 0:
+    true_count = 0
+    total = 0
+    for chunk in source.chunks():
+        hits = np.asarray(predicate(np.asarray(chunk.column(name), dtype=float)))
+        true_count += int(hits.sum())
+        total += int(hits.size)
+    if total == 0:
         raise AnalysisError("cannot take a fraction of zero samples")
-    return float(hits.mean())
+    return true_count / total
 
 
 def coefficient_of_variation(values) -> float:

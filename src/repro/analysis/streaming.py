@@ -1,16 +1,17 @@
-"""Shared primitives for the streaming analysis kernels.
+"""Shared primitives for the chunk-fold analysis kernels.
 
-Every heavy kernel in :mod:`repro.analysis` follows the
-exact-or-sketch contract that :func:`repro.analysis.stats.column_ecdf`
-established: a materialized :class:`~repro.frame.Table` takes the
-original vectorized path, while a :class:`~repro.frame.ChunkedTable`
-folds the chunk stream with bounded state.  Integer counts (and the
-shares derived from them) stay bit-identical to the materialized
-result; float accumulations are deterministic for a fixed chunking but
-may differ in the last ULP from a single-pass sum; quantiles come from
-a rank-bounded :class:`~repro.frame.QuantileSketch` (exact until the
-sketch first compacts).  This module holds the pieces those folds
-share so each kernel only contributes its own arithmetic.
+Every heavy kernel in :mod:`repro.analysis` is one chunk fold over
+``source.chunks()``: a :class:`~repro.frame.ChunkedTable` yields its
+chunks and a materialized :class:`~repro.frame.Table` is the one-chunk
+stream of itself.  The fold keeps the exact-or-sketch contract that
+:func:`repro.analysis.stats.column_ecdf` established: integer counts
+(and the shares derived from them) are exact on any chunking; float
+accumulations are deterministic for a fixed chunking but may differ in
+the last ULP from a single-pass sum; quantiles come from a
+:class:`~repro.frame.QuantileSketch`, exact while the input is one
+chunk and within the tracked ``rank_error_bound()`` after.  This module
+holds the pieces those folds share so each kernel only contributes its
+own arithmetic.
 """
 
 from __future__ import annotations
@@ -19,34 +20,52 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from repro.errors import AnalysisError
 from repro.frame import Table, concat_tables
 
 
-def is_chunked(source: Any) -> bool:
-    """Whether ``source`` is a chunk stream (vs a materialized Table)."""
-    from repro.frame import ChunkedTable
+def iter_key_sorted_chunks(source: Any, key: str) -> Iterator[Table]:
+    """Yield ``source``'s chunks, each stable-sorted by ``key``.
 
-    return isinstance(source, ChunkedTable)
+    Within a chunk any row order is accepted (a materialized table in
+    completion order sorts exactly like ``sort_by(key)``); across
+    chunks the stream must already be ordered, so a chunk whose first
+    key falls below the previous chunk's last key raises
+    :class:`~repro.errors.AnalysisError` naming ``key`` instead of
+    silently folding out of order.
+    """
+    last: Any = None
+    for chunk in source.chunks():
+        keys = np.asarray(chunk.column(key))
+        if np.any(keys[1:] < keys[:-1]):
+            chunk = chunk.sort_by(key)
+            keys = np.asarray(chunk.column(key))
+        if last is not None and keys[0] < last:
+            raise AnalysisError(
+                f"chunk stream is not sorted by {key!r}: a chunk starts at "
+                f"{keys[0]} after the previous chunk ended at {last}"
+            )
+        last = keys[-1]
+        yield chunk
 
 
 def iter_sorted_groups(source: Any, key: str) -> Iterator[tuple[Any, Table]]:
-    """Yield ``(key_value, group)`` from a ``key``-sorted chunk stream.
+    """Yield ``(key_value, group)`` from a ``key``-ordered chunk stream.
 
-    The stream must arrive grouped by ``key`` (e.g. the pipeline's
-    ``per_gpu`` table, sorted by ``(job_id, gpu_index)``); consecutive
-    equal keys form one group.  Exactly one group is resident at a time
-    beyond the chunk being read, so a per-group fold costs O(largest
-    group) memory rather than O(rows).  Groups straddling chunk
-    boundaries are stitched back together with ``concat_tables``, which
-    keeps each group's row order — and therefore any per-group
-    arithmetic — bit-identical to iterating the materialized
-    ``group_by(key)``.
+    Chunks pass through :func:`iter_key_sorted_chunks`, so rows within
+    a chunk may arrive in any order but the chunks themselves must be
+    ordered by ``key`` (e.g. the pipeline's ``per_gpu`` stream, sorted
+    by ``(job_id, gpu_index)``); consecutive equal keys form one group.
+    Exactly one group is resident at a time beyond the chunk being
+    read, so a per-group fold costs O(largest group) memory rather
+    than O(rows).  Groups straddling chunk boundaries are stitched back
+    together with ``concat_tables``, which keeps each group's row order
+    — and therefore any per-group arithmetic — bit-identical to the
+    materialized ``group_by(key)``.
     """
     pending_key: Any = None
     parts: list[Table] = []
-    for chunk in source.chunks():
-        if chunk.num_rows == 0:
-            continue
+    for chunk in iter_key_sorted_chunks(source, key):
         keys = np.asarray(chunk.column(key))
         change = np.nonzero(keys[1:] != keys[:-1])[0]
         starts = np.concatenate(([0], change + 1))

@@ -86,45 +86,30 @@ def gpu_occupancy_from_jobs(jobs, capacity: int, num_samples: int = 2000) -> Occ
     ``start_time_s``/``end_time_s``/``num_gpus`` columns.  The sweep
     in :func:`_interval_counts` is separable per job — occupancy(g) =
     sum of weights started at or before g minus weights ended at or
-    before g — so a chunk stream folds two sorted-prefix sums per
-    chunk onto the grid (one extra pass first for the grid extent).
-    GPU counts are integer-valued floats, so the streamed occupancy is
-    bit-identical to the materialized sweep.
+    before g — so the fold adds two sorted-prefix sums per chunk onto
+    the grid (one extra pass first for the grid extent).  GPU counts
+    are integer-valued floats, so the occupancy is exact on any
+    chunking.
     """
-    from repro.analysis.streaming import is_chunked
-
-    if is_chunked(jobs):
-        gpu_jobs = jobs.filter(lambda t: np.asarray(t["num_gpus"]) > 0)
-        lo, hi, any_rows = math.inf, -math.inf, False
-        for chunk in gpu_jobs.chunks():
-            if chunk.num_rows == 0:
-                continue
-            any_rows = True
-            lo = min(lo, float(np.min(np.asarray(chunk["start_time_s"], dtype=float))))
-            hi = max(hi, float(np.max(np.asarray(chunk["end_time_s"], dtype=float))))
-        if not any_rows:
-            raise AnalysisError("no GPU jobs in records")
-        grid = np.linspace(lo, hi, num_samples)
-        occupancy = np.zeros(num_samples)
-        for chunk in gpu_jobs.chunks():
-            weights = np.asarray(chunk["num_gpus"], dtype=float)
-            for column, sign in (("start_time_s", 1.0), ("end_time_s", -1.0)):
-                events = np.asarray(chunk[column], dtype=float)
-                order = np.argsort(events, kind="stable")
-                cumulative = np.cumsum(weights[order] * sign)
-                idx = np.searchsorted(events[order], grid, side="right")
-                occupancy += np.where(idx > 0, cumulative[np.clip(idx - 1, 0, None)], 0.0)
-        occupancy = np.maximum(occupancy, 0.0)
-        return OccupancyTimeline(times_s=grid, occupancy=occupancy, capacity=float(capacity))
-
-    mask = np.asarray(jobs["num_gpus"]) > 0
-    if not mask.any():
+    gpu_jobs = jobs.filter(lambda t: np.asarray(t["num_gpus"]) > 0)
+    lo, hi, any_rows = math.inf, -math.inf, False
+    for chunk in gpu_jobs.chunks():
+        any_rows = True
+        lo = min(lo, float(np.min(np.asarray(chunk["start_time_s"], dtype=float))))
+        hi = max(hi, float(np.max(np.asarray(chunk["end_time_s"], dtype=float))))
+    if not any_rows:
         raise AnalysisError("no GPU jobs in records")
-    starts = np.asarray(jobs["start_time_s"], dtype=float)[mask]
-    ends = np.asarray(jobs["end_time_s"], dtype=float)[mask]
-    weights = np.asarray(jobs["num_gpus"], dtype=float)[mask]
-    grid = np.linspace(starts.min(), ends.max(), num_samples)
-    occupancy = _interval_counts(starts, ends, weights, grid)
+    grid = np.linspace(lo, hi, num_samples)
+    occupancy = np.zeros(num_samples)
+    for chunk in gpu_jobs.chunks():
+        weights = np.asarray(chunk["num_gpus"], dtype=float)
+        for column, sign in (("start_time_s", 1.0), ("end_time_s", -1.0)):
+            events = np.asarray(chunk[column], dtype=float)
+            order = np.argsort(events, kind="stable")
+            cumulative = np.cumsum(weights[order] * sign)
+            idx = np.searchsorted(events[order], grid, side="right")
+            occupancy += np.where(idx > 0, cumulative[np.clip(idx - 1, 0, None)], 0.0)
+    occupancy = np.maximum(occupancy, 0.0)
     return OccupancyTimeline(times_s=grid, occupancy=occupancy, capacity=float(capacity))
 
 
@@ -158,7 +143,7 @@ def daily_gpu_hours_from_jobs(jobs) -> Table:
     that never materialize their records: the day column is computed
     per chunk and the grouped sum streams with O(days) state.
     """
-    from repro.analysis.streaming import is_chunked
+    from repro.frame import ChunkedTable
 
     def day_table(table: Table) -> Table:
         return Table(
@@ -171,12 +156,7 @@ def daily_gpu_hours_from_jobs(jobs) -> Table:
         )
 
     gpu_jobs = jobs.filter(lambda t: np.asarray(t["num_gpus"]) > 0)
-    if is_chunked(jobs):
-        per_job = gpu_jobs.map_chunks(day_table, preserves_rows=True)
-    else:
-        if gpu_jobs.num_rows == 0:
-            raise AnalysisError("no GPU jobs in records")
-        per_job = day_table(gpu_jobs)
+    per_job = ChunkedTable(gpu_jobs.chunks).map_chunks(day_table)
     daily = per_job.group_by("day").aggregate({"gpu_hours": "sum"})
     if daily.num_rows == 0:
         raise AnalysisError("no GPU jobs in records")

@@ -10,11 +10,11 @@ think time.  This module mines both.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.streaming import iter_key_sorted_chunks
 from repro.errors import AnalysisError
 from repro.frame import Table
 from repro.slurm.job import LIFECYCLE_CLASSES
@@ -27,47 +27,23 @@ def transition_matrix(gpu_jobs: Table) -> Table:
     = P(next job's class | this job's class), computed over
     consecutive submissions of the same user.
 
-    A chunked table folds the same per-user last-class state across
-    chunks: the pipeline's job stream is already in submission order
-    (job ids are assigned by ascending submit time), which the fold
-    verifies, so the integer transition counts — and therefore every
-    probability — are bit-identical to the materialized sort.
+    Folds per-user last-class state over the submit-ordered chunks of
+    :func:`~repro.analysis.streaming.iter_key_sorted_chunks`, so any
+    row order of a materialized table gives the integer transition
+    counts — and every probability — of ``sort_by("submit_time_s")``.
     """
-    from repro.analysis.streaming import is_chunked
-
     counts = {a: {b: 0 for b in LIFECYCLE_CLASSES} for a in LIFECYCLE_CLASSES}
     last_class: dict[str, str] = {}
-    if is_chunked(gpu_jobs):
-        empty = True
-        last_submit = -math.inf
-        for chunk in gpu_jobs.chunks():
-            if chunk.num_rows == 0:
-                continue
-            empty = False
-            submits = np.asarray(chunk["submit_time_s"], dtype=float)
-            if submits[0] < last_submit or np.any(np.diff(submits) < 0):
-                raise AnalysisError(
-                    "streaming transition fold needs a submit-time-sorted job stream"
-                )
-            last_submit = float(submits[-1])
-            for user, cls in zip(list(chunk["user"]), list(chunk["lifecycle_class"])):
-                previous = last_class.get(user)
-                if previous is not None:
-                    counts[previous][cls] += 1
-                last_class[user] = cls
-        if empty:
-            raise AnalysisError("no jobs")
-    else:
-        if gpu_jobs.num_rows == 0:
-            raise AnalysisError("no jobs")
-        ordered = gpu_jobs.sort_by("submit_time_s")
-        users = list(ordered["user"])
-        classes = list(ordered["lifecycle_class"])
-        for user, cls in zip(users, classes):
+    empty = True
+    for chunk in iter_key_sorted_chunks(gpu_jobs, "submit_time_s"):
+        empty = False
+        for user, cls in zip(list(chunk["user"]), list(chunk["lifecycle_class"])):
             previous = last_class.get(user)
             if previous is not None:
                 counts[previous][cls] += 1
             last_class[user] = cls
+    if empty:
+        raise AnalysisError("no jobs")
     rows = []
     for source in LIFECYCLE_CLASSES:
         total = sum(counts[source].values())
@@ -107,62 +83,31 @@ def segment_campaigns(gpu_jobs: Table, gap_s: float = 2.0 * 3600.0) -> list[dict
     below ``gap_s`` (think time).  Returns one dict per campaign with
     ``user``, ``classes`` (in order), ``span_s``.
 
-    A chunked table streams the submit-ordered jobs holding only each
+    The fold streams the submit-ordered chunks holding only each
     user's *open* campaign plus the finished campaign records (O(users
-    + campaigns) state, never the job rows themselves); the result
-    list matches the materialized path exactly, including its
-    per-first-seen-user ordering.
+    + campaigns) state, never the job rows themselves); campaigns are
+    listed per user in first-seen order.
     """
-    from repro.analysis.streaming import is_chunked
-
     if gap_s <= 0:
         raise AnalysisError("gap must be positive")
-    if is_chunked(gpu_jobs):
-        open_runs: dict[str, list[tuple[float, str]]] = {}
-        finished: dict[str, list[dict]] = {}
-        last_submit = -math.inf
-        for chunk in gpu_jobs.chunks():
-            if chunk.num_rows == 0:
-                continue
-            submits = np.asarray(chunk["submit_time_s"], dtype=float)
-            if submits[0] < last_submit or np.any(np.diff(submits) < 0):
-                raise AnalysisError(
-                    "streaming campaign fold needs a submit-time-sorted job stream"
-                )
-            last_submit = float(submits[-1])
-            for user, submit, cls in zip(
-                list(chunk["user"]), submits, list(chunk["lifecycle_class"])
-            ):
-                user, cls = str(user), str(cls)
-                current = open_runs.setdefault(user, [])
-                if current and float(submit) - current[-1][0] > gap_s:
-                    finished.setdefault(user, []).append(_campaign_record(user, current))
-                    current = open_runs[user] = []
-                current.append((float(submit), cls))
-        if not open_runs:
-            raise AnalysisError("no jobs")
-        campaigns = []
-        for user, current in open_runs.items():
-            campaigns.extend(finished.get(user, ()))
-            if current:
-                campaigns.append(_campaign_record(user, current))
-        return campaigns
-    if gpu_jobs.num_rows == 0:
+    open_runs: dict[str, list[tuple[float, str]]] = {}
+    finished: dict[str, list[dict]] = {}
+    for chunk in iter_key_sorted_chunks(gpu_jobs, "submit_time_s"):
+        submits = np.asarray(chunk["submit_time_s"], dtype=float)
+        for user, submit, cls in zip(
+            list(chunk["user"]), submits, list(chunk["lifecycle_class"])
+        ):
+            user, cls = str(user), str(cls)
+            current = open_runs.setdefault(user, [])
+            if current and float(submit) - current[-1][0] > gap_s:
+                finished.setdefault(user, []).append(_campaign_record(user, current))
+                current = open_runs[user] = []
+            current.append((float(submit), cls))
+    if not open_runs:
         raise AnalysisError("no jobs")
-    ordered = gpu_jobs.sort_by("submit_time_s")
-    per_user: dict[str, list[tuple[float, str]]] = {}
-    for row in ordered.iter_rows():
-        per_user.setdefault(row["user"], []).append(
-            (float(row["submit_time_s"]), str(row["lifecycle_class"]))
-        )
     campaigns = []
-    for user, jobs in per_user.items():
-        current: list[tuple[float, str]] = []
-        for submit, cls in jobs:
-            if current and submit - current[-1][0] > gap_s:
-                campaigns.append(_campaign_record(user, current))
-                current = []
-            current.append((submit, cls))
+    for user, current in open_runs.items():
+        campaigns.extend(finished.get(user, ()))
         if current:
             campaigns.append(_campaign_record(user, current))
     return campaigns

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.stats import gini
-from repro.analysis.streaming import is_chunked
 from repro.errors import AnalysisError
 from repro.frame import Table
 
@@ -40,9 +39,6 @@ def user_table(gpu_jobs: Table) -> Table:
     never materializes the job stream.  Job counts stay exact;
     mean/std fold chunk partials (deterministic for a fixed chunking).
     """
-    if not is_chunked(gpu_jobs) and gpu_jobs.num_rows == 0:
-        raise AnalysisError("no jobs to aggregate")
-
     spec: dict[str, list[str]] = {"gpu_hours": ["count", "sum"]}
     for column in USER_METRICS:
         spec[column] = ["mean", "std"]

@@ -62,13 +62,7 @@ class SupercloudDataset:
 
     @property
     def num_users(self) -> int:
-        from repro.frame import ChunkedTable
-
-        gpu_jobs = self.gpu_jobs
-        if isinstance(gpu_jobs, ChunkedTable):
-            # One streaming pass, O(distinct users) state.
-            return gpu_jobs.value_counts("user").num_rows
-        return len(set(gpu_jobs["user"]))
+        return self.gpu_jobs.value_counts("user").num_rows
 
     def describe(self) -> str:
         """Short textual summary mirroring the paper's Sec. II stats."""
@@ -83,11 +77,10 @@ class SupercloudDataset:
         """A copy whose job tables are chunked views of the same data.
 
         Every registered figure producer consumes either
-        representation: count/share statistics are bit-identical on
-        both paths, quantiles come from rank-bounded sketches on the
-        chunked one, and the heavy analysis kernels
-        (:mod:`repro.analysis`) fold the chunk stream with bounded
-        state.  ``timeseries``/``records`` are shared, and
+        representation through the same chunk folds
+        (:mod:`repro.analysis`): count/share statistics are exact on
+        any chunking, and quantiles are exact on one chunk (the
+        materialized tables) and rank-bounded on more.  ``timeseries``/``records`` are shared, and
         :meth:`repro.monitor.timeseries.TimeSeriesStore.scan_table`
         streams the dense samples.  When ``chunk_rows`` is omitted each
         table picks an adaptive size targeting

@@ -1,11 +1,11 @@
 """Fig 3: run times and queue waits of GPU vs CPU jobs.
 
-This producer is a streaming proof-of-concept consumer: it reads the
-job tables only through :func:`~repro.analysis.stats.column_ecdf` and
-:func:`~repro.analysis.stats.column_fraction`, so it accepts either
-the materialized dataset or ``dataset.streaming_view()`` — exact CDFs
-in the first case, one-pass quantile sketches (tracked rank-error
-bound) with bit-identical threshold fractions in the second.
+The job tables are read only through
+:func:`~repro.analysis.stats.column_ecdf` and
+:func:`~repro.analysis.stats.column_fraction`, so the same code serves
+the materialized dataset and ``dataset.streaming_view()``: threshold
+fractions are exact on any chunking, and the CDFs are exact while the
+input is one chunk and carry a tracked rank-error bound after.
 """
 
 from __future__ import annotations

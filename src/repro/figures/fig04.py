@@ -1,11 +1,11 @@
 """Fig 4: distribution of average GPU resource utilization.
 
-A streaming proof-of-concept consumer (like fig03): every distribution
-is read through :func:`~repro.analysis.stats.column_ecdf`, so a
-materialized ``gpu_jobs`` table yields exact CDFs while a
-``dataset.streaming_view()`` yields one-pass quantile sketches with
-the same query surface — including ``values``/``probabilities`` for
-the KS-against-uniform deviation below.
+Like fig03, every distribution is read through
+:func:`~repro.analysis.stats.column_ecdf`: a one-pass quantile sketch,
+exact on a one-chunk input such as the materialized ``gpu_jobs`` and
+rank-bounded on a longer ``dataset.streaming_view()``, with the
+``values``/``probabilities`` surface the KS-against-uniform deviation
+below reads.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ streaming-safe verbs — ``value_counts`` for the interface shares,
 ``filter`` + :func:`~repro.analysis.stats.column_ecdf` for the
 per-interface distributions — so it accepts either the materialized
 dataset or ``dataset.streaming_view()``.  Shares are integer-count
-ratios and therefore bit-identical on both paths; the CDFs are exact
-on a :class:`~repro.frame.Table` and one-pass quantile sketches on a
-:class:`~repro.frame.ChunkedTable`.
+ratios and therefore exact on any chunking; the CDFs are one-pass
+quantile sketches, exact while the input is one chunk (a materialized
+:class:`~repro.frame.Table`) and rank-bounded after.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Fig 9: GPU power consumption and power-cap impact.
 
-Streams: the CDFs go through
-:func:`~repro.analysis.stats.column_ecdf` (exact on a Table, sketched
-on a chunk stream) and the cap-impact fractions are exact integer
-counts on both paths, so this producer accepts a materialized dataset
-or ``dataset.streaming_view()`` unchanged.
+The CDFs go through :func:`~repro.analysis.stats.column_ecdf` (exact
+on a one-chunk input, rank-bounded after) and the cap-impact fractions
+are exact integer counts on any chunking, so one code path serves a
+materialized dataset and ``dataset.streaming_view()``.
 """
 
 from __future__ import annotations

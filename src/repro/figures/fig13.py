@@ -1,11 +1,10 @@
 """Fig 13: job-size mix and GPU-hour footprint of multi-GPU jobs.
 
-Streams: the size-mix fractions go through
-:func:`~repro.analysis.stats.column_fraction` (exact integer counts,
-bit-identical on a chunk stream), the breakdown and breadth kernels
-carry their own streaming folds, and the multi-GPU hour share streams
-as one sum fold, so this producer accepts a materialized dataset or
-``dataset.streaming_view()`` unchanged.
+Every statistic is a chunk fold: the size-mix fractions go through
+:func:`~repro.analysis.stats.column_fraction` (exact integer counts),
+the breakdown and breadth kernels fold their own state, and the
+multi-GPU hour share is one sum fold.  The same code therefore serves
+a materialized dataset (one chunk) and ``dataset.streaming_view()``.
 """
 
 from __future__ import annotations
@@ -14,24 +13,19 @@ import numpy as np
 
 from repro.analysis.multigpu import gpu_count_breakdown, user_gpu_breadth
 from repro.analysis.stats import column_fraction
-from repro.analysis.streaming import is_chunked
 from repro.dataset import SupercloudDataset
 from repro.figures.base import Comparison, FigureResult
 
 
 def _multi_gpu_hour_share(gpu) -> float:
-    """GPU-hour share of multi-GPU jobs, exact or one-pass folded."""
-    if is_chunked(gpu):
-        multi = total = 0.0
-        for chunk in gpu.chunks():
-            counts = np.asarray(chunk["num_gpus"], dtype=float)
-            hours = np.asarray(chunk["gpu_hours"], dtype=float)
-            multi += float(hours[counts > 1].sum())
-            total += float(hours.sum())
-        return multi / total
-    counts = np.asarray(gpu["num_gpus"], dtype=float)
-    hours = np.asarray(gpu["gpu_hours"], dtype=float)
-    return float(hours[counts > 1].sum() / hours.sum())
+    """GPU-hour share of multi-GPU jobs, one sum fold."""
+    multi = total = 0.0
+    for chunk in gpu.chunks():
+        counts = np.asarray(chunk["num_gpus"], dtype=float)
+        hours = np.asarray(chunk["gpu_hours"], dtype=float)
+        multi += float(hours[counts > 1].sum())
+        total += float(hours.sum())
+    return multi / total
 
 
 def run(dataset: SupercloudDataset) -> FigureResult:

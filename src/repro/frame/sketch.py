@@ -26,14 +26,19 @@ not an asymptotic estimate: for every x,
 
 With capacity ``k`` the bound grows like ``n * log2(n / k) / k``
 (about 1.3% of n for k=512 at n=1e6); while fewer than ``k`` samples
-have been seen no compaction has happened and every query is **exact**
-(bit-for-bit equal to the :class:`~repro.analysis.stats.Ecdf` built
-from the same values).  Determinism: compaction keeps every other
-element of the sorted buffer with an alternating start offset — no RNG
-— so the same updates in the same order always produce the same
-sketch, and ``merge`` of per-chunk sketches is associative in the
-sense that any merge tree sees the same total weight and honors the
-same tracked bound.
+have been seen, or while the sketch holds a single batch of any size
+(the first batch's compaction is deferred until a second one arrives),
+no compaction has happened and every query is **exact** (bit-for-bit
+equal to the :class:`~repro.analysis.stats.Ecdf` built from the same
+values).  A one-chunk stream, such as a materialized
+:class:`~repro.frame.Table`, therefore gets exact answers; the cost
+over eager compaction is that one batch, held only until the next
+arrives.  Determinism: compaction keeps every other element of the
+sorted buffer with an alternating start offset — no RNG — so the same
+updates in the same order always produce the same sketch, and
+``merge`` of per-chunk sketches is associative in the sense that any
+merge tree sees the same total weight and honors the same tracked
+bound.
 """
 
 from __future__ import annotations
@@ -91,7 +96,16 @@ class QuantileSketch:
     # Building
     # ------------------------------------------------------------------
     def update(self, values: Iterable[Any]) -> "QuantileSketch":
-        """Absorb a batch of values (non-finite entries are dropped)."""
+        """Absorb a batch of values (non-finite entries are dropped).
+
+        The first non-empty batch is kept uncompacted, so a sketch fed
+        one batch (a one-chunk stream) answers exactly; the compaction
+        it deferred runs when the next batch arrives, which leaves every
+        multi-batch sketch exactly as eager compaction would.
+        """
+        settled = self._count > 0
+        if settled:
+            self._compress()
         arr = np.asarray(values, dtype=float).ravel()
         arr = arr[np.isfinite(arr)]
         if arr.size == 0:
@@ -102,13 +116,21 @@ class QuantileSketch:
         self._levels[0].append(arr)
         self._sizes[0] += int(arr.size)
         self._summary = None
-        self._compress()
+        if settled:
+            self._compress()
         return self
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold another sketch into this one (per-chunk partials)."""
+        """Fold another sketch into this one (per-chunk partials).
+
+        Both sides first run any compaction a lone first batch
+        deferred (``other`` included), so merging sees the same state
+        as eager compaction would.
+        """
         if other._count == 0:
             return self
+        self._compress()
+        other._compress()
         self._count += other._count
         self._min = min(self._min, other._min)
         self._max = max(self._max, other._max)
@@ -158,6 +180,7 @@ class QuantileSketch:
         self._levels[level] = [] if leftover is None else [leftover]
         self._sizes[level] = 0 if leftover is None else 1
         self._compactions[level] += 1
+        self._summary = None
         self._ensure_level(level + 1)
         self._levels[level + 1].append(survivors)
         self._sizes[level + 1] += int(survivors.size)
@@ -265,6 +288,14 @@ class QuantileSketch:
         return float(values[min(idx, values.size - 1)])
 
     def median(self) -> float:
+        """Estimated median.
+
+        While exact this is ``np.median`` bit-for-bit, which can differ
+        from :meth:`quantile` ``(0.5)`` (``np.quantile``'s
+        interpolation) in the last digit for an even sample count.
+        """
+        if self._count and self.rank_error_bound() == 0:
+            return float(np.median(self._materialized()[0]))
         return self.quantile(0.5)
 
     def fraction_above(self, threshold: float) -> float:

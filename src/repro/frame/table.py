@@ -94,6 +94,17 @@ class Table:
             adaptive_chunk_rows(self.row_nbytes) if chunk_rows is None else chunk_rows,
         )
 
+    def chunks(self) -> Iterator["Table"]:
+        """The one-chunk stream: this table, or nothing when it is empty.
+
+        Gives a materialized table the
+        :meth:`~repro.frame.ChunkedTable.chunks` protocol (which skips
+        empty chunks as well), so a chunk fold written once serves both
+        representations.
+        """
+        if self._length:
+            yield self
+
     @property
     def row_nbytes(self) -> float:
         """Estimated bytes one row occupies across all columns.

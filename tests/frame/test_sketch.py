@@ -1,7 +1,8 @@
 """Unit tests for the mergeable quantile sketch and streaming moments.
 
 The exactness contract under test (see docs/performance.md): while a
-sketch has never compacted, every query is bit-for-bit the exact
+sketch has never compacted — fewer than ``k`` samples, or a single
+batch of any size — every query is bit-for-bit the exact
 :class:`repro.analysis.stats.Ecdf` answer; after compaction, every
 rank query is within the sketch's own ``rank_error_bound()``.
 """
@@ -10,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.stats import ecdf
 from repro.errors import FrameError
@@ -42,11 +45,57 @@ class TestQuantileSketchExactRegime:
         assert sketch.maximum() == 3.0
 
 
+def _batched(values, batches, k):
+    sketch = QuantileSketch(k=k)
+    for part in np.array_split(values, batches):
+        sketch.update(part)
+    return sketch
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([8, 16, 64]),
+    extra=st.integers(1, 600),
+    batches=st.integers(2, 9),
+    rounded=st.booleans(),
+)
+def test_one_batch_exact_multi_batch_bounded(seed, k, extra, batches, rounded):
+    """n > k: one batch answers like ecdf/np.quantile/np.median bit for
+    bit; the same values in several batches compact and stay within
+    the tracked rank bound."""
+    rng = np.random.default_rng(seed)
+    values = rng.lognormal(3.0, 2.0, size=k + extra)
+    if rounded:
+        values = np.round(values, 1)  # ties
+    exact = ecdf(values)
+    one = QuantileSketch(k=k).update(values)
+    assert one.rank_error_bound() == 0
+    np.testing.assert_array_equal(one.values, exact.values)
+    np.testing.assert_array_equal(one.probabilities, exact.probabilities)
+    probe = np.concatenate((values[:20], [values.min() - 1.0, values.max() + 1.0]))
+    np.testing.assert_array_equal(one.evaluate(probe), exact.evaluate(probe))
+    for p in (0.0, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0):
+        assert one.quantile(p) == np.quantile(values, p)
+    assert one.median() == np.median(values)
+
+    many = _batched(values, batches, k)
+    bound = many.rank_error_bound()
+    assert 0 < bound <= many.num_samples == values.size
+    ordered = np.sort(values)
+    for p in (0.1, 0.5, 0.9):
+        estimate = many.quantile(p)
+        lo = np.searchsorted(ordered, estimate, side="left")
+        hi = np.searchsorted(ordered, estimate, side="right")
+        target = p * values.size
+        assert lo - bound - 1 <= target <= hi + bound + 1
+
+
 class TestQuantileSketchCompactedRegime:
     def test_rank_error_bound_holds(self):
         rng = np.random.default_rng(11)
         values = rng.lognormal(size=20000)
-        sketch = QuantileSketch(k=64).update(values)
+        sketch = _batched(values, 10, k=64)
         bound = sketch.rank_error_bound()
         assert 0 < bound < sketch.num_samples
         ordered = np.sort(values)
@@ -57,8 +106,9 @@ class TestQuantileSketchCompactedRegime:
 
     def test_deterministic(self):
         values = np.arange(5000, dtype=float) % 997
-        a = QuantileSketch(k=32).update(values)
-        b = QuantileSketch(k=32).update(values)
+        a = _batched(values, 7, k=32)
+        b = _batched(values, 7, k=32)
+        assert a.rank_error_bound() > 0
         np.testing.assert_array_equal(a.values, b.values)
         assert a.rank_error_bound() == b.rank_error_bound()
 
@@ -73,7 +123,8 @@ class TestQuantileSketchCompactedRegime:
     def test_min_max_survive_compaction(self):
         rng = np.random.default_rng(5)
         values = rng.normal(size=10000)
-        sketch = QuantileSketch(k=16).update(values)
+        sketch = _batched(values, 5, k=16)
+        assert sketch.rank_error_bound() > 0
         assert sketch.minimum() == values.min()
         assert sketch.maximum() == values.max()
 

@@ -239,3 +239,17 @@ class TestConcat:
     def test_concat_preserves_string_columns(self, table):
         doubled = concat_tables([table, table])
         assert list(doubled["user"])[:4] == ["a", "b", "a", "c"]
+
+
+class TestChunks:
+    def test_non_empty_table_is_its_own_single_chunk(self, table):
+        chunks = list(table.chunks())
+        assert len(chunks) == 1
+        assert chunks[0] is table
+
+    def test_empty_table_yields_no_chunks(self):
+        assert list(Table.empty(["user"]).chunks()) == []
+        assert list(Table().chunks()) == []
+
+    def test_fresh_pass_every_call(self, table):
+        assert list(table.chunks()) == list(table.chunks())

@@ -239,3 +239,27 @@ class TestFullRegistryStreaming:
                         ours.measured, rel=0.15, abs=0.05
                     ), label
         assert view.is_streaming, "a figure producer materialized the view"
+
+    def test_registry_parity_one_chunk(self, medium_dataset):
+        """A view of one chunk per table runs the same folds on the same
+        rows as the materialized dataset, so every comparison agrees up
+        to float summation order (the view is job-id sorted)."""
+        from repro.figures.registry import all_figures, get_figure
+
+        rows = max(
+            medium_dataset.jobs.num_rows,
+            medium_dataset.gpu_jobs.num_rows,
+            medium_dataset.per_gpu.num_rows,
+        )
+        view = medium_dataset.streaming_view(chunk_rows=rows)
+        for fid in all_figures():
+            exact = get_figure(fid)(medium_dataset)
+            streamed = get_figure(fid)(view)
+            assert [c.name for c in exact.comparisons] == [
+                c.name for c in streamed.comparisons
+            ], fid
+            for ours, theirs in zip(exact.comparisons, streamed.comparisons):
+                assert theirs.measured == pytest.approx(
+                    ours.measured, rel=1e-12, nan_ok=True
+                ), f"{fid}: {ours.name}"
+        assert view.is_streaming, "a figure producer materialized the view"
