@@ -119,12 +119,17 @@ def load_store(path: str | Path) -> TimeSeriesStore:
     try:
         with np.load(path, allow_pickle=False) as data:
             keys = [str(k) for k in data["__keys__"]]
+            # One pass groups the ``<prefix>/<field>`` members by series.
+            members: dict[str, list[str]] = {}
+            for name in data.files:
+                prefix, slash, _ = name.partition("/")
+                if slash:
+                    members.setdefault(prefix, []).append(name)
             store = TimeSeriesStore()
             for prefix in keys:
                 payload = {
                     name[len(prefix) + 1 :]: data[name]
-                    for name in data.files
-                    if name.startswith(prefix + "/")
+                    for name in members.get(prefix, ())
                 }
                 store.add(decode_series(payload))
     except MonitoringError:

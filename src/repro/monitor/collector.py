@@ -189,33 +189,39 @@ class MonitoringCollector:
         process pool when ``workers > 1``, with identical output), so
         repeated partial flushes, one big flush, and the old inline
         epilog all build the same tables and series store.  Returns
-        the number of per-GPU summary rows produced.
+        the number of per-GPU summary rows produced.  A flush with work
+        to do runs under a ``monitor.sampling`` span carrying its task
+        count, row count and mode (``serial`` or ``parallel``).
         """
         from repro.obs import runtime
 
         if not self._pending:
             return 0
         tasks, self._pending = self._pending, []
-        results = run_sampling(tasks, self._plan, workers=workers)
-        rows = 0
-        for result in results:
-            # All of the job's GPUs land in the builder as column
-            # fragments — no per-GPU row dict.
-            self._gpu_builder.extend_columns(
-                {
-                    "job_id": np.full(result.num_gpus, result.job_id, dtype=np.int64),
-                    "gpu_index": np.arange(result.num_gpus, dtype=np.int64),
-                    **result.summary,
-                }
-            )
-            rows += result.num_gpus
-            for series in result.series:
-                self._store.add(series)
-            if self._seal_rows is not None and self._gpu_builder.num_rows >= self._seal_rows:
-                self._seal_gpu_chunk()
+        mode = "parallel" if workers is not None and workers > 1 else "serial"
+        with runtime.get_tracer().span(
+            "monitor.sampling", category="monitor", tasks=len(tasks), mode=mode
+        ) as span:
+            results = run_sampling(tasks, self._plan, workers=workers)
+            rows = 0
+            for result in results:
+                # All of the job's GPUs land in the builder as column
+                # fragments — no per-GPU row dict.
+                self._gpu_builder.extend_columns(
+                    {
+                        "job_id": np.full(result.num_gpus, result.job_id, dtype=np.int64),
+                        "gpu_index": np.arange(result.num_gpus, dtype=np.int64),
+                        **result.summary,
+                    }
+                )
+                rows += result.num_gpus
+                for series in result.series:
+                    self._store.add(series)
+                if self._seal_rows is not None and self._gpu_builder.num_rows >= self._seal_rows:
+                    self._seal_gpu_chunk()
+            span.set(rows=rows)
         metrics = runtime.get_metrics()
         if metrics.enabled:
-            mode = "parallel" if workers is not None and workers > 1 else "serial"
             metrics.counter(
                 "repro_sampling_tasks_total",
                 help="deferred sampling tasks evaluated",

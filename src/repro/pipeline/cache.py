@@ -63,7 +63,9 @@ def _count_cache_event(kind: str) -> None:
 #: Bump when the dataset schema or the cache layout changes; every
 #: existing entry is invalidated (its key no longer matches).
 #: 2: WorkloadConfig grew ``partitions``/``cohorts`` (sharded builds).
-SCHEMA_VERSION = 2
+#: 3: every build runs as islands, so ``partitions=1`` entries now hold
+#:    ``job_id``-ordered tables and records (same content as before).
+SCHEMA_VERSION = 3
 
 _TABLE_FILES = {"jobs": "jobs.csv", "gpu_jobs": "gpu_jobs.csv", "per_gpu": "per_gpu.csv"}
 

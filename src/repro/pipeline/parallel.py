@@ -49,23 +49,24 @@ def resolve_workers(workers: int | None) -> int:
 
 
 class ParallelTaskError(RuntimeError):
-    """A ``parallel_map`` task failed inside a worker process.
+    """A task failed inside a worker process.
 
     Raised in the *parent* with the offending item's index and the
     worker's formatted traceback embedded in the message — the chained
     ``__cause__`` does not survive the pool's exception pickling, so
-    the context is carried explicitly.
+    the context is carried explicitly.  ``task`` names the work item
+    (``"parallel_map task <index>"`` unless the caller knows better,
+    e.g. ``"island 1 at epoch 3"`` for an island host).
     """
 
-    def __init__(self, index: int, detail: str) -> None:
-        super().__init__(
-            f"parallel_map task {index} failed in a worker process:\n{detail}"
-        )
+    def __init__(self, index: int, detail: str, task: str | None = None) -> None:
+        self.task = task if task is not None else f"parallel_map task {index}"
+        super().__init__(f"{self.task} failed in a worker process:\n{detail}")
         self.index = index
         self.detail = detail
 
     def __reduce__(self):
-        return (ParallelTaskError, (self.index, self.detail))
+        return (ParallelTaskError, (self.index, self.detail, self.task))
 
 
 class _IndexedTask:

@@ -2,12 +2,15 @@
 
 A session owns one pipeline configuration and everything derived from
 it: the staged dataset build (``workload → schedule → sampling →
-monitor → assemble``), the on-disk artifact cache, figure execution
-(optionally across a process pool), and per-stage instrumentation.
-The ``sampling`` stage evaluates the GPU sampling tasks the
-monitoring epilogs deferred during ``schedule`` — it is the expensive,
-embarrassingly parallel part of a cold build, and the session's
-``workers`` setting shards it across a process pool.  Consumers —
+monitor → assemble``, run by :func:`repro.pipeline.shard.build_sharded_dataset`
+as ``partitions`` cluster islands, one island for the whole machine),
+the on-disk artifact cache, figure execution (optionally across a
+process pool), and per-stage instrumentation.  Each island evaluates
+the GPU sampling tasks its monitoring epilogs deferred as it finishes,
+inside ``schedule``; the ``sampling`` stage tallies those rows.  The
+session's ``workers`` setting bounds the forked island hosts, and
+islands hosted in the parent shard their sampling across a process
+pool of that width.  Consumers —
 the CLI, figure regeneration, validation, robustness sweeps,
 benchmarks — share one session instead of each re-running the
 generation pipeline:
@@ -38,100 +41,11 @@ from repro.obs.trace import NullTracer, Tracer
 from repro.pipeline.cache import DatasetCache, dataset_key
 from repro.pipeline.instrument import PipelineInstrumentation, StageRecord
 from repro.pipeline.parallel import resolve_workers, run_figures_parallel
+from repro.pipeline.shard import build_sharded_dataset
 from repro.workload.generator import WorkloadConfig
 
 #: The dataset-construction stages, in execution order.
 BUILD_STAGES = ("workload", "schedule", "sampling", "monitor", "assemble")
-
-
-def _build_dataset(
-    config: WorkloadConfig,
-    monitoring: MonitoringConfig | None,
-    inst: PipelineInstrumentation,
-    workers: int = 1,
-    interchange=None,
-    streaming: bool = False,
-    spill_dir=None,
-    chunk_rows: int | None = None,
-):
-    """Run the full staged pipeline (the former ``generate_dataset`` body)."""
-    import numpy as np
-
-    from repro.cluster.spec import supercloud_spec
-    from repro.dataset import SupercloudDataset
-    from repro.monitor.collector import MonitoringCollector
-    from repro.slurm.accounting import accounting_table
-    from repro.slurm.scheduler import SlurmSimulator
-    from repro.workload.calibration import PAPER_TARGETS
-    from repro.workload.generator import WorkloadGenerator
-
-    if config.partitions > 1:
-        from repro.pipeline.shard import build_sharded_dataset
-
-        return build_sharded_dataset(
-            config,
-            monitoring,
-            inst,
-            workers=workers,
-            interchange=interchange,
-            streaming=streaming,
-            spill_dir=spill_dir,
-            chunk_rows=chunk_rows,
-        )
-
-    with inst.stage("workload") as probe:
-        if config.resolved_cohorts > 1:
-            from repro.workload.cohorts import generate_sharded
-
-            requests = generate_sharded(config, workers=workers)
-        else:
-            requests = WorkloadGenerator(config).generate()
-        probe.rows = len(requests)
-
-    with inst.stage("schedule") as probe:
-        spec = supercloud_spec(config.scaled_nodes)
-        simulator = SlurmSimulator(spec)
-        collector = MonitoringCollector(monitoring).attach(simulator)
-        result = simulator.run(requests)
-        simulator.cluster.check_invariants()
-        probe.rows = len(result.records)
-
-    with inst.stage("sampling") as probe:
-        # Evaluate the sampling tasks the epilogs deferred — the
-        # expensive half of monitoring, sharded across a process pool
-        # when workers > 1 with bit-identical output.
-        probe.rows = collector.flush(workers=workers)
-
-    with inst.stage("monitor") as probe:
-        gpu_summary = collector.job_gpu_table()
-        per_gpu = collector.per_gpu_table()
-        probe.rows = per_gpu.num_rows
-
-    with inst.stage("assemble") as probe:
-        jobs = accounting_table(result.records)
-        # One combined mask -> one row gather; the join then shares the
-        # filtered columns outright when every GPU job has a summary.
-        keep = (np.asarray(jobs["num_gpus"]) > 0) & (
-            np.asarray(jobs["run_time_s"], dtype=float)
-            >= PAPER_TARGETS.short_job_filter_s
-        )
-        gpu_jobs = jobs.filter(keep).join(gpu_summary, on="job_id")
-        if per_gpu.num_rows:
-            context = jobs.select(
-                ["job_id", "user", "num_gpus", "run_time_s", "gpu_hours", "lifecycle_class", "interface"]
-            )
-            per_gpu = per_gpu.join(context, on="job_id")
-        probe.rows = jobs.num_rows
-
-    return SupercloudDataset(
-        jobs=jobs,
-        gpu_jobs=gpu_jobs,
-        per_gpu=per_gpu,
-        timeseries=collector.store,
-        records=result.records,
-        spec=spec,
-        config=config,
-    )
 
 
 class Session:
@@ -147,12 +61,14 @@ class Session:
         Directory for the on-disk artifact cache.  ``None`` disables
         disk caching (the in-memory memo still applies).
     workers:
-        Process-pool width for the deferred-sampling stage of cold
-        dataset builds and for figure fan-out; ``1`` means serial.
-        ``None`` defers to the ``REPRO_WORKERS`` environment variable
-        (serial when unset).  Parallel figure execution additionally
-        requires a disk cache (workers load the shared dataset from
-        it); the sampling stage does not.
+        Process width of cold dataset builds and figure fan-out; ``1``
+        means serial.  A build forks ``min(workers, partitions)``
+        island hosts; islands hosted in the parent (``partitions=1``
+        among them) shard their deferred sampling across a pool of
+        this width instead.  ``None`` defers to the ``REPRO_WORKERS``
+        environment variable (serial when unset).  Parallel figure
+        execution additionally requires a disk cache (workers load the
+        shared dataset from it); the build does not.
     tracer, metrics, recorder:
         The session's observability triple (see :mod:`repro.obs`).
         Defaults to a fresh enabled :class:`~repro.obs.trace.Tracer`,
@@ -210,10 +126,11 @@ class Session:
     ) -> "Session":
         """Build a session from a named workload scenario.
 
-        ``partitions``/``cohorts`` select the sharded simulation path
-        and ``interchange`` couples the islands (migration / fair-share
-        sync; see ``docs/scaling.md``); the defaults keep the legacy
-        whole-machine serial model bit-for-bit.
+        ``partitions`` splits the machine into that many islands and
+        ``cohorts`` the workload into that many generator streams;
+        ``interchange`` couples the islands (migration / fair-share
+        sync; see ``docs/scaling.md``).  The defaults simulate the
+        whole machine as one island from the single-stream workload.
         """
         from repro.workload.scenarios import make_scenario
 
@@ -249,7 +166,7 @@ class Session:
                     return loaded
                 inst.bump("cache_corrupt")
                 self.cache.evict(self.key)
-            dataset = _build_dataset(
+            dataset = build_sharded_dataset(
                 self.config,
                 self.monitoring,
                 inst,
@@ -289,7 +206,7 @@ class Session:
             self.instrumentation.bump("memory_hit")
             return self._streaming_dataset
         with obs_runtime.use(self.tracer, self.metrics, self.recorder):
-            dataset = _build_dataset(
+            dataset = build_sharded_dataset(
                 self.config,
                 self.monitoring,
                 self.instrumentation,

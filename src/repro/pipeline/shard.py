@@ -1,29 +1,30 @@
-"""The sharded dataset build: island simulation fan-out + merge.
+"""The dataset build: K cluster islands, simulated and merged.
 
-With ``WorkloadConfig.partitions > 1`` the build stage runs one
-:class:`~repro.slurm.scheduler.SlurmSimulator` (plus its own
-partition-local :class:`~repro.monitor.collector.MonitoringCollector`)
-per cluster island, optionally across the
-:func:`~repro.pipeline.parallel.parallel_map` process pool, and merges
-the per-island outputs deterministically:
+Every dataset build runs here.  The machine is ``WorkloadConfig.partitions``
+islands (``partitions=1`` is the whole machine as one island); each
+island gets its own :class:`~repro.slurm.scheduler.SlurmSimulator` plus
+a partition-local :class:`~repro.monitor.collector.MonitoringCollector`,
+attached by the :class:`~repro.slurm.interchange.PartitionedRunner`
+setup hook and flushed — the deferred sampling — by its finish hook, in
+whichever process hosts the island.  Islands hosted in the parent
+sample with the session's ``workers``; forked hosts sample serially.
+The per-island outputs merge deterministically:
 
 * job records — global job-id order, node indices remapped to the
   whole machine;
 * monitoring tables — merged into ``(job_id[, gpu_index])`` order, so
   the merge is independent of which process ran which island;
 * time series — disjoint union of the island stores;
-* obs spans/metrics — drained in each worker and re-parented into the
-  session trace in partition order.
+* obs spans/metrics/events — reported straight into the session's by
+  in-process islands; drained by forked hosts and adopted by the parent.
 
-Two orthogonal axes extend the original fan-out:
+Two orthogonal axes:
 
 * **coupling** — with a coupled
   :class:`~repro.slurm.interchange.InterchangeConfig` (migration or
-  fair-share sync) the islands run the lockstep epoch protocol across
-  persistent worker processes via
-  :class:`~repro.slurm.parallel.ParallelPartitionedRunner`, exchanging
-  only the bounded interchange payload each epoch — bit-identical to
-  the serial lockstep runner;
+  fair-share sync) the runner steps the islands through lockstep
+  epochs, exchanging only the bounded interchange payload; uncoupled
+  islands are the one-round case of the same loop;
 * **streaming** — islands spill their monitoring tables and series to
   per-island ``.npz`` chunk directories and return *handles*; the
   parent k-way-merges the key-sorted spill streams
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ import numpy as np
 from repro.cluster.partition import Partition, PartitionError, PartitionLayout
 from repro.monitor.collector import MonitoringConfig
 from repro.pipeline.instrument import PipelineInstrumentation
-from repro.pipeline.parallel import parallel_map
 from repro.workload.generator import WorkloadConfig
 
 #: Job columns joined onto ``per_gpu`` rows during assembly.
@@ -79,167 +78,11 @@ def island_monitoring(
     return dataclasses.replace(base, seed=derived)
 
 
-@dataclass
-class IslandTask:
-    """Everything one island needs, picklable for the pool."""
-
-    partition: Partition
-    num_partitions: int
-    config: WorkloadConfig
-    monitoring: MonitoringConfig | None
-    requests: list
-    #: pid of the process that built the task; lets the runner tell the
-    #: in-process serial path from a forked pool worker (a fork copies
-    #: the parent's *enabled* ambient tracer, so enabled-ness alone
-    #: cannot distinguish the two).
-    parent_pid: int = 0
-    #: Streaming build: spill monitoring outputs under this directory
-    #: (``island_<index>/``) and return handles instead of tables.
-    spill_dir: str | None = None
-    chunk_rows: int | None = None
-
-
-@dataclass
-class IslandBuildResult:
-    """One island's outputs, node indices already global."""
-
-    partition_index: int
-    records: list
-    gpu_summary: object
-    per_gpu: object
-    store: object
-    sampling_rows: int
-    events_processed: int
-    peak_rss_bytes: float = 0.0
-    span_payload: list | None = None
-    metrics_snapshot: dict | None = field(default=None, repr=False)
-    events_payload: list | None = field(default=None, repr=False)
-    #: Streaming build: spill-directory handles (see
-    #: :func:`_island_outputs`); ``None`` on the materialized path.
-    handles: dict | None = None
-
-
-def _island_outputs(
-    collector, records: list, partition_index: int,
-    spill_dir: str | None, chunk_rows: int | None,
-) -> dict:
-    """Flush one island's collector and package its monitoring outputs.
-
-    Materialized path (``spill_dir is None``): the tables and series
-    store come back as objects.  Streaming path: every output is
-    spilled under ``<spill_dir>/island_<index>/`` in the key order the
-    parent merge expects — accounting and the per-job GPU summary
-    sorted by ``job_id``, the per-GPU summary by ``(job_id,
-    gpu_index)`` — and only directory handles plus row counts return.
-    """
-    sampling_rows = collector.flush(workers=1)
-    if spill_dir is None:
-        return {
-            "partition_index": partition_index,
-            "sampling_rows": sampling_rows,
-            "gpu_summary": collector.job_gpu_table(),
-            "per_gpu": collector.per_gpu_table(),
-            "store": collector.store,
-            "handles": None,
-        }
-    from repro.frame import DEFAULT_CHUNK_ROWS
-    from repro.slurm.accounting import accounting_chunked
-
-    island_dir = Path(spill_dir) / f"island_{partition_index:03d}"
-    rows = chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS
-    ordered = sorted(records, key=lambda record: record.request.job_id)
-    accounting_chunked(ordered, rows).spill(island_dir / "jobs")
-    gpu_summary = collector.job_gpu_table().sort_by("job_id")
-    gpu_summary.to_chunked(rows).spill(island_dir / "gpu_summary")
-    per_gpu = collector.sorted_summary_stream(rows).spill(island_dir / "per_gpu")
-    collector.store.spill(island_dir / "series")
-    return {
-        "partition_index": partition_index,
-        "sampling_rows": sampling_rows,
-        "gpu_summary": None,
-        "per_gpu": None,
-        "store": None,
-        "handles": {
-            "root": str(island_dir),
-            "jobs_rows": len(ordered),
-            "gpu_summary_rows": gpu_summary.num_rows,
-            "per_gpu_rows": per_gpu.num_rows,
-        },
-    }
-
-
-def _build_island(task: IslandTask) -> IslandBuildResult:
-    from repro.cluster.spec import supercloud_spec
-    from repro.monitor.collector import MonitoringCollector
-    from repro.obs.runtime import peak_rss_bytes
-    from repro.slurm.interchange import _remap_nodes
-    from repro.slurm.scheduler import SlurmSimulator
-
-    part = task.partition
-    base_spec = supercloud_spec(task.config.scaled_nodes)
-    simulator = SlurmSimulator(part.spec(base_spec))
-    monitoring = island_monitoring(task.monitoring, part.index, task.num_partitions)
-    collector = MonitoringCollector(monitoring).attach(simulator)
-    if task.spill_dir is not None:
-        collector.enable_spill(
-            Path(task.spill_dir) / f"island_{part.index:03d}" / "summary",
-            task.chunk_rows,
-        )
-    result = simulator.run(task.requests)
-    simulator.cluster.check_invariants()
-    _remap_nodes(result.records, part.node_start)
-    outputs = _island_outputs(
-        collector, result.records, part.index, task.spill_dir, task.chunk_rows
-    )
-    return IslandBuildResult(
-        partition_index=part.index,
-        records=[] if task.spill_dir is not None else result.records,
-        gpu_summary=outputs["gpu_summary"],
-        per_gpu=outputs["per_gpu"],
-        store=outputs["store"],
-        sampling_rows=outputs["sampling_rows"],
-        events_processed=result.events_processed,
-        peak_rss_bytes=peak_rss_bytes(),
-        handles=outputs["handles"],
-    )
-
-
-def _run_island(task: IslandTask) -> IslandBuildResult:
-    """Pool-safe island entry: owns its obs pair inside a fresh worker.
-
-    In-process (serial fallback, session observability ambient) the
-    island's spans flow straight into the session trace.  In a worker
-    process — recognised by the pid differing from the task builder's,
-    since a forked worker inherits a *copy* of the parent's enabled
-    tracer whose spans would be lost with the child — the task runs
-    under its own tracer/registry and ships the drained payloads home.
-    """
-    from repro.obs import runtime
-
-    if os.getpid() == task.parent_pid and runtime.get_tracer().enabled:
-        return _build_island(task)
-    from repro.obs.events import FlightRecorder
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.trace import Tracer
-
-    tracer = Tracer(process_name=f"repro-island-{task.partition.index}")
-    metrics = MetricsRegistry()
-    recorder = FlightRecorder(island=task.partition.index)
-    tracer.listener = recorder.span_closed
-    with runtime.use(tracer, metrics, recorder):
-        result = _build_island(task)
-    result.span_payload = tracer.drain_payload()
-    result.metrics_snapshot = metrics.drain()
-    result.events_payload = recorder.drain_payload()
-    return result
-
-
 def _island_setup(simulator, partition: Partition, context: dict):
-    """Coupled-run setup hook: attach the partition-local collector.
+    """Runner setup hook: attach the partition-local collector.
 
-    Runs inside the island's worker process (or in-process on the
-    serial fallback) before ``begin``; the returned state travels to
-    :func:`_island_finish` untouched.
+    Runs in the island's host process before ``begin``; the returned
+    state travels to :func:`_island_finish` untouched.
     """
     from repro.monitor.collector import MonitoringCollector
 
@@ -256,23 +99,54 @@ def _island_setup(simulator, partition: Partition, context: dict):
     return (collector, partition, context)
 
 
-def _island_finish(simulator, state, result):
-    """Coupled-run finish hook: flush + package the island's outputs.
+def _island_finish(simulator, state, result) -> dict:
+    """Runner finish hook: sample, then package the island's outputs.
 
     Receives the finalized :class:`SimulationResult` (records already
-    remapped to global node indices) and returns the same payload dict
-    the fan-out path builds — materialized tables, or spill handles in
-    the streaming build.
+    remapped to global node indices).  The deferred sampling runs
+    here, with the session's ``workers`` in the parent process and
+    serially in a forked host.  Materialized path (no ``spill_dir``):
+    the tables and series store come back as objects.  Streaming path:
+    every output is spilled under ``<spill_dir>/island_<index>/`` in
+    the key order the parent merge expects — accounting and the
+    per-job GPU summary sorted by ``job_id``, the per-GPU summary by
+    ``(job_id, gpu_index)`` — and only directory handles plus row
+    counts return.
     """
     collector, partition, context = state
     simulator.cluster.check_invariants()
-    return _island_outputs(
-        collector,
-        result.records,
-        partition.index,
-        context.get("spill_dir"),
-        context.get("chunk_rows"),
-    )
+    in_parent = os.getpid() == context["parent_pid"]
+    sampling_rows = collector.flush(workers=context["workers"] if in_parent else 1)
+    spill_dir = context.get("spill_dir")
+    if spill_dir is None:
+        return {
+            "sampling_rows": sampling_rows,
+            "gpu_summary": collector.job_gpu_table(),
+            "per_gpu": collector.per_gpu_table(),
+            "store": collector.store,
+            "handles": None,
+        }
+    from repro.frame import DEFAULT_CHUNK_ROWS
+    from repro.slurm.accounting import accounting_chunked
+
+    island_dir = Path(spill_dir) / f"island_{partition.index:03d}"
+    chunk_rows = context.get("chunk_rows")
+    rows = chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS
+    ordered = sorted(result.records, key=lambda record: record.request.job_id)
+    accounting_chunked(ordered, rows).spill(island_dir / "jobs")
+    gpu_summary = collector.job_gpu_table().sort_by("job_id")
+    gpu_summary.to_chunked(rows).spill(island_dir / "gpu_summary")
+    per_gpu = collector.sorted_summary_stream(rows).spill(island_dir / "per_gpu")
+    collector.store.spill(island_dir / "series")
+    return {
+        "sampling_rows": sampling_rows,
+        "handles": {
+            "root": str(island_dir),
+            "jobs_rows": len(ordered),
+            "gpu_summary_rows": gpu_summary.num_rows,
+            "per_gpu_rows": per_gpu.num_rows,
+        },
+    }
 
 
 def check_island_capacity(layout: PartitionLayout, buckets: list, spec) -> None:
@@ -340,8 +214,8 @@ def _merge_spilled(
 
 
 def _keep_gpu_jobs(chunk):
-    """The paper's GPU-job filter (>= 30 s, at least one GPU), as a
-    per-chunk predicate for the streaming assemble."""
+    """The paper's GPU-job filter (>= 30 s, at least one GPU) as a row
+    mask over a job table or one chunk of it."""
     from repro.workload.calibration import PAPER_TARGETS
 
     return (np.asarray(chunk["num_gpus"]) > 0) & (
@@ -361,30 +235,31 @@ def build_sharded_dataset(
     spill_dir: str | Path | None = None,
     chunk_rows: int | None = None,
 ):
-    """The partitioned counterpart of ``session._build_dataset``.
+    """Build the dataset as ``config.partitions`` islands: the only build.
 
-    Same five stages, same output shape.  ``schedule`` fans the
-    islands across the pool — :func:`parallel_map` for uncoupled
-    islands, the persistent-process
-    :class:`~repro.slurm.parallel.ParallelPartitionedRunner` when
-    ``interchange`` couples them — and ``monitor`` merges the
-    partition-local outputs.  With ``streaming=True`` the merge is the
-    k-way spill merge and ``assemble`` is chunk-wise; the returned
-    dataset holds chunked tables, a spilled series store, and no job
-    records (``spill_dir`` defaults to a fresh temp directory).
+    Five stages.  ``workload`` draws the requests; ``schedule`` runs
+    the islands through one :class:`~repro.slurm.interchange.PartitionedRunner`
+    — in-process, or across ``min(workers, partitions)`` forked hosts —
+    whose finish hook also samples each island; ``sampling`` tallies
+    those rows; ``monitor`` merges the partition-local outputs; and
+    ``assemble`` joins the job tables.  With ``streaming=True`` the
+    merge is the k-way spill merge and ``assemble`` is chunk-wise; the
+    returned dataset holds chunked tables, a spilled series store, and
+    no job records (``spill_dir`` defaults to a fresh temp directory,
+    removed again if the islands fail).
     """
+    import shutil
     import tempfile
 
     from repro.cluster.spec import supercloud_spec
     from repro.dataset import SupercloudDataset
     from repro.monitor.timeseries import SpilledTimeSeriesStore, TimeSeriesStore
     from repro.slurm.accounting import ACCOUNTING_COLUMNS, accounting_table
-    from repro.slurm.interchange import route_requests
-    from repro.workload.calibration import PAPER_TARGETS
+    from repro.slurm.interchange import PartitionedRunner, route_requests
     from repro.workload.cohorts import generate_sharded
 
-    coupled = interchange is not None and interchange.coupled
-    if streaming and spill_dir is None:
+    temp_spill = streaming and spill_dir is None
+    if temp_spill:
         spill_dir = tempfile.mkdtemp(prefix="repro-shard-")
     spill = str(spill_dir) if streaming else None
 
@@ -396,82 +271,40 @@ def build_sharded_dataset(
     spec = supercloud_spec(config.scaled_nodes)
 
     with inst.stage("schedule") as probe:
-        buckets = route_requests(requests, len(layout))
-        check_island_capacity(layout, buckets, spec)
-        if coupled:
-            from repro.slurm.parallel import ParallelPartitionedRunner
-
-            runner = ParallelPartitionedRunner(
-                layout,
-                spec=spec,
-                interchange=interchange,
-                workers=workers,
-                island_setup=_island_setup,
-                island_finish=_island_finish,
-                island_context={
-                    "monitoring": monitoring,
-                    "num_partitions": len(layout),
-                    "spill_dir": spill,
-                    "chunk_rows": chunk_rows,
-                },
-                return_records=not streaming,
-            )
+        check_island_capacity(layout, route_requests(requests, len(layout)), spec)
+        runner = PartitionedRunner(
+            layout,
+            spec=spec,
+            interchange=interchange,
+            workers=workers,
+            island_setup=_island_setup,
+            island_finish=_island_finish,
+            island_context={
+                "monitoring": monitoring,
+                "num_partitions": len(layout),
+                "spill_dir": spill,
+                "chunk_rows": chunk_rows,
+                "workers": workers,
+                "parent_pid": os.getpid(),
+            },
+            return_records=not streaming,
+        )
+        try:
             outcome = runner.run(requests)
-            islands = outcome.extras
-            records = [] if streaming else outcome.merged_records()
-            island_peak = outcome.island_peak_rss_bytes
-            if outcome.mode == "serial":
-                from repro.obs.runtime import peak_rss_bytes
-
-                island_peak = peak_rss_bytes()
-            inst.metrics.counter(
-                "repro_shard_migrations_total",
-                help="jobs migrated between islands by the interchange",
-            ).inc(outcome.migrations)
-        else:
-            tasks = [
-                IslandTask(
-                    partition=part,
-                    num_partitions=len(layout),
-                    config=config,
-                    monitoring=monitoring,
-                    requests=bucket,
-                    parent_pid=os.getpid(),
-                    spill_dir=spill,
-                    chunk_rows=chunk_rows,
-                )
-                for part, bucket in zip(layout, buckets)
-            ]
-            results = parallel_map(_run_island, tasks, workers=workers)
-            from repro.obs.runtime import get_recorder
-
-            parent = inst.tracer.current_span_id()
-            recorder = get_recorder()
-            for island in results:
-                if island.span_payload:
-                    inst.tracer.adopt(island.span_payload, parent=parent)
-                if island.metrics_snapshot:
-                    inst.metrics.merge(island.metrics_snapshot)
-                if island.events_payload and recorder.enabled:
-                    recorder.adopt(island.events_payload)
-            islands = [
-                {
-                    "partition_index": island.partition_index,
-                    "sampling_rows": island.sampling_rows,
-                    "gpu_summary": island.gpu_summary,
-                    "per_gpu": island.per_gpu,
-                    "store": island.store,
-                    "handles": island.handles,
-                }
-                for island in results
-            ]
-            records = [record for island in results for record in island.records]
-            records.sort(key=lambda record: record.request.job_id)
-            island_peak = max(island.peak_rss_bytes for island in results)
+        except BaseException:
+            if temp_spill:
+                shutil.rmtree(spill, ignore_errors=True)
+            raise
+        islands = outcome.extras
+        records = outcome.merged_records()
+        inst.metrics.counter(
+            "repro_shard_migrations_total",
+            help="jobs migrated between islands by the interchange",
+        ).inc(outcome.migrations)
         inst.metrics.gauge(
             "repro_shard_island_peak_rss_bytes",
             help="largest per-island process peak RSS in the sharded build",
-        ).set_max(island_peak)
+        ).set_max(outcome.island_peak_rss_bytes)
         probe.rows = (
             sum(island["handles"]["jobs_rows"] for island in islands)
             if streaming
@@ -521,11 +354,7 @@ def build_sharded_dataset(
                 )
         else:
             jobs = accounting_table(records)
-            keep = (np.asarray(jobs["num_gpus"]) > 0) & (
-                np.asarray(jobs["run_time_s"], dtype=float)
-                >= PAPER_TARGETS.short_job_filter_s
-            )
-            gpu_jobs = jobs.filter(keep).join(gpu_summary, on="job_id")
+            gpu_jobs = jobs.filter(_keep_gpu_jobs(jobs)).join(gpu_summary, on="job_id")
             if per_gpu.num_rows:
                 context = jobs.select(list(CONTEXT_COLUMNS))
                 per_gpu = per_gpu.join(context, on="job_id")

@@ -10,10 +10,11 @@ the calibrated workload through this simulator on the modeled cluster:
   multi-GPU placement, CPU-node co-location of GPU jobs).
 * :mod:`repro.slurm.scheduler` — the simulator tying it together.
 * :mod:`repro.slurm.accounting` — sacct-style log as a frame Table.
-* :mod:`repro.slurm.interchange` — partitioned cluster islands with
-  bounded-lag cross-partition state exchange (``docs/scaling.md``).
-* :mod:`repro.slurm.parallel` — the same lockstep interchange across
-  persistent worker processes, bit-identical to the serial runner.
+* :mod:`repro.slurm.interchange` — cluster islands stepped in lockstep
+  with bounded-lag cross-partition state exchange, by one runner that
+  hosts them in-process or in forked processes (``docs/scaling.md``).
+* :mod:`repro.slurm.parallel` — the forked-host transport that runner
+  uses for ``workers > 1``.
 """
 
 from repro.slurm.accounting import accounting_table
@@ -28,7 +29,6 @@ from repro.slurm.interchange import (
     run_partitioned,
 )
 from repro.slurm.job import ExitCondition, JobRecord, JobRequest, JobState
-from repro.slurm.parallel import ParallelPartitionedResult, ParallelPartitionedRunner
 from repro.slurm.placement import PlacementPolicy, check_spec_feasible
 from repro.slurm.queue import JobQueue
 from repro.slurm.scheduler import SchedulerConfig, SlurmSimulator
@@ -42,8 +42,6 @@ __all__ = [
     "JobRecord",
     "JobRequest",
     "JobState",
-    "ParallelPartitionedResult",
-    "ParallelPartitionedRunner",
     "PartitionedResult",
     "PartitionedRunner",
     "PlacementPolicy",

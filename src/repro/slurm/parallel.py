@@ -1,548 +1,194 @@
-"""Process-parallel coupled islands: the lockstep interchange across
-worker processes.
+"""Forked island hosts: the lockstep interchange across worker processes.
 
-:class:`~repro.slurm.interchange.PartitionedRunner` steps coupled
-islands serially in one address space.  This module runs the *same*
-lockstep protocol with one persistent worker process per island:
+:class:`~repro.slurm.interchange.PartitionedRunner` drives *hosts*.
+With ``workers > 1`` and more than one island, :func:`fork_hosts`
+starts ``min(workers, K)`` persistent host processes; host ``h`` owns
+every island ``i`` with ``i % hosts == h`` and runs an
+:class:`~repro.slurm.interchange.IslandHost` — the class the
+in-process host uses — for the whole run.  Only the bounded interchange
+payload crosses the process boundary each epoch: per-user fair-share
+usage *deltas*, migration *candidates* (overdue queued requests), queue
+lengths, and the planned moves coming back — never cluster or
+event-loop state.  The parent computes the ledger merge and the
+migration plan once, in the runner's epoch loop, so a forked run is
+bit-identical to the in-process one by construction.
 
-* each worker owns its island's :class:`SlurmSimulator` for the whole
-  run (``begin`` → epoch ``advance(until)`` steps → ``finalize``);
-* only the bounded-lag interchange payload crosses the process
-  boundary each epoch — per-user fair-share usage *deltas*, migration
-  *candidates* (overdue queued requests), queue lengths, and the
-  planned moves coming back — never cluster or event-loop state;
-* the parent computes the fair-share ledger merge and the migration
-  plan with the exact pure functions the serial runner uses
-  (:func:`~repro.slurm.interchange.plan_migrations` over static island
-  specs), so the parallel run is **bit-identical** to the serial
-  lockstep (``tests/slurm/test_parallel_interchange.py`` pins this,
-  event for event).
+Protocol: the parent sends ``(command, args)``; the host answers with
+one ``("ok", reply)`` per owned island in index order, or with
+``("error", traceback)`` in place of the failing island's reply and
+exits.  Finalize replies also carry the host's drained spans, metrics
+and flight-recorder events, which the parent adopts into its ambient
+observability.  Heartbeats ride a separate one-way pipe, so observation
+can never reorder or alter the lockstep payload.
 
-Parallelism stays an optimisation, never a correctness requirement:
-``workers <= 1``, a single island, or a pool that cannot start all
-fall back to driving a serial :class:`PartitionedRunner` in-process —
-with the same per-island setup/finish hooks, so callers (the sharded
-dataset build) observe identical outputs either way.
+A host that fails or dies surfaces in the parent as
+:class:`~repro.pipeline.parallel.ParallelTaskError` naming the island
+the parent was waiting on and the epoch it had reached; the runner then
+closes every pipe and reaps every host process.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Callable
 
-from repro.cluster.partition import Partition, PartitionLayout
-from repro.cluster.spec import ClusterSpec, supercloud_spec
-from repro.errors import SchedulerError
-from repro.slurm.interchange import (
-    InterchangeConfig,
-    PartitionedResult,
-    PartitionedRunner,
-    migration_candidates,
-    plan_migrations,
-    route_requests,
-    _remap_nodes,
-)
-from repro.slurm.job import JobRequest
-from repro.slurm.policies import FairSharePolicy
-from repro.slurm.scheduler import SchedulerConfig, SlurmSimulator
-
-#: Attach per-island state (e.g. a monitoring collector) before ``begin``.
-IslandSetup = Callable[[SlurmSimulator, Partition, dict], Any]
-#: Produce the island's payload after ``finalize`` (tables, spill handles).
-IslandFinish = Callable[[SlurmSimulator, Any, "SimulationResult"], Any]
+#: Seconds a finished host gets to exit before it is terminated.
+JOIN_TIMEOUT_S = 30.0
 
 
-@dataclass
-class ParallelPartitionedResult(PartitionedResult):
-    """A :class:`PartitionedResult` plus per-island hook payloads."""
+class ForkedHost:
+    """The parent's handle on one forked host process."""
 
-    #: ``island_finish`` return values, one per island (None without a hook).
-    extras: list = field(default_factory=list)
-    #: Which path actually ran: ``"parallel"`` or ``"serial"`` (fallback).
-    mode: str = "parallel"
-    #: Largest per-island worker peak RSS (0 on the serial path).
-    island_peak_rss_bytes: float = 0.0
+    def __init__(self, ctx, runner, buckets: dict[int, list], sink) -> None:
+        self.islands = sorted(buckets)
+        self._sink = sink
+        self._conn, child = ctx.Pipe()
+        # duplex=False: heartbeats flow host -> parent only.
+        self._beats, child_beats = ctx.Pipe(duplex=False) if sink is not None else (None, None)
+        self.process = ctx.Process(
+            target=_host_main, args=(child, runner, buckets, child_beats), daemon=True
+        )
+        try:
+            self.process.start()
+        finally:
+            child.close()
+            if child_beats is not None:
+                child_beats.close()
+
+    def send(self, command: str, *args) -> None:
+        try:
+            self._conn.send((command, args))
+        except OSError:
+            pass  # the host is gone; recv reports it against the island awaited
+
+    def recv(self, island: int, epoch: int):
+        """One island's reply; a failed or dead host raises."""
+        from repro.pipeline.parallel import ParallelTaskError
+
+        task = f"island {island} at epoch {epoch}"
+        try:
+            message = self._conn.recv()
+        except (EOFError, OSError):
+            self.process.join(timeout=1.0)
+            raise ParallelTaskError(
+                island,
+                f"host process {self.process.pid} exited with code "
+                f"{self.process.exitcode} without a reply",
+                task=task,
+            ) from None
+        finally:
+            self._forward_heartbeats()
+        if message[0] == "error":
+            raise ParallelTaskError(island, message[1], task=task)
+        reply = message[1]
+        if isinstance(reply, dict) and "obs" in reply:
+            _adopt(reply.pop("obs"))
+        return reply
+
+    def close(self, failed: bool = False) -> None:
+        """Close the pipes and reap the process (killed if the run failed)."""
+        for conn in (self._conn, self._beats):
+            if conn is not None:
+                conn.close()
+        if failed and self.process.is_alive():
+            self.process.terminate()
+        self.process.join(timeout=JOIN_TIMEOUT_S)
+        if self.process.is_alive():  # pragma: no cover - a hung host
+            self.process.kill()
+            self.process.join()
+
+    def _forward_heartbeats(self) -> None:
+        """Hand queued heartbeats to the progress sink, never blocking:
+        the lockstep does not wait on telemetry."""
+        if self._beats is None:
+            return
+        try:
+            while self._beats.poll(0):
+                self._sink.update(self._beats.recv())
+        except (OSError, EOFError):
+            pass  # the host is gone; its protocol pipe reports that
 
 
-@dataclass
-class _IslandWorkerTask:
-    """Everything one persistent island worker needs (fork-inherited)."""
+def fork_hosts(runner, buckets: dict[int, list], count: int) -> list[ForkedHost]:
+    """Start ``count`` host processes, host ``h`` owning islands ``i % count == h``.
 
-    partition: Partition
-    spec: ClusterSpec
-    config: SchedulerConfig
-    requests: list
-    setup: IslandSetup | None
-    finish: IslandFinish | None
-    context: dict
-    return_records: bool
-    #: Write end of the heartbeat side channel (``None`` = no telemetry).
-    #: Deliberately a separate pipe from the interchange protocol so
-    #: observation can never reorder or alter the lockstep payload.
-    heartbeat_conn: Any = None
-
-
-def _island_spill_bytes(metrics) -> float:
-    """Sum of the island's spill counters (0.0 when not recording)."""
-    if not metrics.enabled:
-        return 0.0
-    total = 0.0
-    for name, _labels, counter in metrics.samples("counter"):
-        if name == "repro_frame_spill_bytes_total":
-            total += counter.value
-    return total
-
-
-def _island_heartbeat(simulator, island: int, epoch: int, metrics) -> dict:
-    """One heartbeat payload snapshotting a worker's live state."""
-    from repro.obs.progress import Heartbeat
-    from repro.obs.runtime import peak_rss_bytes
-
-    return Heartbeat(
-        island=island,
-        epoch=epoch,
-        sim_time_s=float(simulator.loop.now),
-        queue_depth=len(simulator.queue),
-        running=len(simulator._running),
-        events=simulator.loop.processed,
-        dispatched=len(simulator.records),
-        peak_rss_bytes=peak_rss_bytes(),
-        spill_bytes=_island_spill_bytes(metrics),
-    ).to_payload()
-
-
-def _island_worker(conn, task: _IslandWorkerTask) -> None:
-    """Worker loop: one simulator, stepped by parent commands.
-
-    Protocol (parent → worker / worker → parent):
-
-    * startup → ``("ready", pending)`` after ``begin``;
-    * ``("advance", boundary, want_usage, threshold)`` →
-      ``("epoch", usage_delta, candidates, queue_len)``;
-    * ``("exchange", ledger, remove_ids, incoming, boundary)`` →
-      ``("ack", pending)`` — pending is re-read *after* applying the
-      exchange, because an incoming migration revives a drained island;
-    * ``("finalize",)`` → ``("done", payload)`` and the worker exits.
-
-    Any exception is shipped home as ``("error", traceback)``.
+    Raises ``OSError`` if the processes cannot start (after reaping any
+    that did), so the runner can fall back to an in-process host.
     """
+    import multiprocessing
+
+    from repro.obs.progress import get_sink
+
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
+        ctx = multiprocessing.get_context()
+    sink = get_sink()
+    hosts: list[ForkedHost] = []
+    try:
+        for h in range(count):
+            owned = {i: bucket for i, bucket in buckets.items() if i % count == h}
+            hosts.append(ForkedHost(ctx, runner, owned, sink))
+    except BaseException:
+        for host in hosts:
+            host.close(failed=True)
+        raise
+    return hosts
+
+
+def _host_main(conn, runner, buckets: dict[int, list], beats) -> None:
+    """A forked host: answer parent commands until ``finalize``."""
     from repro.obs import runtime
     from repro.obs.events import FlightRecorder
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.runtime import peak_rss_bytes
     from repro.obs.trace import Tracer
+    from repro.slurm.interchange import IslandHost
 
-    island = task.partition.index
+    tracer = Tracer(process_name="repro-island-host")
+    metrics = MetricsRegistry()
+    recorder = FlightRecorder()
+    tracer.listener = recorder.span_closed
     try:
-        tracer = Tracer(process_name=f"repro-island-{island}")
-        metrics = MetricsRegistry()
-        recorder = FlightRecorder(island=island)
-        tracer.listener = recorder.span_closed
-        epoch = 0
         with runtime.use(tracer, metrics, recorder):
-            simulator = SlurmSimulator(task.partition.spec(task.spec), task.config)
-            state = (
-                task.setup(simulator, task.partition, task.context)
-                if task.setup is not None
-                else None
+            host = IslandHost(
+                runner,
+                buckets,
+                beat=beats.send if beats is not None else None,
+                lanes=(tracer, recorder),
             )
-            simulator.begin(task.requests)
-            conn.send(("ready", bool(simulator.loop)))
-            while True:
-                message = conn.recv()
-                command = message[0]
-                if command == "advance":
-                    _, boundary, want_usage, threshold = message
-                    simulator.advance(until=boundary)
-                    usage = (
-                        simulator._policy.drain_usage() if want_usage else None
-                    )
-                    candidates = (
-                        migration_candidates(
-                            simulator.queue.scan(), boundary, threshold
+            command = None
+            while command != "finalize":
+                command, args = conn.recv()
+                for reply in host.handle(command, *args):
+                    if command == "finalize":
+                        reply["obs"] = (
+                            tracer.drain_payload(),
+                            metrics.drain(),
+                            recorder.drain_payload(),
                         )
-                        if threshold is not None and boundary is not None
-                        else None
-                    )
-                    conn.send(("epoch", usage, candidates, len(simulator.queue)))
-                    # Telemetry rides its own pipe, after the protocol
-                    # reply: the interchange payload is untouched.
-                    epoch += 1
-                    recorder.emit(
-                        "island.epoch",
-                        category="interchange",
-                        epoch=epoch,
-                        sim_time_s=float(simulator.loop.now),
-                        queue_depth=len(simulator.queue),
-                    )
-                    if task.heartbeat_conn is not None:
-                        try:
-                            task.heartbeat_conn.send(
-                                _island_heartbeat(simulator, island, epoch, metrics)
-                            )
-                        except OSError:  # pragma: no cover - parent gone
-                            task.heartbeat_conn = None
-                elif command == "exchange":
-                    _, ledger, remove_ids, incoming, boundary = message
-                    if ledger is not None:
-                        simulator._policy.set_usage(ledger)
-                    for job_id in remove_ids:
-                        simulator.queue.remove(job_id)
-                    for request in incoming:
-                        simulator.loop.schedule(boundary, "submit", request)
-                    conn.send(("ack", bool(simulator.loop)))
-                elif command == "finalize":
-                    result = simulator.finalize()
-                    _remap_nodes(result.records, task.partition.node_start)
-                    extra = (
-                        task.finish(simulator, state, result)
-                        if task.finish is not None
-                        else None
-                    )
-                    if not task.return_records:
-                        result = dataclasses.replace(result, records=[])
-                    if task.heartbeat_conn is not None:
-                        try:
-                            task.heartbeat_conn.send(
-                                _island_heartbeat(simulator, island, epoch, metrics)
-                            )
-                        except OSError:  # pragma: no cover - parent gone
-                            task.heartbeat_conn = None
-                    payload = {
-                        "result": result,
-                        "extra": extra,
-                        "peak_rss_bytes": peak_rss_bytes(),
-                        "span_payload": tracer.drain_payload(),
-                        "metrics_snapshot": metrics.drain(),
-                        "events_payload": recorder.drain_payload(),
-                    }
-                    conn.send(("done", payload))
-                    return
-                else:  # pragma: no cover - protocol misuse
-                    raise SchedulerError(f"unknown worker command {command!r}")
+                    conn.send(("ok", reply))
     except Exception:
         try:
             conn.send(("error", traceback.format_exc()))
         except Exception:  # pragma: no cover - parent already gone
             pass
     finally:
-        if task.heartbeat_conn is not None:
-            try:
-                task.heartbeat_conn.close()
-            except OSError:  # pragma: no cover
-                pass
+        if beats is not None:
+            beats.close()
         conn.close()
 
 
-class ParallelPartitionedRunner:
-    """Drive coupled islands in lockstep across persistent processes.
+def _adopt(obs: tuple[list, dict, list]) -> None:
+    """Re-parent a host's spans and merge its metrics and events into
+    the ambient observability triple (the session's, in a build)."""
+    from repro.obs import runtime
 
-    The constructor arguments mirror :class:`PartitionedRunner`; the
-    extra hooks let the sharded build attach a partition-local
-    monitoring collector inside each worker (``island_setup``, runs
-    before ``begin``) and collect its outputs after ``finalize``
-    (``island_finish``, returns a picklable payload — spill-directory
-    handles in the streaming build, materialized tables otherwise).
-    Both hooks must be module-level functions; ``island_context`` is a
-    picklable dict handed to every setup call.
-
-    ``return_records=False`` keeps job records out of the parent
-    entirely (the streaming build spills island-local accounting
-    instead), so parent memory stays bounded by the interchange
-    payload, not the trace.
-    """
-
-    def __init__(
-        self,
-        layout: PartitionLayout,
-        *,
-        spec: ClusterSpec | None = None,
-        config: SchedulerConfig | None = None,
-        interchange: InterchangeConfig | None = None,
-        workers: int | None = None,
-        island_setup: IslandSetup | None = None,
-        island_finish: IslandFinish | None = None,
-        island_context: dict | None = None,
-        return_records: bool = True,
-    ) -> None:
-        self.layout = layout
-        self.spec = spec if spec is not None else supercloud_spec(layout.total_nodes)
-        self.config = config if config is not None else SchedulerConfig()
-        self.interchange = (
-            interchange if interchange is not None else InterchangeConfig()
-        )
-        # Imported lazily: repro.pipeline pulls the monitoring stack in,
-        # which imports repro.slurm — a cycle at module-import time.
-        from repro.pipeline.parallel import resolve_workers
-
-        self.workers = resolve_workers(workers)
-        self.island_setup = island_setup
-        self.island_finish = island_finish
-        self.island_context = island_context if island_context is not None else {}
-        self.return_records = return_records
-        if len(layout) > 1:
-            if self.config.failure_model is not None:
-                raise SchedulerError(
-                    "failure injection is not supported in partitioned runs "
-                    "(per-island failure streams would be correlated)"
-                )
-            if self.config.policy is not None and not isinstance(
-                self.config.policy, str
-            ):
-                raise SchedulerError(
-                    "partitioned runs need a policy registry name (each island "
-                    "builds its own instance); got a policy object"
-                )
-        if self.interchange.fair_share_sync:
-            from repro.slurm.policies import make_policy
-
-            if not isinstance(
-                make_policy(self.config.policy) if self.config.policy else None,
-                FairSharePolicy,
-            ):
-                raise SchedulerError(
-                    'fair_share_sync requires SchedulerConfig(policy="fair_share")'
-                )
-        self._global_usage: dict[str, float] = {}
-        self.migrations = 0
-
-    # ------------------------------------------------------------------
-    def run(self, requests: list[JobRequest]) -> ParallelPartitionedResult:
-        """Simulate all requests across island processes to completion."""
-        if self.workers <= 1 or len(self.layout) <= 1:
-            return self._run_serial(requests)
-        try:
-            return self._run_parallel(requests)
-        except (ImportError, OSError, PermissionError):
-            # A pool that cannot start degrades to the serial lockstep
-            # (identical outputs; parallelism is only an optimisation).
-            return self._run_serial(requests)
-
-    # ------------------------------------------------------------------
-    def _run_serial(self, requests: list[JobRequest]) -> ParallelPartitionedResult:
-        runner = PartitionedRunner(
-            self.layout,
-            spec=self.spec,
-            config=self.config,
-            interchange=self.interchange,
-        )
-        states = [
-            self.island_setup(simulator, part, self.island_context)
-            if self.island_setup is not None
-            else None
-            for simulator, part in zip(runner.simulators, self.layout)
-        ]
-        outcome = runner.run(requests)
-        extras = [
-            self.island_finish(simulator, state, result)
-            if self.island_finish is not None
-            else None
-            for simulator, state, result in zip(
-                runner.simulators, states, outcome.results
-            )
-        ]
-        self.migrations = runner.migrations
-        results = outcome.results
-        if not self.return_records:
-            results = [
-                dataclasses.replace(result, records=[]) for result in results
-            ]
-        return ParallelPartitionedResult(
-            layout=self.layout,
-            results=results,
-            interchange=self.interchange,
-            migrations=self.migrations,
-            extras=extras,
-            mode="serial",
-        )
-
-    # ------------------------------------------------------------------
-    def _run_parallel(self, requests: list[JobRequest]) -> ParallelPartitionedResult:
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            ctx = multiprocessing.get_context()
-
-        from repro.obs import progress as obs_progress
-
-        # Resolve the heartbeat sink once: with nobody watching, no
-        # side-channel pipes exist at all and workers skip telemetry.
-        sink = obs_progress.get_sink()
-        buckets = route_requests(requests, len(self.layout))
-        conns = []
-        heartbeat_conns = []
-        processes = []
-        try:
-            for part, bucket in zip(self.layout, buckets):
-                parent_conn, child_conn = ctx.Pipe()
-                hb_parent = hb_child = None
-                if sink is not None:
-                    # duplex=False: heartbeats flow worker -> parent only.
-                    hb_parent, hb_child = ctx.Pipe(duplex=False)
-                task = _IslandWorkerTask(
-                    partition=part,
-                    spec=self.spec,
-                    config=self.config,
-                    requests=bucket,
-                    setup=self.island_setup,
-                    finish=self.island_finish,
-                    context=self.island_context,
-                    return_records=self.return_records,
-                    heartbeat_conn=hb_child,
-                )
-                process = ctx.Process(
-                    target=_island_worker, args=(child_conn, task), daemon=True
-                )
-                process.start()
-                child_conn.close()
-                if hb_child is not None:
-                    hb_child.close()
-                    heartbeat_conns.append(hb_parent)
-                conns.append(parent_conn)
-                processes.append(process)
-
-            pending = [self._recv(conns[i], i, "ready")[1] for i in range(len(conns))]
-            sync = self.interchange.fair_share_sync
-            threshold = (
-                self.interchange.migrate_after_s if self.interchange.coupled else None
-            )
-            if not self.interchange.coupled:
-                # Independent islands: one advance-to-completion round.
-                for conn in conns:
-                    conn.send(("advance", None, False, None))
-                for index, conn in enumerate(conns):
-                    self._recv(conn, index, "epoch")
-                self._drain_heartbeats(heartbeat_conns, sink)
-            else:
-                boundary = self.interchange.epoch_s
-                specs = [part.spec(self.spec) for part in self.layout]
-                while any(pending):
-                    for conn in conns:
-                        conn.send(("advance", boundary, sync, threshold))
-                    reports = [
-                        self._recv(conn, index, "epoch")
-                        for index, conn in enumerate(conns)
-                    ]
-                    ledger = None
-                    if sync:
-                        # Merge island deltas in index order — the same
-                        # float-summation order as the serial runner.
-                        for _, usage, _, _ in reports:
-                            for user, hours in usage.items():
-                                self._global_usage[user] = (
-                                    self._global_usage.get(user, 0.0) + hours
-                                )
-                        ledger = self._global_usage
-                    removals: list[list[int]] = [[] for _ in conns]
-                    incoming: list[list[JobRequest]] = [[] for _ in conns]
-                    if threshold is not None:
-                        moves = plan_migrations(
-                            [report[2] for report in reports],
-                            [report[3] for report in reports],
-                            specs,
-                        )
-                        for source, request, target in moves:
-                            removals[source].append(request.job_id)
-                            request.tags["migrated"] = True
-                            request.tags["migrated_to"] = target
-                            incoming[target].append(request)
-                        self.migrations += len(moves)
-                    for index, conn in enumerate(conns):
-                        conn.send(
-                            ("exchange", ledger, removals[index], incoming[index], boundary)
-                        )
-                    pending = [
-                        self._recv(conn, index, "ack")[1]
-                        for index, conn in enumerate(conns)
-                    ]
-                    self._drain_heartbeats(heartbeat_conns, sink)
-                    boundary += self.interchange.epoch_s
-
-            payloads = []
-            for index, conn in enumerate(conns):
-                conn.send(("finalize",))
-                payloads.append(self._recv(conn, index, "done")[1])
-            self._drain_heartbeats(heartbeat_conns, sink)
-            for process in processes:
-                process.join(timeout=30)
-        finally:
-            for conn in conns + heartbeat_conns:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-            for process in processes:
-                if process.is_alive():  # pragma: no cover - hung worker
-                    process.terminate()
-
-        self._adopt_observability(payloads)
-        return ParallelPartitionedResult(
-            layout=self.layout,
-            results=[payload["result"] for payload in payloads],
-            interchange=self.interchange,
-            migrations=self.migrations,
-            extras=[payload["extra"] for payload in payloads],
-            mode="parallel",
-            island_peak_rss_bytes=max(
-                payload["peak_rss_bytes"] for payload in payloads
-            ),
-        )
-
-    @staticmethod
-    def _recv(conn, index: int, expected: str):
-        """Receive one protocol message, surfacing worker failures."""
-        from repro.pipeline.parallel import ParallelTaskError
-
-        try:
-            message = conn.recv()
-        except EOFError:
-            raise ParallelTaskError(
-                index, "island worker exited without a reply"
-            ) from None
-        if message[0] == "error":
-            raise ParallelTaskError(index, message[1])
-        if message[0] != expected:  # pragma: no cover - protocol misuse
-            raise ParallelTaskError(
-                index, f"expected {expected!r} reply, got {message[0]!r}"
-            )
-        return message
-
-    @staticmethod
-    def _drain_heartbeats(heartbeat_conns: list, sink) -> None:
-        """Forward queued worker heartbeats to the progress sink.
-
-        Non-blocking (``poll(0)``): the lockstep never waits on
-        telemetry, and a slow renderer only delays its own redraw.
-        """
-        if sink is None:
-            return
-        for conn in heartbeat_conns:
-            try:
-                while conn.poll(0):
-                    sink.update(conn.recv())
-            except (OSError, EOFError):  # pragma: no cover - worker gone
-                continue
-
-    @staticmethod
-    def _adopt_observability(payloads: list[dict]) -> None:
-        """Re-parent worker spans / merge worker metrics and events
-        into the ambient observability triple (the session trace, when
-        one is active)."""
-        from repro.obs import runtime
-
-        tracer = runtime.get_tracer()
-        metrics = runtime.get_metrics()
-        recorder = runtime.get_recorder()
-        parent = tracer.current_span_id()
-        for payload in payloads:
-            if payload["span_payload"]:
-                tracer.adopt(payload["span_payload"], parent=parent)
-            if payload["metrics_snapshot"] and metrics.enabled:
-                metrics.merge(payload["metrics_snapshot"])
-            events = payload.get("events_payload")
-            if events and recorder.enabled:
-                recorder.adopt(events)
+    spans, metrics_snapshot, events = obs
+    tracer = runtime.get_tracer()
+    if spans:
+        tracer.adopt(spans, parent=tracer.current_span_id())
+    metrics = runtime.get_metrics()
+    if metrics_snapshot and metrics.enabled:
+        metrics.merge(metrics_snapshot)
+    recorder = runtime.get_recorder()
+    if events and recorder.enabled:
+        recorder.adopt(events)

@@ -82,6 +82,29 @@ class TestStoreIO:
             decoded.metrics["power_w"], original.metrics["power_w"], atol=QUANT_STEP
         )
 
+    def test_many_series_round_trip(self, tmp_path):
+        # A few hundred series whose member prefixes nest ("s1_1" is a
+        # string prefix of "s1_10" and of "s11_1"), so grouping members by
+        # series must split on the separator, not on string prefixes.
+        store = TimeSeriesStore()
+        for job_id in range(1, 121):
+            for gpu_index in (0, 1, 10):
+                store.add(
+                    make_series(job_id, gpu_index, n=20, seed=job_id * 16 + gpu_index)
+                )
+        path = save_store(store, tmp_path / "many.npz")
+        again = load_store(path)
+        assert [(s.job_id, s.gpu_index) for s in again] == [
+            (s.job_id, s.gpu_index) for s in store
+        ]
+        for original in store:
+            decoded = again.get(original.job_id, original.gpu_index)
+            assert decoded.num_samples == original.num_samples
+            for name in METRIC_NAMES:
+                np.testing.assert_allclose(
+                    decoded.metrics[name], original.metrics[name], atol=QUANT_STEP / 2 + 1e-9
+                )
+
     def test_compression_beats_raw(self, tmp_path):
         store = TimeSeriesStore()
         for i in range(5):

@@ -11,6 +11,8 @@ the next trace someone reads.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.figures.registry import all_figures
@@ -62,6 +64,39 @@ def test_every_build_stage_lands_in_the_flight_recorder(traced_session):
     }
     missing = [stage for stage in BUILD_STAGES if stage not in stages]
     assert not missing, f"stages missing from the flight recorder: {missing}"
+
+
+def _sampling_spans_under_schedule(session):
+    """The ``monitor.sampling`` spans, each checked to sit under ``schedule``."""
+    spans = session.tracer.finished()
+    by_id = {span.span_id: span for span in spans}
+    sampling = [span for span in spans if span.name == "monitor.sampling"]
+    for span in sampling:
+        ancestors = set()
+        parent = span.parent_id
+        while parent in by_id:
+            ancestors.add(by_id[parent].name)
+            parent = by_id[parent].parent_id
+        assert "schedule" in ancestors, ancestors
+        assert span.attrs["tasks"] > 0 and span.attrs["rows"] > 0
+    return sampling
+
+
+def test_single_island_sampling_is_attributed(traced_session):
+    (span,) = _sampling_spans_under_schedule(traced_session)
+    # The one island is hosted, and sampled, in the parent process.
+    assert span.pid == os.getpid()
+
+
+def test_forked_island_sampling_is_attributed():
+    session = Session(
+        WorkloadConfig(scale=0.02, seed=31, num_nodes=1600, partitions=2), workers=2
+    )
+    session.dataset()
+    spans = _sampling_spans_under_schedule(session)
+    assert sorted(span.track for span in spans) == ["repro-island-0", "repro-island-1"]
+    assert all(span.pid != os.getpid() for span in spans)
+    assert {span.attrs["mode"] for span in spans} == {"serial"}
 
 
 def test_every_figure_run_is_timed(traced_session):

@@ -1,13 +1,14 @@
 """Tests for the partitioned (sharded) dataset build.
 
-The acceptance contract of the sharding refactor, pinned end to end at
-the session level:
+Every dataset build is K islands driven by one runner.  The contract,
+pinned end to end at the session level:
 
 * for a fixed partition count the build is **bit-for-bit identical**
-  whether the islands run serially in one process or fan out across
-  the worker pool;
-* ``partitions=1`` routes through the legacy serial code path and
-  reproduces the pre-sharding dataset exactly;
+  whether one in-process host runs the islands or ``min(workers, K)``
+  forked hosts do;
+* ``partitions=1`` is a one-island build that reproduces the
+  pre-island monolithic build's content exactly (golden digests), in
+  ascending ``job_id`` order;
 * the merged dataset keeps the whole-machine shape (global node
   indices, one spec, job-id-ordered tables);
 * the **streaming** build — islands spill to disk, the parent k-way
@@ -16,12 +17,18 @@ the session level:
   or process-parallel.
 """
 
+import hashlib
+import multiprocessing
+import os
+import re
+
 import numpy as np
 import pytest
 
 from repro.monitor.collector import MonitoringConfig
 from repro.pipeline import Session
-from repro.pipeline.shard import island_monitoring
+from repro.pipeline.parallel import ParallelTaskError
+from repro.pipeline.shard import _island_setup, island_monitoring
 from repro.slurm.interchange import InterchangeConfig
 from repro.workload.generator import WorkloadConfig
 
@@ -57,10 +64,71 @@ class TestBitIdentity:
     def test_single_partition_matches_legacy(self):
         base = dict(SHARDED, partitions=1)
         legacy = Session(WorkloadConfig(**base)).dataset()
-        # partitions=1 must be indistinguishable from the pre-sharding
-        # build — same workload stream, same serial schedule stage.
+        # The one island runs in the parent at any worker count; workers
+        # only widens its sampling pool (TestGolden pins the content).
         roundtrip = Session(WorkloadConfig(**base), workers=2).dataset()
         datasets_equal(legacy, roundtrip)
+
+
+def table_digest(table, keys):
+    """sha256 over the column names and exact values, rows sorted by ``keys``."""
+    table = table.sort_by(*keys)
+    digest = hashlib.sha256()
+    for name in table.column_names:
+        digest.update(name.encode())
+        values = np.asarray(table[name])
+        if values.dtype == object:
+            digest.update(repr(values.tolist()).encode())
+        else:
+            digest.update(values.dtype.str.encode())
+            digest.update(np.ascontiguousarray(values).tobytes())
+    return digest.hexdigest()
+
+
+def series_digest(store):
+    digest = hashlib.sha256()
+    for series in sorted(store, key=lambda s: (s.job_id, s.gpu_index)):
+        digest.update(f"{series.job_id}/{series.gpu_index}".encode())
+        digest.update(np.ascontiguousarray(series.times_s).tobytes())
+        for name in sorted(series.metrics):
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(series.metrics[name]).tobytes())
+    return digest.hexdigest()
+
+
+def records_digest(records):
+    rows = sorted(
+        (r.request.job_id, r.start_time_s, r.end_time_s, tuple(r.nodes), r.exit_condition.name)
+        for r in records
+    )
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+class TestGolden:
+    """Digests of the monolithic (pre-island) build at scale 0.01, seed 7."""
+
+    GOLDEN = {
+        "jobs": "3226757f9e6ef73e4c12838361599d5ae8ad9f4da27f4cf3cbc5402a9606f299",
+        "gpu_jobs": "869abbffacce808f01416fb5a949325f06e67e2e257bd93825f5a256f4b49509",
+        "per_gpu": "2d9e28c9ddc30060ed074567e4cf88a6177c256f2461a5145727c1e90ecdf3a7",
+        "series": "0ba54266381b4d2d9cdd8e6080330e2dbf09c3d36aee9f3173822a797305f48c",
+        "records": "38708501dd5b5e3fa4a7d9a0ced3dd13b9818349a230b7568fcd0668848f6ce5",
+    }
+
+    def test_single_partition_matches_pre_island_build(self):
+        dataset = Session(WorkloadConfig(scale=0.01, seed=7)).dataset()
+        assert len(dataset.timeseries) == 29
+        assert len(dataset.records) == 767
+        assert {
+            "jobs": table_digest(dataset.jobs, ("job_id",)),
+            "gpu_jobs": table_digest(dataset.gpu_jobs, ("job_id",)),
+            "per_gpu": table_digest(dataset.per_gpu, ("job_id", "gpu_index")),
+            "series": series_digest(dataset.timeseries),
+            "records": records_digest(dataset.records),
+        } == self.GOLDEN
+        # The one-island build emits tables and records in job_id order.
+        ids = np.asarray(dataset.jobs["job_id"])
+        assert np.all(np.diff(ids) > 0)
 
 
 class TestMergedShape:
@@ -227,9 +295,8 @@ class TestStreamingBuild:
         session = Session(WorkloadConfig(**base))
         stream = session.streaming_dataset(chunk_rows=256)
         assert stream.is_streaming
-        # The chunked view presents jobs in ascending job_id — the
-        # order the sharded merge emits — not the completion order the
-        # single-partition materialized table carries.
+        # The chunked view presents jobs in ascending job_id, the order
+        # every island build emits.
         assert (
             stream.jobs.materialize().to_dict()
             == session.dataset().jobs.sort_by("job_id").to_dict()
@@ -256,6 +323,24 @@ class TestCoupledBuild:
         assert migrated, "interchange produced no migrations at this scale"
         assert coupled.jobs.to_dict() != uncoupled.jobs.to_dict()
 
+    def test_workers_bound_the_island_hosts(self, coupled_serial):
+        session = Session(
+            WorkloadConfig(**SHARDED), workers=2, interchange=self.INTERCHANGE
+        )
+        datasets_equal(coupled_serial.dataset(), session.dataset())
+        forked = {
+            span["pid"]
+            for span in session.tracer.drain_payload()
+            if span["pid"] != os.getpid()
+        }
+        assert len(forked) == 2
+        epochs = {
+            event.island
+            for event in session.recorder.events()
+            if event.name == "island.epoch"
+        }
+        assert epochs == {0, 1, 2, 3}
+
     def test_parallel_coupled_matches_serial(self, coupled_serial):
         parallel = Session(
             WorkloadConfig(**SHARDED), workers=4, interchange=self.INTERCHANGE
@@ -277,6 +362,49 @@ class TestCoupledBuild:
         assert base != coupled
         # None keeps the legacy payload: existing cache entries survive.
         assert base == dataset_key(config, None, None)
+
+
+def _die_on_island_1(simulator, partition, context):
+    """The build's setup hook, plus a hard exit of island 1's host at
+    its fifth job completion."""
+    state = _island_setup(simulator, partition, context)
+    if partition.index == 1:
+        finished = []
+
+        def epilog(record):
+            finished.append(record)
+            if len(finished) == 5:
+                os._exit(1)
+
+        simulator.add_epilog(epilog)
+    return state
+
+
+class TestDeadHost:
+    INTERCHANGE = InterchangeConfig(epoch_s=3600.0, migrate_after_s=900.0)
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_dead_host_leaves_no_cache_entry_or_temp_dir(
+        self, streaming, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        monkeypatch.setattr("repro.pipeline.shard._island_setup", _die_on_island_1)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        session = Session(
+            WorkloadConfig(**SHARDED),
+            workers=2,
+            interchange=self.INTERCHANGE,
+            cache_dir=tmp_path / "cache",
+        )
+        build = session.streaming_dataset if streaming else session.dataset
+        with pytest.raises(ParallelTaskError, match=r"island 1 at epoch \d+"):
+            build()
+        assert multiprocessing.active_children() == []
+        cache = tmp_path / "cache"
+        assert not cache.exists() or not any(cache.iterdir())
+        assert not any((tmp_path / "tmp").iterdir())
 
 
 class TestSummary:

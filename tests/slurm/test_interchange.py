@@ -1,12 +1,10 @@
 """Tests for cross-partition interchange (lockstep island coupling).
 
-Pins the central refactor contract: a single-partition run through
+Pins the central contract: a single-partition run through
 :class:`PartitionedRunner` is bit-for-bit the plain
-:meth:`SlurmSimulator.run`, and for any partition count the
-epoch-lockstep stepping (``advance(until=...)``) produces exactly the
-same records as letting each island run to completion — so the
-process-parallel pipeline path and the serial runner are
-interchangeable whenever the islands are uncoupled.
+:meth:`SlurmSimulator.run`, and for any partition count plain
+simulators stepped in lockstep epochs (``advance(until=...)``) produce
+exactly the records of the runner's one-round uncoupled run.
 """
 
 import pytest
@@ -45,6 +43,15 @@ def record_fingerprint(record):
 
 def fingerprints(records):
     return [record_fingerprint(r) for r in records]
+
+
+def _check_invariants(simulator, state, result):
+    simulator.cluster.check_invariants()
+    return True
+
+
+def _consumed_usage(simulator, state, result):
+    return dict(simulator._policy._consumed)
 
 
 class TestRouting:
@@ -126,18 +133,19 @@ class TestLockstepOracle:
         requests = workload(cohorts=max(num_partitions, 2))
         free = run_partitioned(requests, num_partitions, total_nodes=64)
 
-        # Same islands, driven manually in small lockstep epochs.
+        # Same islands as plain simulators, driven in small lockstep epochs.
         layout = PartitionLayout.even(64, num_partitions)
-        runner = PartitionedRunner(layout)
+        spec = supercloud_spec(64)
+        simulators = [SlurmSimulator(part.spec(spec)) for part in layout]
         buckets = route_requests(requests, num_partitions)
-        for simulator, bucket in zip(runner.simulators, buckets):
+        for simulator, bucket in zip(simulators, buckets):
             simulator.begin(bucket)
         boundary = 3600.0
-        while any(bool(s.loop) for s in runner.simulators):
-            for simulator in runner.simulators:
+        while any(bool(s.loop) for s in simulators):
+            for simulator in simulators:
                 simulator.advance(until=boundary)
             boundary += 3600.0
-        results = [s.finalize() for s in runner.simulators]
+        results = [s.finalize() for s in simulators]
         lockstep = [
             record
             for part, result in zip(layout, results)
@@ -166,10 +174,8 @@ class TestLockstepOracle:
     def test_invariants_hold_after_partitioned_run(self):
         requests = workload(cohorts=2)
         layout = PartitionLayout.even(16, 2)
-        runner = PartitionedRunner(layout)
-        runner.run(requests)
-        for simulator in runner.simulators:
-            simulator.cluster.check_invariants()
+        runner = PartitionedRunner(layout, island_finish=_check_invariants)
+        assert runner.run(requests).extras == [True, True]
 
 
 class TestMigration:
@@ -254,14 +260,15 @@ class TestFairShareSync:
             layout,
             config=SchedulerConfig(policy="fair_share"),
             interchange=InterchangeConfig(epoch_s=3600.0, fair_share_sync=True),
+            island_finish=_consumed_usage,
         )
         result = runner.run(requests)
         assert len(result.merged_records()) == len(requests)
         assert runner._global_usage  # epochs actually drained usage
         # after the run every island holds the same global view
-        for simulator in runner.simulators:
+        for consumed in result.extras:
             for user, hours in runner._global_usage.items():
-                assert simulator._policy._consumed[user] == pytest.approx(hours)
+                assert consumed[user] == pytest.approx(hours)
 
     def test_drain_and_set_usage_roundtrip(self):
         policy = FairSharePolicy()
