@@ -14,6 +14,11 @@ evaluation harness on the dense time-series subset:
   history;
 * :func:`evaluate_predictor` — replay a series and score the
   predictions against the ground truth that unfolds.
+
+The replay is one vectorized pass over the series' ascending times:
+``np.searchsorted`` bounds every prediction's look-back window and one
+prefix sum of the activity mask counts its active samples, so scoring
+a series of ``n`` samples costs O(n log n).
 """
 
 from __future__ import annotations
@@ -115,18 +120,33 @@ class IdlePhasePredictor:
         self.window_s = window_s
         self.persistence_weight = persistence_weight
 
-    def idle_probability(
-        self, times_s: np.ndarray, mask: np.ndarray, index: int
-    ) -> float:
-        """P(idle at times[index] + horizon) from samples [0..index]."""
-        now = times_s[index]
-        window = (times_s >= now - self.window_s) & (times_s <= now)
-        duty_idle = 1.0 - float(mask[window].mean())
-        current_idle = 1.0 if not mask[index] else 0.0
+    def idle_probabilities(
+        self, times_s: np.ndarray, mask: np.ndarray, indices: np.ndarray
+    ) -> np.ndarray:
+        """P(idle at times[i] + horizon) from samples [0..i], for every
+        ``i`` in ``indices``; ``times_s`` must be ascending.
+
+        The window of ``i`` is every sample in ``[times[i] - window,
+        times[i]]``: two binary searches bound it and a prefix sum of
+        ``mask`` counts its active samples.
+        """
+        indices = np.asarray(indices)
+        now = times_s[indices]
+        lo = np.searchsorted(times_s, now - self.window_s, side="left")
+        hi = np.searchsorted(times_s, now, side="right")
+        active = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
+        duty_idle = 1.0 - (active[hi] - active[lo]) / (hi - lo)
+        current_idle = np.where(mask[indices], 0.0, 1.0)
         return (
             self.persistence_weight * current_idle
             + (1.0 - self.persistence_weight) * duty_idle
         )
+
+    def idle_probability(
+        self, times_s: np.ndarray, mask: np.ndarray, index: int
+    ) -> float:
+        """P(idle at times[index] + horizon) from samples [0..index]."""
+        return float(self.idle_probabilities(times_s, mask, [index])[0])
 
 
 @dataclass(frozen=True)
@@ -158,26 +178,26 @@ def evaluate_predictor(
     predictor = predictor or IdlePhasePredictor()
     if horizon_s <= 0:
         raise AnalysisError("horizon must be positive")
+    if stride < 1:
+        raise AnalysisError(f"stride must be >= 1, got {stride}")
     mask = activity_mask(series)
     times = series.times_s
-    step = float(np.median(np.diff(times))) if len(times) > 1 else 1.0
+    steps = np.diff(times)
+    if (steps < 0).any():
+        raise AnalysisError(f"series for job {series.job_id} has descending times")
+    step = float(np.median(steps)) if len(times) > 1 else 1.0
     offset = max(int(round(horizon_s / step)), 1)
     last = len(times) - offset
     if last < 2:
         raise AnalysisError(
             f"series for job {series.job_id} shorter than the prediction horizon"
         )
-    correct = 0
-    total = 0
-    idle_truth = 0
-    for index in range(0, last, stride):
-        probability = predictor.idle_probability(times, mask, index)
-        predicted_idle = probability >= 0.5
-        actual_idle = not mask[index + offset]
-        correct += int(predicted_idle == actual_idle)
-        idle_truth += int(actual_idle)
-        total += 1
-    base_rate = idle_truth / total
+    indices = np.arange(0, last, stride)
+    predicted_idle = predictor.idle_probabilities(times, mask, indices) >= 0.5
+    actual_idle = ~mask[indices + offset]
+    total = len(indices)
+    correct = int(np.count_nonzero(predicted_idle == actual_idle))
+    base_rate = int(np.count_nonzero(actual_idle)) / total
     return PredictorScore(
         job_id=series.job_id,
         num_predictions=total,

@@ -340,6 +340,7 @@ PERF_SMOKE = (
     ("dataset-build", "benchmarks/bench_dataset_build.py"),
     ("stream", "benchmarks/bench_stream.py"),
     ("scale", "benchmarks/bench_scale.py"),
+    ("prediction", "benchmarks/bench_phase_prediction.py"),
 )
 
 

@@ -5,15 +5,15 @@ partial fat-tree.  The scheduler uses the topology to place multi-node
 jobs "as densely as possible, either on the same node or on
 neighboring nodes on the network interconnect" (paper Sec. V).  We
 model leaf switches each serving a fixed radix of nodes and a core
-layer connecting every leaf, using :mod:`networkx` for distance
-queries.
+layer connecting every leaf.  Distance queries are arithmetic on the
+leaf index; :attr:`FatTreeTopology.graph` builds the same wiring as a
+:mod:`networkx` graph on first access, for inspection only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-
-import networkx as nx
 
 from repro.errors import ReproError
 
@@ -40,12 +40,18 @@ class FatTreeTopology:
         self.leaf_radix = leaf_radix
         self.num_core = num_core
         self.num_leaves = (num_nodes + leaf_radix - 1) // leaf_radix
-        self.graph = nx.Graph()
-        for node in range(num_nodes):
-            leaf = self._leaf_of(node)
-            self.graph.add_edge(("node", node), ("leaf", leaf))
-        for leaf, core in itertools.product(range(self.num_leaves), range(num_core)):
-            self.graph.add_edge(("leaf", leaf), ("core", core))
+
+    @functools.cached_property
+    def graph(self):
+        """The switch wiring as a :class:`networkx.Graph` (built lazily)."""
+        import networkx as nx
+
+        graph = nx.Graph()
+        for node in range(self.num_nodes):
+            graph.add_edge(("node", node), ("leaf", self._leaf_of(node)))
+        for leaf, core in itertools.product(range(self.num_leaves), range(self.num_core)):
+            graph.add_edge(("leaf", leaf), ("core", core))
+        return graph
 
     def _leaf_of(self, node: int) -> int:
         return node // self.leaf_radix

@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.features import (
     IdlePhasePredictor,
+    PredictorScore,
     evaluate_predictor,
     predictor_study,
     series_features,
 )
+from repro.analysis.phases import activity_mask
 from repro.errors import AnalysisError
+from repro.monitor.timeseries import METRIC_NAMES, GpuTimeSeries
 from tests.analysis.test_phases import series_from_sm
 
 
@@ -90,6 +95,20 @@ class TestEvaluatePredictor:
         with pytest.raises(AnalysisError):
             evaluate_predictor(series_from_sm([1.0] * 50), horizon_s=0.0)
 
+    def test_zero_stride_rejected(self):
+        with pytest.raises(AnalysisError, match="stride"):
+            evaluate_predictor(series_from_sm([1.0] * 50), horizon_s=5.0, stride=0)
+
+    def test_negative_stride_rejected(self):
+        with pytest.raises(AnalysisError, match="stride"):
+            evaluate_predictor(series_from_sm([1.0] * 50), horizon_s=5.0, stride=-1)
+
+    def test_descending_times_rejected(self):
+        times = np.arange(50, dtype=float)
+        times[[20, 21]] = times[[21, 20]]
+        with pytest.raises(AnalysisError, match="job 42"):
+            evaluate_predictor(_series(times, np.ones(50, dtype=bool), 42), horizon_s=5.0)
+
 
 class TestPredictorStudy:
     def test_on_generated_data(self, medium_dataset):
@@ -106,3 +125,92 @@ class TestPredictorStudy:
 
         with pytest.raises(AnalysisError):
             predictor_study(TimeSeriesStore())
+
+
+# ----------------------------------------------------------------------
+# Oracle: the per-index replay the vectorized one replaced
+# ----------------------------------------------------------------------
+def _series(times, mask, job_id=1):
+    metrics = {name: np.zeros(len(times)) for name in METRIC_NAMES}
+    metrics["sm"] = np.where(mask, 50.0, 0.0)
+    return GpuTimeSeries(job_id, 0, np.asarray(times), metrics)
+
+
+def reference_probability(predictor, times, mask, index):
+    """One full-length window mask per prediction."""
+    now = times[index]
+    window = (times >= now - predictor.window_s) & (times <= now)
+    duty_idle = 1.0 - float(mask[window].mean())
+    current_idle = 1.0 if not mask[index] else 0.0
+    return (
+        predictor.persistence_weight * current_idle
+        + (1.0 - predictor.persistence_weight) * duty_idle
+    )
+
+
+def reference_score(series, predictor, horizon_s, stride):
+    """The per-index replay loop; ``None`` when the series is too short."""
+    mask = activity_mask(series)
+    times = series.times_s
+    step = float(np.median(np.diff(times)))
+    offset = max(int(round(horizon_s / step)), 1)
+    last = len(times) - offset
+    if last < 2:
+        return None
+    correct = total = idle_truth = 0
+    for index in range(0, last, stride):
+        predicted_idle = reference_probability(predictor, times, mask, index) >= 0.5
+        actual_idle = not mask[index + offset]
+        correct += int(predicted_idle == actual_idle)
+        idle_truth += int(actual_idle)
+        total += 1
+    base_rate = idle_truth / total
+    return PredictorScore(
+        job_id=series.job_id,
+        num_predictions=total,
+        accuracy=correct / total,
+        idle_base_rate=base_rate,
+        baseline_accuracy=max(base_rate, 1.0 - base_rate),
+    )
+
+
+@st.composite
+def replay_cases(draw):
+    n = draw(st.integers(3, 400))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([0.1, 0.5, 1.0, 10.0]))
+        times = np.arange(n) * step
+    else:
+        # the sampler's capped grid: a long job squeezed into n samples
+        times = np.linspace(0.0, draw(st.floats(n * 0.1, n * 30.0)), n)
+        step = float(np.median(np.diff(times)))
+    runs = draw(st.lists(st.integers(1, 60), min_size=1, max_size=40))
+    states = np.arange(len(runs)) % 2 == int(draw(st.booleans()))
+    mask = np.resize(np.repeat(states, runs), n)
+    window_s = draw(
+        st.one_of(
+            st.integers(1, 80).map(lambda k: k * step),
+            st.floats(1e-3, 50.0 * step),
+        )
+    )
+    weight = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    horizon_s = draw(st.floats(1e-3, 40.0 * step))
+    stride = draw(st.integers(1, 12))
+    return times, mask, IdlePhasePredictor(window_s, weight), horizon_s, stride
+
+
+@given(replay_cases())
+@settings(max_examples=300, deadline=None)
+def test_vectorized_replay_matches_per_index_loop(case):
+    times, mask, predictor, horizon_s, stride = case
+    series = _series(times, mask)
+    expected = reference_score(series, predictor, horizon_s, stride)
+    if expected is None:
+        with pytest.raises(AnalysisError):
+            evaluate_predictor(series, predictor, horizon_s, stride)
+    else:
+        assert evaluate_predictor(series, predictor, horizon_s, stride) == expected
+    for index in range(len(times)):
+        assert predictor.idle_probability(times, mask, index) == reference_probability(
+            predictor, times, mask, index
+        )

@@ -93,6 +93,19 @@ class TestSpearman:
         assert rho == pytest.approx(expected.statistic, abs=1e-9)
         assert p == pytest.approx(expected.pvalue, rel=1e-6)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 20, 100, 1000])
+    @pytest.mark.parametrize("target", [-0.95, -0.5, -0.05, 0.0, 0.2, 0.6, 0.99])
+    def test_p_value_is_scipy_t_tail_exactly(self, n, target):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        y = target * x + np.sqrt(1.0 - target * target) * rng.normal(size=n)
+        rho, p = spearman(x, y)
+        if abs(rho) >= 1.0:
+            assert p == 0.0
+            return
+        t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
+        assert p == 2 * scipy_stats.t.sf(abs(t), n - 2)
+
     def test_handles_ties_like_scipy(self):
         x = [1, 1, 2, 2, 3, 3, 4]
         y = [1, 2, 2, 3, 3, 4, 4]
