@@ -13,6 +13,12 @@ single-core containers where the vector math dominates, 4-8x where
 per-call Python overhead does) so it catches a silent fall-back to
 the per-GPU loop — which measures ~1.0x — without flaking on the
 slowest machines.
+
+The phase-schedule gate holds the generator's per-job schedule work
+(``active_time_s`` plus burst placement for five metrics) to array
+cost: 100x more phase boundaries may cost at most 20x the time.  The
+array spans measure ~7-10x; expanding the schedule into a Python list
+of intervals on every call measured ~50-60x.
 """
 
 import time
@@ -147,3 +153,38 @@ def test_parallel_build_is_bit_identical():
         assert np.array_equal(series.times_s, twin.times_s)
         for name, values in series.metrics.items():
             assert np.array_equal(values, twin.metrics[name]), name
+
+
+def _schedule_work_s(num_boundaries: int) -> float:
+    """Best-of-5 seconds for ``active_time_s`` plus five
+    ``build_metric_process`` calls on a ``num_boundaries`` schedule."""
+    schedule = PhaseSchedule(
+        np.arange(1.0, num_boundaries + 1.0), True, num_boundaries + 1.5
+    )
+
+    def work():
+        schedule.active_time_s()
+        rng = np.random.default_rng(20220214)
+        for _ in range(5):
+            build_metric_process(rng, 30.0, 0.1, 90.0, schedule, num_bursts=4)
+
+    best, _ = _best_of(work, repeats=5)
+    return best
+
+
+def test_phase_schedule_work_is_array_cost():
+    """Gate: 100x the phase boundaries costs at most 20x the time."""
+    small_s = _schedule_work_s(200)
+    large_s = _schedule_work_s(20_000)
+    growth = large_s / small_s
+    record_bench_stat(
+        "phase_schedule",
+        small_ms=round(small_s * 1e3, 3),
+        large_ms=round(large_s * 1e3, 3),
+        growth_x=round(growth, 2),
+        rows_per_s=round(20_000 / large_s, 1),
+    )
+    assert growth <= 20.0, (
+        f"schedule work grew {growth:.1f}x for 100x the boundaries "
+        f"({small_s * 1e3:.2f} -> {large_s * 1e3:.2f} ms); expected <= 20x"
+    )

@@ -19,6 +19,10 @@ These gates pin both halves of that contract:
   ``streaming_view()`` with bit-identical counts/retained samples,
   rank-bounded medians, and a peak under eight chunk footprints.
 
+* **spill layout** — the bench dataset's ``per_gpu`` chunks and series
+  spill as one zip member per chunk and per series, so a re-read is
+  one member read each; both re-read rates are recorded.
+
 ``REPRO_BENCH_FULL=1`` adds a scale-0.5 end-to-end smoke: build, spill
 ``per_gpu`` to disk, and stream fig04's five CDFs off the spill under
 a tracemalloc budget.
@@ -27,9 +31,11 @@ Under ``python -m repro bench`` the suite reports throughput and peak
 memory via :func:`repro.bench.record_bench_stat` into BENCH_<n>.json.
 """
 
+import json
 import os
 import time
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -247,6 +253,51 @@ def test_streaming_fig06_fig09_figure_grade(dataset):
         chunk_rows=chunk_rows,
         peak_tracemalloc_bytes=int(peak),
         seconds=round(elapsed, 3),
+    )
+
+
+def _best_seconds(fn, repeats=3):
+    """Best wall time of ``repeats`` calls of ``fn``."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_spill_is_one_member_per_chunk_and_series(dataset, tmp_path):
+    """Spilled table chunks hold one zip member each, series batches one
+    member per series; record both re-read rates (best of 3 passes)."""
+    table = dataset.per_gpu.to_chunked(chunk_rows=4096).spill(tmp_path / "per_gpu")
+    for path in sorted((tmp_path / "per_gpu").glob("*.npz")):
+        with zipfile.ZipFile(path) as archive:
+            assert archive.namelist() == ["chunk"], path.name
+    rows = sum(chunk.num_rows for chunk in table.chunks())
+    assert rows == dataset.per_gpu.num_rows
+    table_s = _best_seconds(lambda: list(table.chunks()))
+
+    store = dataset.timeseries.spill(tmp_path / "series")
+    manifest = json.loads((tmp_path / "series" / "manifest.json").read_text())
+    members = []
+    for entry in manifest["files"]:
+        with zipfile.ZipFile(tmp_path / "series" / entry["name"]) as archive:
+            names = archive.namelist()
+        assert names == [f"s{job}_{gpu}" for job, gpu, _ in entry["series"]], entry["name"]
+        members += names
+    assert len(members) == len(dataset.timeseries)
+    samples = sum(series.num_samples for series in store)
+    assert samples == dataset.timeseries.total_samples()
+    series_s = _best_seconds(lambda: sum(series.num_samples for series in store))
+    store.close()
+
+    record_bench_stat(
+        "spill_read",
+        table_rows=rows,
+        table_rows_per_s=round(rows / max(table_s, 1e-9), 1),
+        series=len(members),
+        series_rows=samples,
+        series_rows_per_s=round(samples / max(series_s, 1e-9), 1),
     )
 
 

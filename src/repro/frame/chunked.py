@@ -473,8 +473,9 @@ class ChunkedTable:
         (:class:`~repro.frame.codec.SpillCodec`): by default the
         lossless policy, whose decoded chunks are bit-identical to the
         originals; pass a codec with ``quantise=...`` to opt named
-        float columns into lossy quantisation, or ``codec=None`` for
-        the legacy raw layout.  Emits
+        float columns into lossy quantisation, or ``codec=None`` to
+        store every column raw.  Each chunk file is one packed zip
+        member (:func:`~repro.frame.io.write_table_npz`).  Emits
         ``repro_frame_spill_chunks_total``,
         ``repro_frame_spill_bytes_total`` (encoded bytes on disk),
         ``repro_frame_spill_raw_bytes_total`` (what the raw layout

@@ -18,6 +18,11 @@ scheme that round-trips it exactly:
   applied unless the caller names the column in
   :class:`SpillCodec.quantise`.
 
+A spill file (a table chunk, or a batch of series) is an ``.npz``-named
+zip with one member per chunk or series: the encoded parts laid out by
+:func:`pack` behind a small header, so a read is one member read and one
+header parse.
+
 Exactness contract: every scheme except ``quant`` reconstructs the
 column with identical dtype and element-wise equal values (NaNs map to
 NaNs; integer delta arithmetic wraps modularly in the source dtype, so
@@ -29,8 +34,14 @@ run-free floats) never blow up the file.
 
 from __future__ import annotations
 
+import json
+import math
 import pickle
+import zipfile
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
+from typing import BinaryIO, Iterable, Mapping
 
 import numpy as np
 
@@ -45,6 +56,10 @@ __all__ = [
     "encode_column",
     "decode_column",
     "column_raw_bytes",
+    "pack",
+    "unpack",
+    "write_spill_file",
+    "read_spill_member",
 ]
 
 #: Quantisation step for opt-in lossy float columns (percent, or watts
@@ -53,6 +68,21 @@ QUANT_STEP = 0.5
 
 #: Run-length bookkeeping per run: one value plus one int64 length.
 _LENGTH_BYTES = 8
+
+#: Deflate level of every spill zip member.  The schemes below already
+#: squeeze out runs and repeats; level 1 deflates the rest about as
+#: well as the default level 6 for a fraction of the writer's CPU.
+DEFLATE_LEVEL = 1
+#: First bytes of a packed member (spill format 2), and how many bytes
+#: a read inflates at a time.
+_PACK_MAGIC, _READ_PIECE = b"RPK2", 1 << 18
+
+#: What reading a truncated, corrupt or foreign spill file raises;
+#: readers re-raise each as an error naming the file.
+SPILL_READ_ERRORS = (
+    OSError, EOFError, KeyError, ValueError, FrameError,
+    zipfile.BadZipFile, zlib.error, pickle.UnpicklingError,
+)
 
 
 @dataclass(frozen=True)
@@ -114,9 +144,9 @@ def rle_decode(run_values: np.ndarray, run_lengths: np.ndarray) -> np.ndarray:
 
 
 def column_raw_bytes(values: np.ndarray) -> int:
-    """Bytes the legacy (uncodec'd) spill format writes for a column.
+    """Bytes a column takes unencoded: the raw side of the spill ratio.
 
-    Numeric columns land as raw buffers; object columns go through
+    Numeric columns count their buffer size; object columns go through
     pickle, so their footprint is the pickled size.
     """
     values = np.asarray(values)
@@ -132,8 +162,8 @@ def _encoded_bytes(arrays: dict[str, np.ndarray]) -> int:
 def encode_column(values: np.ndarray, *, quantise: bool = False) -> tuple[str, dict]:
     """Encode one column; returns ``(scheme_tag, arrays)``.
 
-    ``arrays`` maps suffix → ndarray (the npz member names are built by
-    the caller as ``c{i}_{suffix}``).  Scheme tags:
+    ``arrays`` maps suffix → ndarray (a packed member names each part
+    ``<scheme>/<suffix>/<column>``).  Scheme tags:
 
     ``raw``                  — ``{"": values}`` unchanged
     ``rle``                  — ``{"v": run values, "l": run lengths}``
@@ -211,3 +241,128 @@ def decode_column(scheme: str, arrays: dict[str, np.ndarray]) -> np.ndarray:
         deltas = rle_decode(arrays["v"], arrays["l"])
         return np.cumsum(deltas).astype(float) * QUANT_STEP
     raise FrameError(f"unknown spill codec scheme {scheme!r}")
+
+
+def pack(parts: Mapping[str, np.ndarray], fh: BinaryIO) -> None:
+    """Write ``parts`` to ``fh`` as one packed member.
+
+    Layout: :data:`_PACK_MAGIC`, the header length (uint32 LE), a JSON
+    header listing ``[name, dtype, shape, offset, size]`` per part, then
+    the parts back to back (offsets count from the header's end):
+    numeric parts as their C-order bytes, written straight from the
+    array, object parts pickled.
+    """
+    entries, payloads, offset = [], [], 0
+    for name, values in parts.items():
+        values = np.asarray(values)
+        if values.dtype.hasobject:
+            payload = pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
+        else:
+            payload = np.ascontiguousarray(values).reshape(-1).view(np.uint8)
+        entries.append([name, values.dtype.str, list(values.shape), offset, len(payload)])
+        payloads.append(payload)
+        offset += len(payload)
+    header = json.dumps(entries, separators=(",", ":")).encode()
+    fh.write(_PACK_MAGIC + len(header).to_bytes(4, "little") + header)
+    for payload in payloads:
+        fh.write(payload)
+
+
+def unpack(fh: BinaryIO, size: int) -> dict[str, np.ndarray]:
+    """Read one member of ``size`` bytes, laid out by :func:`pack`, from ``fh``.
+
+    The whole header is checked before any part is read: known,
+    non-structured dtypes; each part starting where the one before it
+    ends, and the last one ending the member; every numeric part
+    exactly shape x itemsize bytes.  A failed check raises
+    :class:`FrameError`.  Each part is then read into its own new
+    buffer, so numeric parts come back writable and a kept column pins
+    no other.
+    """
+    prefix = _read(fh, 8)
+    start = 8 + int.from_bytes(prefix[4:], "little")
+    try:
+        if prefix[:4] != _PACK_MAGIC or size < start:
+            raise ValueError("bad magic or header length")
+        layout, end = [], 0
+        for name, descr, shape, offset, nbytes in json.loads(_read(fh, start - 8)):
+            dtype, shape = np.dtype(descr), tuple(shape)
+            if dtype.kind == "V" or not all(
+                isinstance(n, int) and n >= 0 for n in (offset, nbytes, *shape)
+            ):
+                raise ValueError(f"part {name!r} has a bad dtype, shape or offset")
+            if offset != end or start + offset + nbytes > size:
+                raise ValueError(f"part {name!r} lies outside the member")
+            if not dtype.hasobject and nbytes != math.prod(shape) * dtype.itemsize:
+                raise ValueError(
+                    f"part {name!r} holds {nbytes} bytes, not {shape} x {dtype.itemsize}"
+                )
+            layout.append((name, dtype, shape, nbytes))
+            end = offset + nbytes
+        if start + end != size:
+            raise ValueError(f"the parts end at byte {start + end} of {size}")
+    except (TypeError, ValueError) as error:
+        raise FrameError(f"corrupt packed spill header: {error}") from None
+    parts = {}
+    for name, dtype, shape, nbytes in layout:
+        data = _read(fh, nbytes)
+        parts[name] = (
+            pickle.loads(data) if dtype.hasobject
+            else np.frombuffer(data, dtype).reshape(shape)
+        )
+    return parts
+
+
+def _read(fh: BinaryIO, count: int) -> bytearray:
+    """Exactly ``count`` bytes of ``fh``, read in bounded pieces."""
+    out, filled = bytearray(count), 0
+    while filled < count:
+        piece = fh.read(min(count - filled, _READ_PIECE))
+        if not piece:
+            raise EOFError(f"packed member ends {count - filled} bytes early")
+        out[filled : filled + len(piece)] = piece
+        filled += len(piece)
+    return out
+
+
+def write_spill_file(
+    path: str | Path,
+    members: Iterable[tuple[str, Mapping[str, np.ndarray]]],
+    codec: SpillCodec | None,
+) -> None:
+    """Write a spill zip with one packed member per ``(name, columns)``.
+
+    Each column is encoded by ``codec`` (``None``: every column ``raw``)
+    and its parts are packed straight into the deflated zip entry;
+    ``members`` may be a generator, so one member is alive at a time.
+    """
+    with zipfile.ZipFile(
+        path, "w", zipfile.ZIP_DEFLATED, compresslevel=DEFLATE_LEVEL
+    ) as archive:
+        for name, columns in members:
+            parts = {}
+            for column, values in columns.items():
+                scheme, encoded = (
+                    ("raw", {"": values}) if codec is None
+                    else codec.scheme_for(column, np.asarray(values))
+                )
+                for suffix, part in encoded.items():
+                    parts[f"{scheme}/{suffix}/{column}"] = part
+            # zip64 as np.savez writes it: a member may pass 2 GiB.
+            with archive.open(name, "w", force_zip64=True) as fh:
+                pack(parts, fh)
+
+
+def read_spill_member(archive: zipfile.ZipFile, name: str) -> dict[str, np.ndarray]:
+    """Decode member ``name`` of a spill zip back into its columns."""
+    info = archive.getinfo(name)
+    with archive.open(info) as fh:
+        parts = unpack(fh, info.file_size)  # reads to the end: checks the CRC
+    grouped: dict[str, tuple[str, dict]] = {}
+    for key, part in parts.items():
+        scheme, suffix, column = key.split("/", 2)
+        grouped.setdefault(column, (scheme, {}))[1][suffix] = part
+    return {
+        column: decode_column(scheme, arrays)
+        for column, (scheme, arrays) in grouped.items()
+    }

@@ -7,16 +7,20 @@ are the serialization layer.  CSV readers infer numeric columns.
 Two access patterns are supported: the classic whole-table
 ``read_*``/``write_*`` pair, and the *streaming* ``scan_csv``/
 ``scan_jsonl`` generators that yield bounded-size :class:`Table`
-chunks for :class:`repro.frame.chunked.ChunkedTable`.  The NPZ codec
+chunks for :class:`repro.frame.chunked.ChunkedTable`.  The NPZ pair
 (``write_table_npz``/``read_table_npz``) is the spill format of the
-chunked engine: numeric columns round-trip bit-for-bit, object columns
-via pickle.
+chunked engine: each chunk is one ``.npz``-named zip holding a single
+packed member (:func:`repro.frame.codec.pack`), so reading a chunk back
+is one member read and one header parse.  Numeric columns round-trip
+bit-for-bit, object columns via pickle; a damaged or older-layout file
+raises :class:`~repro.errors.FrameError` naming it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import zipfile
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -24,6 +28,9 @@ import numpy as np
 
 from repro.errors import FrameError
 from repro.frame.table import Table, _unwrap
+
+#: The one member of a spilled table chunk.
+_CHUNK_MEMBER = "chunk"
 
 
 def write_csv(table: Table, path: str | Path) -> Path:
@@ -152,76 +159,43 @@ def scan_jsonl(path: str | Path, chunk_rows: int = 65536) -> Iterator[Table]:
 def write_table_npz(
     table: Table, path: str | Path, codec: "SpillCodec | None" = None
 ) -> Path:
-    """Write one table as a ``.npz`` archive (the spill format).
+    """Write one table as a spill file (a one-member ``.npz`` zip).
 
-    With ``codec=None`` this is the legacy layout: one raw ``c{i}``
-    member per column (numeric columns round-trip bit-for-bit, object
-    columns through pickle).  With a :class:`~repro.frame.codec
-    .SpillCodec` each column is encoded independently (delta/RLE for
+    The member packs every column encoded by ``codec``: a
+    :class:`~repro.frame.codec.SpillCodec` picks delta/RLE for
     integers, exact RLE for run-heavy floats, dictionary coding for
-    object columns, opt-in quantisation for columns the codec names)
-    and the members land zlib-compressed; a ``__codec__`` manifest
-    records the per-column scheme so :func:`read_table_npz` can decode
-    either layout transparently.  Column order is preserved via the
-    ``__names__`` manifest in both layouts.
+    object columns and opt-in quantisation for the columns it names;
+    ``codec=None`` stores every column ``raw``.  Column order is kept.
     """
+    from repro.frame.codec import write_spill_file
+
     path = Path(path)
     if path.suffix != ".npz":
         raise FrameError(f"spill files must end in .npz, got {path.name}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    names = np.asarray(table.column_names, dtype=object)
-    if codec is None:
-        arrays = {
-            f"c{i}": table.column(name) for i, name in enumerate(table.column_names)
-        }
-        with path.open("wb") as fh:
-            np.savez(fh, __names__=names, **arrays)
-        return path
-    schemes: list[str] = []
-    arrays = {}
-    for i, name in enumerate(table.column_names):
-        scheme, parts = codec.scheme_for(name, np.asarray(table.column(name)))
-        schemes.append(scheme)
-        for suffix, values in parts.items():
-            member = f"c{i}_{suffix}" if suffix else f"c{i}"
-            arrays[member] = values
-    manifest = np.asarray(schemes, dtype=object)
-    with path.open("wb") as fh:
-        np.savez_compressed(
-            fh,
-            __names__=names,
-            __codec__=manifest,
-            __rows__=np.asarray([table.num_rows], dtype=np.int64),
-            **arrays,
-        )
+    columns = {name: table.column(name) for name in table.column_names}
+    write_spill_file(path, [(_CHUNK_MEMBER, columns)], codec)
     return path
 
 
 def read_table_npz(path: str | Path) -> Table:
-    """Read a table written by :func:`write_table_npz` (either layout)."""
-    from repro.frame.codec import decode_column
+    """Read a table written by :func:`write_table_npz`.
 
-    with np.load(Path(path), allow_pickle=True) as archive:
-        names = [str(n) for n in archive["__names__"]]
-        if "__codec__" not in archive.files:
-            return Table({name: archive[f"c{i}"] for i, name in enumerate(names)})
-        schemes = [str(s) for s in archive["__codec__"]]
-        columns = {}
-        for i, (name, scheme) in enumerate(zip(names, schemes)):
-            prefix = f"c{i}_"
-            parts = {
-                member[len(prefix):]: archive[member]
-                for member in archive.files
-                if member.startswith(prefix)
-            }
-            if f"c{i}" in archive.files:
-                parts[""] = archive[f"c{i}"]
-            columns[name] = decode_column(scheme, parts)
-        return Table(columns)
+    Any read failure — a missing, truncated or corrupt file, or one in
+    an older spill layout — raises :class:`FrameError` naming ``path``.
+    """
+    from repro.frame.codec import SPILL_READ_ERRORS, read_spill_member
+
+    path = Path(path)
+    try:
+        with zipfile.ZipFile(path) as archive:
+            return Table(read_spill_member(archive, _CHUNK_MEMBER))
+    except SPILL_READ_ERRORS as error:
+        raise FrameError(f"cannot read spill chunk {path}: {error}") from error
 
 
 def table_raw_bytes(table: Table) -> int:
-    """Bytes the legacy spill layout would write for ``table``'s columns.
+    """Bytes ``table``'s columns take unencoded.
 
     The raw side of the spill compression ratio: numeric columns count
     their buffer size, object columns their pickled size.

@@ -262,8 +262,8 @@ class MonitoringCollector:
         ``chunk_rows`` tightens the seal threshold (defaults to the
         config value, or the frame default when the config has none).
         Runs are written through the spill codec — lossless by default,
-        so read-back stays bit-identical; pass ``codec=None`` for the
-        legacy raw layout.
+        so read-back stays bit-identical; pass ``codec=None`` to store
+        every column raw.
         """
         from repro.frame import DEFAULT_CHUNK_ROWS, LOSSLESS
 

@@ -1,11 +1,19 @@
-"""Time-series containers for sampled GPU telemetry."""
+"""Time-series containers for sampled GPU telemetry.
+
+:class:`TimeSeriesStore` holds series in memory; :meth:`TimeSeriesStore.spill`
+writes them to batch files of :data:`SPILL_BATCH_SERIES` series, one packed
+zip member per series (spill format 2, :mod:`repro.frame.codec`), and
+:class:`SpilledTimeSeriesStore` reads them back one member at a time,
+holding one open batch per spill directory.
+"""
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -15,7 +23,7 @@ from repro.errors import MonitoringError
 #: stays bounded, large enough to amortize the zip overhead.
 SPILL_BATCH_SERIES = 64
 _SPILL_MANIFEST = "manifest.json"
-_SPILL_FORMAT_VERSION = 1
+_SPILL_FORMAT_VERSION = 2
 
 #: Metrics reported per GPU sample, in nvidia-smi naming order:
 #: SM utilization (%), memory-bandwidth utilization (%), memory-size
@@ -147,47 +155,32 @@ class TimeSeriesStore:
         figures can digest arbitrarily long telemetry with one chunk
         resident at a time.
         """
-        from repro.frame import ChunkedTable, Table
-
-        keys = sorted(self._series)
-
-        def produce() -> Iterator[Table]:
-            batch: list[GpuTimeSeries] = []
-            staged = 0
-            for key in keys:
-                series = self._series[key]
-                if series.num_samples == 0:
-                    continue
-                batch.append(series)
-                staged += series.num_samples
-                if staged >= chunk_rows:
-                    yield _series_table(batch)
-                    batch, staged = [], 0
-            if batch:
-                yield _series_table(batch)
-
-        return ChunkedTable(produce, num_rows=self.total_samples())
+        keys = [key for key in sorted(self._series) if self._series[key].num_samples]
+        return _scan_series(
+            lambda: (self._series[key] for key in keys), self.total_samples(), chunk_rows
+        )
 
     def spill(
         self, directory: str | Path, codec: "object | None | str" = "default"
     ) -> "SpilledTimeSeriesStore":
         """Write every series to batched ``.npz`` files; return the view.
 
-        By default the batch members are written through the lossless
-        spill codec — exact run-length encoding where idle dwells make
-        it win, raw arrays otherwise — so the streaming build hands
-        figure code bit-identical samples to what the in-memory store
-        holds.  A :class:`~repro.frame.SpillCodec` with ``quantise=``
-        metric names opts those arrays into the lossy
-        quantise+delta+RLE transform of :mod:`repro.monitor.codec`
-        (max error ``QUANT_STEP/2``); ``codec=None`` writes the legacy
-        raw-array layout.  Batches of :data:`SPILL_BATCH_SERIES` series
-        land in ``batch_%06d.npz`` with a JSON manifest, and the
-        returned :class:`SpilledTimeSeriesStore` loads one batch member
-        at a time on access.  Spill traffic counts into the
-        ``repro_frame_spill_*`` byte counters.
+        Each series is one zip member packing ``times_s`` and every
+        metric.  By default the arrays go through the lossless spill
+        codec — exact run-length encoding where idle dwells make it
+        win, raw arrays otherwise — so the streaming build hands figure
+        code bit-identical samples to what the in-memory store holds.
+        A :class:`~repro.frame.SpillCodec` with ``quantise=`` metric
+        names opts those arrays into the lossy quantise+delta+RLE
+        transform of :mod:`repro.monitor.codec` (max error
+        ``QUANT_STEP/2``); ``codec=None`` stores every array raw.
+        Batches of :data:`SPILL_BATCH_SERIES` series land in
+        ``batch_%06d.npz`` with a JSON manifest, and the returned
+        :class:`SpilledTimeSeriesStore` loads one member at a time on
+        access.  Spill traffic counts into the ``repro_frame_spill_*``
+        byte counters.
         """
-        from repro.frame.codec import LOSSLESS, encode_column
+        from repro.frame.codec import LOSSLESS, write_spill_file
         from repro.obs.runtime import get_metrics, record_event
 
         if codec == "default":
@@ -199,39 +192,22 @@ class TimeSeriesStore:
         raw_bytes = 0
         encoded_bytes = 0
         for start in range(0, len(keys), SPILL_BATCH_SERIES):
-            batch_keys = keys[start : start + SPILL_BATCH_SERIES]
+            batch = [self._series[key] for key in keys[start : start + SPILL_BATCH_SERIES]]
             name = f"batch_{len(files):06d}.npz"
-            payload: dict[str, np.ndarray] = {}
-            entries: list[list[int]] = []
-            for job_id, gpu_index in batch_keys:
-                series = self._series[(job_id, gpu_index)]
-                prefix = f"s{job_id}_{gpu_index}/"
-                arrays = [("times_s", np.asarray(series.times_s, dtype=float))]
-                arrays += [
-                    (metric, np.asarray(series.metrics[metric], dtype=float))
-                    for metric in METRIC_NAMES
-                ]
-                for label, values in arrays:
-                    raw_bytes += values.nbytes
-                    if codec is None:
-                        payload[prefix + label] = values
-                        continue
-                    scheme, parts = encode_column(
-                        values, quantise=label in codec.quantise
-                    )
-                    if scheme == "rle":
-                        payload[prefix + label + "#rle_v"] = parts["v"]
-                        payload[prefix + label + "#rle_l"] = parts["l"]
-                    elif scheme == "quant":
-                        payload[prefix + label + "#q_v"] = parts["v"]
-                        payload[prefix + label + "#q_l"] = parts["l"]
-                    else:
-                        payload[prefix + label] = values
-                entries.append([job_id, gpu_index, series.num_samples])
             path = target / name
-            np.savez_compressed(path, **payload)
+            write_spill_file(
+                path,
+                ((_series_member(s.job_id, s.gpu_index), _series_columns(s)) for s in batch),
+                codec,
+            )
+            raw_bytes += sum(s.num_samples for s in batch) * 8 * (1 + len(METRIC_NAMES))
             encoded_bytes += path.stat().st_size
-            files.append({"name": name, "series": entries})
+            files.append(
+                {
+                    "name": name,
+                    "series": [[s.job_id, s.gpu_index, s.num_samples] for s in batch],
+                }
+            )
         manifest = {"format_version": _SPILL_FORMAT_VERSION, "files": files}
         (target / _SPILL_MANIFEST).write_text(json.dumps(manifest))
         metrics = get_metrics()
@@ -266,10 +242,13 @@ class SpilledTimeSeriesStore:
     Duck-types the read side of :class:`TimeSeriesStore` (``job_ids``,
     ``series_for_job``, ``get``, iteration, ``total_samples``,
     ``scan_table``) while keeping at most one batch file open per
-    directory; figure code runs unchanged against either store.  The
-    partitioned build spills one directory per island and unions them
-    here — job ids are globally unique, so duplicate keys mean a bug
-    and raise.
+    directory, so a ``(job_id, gpu_index)`` walk over interleaved
+    islands opens each batch once; :meth:`close` releases them.  Figure
+    code runs unchanged against either store.  The partitioned build
+    spills one directory per island and unions them here — job ids are
+    globally unique, so duplicate keys mean a bug and raise.  A batch
+    that cannot be read (truncated, corrupt, or an older layout) raises
+    :class:`MonitoringError` naming the batch, job and GPU.
     """
 
     def __init__(self, directories: "Iterable[str | Path]") -> None:
@@ -295,9 +274,8 @@ class SpilledTimeSeriesStore:
                             f"duplicate spilled series for job {key[0]} GPU {key[1]}"
                         )
                     self._index[key] = (path, int(num_samples))
-        self._open_path: Path | None = None
-        self._open_file: "np.lib.npyio.NpzFile | None" = None
-        self._open_members: frozenset[str] = frozenset()
+        #: spill directory -> (batch path, its open zip)
+        self._open: dict[Path, tuple[Path, zipfile.ZipFile]] = {}
 
     @classmethod
     def union(cls, stores: "Iterable[SpilledTimeSeriesStore]") -> "SpilledTimeSeriesStore":
@@ -306,46 +284,36 @@ class SpilledTimeSeriesStore:
             directory for store in stores for directory in store.directories
         )
 
-    def _batch(self, path: Path) -> "np.lib.npyio.NpzFile":
-        if self._open_path != path:
-            if self._open_file is not None:
-                self._open_file.close()
-            self._open_file = np.load(path)
-            self._open_path = path
-            self._open_members = frozenset(self._open_file.files)
-        return self._open_file
+    def close(self) -> None:
+        """Close the open batch files; a later access reopens them."""
+        for _, archive in self._open.values():
+            archive.close()
+        self._open.clear()
 
-    def _read_array(self, batch, key: str) -> np.ndarray:
-        """Decode one spilled array, whatever scheme encoded it."""
-        from repro.frame.codec import QUANT_STEP, rle_decode
-
-        if key in self._open_members:
-            return batch[key]
-        if key + "#rle_v" in self._open_members:
-            return rle_decode(batch[key + "#rle_v"], batch[key + "#rle_l"])
-        if key + "#q_v" in self._open_members:
-            deltas = rle_decode(batch[key + "#q_v"], batch[key + "#q_l"])
-            return np.cumsum(deltas).astype(float) * QUANT_STEP
-        raise KeyError(key)
+    def _batch(self, path: Path) -> zipfile.ZipFile:
+        held = self._open.pop(path.parent, None)
+        if held is not None and held[0] != path:
+            held[1].close()
+            held = None
+        if held is None:
+            held = (path, zipfile.ZipFile(path))
+        self._open[path.parent] = held
+        return held[1]
 
     def _load(self, key: tuple[int, int]) -> GpuTimeSeries:
+        from repro.frame.codec import SPILL_READ_ERRORS, read_spill_member
+
         path, _ = self._index[key]
-        batch = self._batch(path)
-        prefix = f"s{key[0]}_{key[1]}/"
         try:
-            times = self._read_array(batch, prefix + "times_s")
-            metrics = {
-                name: self._read_array(batch, prefix + name)
-                for name in METRIC_NAMES
-            }
-        except KeyError as error:
+            columns = read_spill_member(self._batch(path), _series_member(*key))
+            times = columns.pop("times_s")
+            return GpuTimeSeries(
+                job_id=key[0], gpu_index=key[1], times_s=times, metrics=columns
+            )
+        except SPILL_READ_ERRORS + (MonitoringError,) as error:
             raise MonitoringError(
-                f"spill batch {path} is missing arrays for job {key[0]} "
-                f"GPU {key[1]}"
+                f"cannot read spill batch {path} for job {key[0]} GPU {key[1]}: {error}"
             ) from error
-        return GpuTimeSeries(
-            job_id=key[0], gpu_index=key[1], times_s=times, metrics=metrics
-        )
 
     def __len__(self) -> int:
         return len(self._index)
@@ -390,28 +358,46 @@ class SpilledTimeSeriesStore:
         ``(job_id, gpu_index)`` order, batched to ``chunk_rows`` — but
         each series is loaded from disk only while its batch is being
         staged, so the resident set stays bounded by the chunk size
-        plus one batch file.
+        plus one series.
         """
-        from repro.frame import ChunkedTable
+        keys = [key for key in sorted(self._index) if self._index[key][1]]
+        return _scan_series(lambda: map(self._load, keys), self.total_samples(), chunk_rows)
 
-        keys = sorted(self._index)
 
-        def produce() -> "Iterator[Table]":
-            batch: list[GpuTimeSeries] = []
-            staged = 0
-            for key in keys:
-                if self._index[key][1] == 0:
-                    continue
-                series = self._load(key)
-                batch.append(series)
-                staged += series.num_samples
-                if staged >= chunk_rows:
-                    yield _series_table(batch)
-                    batch, staged = [], 0
-            if batch:
+def _series_member(job_id: int, gpu_index: int) -> str:
+    """Zip member name of one spilled series."""
+    return f"s{job_id}_{gpu_index}"
+
+
+def _series_columns(series: GpuTimeSeries) -> dict[str, np.ndarray]:
+    """The arrays one spilled series member packs."""
+    columns = {"times_s": np.asarray(series.times_s, dtype=float)}
+    for name in METRIC_NAMES:
+        columns[name] = np.asarray(series.metrics[name], dtype=float)
+    return columns
+
+
+def _scan_series(
+    series: "Callable[[], Iterable[GpuTimeSeries]]", num_rows: int, chunk_rows: int
+) -> "ChunkedTable":
+    """Chunk ``series()`` (non-empty series in ``(job_id, gpu_index)``
+    order, called once per pass) into sample-per-row tables of at least
+    ``chunk_rows`` rows; the last may be short."""
+    from repro.frame import ChunkedTable
+
+    def produce() -> "Iterator[Table]":
+        batch: list[GpuTimeSeries] = []
+        staged = 0
+        for one in series():
+            batch.append(one)
+            staged += one.num_samples
+            if staged >= chunk_rows:
                 yield _series_table(batch)
+                batch, staged = [], 0
+        if batch:
+            yield _series_table(batch)
 
-        return ChunkedTable(produce, num_rows=self.total_samples())
+    return ChunkedTable(produce, num_rows=num_rows)
 
 
 def _series_table(batch: "list[GpuTimeSeries]") -> "Table":

@@ -8,7 +8,9 @@ Structure per job:
 
 * a :class:`PhaseSchedule` of alternating active/idle intervals with
   lognormal lengths (high CoV — the paper's Fig 6b finding that phases
-  "do not occur at a fixed periodic interval");
+  "do not occur at a fixed periodic interval"), handed out as
+  ``(starts, ends, active)`` arrays by :meth:`PhaseSchedule.spans`,
+  computed on demand so a pickled schedule holds only its boundaries;
 * per-metric active-phase levels, with smooth within-phase fluctuation
   synthesised from random sinusoids (Fig 7a CoV targets);
 * short burst windows during which a metric jumps to its peak — 100 %
@@ -121,19 +123,25 @@ class PhaseSchedule:
             return segment % 2 == 0
         return segment % 2 == 1
 
-    def intervals(self) -> list[tuple[float, float, bool]]:
-        """``(start, end, is_active)`` covering the whole run."""
+    def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, ends, active)`` arrays covering the whole run.
+
+        Interval ``i`` is ``[starts[i], ends[i])``; intervals alternate
+        from ``starts_active``, and a zero-length one (only a
+        zero-duration run has it) is dropped.
+        """
         edges = np.concatenate(([0.0], self.boundaries, [self.duration_s]))
-        out = []
-        active = self.starts_active
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b > a:
-                out.append((float(a), float(b), active))
-            active = not active
-        return out
+        starts, ends = edges[:-1], edges[1:]
+        active = (np.arange(starts.size) % 2 == 0) == self.starts_active
+        keep = ends > starts
+        return starts[keep], ends[keep], active[keep]
 
     def active_time_s(self) -> float:
-        return sum(b - a for a, b, active in self.intervals() if active)
+        # The builtin sum folds left to right in interval order; np.sum
+        # re-associates, which would move the realized active fraction
+        # (and the metric levels set from it) by ULPs.
+        starts, ends, active = self.spans()
+        return sum((ends - starts)[active].tolist())
 
     def active_fraction(self) -> float:
         if self.duration_s <= 0:
@@ -230,14 +238,15 @@ def build_metric_process(
     frequencies = np.exp(rng.uniform(np.log(1.0 / 600.0), np.log(1.0 / 5.0), num_harmonics))
     phases = rng.uniform(0.0, 2.0 * np.pi, num_harmonics)
 
-    active_intervals = [(a, b) for a, b, act in schedule.intervals() if act]
+    starts, ends, active = schedule.spans()
+    starts, ends = starts[active], ends[active]
     windows = []
-    if active_intervals and burst_level > level and num_bursts > 0:
-        lengths = np.asarray([b - a for a, b in active_intervals])
+    if starts.size and burst_level > level and num_bursts > 0:
+        lengths = ends - starts
         probs = lengths / lengths.sum()
         for _ in range(num_bursts):
-            idx = int(rng.choice(len(active_intervals), p=probs))
-            a, b = active_intervals[idx]
+            idx = int(rng.choice(starts.size, p=probs))
+            a, b = float(starts[idx]), float(ends[idx])
             width = min(rng.lognormal(np.log(burst_width_median_s), 0.8), b - a)
             start = rng.uniform(a, max(b - width, a))
             windows.append((start, start + width))

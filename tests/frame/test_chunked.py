@@ -8,6 +8,7 @@ property suite and docs/performance.md.
 """
 
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -296,18 +297,62 @@ class TestScanCodecs:
                 "s": ["a", "b", None],
                 "i": np.array([1, 2, 3], dtype=np.int64),
                 "f": np.array([1.5, np.nan, 3.0]),
+                "b": np.array([True, False, True]),
             }
         )
         path = write_table_npz(table, tmp_path / "t.npz")
         back = read_table_npz(path)
+        assert back.column_names == table.column_names
         assert list(back["s"]) == ["a", "b", None]
         np.testing.assert_array_equal(np.asarray(back["i"]), [1, 2, 3])
         np.testing.assert_array_equal(
             np.asarray(back["f"], dtype=float), [1.5, np.nan, 3.0]
         )
+        np.testing.assert_array_equal(np.asarray(back["b"]), [True, False, True])
         assert np.asarray(back["i"]).dtype == np.int64
+        assert np.asarray(back["b"]).dtype == np.bool_
         with pytest.raises(FrameError, match=".npz"):
             write_table_npz(table, tmp_path / "t.bin")
+
+
+class TestSpillFiles:
+    """A spilled chunk is one packed zip member, with or without a codec;
+    a damaged or older-layout chunk raises FrameError naming the file."""
+
+    @pytest.mark.parametrize("codec", ["default", None])
+    def test_chunk_is_one_member(self, table, tmp_path, codec):
+        kwargs = {} if codec == "default" else {"codec": None}
+        spilled = table.to_chunked(chunk_rows=30).spill(tmp_path / "spill", **kwargs)
+        paths = sorted((tmp_path / "spill").glob("*.npz"))
+        assert len(paths) == 4
+        for path in paths:
+            with zipfile.ZipFile(path) as archive:
+                assert archive.namelist() == ["chunk"]
+        assert spilled.materialize().to_dict() == table.to_dict()
+
+    def test_truncated_chunk_names_the_file(self, table, tmp_path):
+        path = write_table_npz(table, tmp_path / "t.npz")
+        data = path.read_bytes()
+        for keep in (len(data) // 2, len(data) - 30, 40):
+            path.write_bytes(data[:keep])
+            with pytest.raises(FrameError, match="t.npz"):
+                read_table_npz(path)
+
+    def test_corrupt_member_names_the_file(self, table, tmp_path):
+        path = write_table_npz(table, tmp_path / "t.npz")
+        data = bytearray(path.read_bytes())
+        data[len(data) // 3] ^= 0xFF  # inside the deflated member
+        path.write_bytes(bytes(data))
+        with pytest.raises(FrameError, match="t.npz"):
+            read_table_npz(path)
+
+    def test_older_layout_names_the_file(self, tmp_path):
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path, __names__=np.asarray(["x"], dtype=object), c0=np.arange(3)
+        )
+        with pytest.raises(FrameError, match="old.npz"):
+            read_table_npz(path)
 
 
 class TestDeprecatedSubmoduleImports:

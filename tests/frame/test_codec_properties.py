@@ -10,20 +10,31 @@ The spill format promises two things (see :mod:`repro.frame.codec`):
 * the opt-in ``quant`` scheme never errs by more than ``QUANT_STEP / 2``
   per sample.
 
-These suites drive both promises with generated data rather than the
+A third promise is the file layout's: :func:`pack` / :func:`unpack`
+round-trip any dict of arrays with equal dtype, shape and bytes, and
+the header check rejects a damaged header instead of misreading it.
+
+These suites drive the promises with generated data rather than the
 telemetry-shaped fixtures the unit tests use.
 """
 
+import io
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import FrameError
 from repro.frame.codec import (
     QUANT_STEP,
     decode_column,
     encode_column,
+    pack,
     rle_decode,
     rle_encode,
+    unpack,
 )
 
 #: Signed/unsigned widths whose boundaries the delta scheme must wrap
@@ -158,3 +169,105 @@ def test_quantisation_refuses_non_finite(values):
     scheme, arrays = encode_column(values, quantise=True)
     assert scheme != "quant"
     _assert_identical(decode_column(scheme, arrays), values)
+
+
+# ----------------------------------------------------------------------
+# Packed members
+# ----------------------------------------------------------------------
+
+_PACK_DTYPES = (
+    np.bool_, np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64, np.float32, np.float64,
+)
+_SPECIAL_FLOATS = (np.nan, np.inf, -np.inf, -0.0, 0.0)
+
+
+@st.composite
+def _pack_arrays(draw):
+    """One array: any numeric dtype incl. the special floats, or an
+    object array of str and None; empty, 1-D or 2-D."""
+    shape = draw(st.sampled_from([(0,), (0, 3), (1,), (5,), (2, 3), (4, 1)]))
+    size = int(np.prod(shape))
+    if draw(st.booleans()):
+        element = st.one_of(st.none(), st.text(max_size=5))
+        values = np.empty(size, dtype=object)
+        values[:] = draw(st.lists(element, min_size=size, max_size=size))
+        return values.reshape(shape)
+    dtype = np.dtype(draw(st.sampled_from(_PACK_DTYPES)))
+    if dtype.kind == "f":
+        element = st.one_of(
+            st.sampled_from(_SPECIAL_FLOATS), st.floats(width=dtype.itemsize * 8)
+        )
+    elif dtype.kind == "b":
+        element = st.booleans()
+    else:
+        info = np.iinfo(dtype)
+        element = st.integers(int(info.min), int(info.max))
+    values = draw(st.lists(element, min_size=size, max_size=size))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+def _packed(parts):
+    out = io.BytesIO()
+    pack(parts, out)
+    return out.getvalue()
+
+
+@given(st.dictionaries(st.text(min_size=1, max_size=8), _pack_arrays(), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_pack_round_trip_is_exact(parts):
+    """Equal names, dtypes, shapes and bytes (NaN payloads and -0.0
+    included); numeric parts come back writable."""
+    data = _packed(parts)
+    back = unpack(io.BytesIO(data), len(data))
+    assert list(back) == list(parts)
+    for name, values in parts.items():
+        got = back[name]
+        assert got.dtype == values.dtype and got.shape == values.shape, name
+        if values.dtype == object:
+            assert got.tolist() == values.tolist(), name
+        else:
+            assert got.tobytes() == values.tobytes(), name
+            assert got.flags.writeable, name
+
+
+def test_flipped_header_byte_is_rejected():
+    """Every single-byte flip in the magic, the length or the header
+    raises FrameError: nothing is misread as a different layout."""
+    data = _packed(
+        {
+            "raw//f": np.array([1.5, np.nan, -0.0]),
+            "dict/u/s": np.array(["a", None], dtype=object),
+            "raw//i": np.arange(6, dtype=np.int32).reshape(2, 3),
+        }
+    )
+    header_end = 8 + int.from_bytes(data[4:8], "little")
+    for index in range(header_end):
+        damaged = bytearray(data)
+        damaged[index] ^= 0xFF
+        with pytest.raises(FrameError):
+            unpack(io.BytesIO(bytes(damaged)), len(damaged))
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([["x", "<f8", [2], 0, 8]], "holds 8 bytes, not"),
+        ([["x", "<f8", [1], 8, 8]], "outside the member"),
+        ([["x", "<f8", [1], 0, 8], ["y", "<u1", [1], 0, 1]], "outside the member"),
+        ([["x", "<f8", [-1], 0, 8]], "bad dtype, shape or offset"),
+        ([["x", "<f8", [1], 0.5, 8]], "bad dtype, shape or offset"),
+        ([["x", "|V8", [1], 0, 8]], "bad dtype, shape or offset"),
+        ([["x", "not-a-dtype", [1], 0, 8]], "corrupt packed spill header"),
+        ([["x", "<f8", [1], 0]], "corrupt packed spill header"),
+        ([["x", "<f4", [1], 0, 4]], "parts end at byte"),
+        ({"x": 1}, "corrupt packed spill header"),
+    ],
+)
+def test_header_checks(entries, message):
+    """Offsets and sizes must lie inside the member and in order, dtypes
+    must be known, and a numeric size must equal shape x itemsize."""
+    header = json.dumps(entries).encode()
+    data = b"RPK2" + len(header).to_bytes(4, "little") + header + bytes(8)
+    with pytest.raises(FrameError, match=message):
+        unpack(io.BytesIO(data), len(data))

@@ -1,11 +1,15 @@
 """Tests for GPU time-series containers and the lossless disk spill."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.errors import MonitoringError
 from repro.monitor.timeseries import (
     METRIC_NAMES,
+    SPILL_BATCH_SERIES,
     GpuTimeSeries,
     SpilledTimeSeriesStore,
     TimeSeriesStore,
@@ -178,3 +182,92 @@ class TestSpilledStore:
         (tmp_path / "empty").mkdir()
         with pytest.raises(MonitoringError, match="manifest"):
             SpilledTimeSeriesStore([tmp_path / "empty"])
+
+
+def interleaved_islands(tmp_path, jobs_per_island):
+    """Two spilled islands holding the even and the odd job ids."""
+    islands = []
+    for parity in (0, 1):
+        store = TimeSeriesStore()
+        for job in range(parity, 2 * jobs_per_island, 2):
+            store.add(make_series(job_id=job, gpu_index=0, n=4 + job % 5))
+        islands.append(store.spill(tmp_path / f"island{parity}"))
+    return islands
+
+
+class TestSpillLayout:
+    def test_one_member_per_series(self, tmp_path):
+        store = filled_store(num_jobs=40, gpus=2)
+        store.spill(tmp_path / "series", codec=None)
+        batches = sorted((tmp_path / "series").glob("batch_*.npz"))
+        assert len(batches) == 2
+        members = []
+        for batch in batches:
+            with zipfile.ZipFile(batch) as archive:
+                members += archive.namelist()
+        assert members == [f"s{s.job_id}_{s.gpu_index}" for s in store.iter_sorted()]
+        back = SpilledTimeSeriesStore([tmp_path / "series"])
+        for series in store:
+            twin = back.get(series.job_id, series.gpu_index)
+            assert np.array_equal(series.times_s, twin.times_s)
+
+    def test_interleaved_walk_opens_each_batch_once(self, tmp_path, monkeypatch):
+        """One handle per directory: a (job, GPU) walk alternating
+        between two islands never re-opens a batch."""
+        union = SpilledTimeSeriesStore.union(
+            interleaved_islands(tmp_path, jobs_per_island=SPILL_BATCH_SERIES + 10)
+        )
+        batches = sorted(tmp_path.glob("island*/batch_*.npz"))
+        assert len(batches) == 4
+        opened = []
+
+        class CountingZipFile(zipfile.ZipFile):
+            def __init__(self, file, *args, **kwargs):
+                super().__init__(file, *args, **kwargs)
+                opened.append((file, self))
+
+        monkeypatch.setattr(zipfile, "ZipFile", CountingZipFile)
+        keys = [(s.job_id, s.gpu_index) for s in union]
+        assert keys == sorted(keys) and len(keys) == len(union)
+        assert sorted(path for path, _ in opened) == batches
+        union.close()
+        assert all(archive.fp is None for _, archive in opened)
+        assert union.get(1, 0).num_samples == 5  # reopens after close()
+
+    def test_truncated_batch_names_batch_job_and_gpu(self, tmp_path):
+        filled_store().spill(tmp_path / "series")
+        batch = tmp_path / "series" / "batch_000000.npz"
+        data = batch.read_bytes()
+        batch.write_bytes(data[: len(data) // 2])
+        spilled = SpilledTimeSeriesStore([tmp_path / "series"])
+        with pytest.raises(MonitoringError, match=r"batch_000000\.npz.*job 1 GPU 0"):
+            spilled.get(1, 0)
+
+    def test_corrupt_member_names_batch_job_and_gpu(self, tmp_path):
+        store = filled_store(num_jobs=1, gpus=1)
+        store.add(make_series(job_id=5, gpu_index=0, n=5000))
+        store.spill(tmp_path / "series", codec=None)
+        batch = tmp_path / "series" / "batch_000000.npz"
+        data = bytearray(batch.read_bytes())
+        data[len(data) // 2] ^= 0xFF  # inside job 5's deflated member
+        batch.write_bytes(bytes(data))
+        spilled = SpilledTimeSeriesStore([tmp_path / "series"])
+        with pytest.raises(MonitoringError, match=r"batch_000000\.npz.*job 5 GPU 0"):
+            spilled.get(5, 0)
+
+    def test_older_layout_rejected(self, tmp_path):
+        filled_store().spill(tmp_path / "series")
+        manifest = tmp_path / "series" / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["format_version"] = 1
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(MonitoringError, match="version 1"):
+            SpilledTimeSeriesStore([tmp_path / "series"])
+
+    def test_older_batch_names_the_batch(self, tmp_path):
+        filled_store(num_jobs=1, gpus=1).spill(tmp_path / "series")
+        batch = tmp_path / "series" / "batch_000000.npz"
+        np.savez_compressed(batch, **{"s0_0/times_s": np.arange(3.0)})
+        spilled = SpilledTimeSeriesStore([tmp_path / "series"])
+        with pytest.raises(MonitoringError, match=r"batch_000000\.npz.*job 0 GPU 0"):
+            spilled.get(0, 0)

@@ -47,18 +47,17 @@ class TestPhaseSchedule:
 
     def test_intervals_cover_duration(self, rng):
         schedule = PhaseSchedule.generate(rng, 5000.0, 0.5, 120.0, 1.5, 1.5)
-        intervals = schedule.intervals()
-        assert intervals[0][0] == 0.0
-        assert intervals[-1][1] == pytest.approx(5000.0)
-        for (a0, b0, s0), (a1, b1, s1) in zip(intervals, intervals[1:]):
-            assert b0 == pytest.approx(a1)
-            assert s0 != s1  # strictly alternating
+        starts, ends, active = schedule.spans()
+        assert starts[0] == 0.0
+        assert ends[-1] == pytest.approx(5000.0)
+        assert np.array_equal(ends[:-1], starts[1:])
+        assert (active[1:] != active[:-1]).all()  # strictly alternating
 
     def test_active_at_matches_intervals(self, rng):
         schedule = PhaseSchedule.generate(rng, 5000.0, 0.5, 120.0, 1.5, 1.5)
-        for a, b, active in schedule.intervals():
-            mid = (a + b) / 2.0
-            assert schedule.active_at(np.asarray([mid]))[0] == active
+        starts, ends, active = schedule.spans()
+        mids = (starts + ends) / 2.0
+        assert np.array_equal(schedule.active_at(mids), active)
 
     def test_interval_cap_stretches_not_explodes(self, rng):
         schedule = PhaseSchedule.generate(
@@ -230,6 +229,106 @@ class TestJobActivityModel:
             model.metrics_at_all(np.zeros(5))
         with pytest.raises(WorkloadError, match="shape"):
             model.metrics_at_all(np.zeros((3, 5)))
+
+
+# ----------------------------------------------------------------------
+# Exactness oracles: the per-interval loop and list-based burst placement
+# that PhaseSchedule.spans and build_metric_process replaced.
+# ----------------------------------------------------------------------
+
+
+def loop_intervals(schedule):
+    """``(start, end, is_active)`` tuples, one loop step per interval."""
+    edges = np.concatenate(([0.0], schedule.boundaries, [schedule.duration_s]))
+    out = []
+    active = schedule.starts_active
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b > a:
+            out.append((float(a), float(b), active))
+        active = not active
+    return out
+
+
+def loop_metric_process(rng, level, noise_cov, burst_level, schedule, num_bursts,
+                        num_harmonics=4, burst_width_median_s=3.0):
+    """``build_metric_process`` placing bursts from a list of intervals."""
+    level = float(np.clip(level, 0.0, 100.0))
+    amplitude = noise_cov * level * np.sqrt(2.0 / max(num_harmonics, 1))
+    amplitudes = np.full(num_harmonics, amplitude)
+    frequencies = np.exp(rng.uniform(np.log(1.0 / 600.0), np.log(1.0 / 5.0), num_harmonics))
+    phases = rng.uniform(0.0, 2.0 * np.pi, num_harmonics)
+    active_intervals = [(a, b) for a, b, act in loop_intervals(schedule) if act]
+    windows = []
+    if active_intervals and burst_level > level and num_bursts > 0:
+        lengths = np.asarray([b - a for a, b in active_intervals])
+        probs = lengths / lengths.sum()
+        for _ in range(num_bursts):
+            idx = int(rng.choice(len(active_intervals), p=probs))
+            a, b = active_intervals[idx]
+            width = min(rng.lognormal(np.log(burst_width_median_s), 0.8), b - a)
+            start = rng.uniform(a, max(b - width, a))
+            windows.append((start, start + width))
+    return MetricProcess(
+        level=level,
+        amplitudes=amplitudes,
+        frequencies_hz=frequencies,
+        phases=phases,
+        burst_level=float(np.clip(burst_level, 0.0, 100.0)),
+        burst_windows=np.asarray(windows).reshape(-1, 2),
+    )
+
+
+@st.composite
+def schedules(draw):
+    """Generated schedules plus the edge shapes: always active, always
+    idle, zero duration, and runs long enough to hit the 20,000-interval
+    stretch cap."""
+    kind = draw(st.sampled_from(["generated", "active", "idle", "zero", "capped"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("active", "idle"):
+        return PhaseSchedule.always(draw(st.floats(0.0, 1e6)), kind == "active")
+    if kind == "zero":
+        return PhaseSchedule.generate(
+            rng, 0.0, draw(st.floats(0.0, 1.0)), 60.0, 1.0, 1.0
+        ) if draw(st.booleans()) else PhaseSchedule.always(0.0, True)
+    if kind == "capped":
+        duration, mean_active = draw(st.floats(1e7, 1e8)), draw(st.floats(1.0, 10.0))
+    else:
+        duration, mean_active = draw(st.floats(1.0, 1e6)), draw(st.floats(1.0, 600.0))
+    return PhaseSchedule.generate(
+        rng,
+        duration,
+        draw(st.floats(0.0, 1.0)),
+        mean_active,
+        draw(st.floats(0.1, 3.0)),
+        draw(st.floats(0.1, 3.0)),
+    )
+
+
+@given(
+    schedules(),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 100.0),
+    st.floats(0.0, 0.5),
+    st.floats(0.0, 100.0),
+    st.integers(0, 8),
+)
+@settings(max_examples=150, deadline=None)
+def test_spans_and_bursts_match_the_loop(schedule, seed, level, noise_cov,
+                                         burst_level, num_bursts):
+    intervals = loop_intervals(schedule)
+    starts, ends, active = schedule.spans()
+    assert list(zip(starts.tolist(), ends.tolist(), active.tolist())) == intervals
+    assert schedule.active_time_s() == sum(b - a for a, b, act in intervals if act)
+
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = build_metric_process(rng_new, level, noise_cov, burst_level, schedule, num_bursts)
+    old = loop_metric_process(rng_old, level, noise_cov, burst_level, schedule, num_bursts)
+    for name in ("amplitudes", "frequencies_hz", "phases", "burst_windows"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert (new.level, new.burst_level) == (old.level, old.burst_level)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 @given(
