@@ -16,17 +16,20 @@ gates on the refactor's two load-bearing promises:
 A second module half gates the *streaming coupled* build that makes
 10x-scale traces tractable: the same four islands, coupled through
 migration interchange, built process-parallel with every island
-spilling its tables to disk.  The parent consumes the k-way merged
-chunk streams without ever materializing the dataset, and the gates
-pin (a) figure-grade statistics bit-identical to the serial
-materialized coupled build, (b) parent working memory bounded by a
-chunk-size constant (independent of scale), (c) the same >= 2x
-speedup at 4 workers on real parallel hardware, (d) the *entire*
-figure registry running off the chunk streams with integer-count
-stats bit identical and the parent peak at O(islands x chunk), and
-(e) the spill codec: lossless round trips bit identical, and opt-in
-telemetry quantisation cuts encoded spill bytes >= 3x below the raw
-layout (both recorded as checked stats for ``--check``).
+spilling its tables to disk.  The parent k-way merges and joins the
+chunk streams once, into assembled spills, without ever
+materializing the dataset, and the gates pin (a) figure-grade
+statistics bit-identical to the serial materialized coupled build,
+(b) parent working memory, in the assemble pass and in a scan of its
+output, bounded by a chunk-size constant (independent of scale),
+(c) the same >= 2x speedup at 4 workers on real parallel hardware,
+(d) the *entire* figure registry running off the chunk streams with
+integer-count stats bit identical and the parent peak at
+O(islands x chunk), (e) the spill codec: lossless round trips bit
+identical, and opt-in telemetry quantisation cuts encoded spill
+bytes >= 3x below the raw layout (both recorded as checked stats for
+``--check``), and (f) a whole report — every figure plus
+``validate_dataset`` — running no join and one phase-table fold.
 
 ``REPRO_BENCH_SCALE_FULL`` shrinks or grows the build (default
 ``1.0``; the equality, balance, and memory gates hold at any scale).
@@ -205,6 +208,30 @@ def test_island_buckets_stay_balanced(builds):
 STREAM_INTERCHANGE = InterchangeConfig(epoch_s=6 * 3600.0, migrate_after_s=3600.0)
 
 
+def _traced_assemble(assemble, peak: dict):
+    """Run the build's assemble pass inside a tracemalloc window and
+    store its peak under ``peak["bytes"]``."""
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            return assemble(*args, **kwargs)
+        finally:
+            _, peak["bytes"] = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+
+    return traced
+
+
+@pytest.fixture(scope="module")
+def assemble_peak():
+    """tracemalloc peak of the streaming build's assemble pass in the
+    parent — the k-way merge of the island spills, both merge-joins and
+    the assembled spill — filled in by ``coupled_builds``."""
+    return {}
+
+
 def _stream_config() -> WorkloadConfig:
     return WorkloadConfig(
         scale=STREAM_SCALE,
@@ -215,7 +242,7 @@ def _stream_config() -> WorkloadConfig:
 
 
 @pytest.fixture(scope="module")
-def coupled_builds():
+def coupled_builds(assemble_peak):
     """Streaming process-parallel coupled build vs serial materialized.
 
     The parallel build spills every island table to disk and hands the
@@ -226,9 +253,11 @@ def coupled_builds():
     The parallel build runs with a live progress sink installed — the
     heartbeat side channel promises to be observation-only, so the
     bit-identity gate downstream is also the proof that watching a
-    build never changes it.
+    build never changes it.  Its assemble pass runs under tracemalloc
+    (``assemble_peak``) for the parent-memory gate.
     """
     from repro.obs.progress import ProgressAggregator, use_sink
+    from repro.pipeline import shard
 
     config = _stream_config()
     stream_session = Session(
@@ -236,7 +265,12 @@ def coupled_builds():
     )
     progress = ProgressAggregator()
     start = time.perf_counter()
-    with use_sink(progress):
+    with use_sink(progress), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            shard,
+            "_assemble_spilled",
+            _traced_assemble(shard._assemble_spilled, assemble_peak),
+        )
         stream = stream_session.streaming_dataset(chunk_rows=STREAM_CHUNK_ROWS)
     parallel_s = time.perf_counter() - start
 
@@ -317,14 +351,16 @@ def test_coupled_stream_is_bit_identical(coupled_builds):
             assert ours.measured == theirs.measured, ours.name
 
 
-def test_coupled_stream_parent_memory_bounded(coupled_builds):
-    """Gate: consuming the merged streams costs O(chunk), not O(scale).
+def test_coupled_stream_parent_memory_bounded(coupled_builds, assemble_peak):
+    """Gate: merging and consuming the streams costs O(chunk), not O(scale).
 
-    tracemalloc sees every numpy buffer the parent touches while it
-    k-way merges the island spills, merge-joins the assemble verbs,
-    and sketches a figure-grade CDF.  The budget is a constant
-    multiple of the chunk footprint — it does not grow with
-    ``STREAM_SCALE``, which is the whole point of the spill path.
+    tracemalloc sees every numpy buffer the parent touches in two
+    windows: the build's assemble pass, which k-way merges the island
+    spills, merge-joins the assemble verbs and spills the assembled
+    tables; and a scan of those tables that sketches a figure-grade
+    CDF.  The budget is a constant multiple of the chunk footprint for
+    each — it does not grow with ``STREAM_SCALE``, which is the whole
+    point of the spill path.
     """
     from repro.analysis.stats import column_ecdf, column_fraction
 
@@ -345,15 +381,60 @@ def test_coupled_stream_parent_memory_bounded(coupled_builds):
     record_bench_stat(
         "stream_coupled_memory",
         parent_peak_tracemalloc_bytes=int(peak),
+        assemble_peak_tracemalloc_bytes=int(assemble_peak["bytes"]),
         chunk_bytes=chunk_bytes,
         sketch_samples=sketch.num_samples,
     )
     assert 0.0 < short_share < 1.0
-    assert peak < 48 * chunk_bytes, (
-        f"parent consumption peaked at {peak / 1e6:.1f} MB; budget "
-        f"{48 * chunk_bytes / 1e6:.1f} MB (48x one "
-        f"{STREAM_CHUNK_ROWS}-row chunk)"
+    for what, used in (("assemble", assemble_peak["bytes"]), ("consumption", peak)):
+        assert used < 48 * chunk_bytes, (
+            f"parent {what} peaked at {used / 1e6:.1f} MB; budget "
+            f"{48 * chunk_bytes / 1e6:.1f} MB (48x one "
+            f"{STREAM_CHUNK_ROWS}-row chunk)"
+        )
+
+
+def test_stream_report_folds_once_and_joins_nothing(coupled_builds, monkeypatch):
+    """Gate: a report reads the assembled tables and one phase fold.
+
+    Every registered figure plus ``validate_dataset`` on one streaming
+    dataset makes no ``join`` kernel call — the merge-joins ran once,
+    in the build's assemble pass — and folds the series store into the
+    per-job phase table exactly once (fig06, fig07 and validation
+    share it).
+    """
+    import dataclasses
+
+    from repro.analysis import phases
+    from repro.figures.registry import all_figures, run_figure
+    from repro.obs import NULL_RECORDER, NULL_TRACER, MetricsRegistry
+    from repro.obs import runtime as obs_runtime
+    from repro.validation import validate_dataset
+
+    _, _, stream, _, _, _, _ = coupled_builds
+    folds = []
+    fold = phases.job_phase_table
+    monkeypatch.setattr(
+        phases, "job_phase_table", lambda store: folds.append(store) or fold(store)
     )
+    dataset = dataclasses.replace(stream)  # a copy: no phase table yet
+    metrics = MetricsRegistry()
+    start = time.perf_counter()
+    with obs_runtime.use(NULL_TRACER, metrics, NULL_RECORDER):
+        for figure_id in all_figures():
+            run_figure(figure_id, dataset)
+        results = validate_dataset(dataset)
+    elapsed = time.perf_counter() - start
+    joins = metrics.counter_value("repro_frame_kernel_calls_total", kernel="join")
+    record_bench_stat(
+        "stream_report",
+        seconds=round(elapsed, 3),
+        join_calls=joins,
+        phase_folds=len(folds),
+        checks=len(results),
+    )
+    assert joins == 0, f"the report ran {joins:.0f} join kernel calls"
+    assert len(folds) == 1, f"the report folded the phase table {len(folds)} times"
 
 
 def test_coupled_build_emits_live_heartbeats(coupled_builds):

@@ -111,6 +111,15 @@ def predict_user_behavior(
     """
     if strategy not in STRATEGIES:
         raise AnalysisError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    return _replay(gpu_jobs, metric, (strategy,), warmup)[0]
+
+
+def _replay(
+    gpu_jobs: Table, metric: str, strategies: tuple[str, ...], warmup: int
+) -> list[PredictionReport]:
+    """Score ``strategies`` on one metric from a single replay: the
+    per-user histories and the running global median do not depend on
+    the strategy."""
     if warmup < 1:
         raise AnalysisError("warmup must be >= 1")
     stream = (
@@ -123,9 +132,8 @@ def predict_user_behavior(
 
     histories: dict[str, _History] = defaultdict(_History)
     seen_sorted: list[float] = []
-    rel_errors: list[float] = []
-    log_errors: list[float] = []
-    within_2x = 0
+    #: per strategy: (relative error, log error, within 2x) per prediction
+    scored: list[list[tuple]] = [[] for _ in strategies]
 
     def running_median() -> float:
         mid = len(seen_sorted) // 2
@@ -137,26 +145,34 @@ def predict_user_behavior(
         history = histories[user]
         if actual > 0 and history.count >= warmup and seen_sorted:
             global_median = running_median()
-            prediction = history.predict(strategy, global_median)
-            if prediction > 0:
-                rel_errors.append(abs(prediction - actual) / actual)
-                ratio = prediction / actual
-                log_errors.append(abs(math.log(ratio)))
-                if 0.5 <= ratio <= 2.0:
-                    within_2x += 1
+            for strategy, scores in zip(strategies, scored):
+                prediction = history.predict(strategy, global_median)
+                if prediction > 0:
+                    ratio = prediction / actual
+                    scores.append((
+                        abs(prediction - actual) / actual,
+                        abs(math.log(ratio)),
+                        0.5 <= ratio <= 2.0,
+                    ))
         history.update(float(actual))
         bisect.insort(seen_sorted, float(actual))
 
-    if not rel_errors:
-        raise AnalysisError(f"no predictions possible (warmup={warmup})")
-    return PredictionReport(
-        metric=metric,
-        strategy=strategy,
-        num_predictions=len(rel_errors),
-        median_relative_error=float(np.median(rel_errors)),
-        mean_log_error=float(np.mean(log_errors)),
-        within_2x_fraction=within_2x / len(rel_errors),
-    )
+    reports = []
+    for strategy, scores in zip(strategies, scored):
+        if not scores:
+            raise AnalysisError(f"no predictions possible (warmup={warmup})")
+        rel_errors, log_errors, within_2x = zip(*scores)
+        reports.append(
+            PredictionReport(
+                metric=metric,
+                strategy=strategy,
+                num_predictions=len(scores),
+                median_relative_error=float(np.median(rel_errors)),
+                mean_log_error=float(np.mean(log_errors)),
+                within_2x_fraction=sum(within_2x) / len(scores),
+            )
+        )
+    return reports
 
 
 def strategy_comparison(
@@ -164,15 +180,15 @@ def strategy_comparison(
     metrics: tuple[str, ...] = ("run_time_s", "sm_mean"),
     warmup: int = 3,
 ) -> Table:
-    """Score every strategy on every metric; one row per pair."""
+    """Score every strategy on every metric; one row per pair, from one
+    replay per metric."""
     rows = []
     for metric in metrics:
-        for strategy in STRATEGIES:
-            report = predict_user_behavior(gpu_jobs, metric, strategy, warmup)
+        for report in _replay(gpu_jobs, metric, STRATEGIES, warmup):
             rows.append(
                 {
                     "metric": metric,
-                    "strategy": strategy,
+                    "strategy": report.strategy,
                     "median_relative_error": report.median_relative_error,
                     "mean_log_error": report.mean_log_error,
                     "within_2x_fraction": report.within_2x_fraction,

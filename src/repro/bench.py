@@ -291,6 +291,12 @@ def _flat_stats(suite: dict) -> dict[str, float]:
     return flat
 
 
+def _scale_knobs(payload: dict) -> tuple:
+    """The run's two scale knobs; a run without the full-scale stamp
+    ran the scale suite at its ``1.0`` default."""
+    return payload.get("bench_scale"), payload.get("bench_scale_full", "1.0")
+
+
 def check_regressions(
     root: Path,
     *,
@@ -302,11 +308,11 @@ def check_regressions(
 
     The newest ``BENCH_<n>.json`` is compared, suite by suite, against
     the **median** of up to ``window`` immediately preceding runs that
-    used the same ``bench_scale`` (different scales are incomparable by
-    construction).  A suite regresses when its latest wall time exceeds
-    ``(1 + threshold) * median`` **and** the absolute slowdown exceeds
-    ``min_seconds`` — the second clause keeps sub-second suites from
-    tripping on scheduler noise.  Suites absent from the baseline
+    used the same ``bench_scale`` and ``bench_scale_full`` (different
+    scales are incomparable by construction).  A suite regresses when
+    its latest wall time exceeds ``(1 + threshold) * median`` **and**
+    the absolute slowdown exceeds ``min_seconds`` — the second clause
+    keeps sub-second suites from tripping on scheduler noise.  Suites absent from the baseline
     (newly added benchmarks) are never flagged.
 
     Recorded stats get the same ratio+absolute double gate: a
@@ -324,11 +330,10 @@ def check_regressions(
     if not history:
         return BenchCheck(None, 0, threshold, min_seconds)
     latest_id, latest = history[-1]
-    scale = latest.get("bench_scale")
     baselines = [
         payload
         for _, payload in history[:-1]
-        if payload.get("bench_scale") == scale
+        if _scale_knobs(payload) == _scale_knobs(latest)
     ][-window:]
     check = BenchCheck(latest_id, len(baselines), threshold, min_seconds)
     if not baselines:
@@ -450,8 +455,8 @@ def bench_trend(root: Path, *, window: int = 20) -> dict:
     """Structured per-suite/per-stat trends over the stored trajectory.
 
     Uses up to ``window`` most recent runs at the latest run's
-    ``bench_scale`` (other scales are incomparable, same rule as
-    :func:`check_regressions`).  Returns::
+    ``bench_scale`` and ``bench_scale_full`` (other scales are
+    incomparable, same rule as :func:`check_regressions`).  Returns::
 
         {"scale": ..., "run_ids": [...], "shas": [...],
          "skipped_runs": N, "series": [
@@ -482,7 +487,7 @@ def bench_trend(root: Path, *, window: int = 20) -> dict:
     same_scale = [
         (bench_id, payload)
         for bench_id, payload in history
-        if payload.get("bench_scale") == scale
+        if _scale_knobs(payload) == _scale_knobs(history[-1][1])
     ][-window:]
     run_ids = [bench_id for bench_id, _ in same_scale]
     shas = [
@@ -657,6 +662,7 @@ def write_bench_json(results: list[SuiteResult], path: Path) -> dict:
         "git_sha": _git_sha(path.parent),
         "python": sys.version.split()[0],
         "bench_scale": os.environ.get("REPRO_BENCH_SCALE", "0.05"),
+        "bench_scale_full": os.environ.get("REPRO_BENCH_SCALE_FULL", "1.0"),
         "bench_seed": os.environ.get("REPRO_BENCH_SEED", "20220214"),
         "runner_peak_rss_bytes": peak_rss_bytes(),
         "passed": all(r.passed for r in results),

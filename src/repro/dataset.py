@@ -15,6 +15,7 @@ figure fan-out.  This module keeps the data container
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -59,6 +60,16 @@ class SupercloudDataset:
         from repro.frame import ChunkedTable
 
         return isinstance(self.jobs, ChunkedTable)
+
+    @functools.cached_property
+    def phase_table(self) -> Table:
+        """:func:`~repro.analysis.phases.job_phase_table` of the series
+        store, folded on first use and kept (O(jobs with series) rows);
+        copies (:meth:`streaming_view`, ``dataclasses.replace``) fold
+        their own."""
+        from repro.analysis.phases import job_phase_table
+
+        return job_phase_table(self.timeseries)
 
     @property
     def num_users(self) -> int:

@@ -1,20 +1,20 @@
 """Fig 6: active/idle phase structure from the time-series subset.
 
-Streams: :func:`~repro.analysis.phases.job_phase_table` folds the
-series store one series at a time (``iter_sorted`` keeps a single
-spill batch resident on a sharded build), and the resulting phase
-table is O(sampled jobs), so this producer accepts a materialized
-dataset or ``dataset.streaming_view()`` unchanged.  Interval-CoV
-samples are filtered to finite values *explicitly* — the same drop
-:func:`~repro.analysis.stats.ecdf` applies internally — so the sample
-counts reported by both paths agree.
+Streams: reads ``dataset.phase_table``, which
+:func:`~repro.analysis.phases.job_phase_table` folds once per dataset
+(shared with fig07 and validation), one series at a time
+(``iter_sorted`` keeps a single spill batch resident on a sharded
+build).  The table is O(sampled jobs), so this producer accepts a
+materialized dataset or ``dataset.streaming_view()`` unchanged.
+Interval-CoV samples are filtered to finite values *explicitly* — the
+same drop :func:`~repro.analysis.stats.ecdf` applies internally — so
+the sample counts reported by both paths agree.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.phases import job_phase_table
 from repro.analysis.stats import ecdf
 from repro.dataset import SupercloudDataset
 from repro.errors import AnalysisError
@@ -25,7 +25,7 @@ def run(dataset: SupercloudDataset) -> FigureResult:
     """Fig 6(a): active-time share CDF; Fig 6(b): interval-length CoVs."""
     if len(dataset.timeseries) == 0:
         raise AnalysisError("dataset has no time-series subset")
-    phases = job_phase_table(dataset.timeseries)
+    phases = dataset.phase_table
 
     active = ecdf(phases["active_fraction"])
     # Interval CoV is defined only for jobs with >= 2 intervals of the

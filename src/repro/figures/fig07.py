@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.bottleneck import single_bottlenecks
-from repro.analysis.phases import job_phase_table
 from repro.analysis.stats import ecdf
 from repro.dataset import SupercloudDataset
 from repro.errors import AnalysisError
@@ -17,7 +16,7 @@ def run(dataset: SupercloudDataset) -> FigureResult:
     Fig 7(b): fraction of jobs bottlenecked per resource."""
     if len(dataset.timeseries) == 0:
         raise AnalysisError("dataset has no time-series subset")
-    phases = job_phase_table(dataset.timeseries)
+    phases = dataset.phase_table
 
     covs = {}
     for metric, paper in (("sm", 0.14), ("mem_bw", 0.146), ("mem_size", 0.082)):

@@ -475,7 +475,9 @@ class ChunkedTable:
         originals; pass a codec with ``quantise=...`` to opt named
         float columns into lossy quantisation, or ``codec=None`` to
         store every column raw.  Each chunk file is one packed zip
-        member (:func:`~repro.frame.io.write_table_npz`).  Emits
+        member (:func:`~repro.frame.io.write_table_npz`); a failed write
+        leaves no file, and an ``OSError`` raises :class:`FrameError`
+        naming it.  Emits
         ``repro_frame_spill_chunks_total``,
         ``repro_frame_spill_bytes_total`` (encoded bytes on disk),
         ``repro_frame_spill_raw_bytes_total`` (what the raw layout
@@ -498,9 +500,16 @@ class ChunkedTable:
         tracer = get_tracer()
         with tracer.span("frame.stream.spill", category="frame", directory=str(target)) as span:
             for chunk in self.chunks():
-                path = write_table_npz(
-                    chunk, target / f"chunk_{len(paths):06d}.npz", codec=codec
-                )
+                path = target / f"chunk_{len(paths):06d}.npz"
+                try:
+                    write_table_npz(chunk, path, codec=codec)
+                except BaseException as error:
+                    path.unlink(missing_ok=True)
+                    if isinstance(error, OSError):
+                        raise FrameError(
+                            f"cannot write spill chunk {path}: {error}"
+                        ) from error
+                    raise
                 paths.append(path)
                 rows += chunk.num_rows
                 raw_bytes += table_raw_bytes(chunk)

@@ -31,7 +31,8 @@ Two orthogonal axes:
   (:func:`~repro.frame.merge_sorted_chunked`) and assembles the
   dataset chunk-wise (:meth:`~repro.frame.ChunkedTable.join_sorted`),
   so its resident set is bounded by the chunk size instead of the
-  trace size.  Streaming datasets carry
+  trace size, then spills the assembled tables once under
+  ``<spill_dir>/assembled/``.  Streaming datasets carry file-backed
   :class:`~repro.frame.ChunkedTable` job tables, a
   :class:`~repro.monitor.timeseries.SpilledTimeSeriesStore`, and no
   job records.
@@ -213,6 +214,17 @@ def _merge_spilled(
     return merged
 
 
+def _assemble_spilled(jobs, gpu_summary, per_gpu, target: Path):
+    """Join the merged island streams and spill each output once, in
+    the chunks the lazy joins produce; ``jobs`` spills first and feeds
+    both merge-joins, so each island spill is k-way merged once."""
+    jobs = jobs.spill(target / "jobs")
+    gpu_jobs = jobs.filter(_keep_gpu_jobs).join_sorted(gpu_summary, on="job_id")
+    if per_gpu.num_rows:
+        per_gpu = per_gpu.join_sorted(jobs.select(CONTEXT_COLUMNS), on="job_id")
+    return jobs, gpu_jobs.spill(target / "gpu_jobs"), per_gpu.spill(target / "per_gpu")
+
+
 def _keep_gpu_jobs(chunk):
     """The paper's GPU-job filter (>= 30 s, at least one GPU) as a row
     mask over a job table or one chunk of it."""
@@ -243,25 +255,22 @@ def build_sharded_dataset(
     whose finish hook also samples each island; ``sampling`` tallies
     those rows; ``monitor`` merges the partition-local outputs; and
     ``assemble`` joins the job tables.  With ``streaming=True`` the
-    merge is the k-way spill merge and ``assemble`` is chunk-wise; the
-    returned dataset holds chunked tables, a spilled series store, and
-    no job records (``spill_dir`` defaults to a fresh temp directory,
-    removed again if the islands fail).
+    merge is the k-way spill merge and ``assemble`` spills its chunks
+    once under ``<spill_dir>/assembled/``, removing the island table
+    spills; the returned dataset holds those file-backed tables, a
+    spilled series store, and no job records (``spill_dir`` defaults to
+    a temp directory, removed if any stage from ``schedule`` on fails).
     """
     import shutil
     import tempfile
 
     from repro.cluster.spec import supercloud_spec
     from repro.dataset import SupercloudDataset
+    from repro.frame import DEFAULT_CHUNK_ROWS
     from repro.monitor.timeseries import SpilledTimeSeriesStore, TimeSeriesStore
     from repro.slurm.accounting import ACCOUNTING_COLUMNS, accounting_table
     from repro.slurm.interchange import PartitionedRunner, route_requests
     from repro.workload.cohorts import generate_sharded
-
-    temp_spill = streaming and spill_dir is None
-    if temp_spill:
-        spill_dir = tempfile.mkdtemp(prefix="repro-shard-")
-    spill = str(spill_dir) if streaming else None
 
     with inst.stage("workload") as probe:
         requests = generate_sharded(config, workers=workers)
@@ -269,96 +278,96 @@ def build_sharded_dataset(
 
     layout = PartitionLayout.even(config.scaled_nodes, config.partitions)
     spec = supercloud_spec(config.scaled_nodes)
+    temp_spill = streaming and spill_dir is None
+    if temp_spill:
+        spill_dir = tempfile.mkdtemp(prefix="repro-shard-")
+    spill = str(spill_dir) if streaming else None
 
-    with inst.stage("schedule") as probe:
-        check_island_capacity(layout, route_requests(requests, len(layout)), spec)
-        runner = PartitionedRunner(
-            layout,
-            spec=spec,
-            interchange=interchange,
-            workers=workers,
-            island_setup=_island_setup,
-            island_finish=_island_finish,
-            island_context={
-                "monitoring": monitoring,
-                "num_partitions": len(layout),
-                "spill_dir": spill,
-                "chunk_rows": chunk_rows,
-                "workers": workers,
-                "parent_pid": os.getpid(),
-            },
-            return_records=not streaming,
-        )
-        try:
+    try:
+        with inst.stage("schedule") as probe:
+            check_island_capacity(layout, route_requests(requests, len(layout)), spec)
+            runner = PartitionedRunner(
+                layout,
+                spec=spec,
+                interchange=interchange,
+                workers=workers,
+                island_setup=_island_setup,
+                island_finish=_island_finish,
+                island_context={
+                    "monitoring": monitoring,
+                    "num_partitions": len(layout),
+                    "spill_dir": spill,
+                    "chunk_rows": chunk_rows,
+                    "workers": workers,
+                    "parent_pid": os.getpid(),
+                },
+                return_records=not streaming,
+            )
             outcome = runner.run(requests)
-        except BaseException:
-            if temp_spill:
-                shutil.rmtree(spill, ignore_errors=True)
-            raise
-        islands = outcome.extras
-        records = outcome.merged_records()
-        inst.metrics.counter(
-            "repro_shard_migrations_total",
-            help="jobs migrated between islands by the interchange",
-        ).inc(outcome.migrations)
-        inst.metrics.gauge(
-            "repro_shard_island_peak_rss_bytes",
-            help="largest per-island process peak RSS in the sharded build",
-        ).set_max(outcome.island_peak_rss_bytes)
-        probe.rows = (
-            sum(island["handles"]["jobs_rows"] for island in islands)
-            if streaming
-            else len(records)
-        )
+            islands = outcome.extras
+            records = outcome.merged_records()
+            inst.metrics.counter(
+                "repro_shard_migrations_total",
+                help="jobs migrated between islands by the interchange",
+            ).inc(outcome.migrations)
+            inst.metrics.gauge(
+                "repro_shard_island_peak_rss_bytes",
+                help="largest per-island process peak RSS in the sharded build",
+            ).set_max(outcome.island_peak_rss_bytes)
+            probe.rows = (
+                sum(island["handles"]["jobs_rows"] for island in islands)
+                if streaming
+                else len(records)
+            )
 
-    with inst.stage("sampling") as probe:
-        # Sampling already ran island-locally inside ``schedule``; this
-        # stage only accounts for it so stage rows stay comparable.
-        probe.rows = sum(island["sampling_rows"] for island in islands)
+        with inst.stage("sampling") as probe:
+            # Sampling already ran island-locally inside ``schedule``; this
+            # stage only accounts for it so stage rows stay comparable.
+            probe.rows = sum(island["sampling_rows"] for island in islands)
 
-    with inst.stage("monitor") as probe:
-        from repro.frame import DEFAULT_CHUNK_ROWS
-
-        if streaming:
-            handles = [island["handles"] for island in islands]
-            rows = chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS
-            jobs_stream = _merge_spilled(
-                handles, "jobs", ("job_id",), rows, ACCOUNTING_COLUMNS
-            )
-            gpu_summary = _merge_spilled(handles, "gpu_summary", ("job_id",), rows)
-            per_gpu = _merge_spilled(
-                handles, "per_gpu", ("job_id", "gpu_index"), rows
-            )
-            store = SpilledTimeSeriesStore(
-                Path(handle["root"]) / "series" for handle in handles
-            )
-        else:
-            gpu_summary = _merge_tables(
-                [island["gpu_summary"] for island in islands], ("job_id",)
-            )
-            per_gpu = _merge_tables(
-                [island["per_gpu"] for island in islands], ("job_id", "gpu_index")
-            )
-            store = TimeSeriesStore.merged(island["store"] for island in islands)
-        probe.rows = per_gpu.num_rows
-
-    with inst.stage("assemble") as probe:
-        if streaming:
-            jobs = jobs_stream
-            gpu_jobs = jobs.filter(_keep_gpu_jobs).join_sorted(
-                gpu_summary, on="job_id"
-            )
-            if per_gpu.num_rows:
-                per_gpu = per_gpu.join_sorted(
-                    jobs.select(CONTEXT_COLUMNS), on="job_id"
+        with inst.stage("monitor") as probe:
+            if streaming:
+                handles = [island["handles"] for island in islands]
+                rows = chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS
+                jobs = _merge_spilled(
+                    handles, "jobs", ("job_id",), rows, ACCOUNTING_COLUMNS
                 )
-        else:
-            jobs = accounting_table(records)
-            gpu_jobs = jobs.filter(_keep_gpu_jobs(jobs)).join(gpu_summary, on="job_id")
-            if per_gpu.num_rows:
-                context = jobs.select(list(CONTEXT_COLUMNS))
-                per_gpu = per_gpu.join(context, on="job_id")
-        probe.rows = jobs.num_rows
+                gpu_summary = _merge_spilled(handles, "gpu_summary", ("job_id",), rows)
+                per_gpu = _merge_spilled(
+                    handles, "per_gpu", ("job_id", "gpu_index"), rows
+                )
+                store = SpilledTimeSeriesStore(
+                    Path(handle["root"]) / "series" for handle in handles
+                )
+            else:
+                gpu_summary = _merge_tables(
+                    [island["gpu_summary"] for island in islands], ("job_id",)
+                )
+                per_gpu = _merge_tables(
+                    [island["per_gpu"] for island in islands], ("job_id", "gpu_index")
+                )
+                store = TimeSeriesStore.merged(island["store"] for island in islands)
+            probe.rows = per_gpu.num_rows
+
+        with inst.stage("assemble") as probe:
+            if streaming:
+                jobs, gpu_jobs, per_gpu = _assemble_spilled(
+                    jobs, gpu_summary, per_gpu, Path(spill) / "assembled"
+                )
+                for handle in handles:
+                    for name in ("summary", "jobs", "gpu_summary", "per_gpu"):
+                        shutil.rmtree(Path(handle["root"]) / name, ignore_errors=True)
+            else:
+                jobs = accounting_table(records)
+                gpu_jobs = jobs.filter(_keep_gpu_jobs(jobs)).join(gpu_summary, on="job_id")
+                if per_gpu.num_rows:
+                    context = jobs.select(list(CONTEXT_COLUMNS))
+                    per_gpu = per_gpu.join(context, on="job_id")
+            probe.rows = jobs.num_rows
+    except BaseException:
+        if temp_spill:
+            shutil.rmtree(spill, ignore_errors=True)
+        raise
 
     return SupercloudDataset(
         jobs=jobs,

@@ -123,3 +123,96 @@ class TestOnGeneratedData:
 
     def test_many_predictions_made(self, comparison):
         assert all(r["num_predictions"] > 500 for r in comparison.iter_rows())
+
+
+def loop_predict(gpu_jobs, metric, strategy, warmup=3):
+    """The one-strategy replay ``strategy_comparison`` used to run once
+    per (metric, strategy) pair, kept verbatim as the oracle."""
+    import bisect
+    import math
+    from collections import defaultdict
+
+    from repro.analysis.prediction import PredictionReport, _History
+    from repro.analysis.streaming import iter_key_sorted_chunks
+
+    stream = (
+        pair
+        for chunk in iter_key_sorted_chunks(gpu_jobs, "submit_time_s")
+        for pair in zip(list(chunk["user"]), np.asarray(chunk[metric], dtype=float))
+    )
+    histories = defaultdict(_History)
+    seen_sorted = []
+    rel_errors = []
+    log_errors = []
+    within_2x = 0
+
+    def running_median():
+        mid = len(seen_sorted) // 2
+        if len(seen_sorted) % 2:
+            return seen_sorted[mid]
+        return 0.5 * (seen_sorted[mid - 1] + seen_sorted[mid])
+
+    for user, actual in stream:
+        history = histories[user]
+        if actual > 0 and history.count >= warmup and seen_sorted:
+            prediction = history.predict(strategy, running_median())
+            if prediction > 0:
+                rel_errors.append(abs(prediction - actual) / actual)
+                ratio = prediction / actual
+                log_errors.append(abs(math.log(ratio)))
+                if 0.5 <= ratio <= 2.0:
+                    within_2x += 1
+        history.update(float(actual))
+        bisect.insort(seen_sorted, float(actual))
+
+    return PredictionReport(
+        metric=metric,
+        strategy=strategy,
+        num_predictions=len(rel_errors),
+        median_relative_error=float(np.median(rel_errors)),
+        mean_log_error=float(np.mean(log_errors)),
+        within_2x_fraction=within_2x / len(rel_errors),
+    )
+
+
+@pytest.mark.parametrize("chunks", [1, 3])
+def test_one_replay_per_metric_matches_the_per_strategy_loop(chunks):
+    """Every (metric, strategy) row of ``strategy_comparison`` — one
+    replay per metric — equals its own single-strategy replay, on a
+    materialized table and on a 3-chunk stream.  Zero-valued SM
+    actuals make ``user_last`` skip predictions the others score, so
+    the strategies' sample sets differ."""
+    rng = np.random.default_rng(11)
+    spec = [
+        (
+            f"u{rng.integers(5)}",
+            float(i),
+            float(rng.lognormal(6, 1.5)),
+            float(rng.uniform(1, 100)) if rng.random() > 0.2 else 0.0,
+        )
+        for i in range(150)
+    ]
+    jobs = job_stream(spec)
+    source = jobs if chunks == 1 else jobs.to_chunked(len(spec) // chunks)
+    assert len(list(source.chunks())) == chunks
+
+    rows = list(strategy_comparison(source).iter_rows())
+    assert [(r["metric"], r["strategy"]) for r in rows] == [
+        (metric, strategy)
+        for metric in ("run_time_s", "sm_mean")
+        for strategy in STRATEGIES
+    ]
+    counts = set()
+    for row in rows:
+        expected = loop_predict(source, row["metric"], row["strategy"])
+        assert predict_user_behavior(source, row["metric"], row["strategy"]) == expected
+        assert row == {
+            "metric": expected.metric,
+            "strategy": expected.strategy,
+            "median_relative_error": expected.median_relative_error,
+            "mean_log_error": expected.mean_log_error,
+            "within_2x_fraction": expected.within_2x_fraction,
+            "num_predictions": expected.num_predictions,
+        }
+        counts.add((row["metric"], row["num_predictions"]))
+    assert len(counts) > 2, "every strategy scored the same sample set"

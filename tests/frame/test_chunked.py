@@ -355,6 +355,40 @@ class TestSpillFiles:
             read_table_npz(path)
 
 
+class TestSpillWriteFailure:
+    """A chunk that fails to write leaves no partial file; a full or
+    unwritable disk raises FrameError naming the chunk file."""
+
+    @pytest.mark.parametrize(
+        "error, match",
+        [
+            (OSError(28, "No space left on device"), r"chunk_000002\.npz: .*No space left"),
+            (FrameError("cannot quantise column 'x'"), r"cannot quantise column 'x'"),
+        ],
+    )
+    def test_failed_chunk_is_removed(self, table, tmp_path, monkeypatch, error, match):
+        import importlib
+
+        codec = importlib.import_module("repro.frame.codec")
+        pack = codec.pack
+        calls = []
+
+        def fails_on_third_chunk(parts, fh):
+            calls.append(None)
+            if len(calls) == 3:
+                fh.write(b"partial member bytes")
+                raise error
+            return pack(parts, fh)
+
+        monkeypatch.setattr(codec, "pack", fails_on_third_chunk)
+        target = tmp_path / "spill"
+        with pytest.raises(FrameError, match=match):
+            table.to_chunked(chunk_rows=30).spill(target)
+        assert sorted(p.name for p in target.iterdir()) == [
+            "chunk_000000.npz", "chunk_000001.npz",
+        ]
+
+
 class TestDeprecatedSubmoduleImports:
     # Any direct `import repro.frame.<sub>` elsewhere re-binds the
     # submodule attribute on the package (standard import-system

@@ -28,7 +28,7 @@ import pytest
 from repro.monitor.collector import MonitoringConfig
 from repro.pipeline import Session
 from repro.pipeline.parallel import ParallelTaskError
-from repro.pipeline.shard import _island_setup, island_monitoring
+from repro.pipeline.shard import CONTEXT_COLUMNS, _island_setup, island_monitoring
 from repro.slurm.interchange import InterchangeConfig
 from repro.workload.generator import WorkloadConfig
 
@@ -301,6 +301,150 @@ class TestStreamingBuild:
             stream.jobs.materialize().to_dict()
             == session.dataset().jobs.sort_by("job_id").to_dict()
         )
+
+
+#: Two uncoupled islands at scale 0.01: the cheapest streaming build.
+SMALL_STREAM = dict(scale=0.01, seed=13, num_nodes=3200, partitions=2)
+
+
+class TestAssembledOnce:
+    """The streaming build spills its joined tables once under
+    ``assembled/`` and removes the island table spills."""
+
+    def test_assembled_tables_replace_the_island_table_spills(self, tmp_path):
+        from repro.obs import NULL_RECORDER, NULL_TRACER, MetricsRegistry, runtime
+
+        session = Session(WorkloadConfig(**SMALL_STREAM), workers=1)
+        stream = session.streaming_dataset(chunk_rows=256, spill_dir=tmp_path)
+        assert sorted(p.name for p in (tmp_path / "assembled").iterdir()) == [
+            "gpu_jobs", "jobs", "per_gpu",
+        ]
+        islands = sorted(tmp_path.glob("island_*"))
+        assert len(islands) == 2
+        for island in islands:
+            assert [p.name for p in island.iterdir()] == ["series"]
+        # Re-reading the assembled tables runs no join and no merge.
+        metrics = MetricsRegistry()
+        with runtime.use(NULL_TRACER, metrics, NULL_RECORDER):
+            for table in (stream.jobs, stream.gpu_jobs, stream.per_gpu):
+                table.materialize()
+        assert metrics.counter_value("repro_frame_kernel_calls_total", kernel="join") == 0
+        assert metrics.counter_value("repro_frame_stream_chunks_total", op="merge") == 0
+        datasets_equal(stream.materialize(), session.dataset())
+
+    @staticmethod
+    def _island(root, jobs, gpu_summary, per_gpu):
+        """Hand-built island spill directories and their handle."""
+        for name, table in (("jobs", jobs), ("gpu_summary", gpu_summary), ("per_gpu", per_gpu)):
+            table.to_chunked(2).spill(root / name)
+        return {
+            "root": str(root),
+            "jobs_rows": jobs.num_rows,
+            "gpu_summary_rows": gpu_summary.num_rows,
+            "per_gpu_rows": per_gpu.num_rows,
+        }
+
+    @pytest.mark.parametrize("gpu_islands", [1, 0])
+    def test_island_without_gpu_jobs(self, tmp_path, gpu_islands):
+        """An island with no GPU job spills empty summary tables; the
+        assembled outputs equal the lazy joins, and an empty one keeps
+        its column names."""
+        from repro.frame import Table
+        from repro.pipeline.shard import _assemble_spilled, _keep_gpu_jobs, _merge_spilled
+        from repro.slurm.accounting import ACCOUNTING_COLUMNS
+
+        def jobs(ids, gpus):
+            return Table({
+                "job_id": ids, "user": ["u"] * len(ids), "num_gpus": gpus,
+                "run_time_s": [600.0] * len(ids), "gpu_hours": [0.5] * len(ids),
+                "lifecycle_class": ["mature"] * len(ids), "interface": ["batch"] * len(ids),
+            })
+
+        empty = Table({"job_id": np.zeros(0, dtype=np.int64), "sm_mean": np.zeros(0)})
+        empty_gpu = Table({
+            "job_id": np.zeros(0, dtype=np.int64),
+            "gpu_index": np.zeros(0, dtype=np.int64),
+            "sm_mean": np.zeros(0),
+        })
+        handles = [
+            self._island(
+                tmp_path / "island_001", jobs([1, 3, 5], [0, 0, 0]), empty, empty_gpu
+            )
+        ]
+        if gpu_islands:
+            handles.insert(0, self._island(
+                tmp_path / "island_000",
+                jobs([2, 4, 6], [1, 2, 1]),
+                Table({"job_id": [2, 4, 6], "sm_mean": [10.0, 20.0, 30.0]}),
+                Table({
+                    "job_id": [2, 4, 4, 6],
+                    "gpu_index": [0, 0, 1, 0],
+                    "sm_mean": [10.0, 15.0, 25.0, 30.0],
+                }),
+            ))
+
+        def merged():
+            return (
+                _merge_spilled(handles, "jobs", ("job_id",), 2, ACCOUNTING_COLUMNS),
+                _merge_spilled(handles, "gpu_summary", ("job_id",), 2),
+                _merge_spilled(handles, "per_gpu", ("job_id", "gpu_index"), 2),
+            )
+
+        jobs_in, summary, per_gpu = merged()
+        lazy_gpu_jobs = jobs_in.filter(_keep_gpu_jobs).join_sorted(summary, on="job_id")
+        lazy_per_gpu = (
+            per_gpu.join_sorted(jobs_in.select(CONTEXT_COLUMNS), on="job_id")
+            if per_gpu.num_rows else per_gpu
+        )
+        out = _assemble_spilled(*merged(), tmp_path / "assembled")
+        for lazy, spilled in zip((jobs_in, lazy_gpu_jobs, lazy_per_gpu), out):
+            rows = list(spilled.materialize().iter_rows())
+            assert rows == list(lazy.materialize().iter_rows())
+        assert out[0].num_rows == 3 + 3 * gpu_islands
+        assert out[1].num_rows == 3 * gpu_islands
+        job_columns = tuple(jobs([], []).column_names)
+        gpu_columns = job_columns + (("sm_mean",) if gpu_islands else ())
+        assert out[1].column_names == gpu_columns
+        assert out[1].materialize().column_names == gpu_columns
+
+
+class TestFailureCleanup:
+    """Any failure from ``schedule`` on removes the temp spill directory."""
+
+    @pytest.mark.parametrize("stage", ["monitor", "assemble"])
+    def test_failure_after_the_islands_leaves_no_temp_dir(
+        self, stage, tmp_path, monkeypatch
+    ):
+        import errno
+        import importlib
+        import tempfile
+
+        from repro.errors import FrameError
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        if stage == "monitor":
+            def merge_fails(*args, **kwargs):
+                raise FrameError("injected merge failure")
+
+            monkeypatch.setattr("repro.pipeline.shard._merge_spilled", merge_fails)
+            match = "injected merge failure"
+        else:
+            io = importlib.import_module("repro.frame.io")
+            write = io.write_table_npz
+
+            def disk_full_when_assembling(table, path, codec=None):
+                if "assembled" in path.parts:
+                    path.write_bytes(b"partial")
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return write(table, path, codec)
+
+            monkeypatch.setattr(io, "write_table_npz", disk_full_when_assembling)
+            match = r"assembled/jobs/chunk_000000\.npz: .*No space left"
+        session = Session(WorkloadConfig(**SMALL_STREAM), workers=1)
+        with pytest.raises(FrameError, match=match):
+            session.streaming_dataset(chunk_rows=256)
+        assert not any((tmp_path / "tmp").iterdir())
 
 
 class TestCoupledBuild:

@@ -70,16 +70,65 @@ class TestWriteBenchJson:
         assert suites["stream"]["stats"]["stream_sketch"]["rows_per_s"] == 1e6
 
 
-def write_run(root, bench_id, seconds_by_suite, scale="0.05", stats=None):
+def write_run(root, bench_id, seconds_by_suite, scale="0.05", stats=None, scale_full=None):
     payload = {
         "schema": 1,
         "bench_scale": scale,
+        **({} if scale_full is None else {"bench_scale_full": scale_full}),
         "suites": [
             {"name": name, "seconds": seconds, "stats": (stats or {}).get(name, {})}
             for name, seconds in seconds_by_suite.items()
         ],
     }
     (root / f"BENCH_{bench_id}.json").write_text(json.dumps(payload))
+
+
+class TestScaleKnobs:
+    """Runs compare only when both scale knobs match; a run without the
+    ``bench_scale_full`` stamp ran the scale suite at its 1.0 default."""
+
+    def test_both_knobs_stamped(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE_FULL", "0.25")
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.05")
+        payload = write_bench_json([], tmp_path / "BENCH_6.json")
+        assert (payload["bench_scale"], payload["bench_scale_full"]) == ("0.05", "0.25")
+        monkeypatch.delenv("REPRO_BENCH_SCALE_FULL")
+        assert write_bench_json([], tmp_path / "BENCH_7.json")["bench_scale_full"] == "1.0"
+
+    def history(self, root):
+        """Full-scale history (unstamped and stamped), then reduced runs."""
+        write_run(root, 6, {"scale": 950.0})
+        write_run(root, 7, {"scale": 940.0}, scale_full="1.0")
+        write_run(root, 8, {"scale": 60.0}, scale_full="0.25")
+        write_run(root, 9, {"scale": 61.0}, scale_full="0.25")
+
+    def test_check_compares_only_matching_knobs(self, tmp_path):
+        self.history(tmp_path)
+        check = check_regressions(tmp_path)
+        assert check.baseline_runs == 1
+        assert check.checked[0]["baseline_s"] == 60.0
+        # a full-scale run after the reduced ones compares with 6 and 7
+        write_run(tmp_path, 10, {"scale": 2000.0})
+        check = check_regressions(tmp_path)
+        assert check.baseline_runs == 2
+        assert check.checked[0]["baseline_s"] == 945.0
+        assert not check.ok
+
+    def test_first_reduced_run_has_no_baseline(self, tmp_path):
+        write_run(tmp_path, 6, {"scale": 950.0})
+        write_run(tmp_path, 7, {"scale": 60.0}, scale_full="0.25")
+        check = check_regressions(tmp_path)
+        assert check.ok and check.baseline_runs == 0
+
+    def test_trend_uses_only_matching_knobs(self, tmp_path):
+        from repro.bench import bench_trend
+
+        self.history(tmp_path)
+        trend = bench_trend(tmp_path)
+        assert trend["run_ids"] == [8, 9]
+        assert trend["skipped_runs"] == 2
+        write_run(tmp_path, 10, {"scale": 930.0}, scale_full="1.0")
+        assert bench_trend(tmp_path)["run_ids"] == [6, 7, 10]
 
 
 class TestLoadBenchHistory:

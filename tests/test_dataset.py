@@ -84,3 +84,45 @@ class TestDeterminism:
         with pytest.warns(DeprecationWarning, match="Session"):
             second = default_dataset(scale=0.01, seed=55)
         assert first is second
+
+
+class TestPhaseTable:
+    """The per-job phase table is folded once per dataset."""
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        from repro.analysis import phases
+
+        calls = []
+        fold = phases.job_phase_table
+
+        def counting(store, *args):
+            calls.append(store)
+            return fold(store, *args)
+
+        monkeypatch.setattr(phases, "job_phase_table", counting)
+        return calls
+
+    def test_fig06_fig07_and_validation_fold_the_series_once(self, small_dataset, folds):
+        import dataclasses
+
+        from repro.figures.registry import run_figure
+        from repro.validation import validate_dataset
+
+        dataset = dataclasses.replace(small_dataset)
+        fig06 = run_figure("fig06", dataset)
+        run_figure("fig07", dataset)
+        results = validate_dataset(dataset)
+        assert len(folds) == 1
+        assert fig06.series["phase_table"] is dataset.phase_table
+        assert {r.check.figure_id for r in results} >= {"fig06", "fig07"}
+
+    def test_copies_fold_their_own(self, small_dataset, folds):
+        import dataclasses
+
+        dataset = dataclasses.replace(small_dataset)
+        view = dataset.streaming_view(chunk_rows=256)
+        ours, theirs = dataset.phase_table, view.phase_table
+        assert len(folds) == 2 and ours is not theirs
+        for name in ours.column_names:
+            np.testing.assert_array_equal(np.asarray(ours[name]), np.asarray(theirs[name]))
