@@ -41,12 +41,12 @@ wrapper that builds a fresh, uncached session per call:
 True
 """
 
-from repro.dataset import SupercloudDataset, default_dataset, generate_dataset
+from repro.dataset import SupercloudDataset, generate_dataset
 from repro.pipeline import Session
 from repro.workload.calibration import PAPER_TARGETS, PaperTargets
 from repro.workload.generator import WorkloadConfig
 
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "PAPER_TARGETS",
@@ -54,7 +54,6 @@ __all__ = [
     "Session",
     "SupercloudDataset",
     "WorkloadConfig",
-    "default_dataset",
     "generate_dataset",
     "__version__",
 ]

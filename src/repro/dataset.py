@@ -1,22 +1,17 @@
-"""The combined study dataset and its compatibility entry points.
+"""The combined study dataset and its one-call entry point.
 
 The dataset *engine* lives in :mod:`repro.pipeline`: a
 :class:`~repro.pipeline.session.Session` runs the staged
 ``workload → schedule → monitor → assemble`` pipeline with per-stage
 instrumentation, an on-disk artifact cache, and process-parallel
 figure fan-out.  This module keeps the data container
-(:class:`SupercloudDataset`) and the historical one-call entry points:
-
-* :func:`generate_dataset` — thin wrapper over ``Session.dataset()``;
-* :func:`default_dataset` — deprecated memoized variant, now routed
-  through a shared session registry instead of a ``functools.lru_cache``
-  that silently ignored the monitoring configuration.
+(:class:`SupercloudDataset`) and :func:`generate_dataset`, a thin
+wrapper over ``Session.dataset()``.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 from repro.cluster.spec import ClusterSpec
@@ -160,32 +155,3 @@ def generate_dataset(
     from repro.pipeline.session import Session
 
     return Session(config=config, monitoring=monitoring).dataset()
-
-
-#: Sessions backing :func:`default_dataset`, keyed by (scale, seed, days).
-_DEFAULT_SESSIONS: dict[tuple[float, int, float], "object"] = {}
-
-
-def default_dataset(scale: float = 0.1, seed: int = 20220214, days: float = 125.0) -> SupercloudDataset:
-    """Memoized dataset for figures/benchmarks sharing one generation.
-
-    .. deprecated:: 1.1
-        Use :class:`repro.pipeline.Session`, which keys its cache on
-        the *full* workload and monitoring configuration (this helper
-        only distinguishes ``(scale, seed, days)``) and adds disk
-        persistence and parallel fan-out.
-    """
-    warnings.warn(
-        "default_dataset() is deprecated; build a repro.pipeline.Session "
-        "and call session.dataset() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.pipeline.session import Session
-
-    key = (scale, seed, days)
-    session = _DEFAULT_SESSIONS.get(key)
-    if session is None:
-        session = Session(WorkloadConfig(scale=scale, seed=seed, days=days))
-        _DEFAULT_SESSIONS[key] = session
-    return session.dataset()

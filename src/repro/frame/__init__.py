@@ -11,9 +11,8 @@ same verbs (:class:`ChunkedTable`, :class:`QuantileSketch`; see
 
 This package is the single public surface: import every name from
 ``repro.frame`` itself.  The submodules (``repro.frame.table``,
-``repro.frame.io``, ...) are implementation detail; touching them
-directly is deprecated and warns.  The one documented exception is
-:mod:`repro.frame.reference` — the intentionally-naive oracle the
+``repro.frame.io``, ...) are implementation detail.
+:mod:`repro.frame.reference` is the intentionally-naive oracle the
 property tests and benchmarks compare against, which is not part of
 the API and never will be.
 
@@ -100,43 +99,3 @@ __all__ = [
     "STREAMABLE_REDUCERS",
     "EXACT_STREAMING_REDUCERS",
 ]
-
-#: Submodules kept importable for compatibility but deprecated as
-#: import targets.  The eager imports above bound each one as a package
-#: attribute; removing those bindings routes plain attribute access
-#: (``repro.frame.io``) through :func:`__getattr__` below, which warns.
-#: ``from repro.frame.<sub> import X`` bypasses ``__getattr__`` by
-#: design (the import system reads ``sys.modules`` directly) — the
-#: in-repo importers were migrated instead.
-_DEPRECATED_SUBMODULES = (
-    "builder",
-    "chunked",
-    "codec",
-    "column",
-    "factorize",
-    "groupby",
-    "io",
-    "sketch",
-    "table",
-    "reference",
-)
-
-for _name in _DEPRECATED_SUBMODULES:
-    globals().pop(_name, None)
-del _name
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_SUBMODULES:
-        import importlib
-        import warnings
-
-        warnings.warn(
-            f"importing repro.frame.{name} directly is deprecated; "
-            "repro.frame is the public surface (repro.frame.reference stays "
-            "available as the test oracle only)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return importlib.import_module(f"repro.frame.{name}")
-    raise AttributeError(f"module 'repro.frame' has no attribute {name!r}")

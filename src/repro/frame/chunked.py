@@ -477,14 +477,13 @@ class ChunkedTable:
         store every column raw.  Each chunk file is one packed zip
         member (:func:`~repro.frame.io.write_table_npz`); a failed write
         leaves no file, and an ``OSError`` raises :class:`FrameError`
-        naming it.  Emits
-        ``repro_frame_spill_chunks_total``,
-        ``repro_frame_spill_bytes_total`` (encoded bytes on disk),
-        ``repro_frame_spill_raw_bytes_total`` (what the raw layout
-        would have written) and a ``frame.spill.codec`` event carrying
-        the raw bytes, encoded bytes, and compression ratio.
+        naming it (:func:`~repro.frame.codec.write_spill_file`).  Emits
+        the ``repro_frame_spill_*`` counters
+        (:func:`~repro.frame.codec.count_spill`) and a
+        ``frame.spill.codec`` event carrying the raw bytes, encoded
+        bytes, and compression ratio.
         """
-        from repro.frame.codec import LOSSLESS
+        from repro.frame.codec import LOSSLESS, count_spill
         from repro.frame.io import read_table_npz, table_raw_bytes, write_table_npz
 
         if codec == "default":
@@ -500,35 +499,15 @@ class ChunkedTable:
         tracer = get_tracer()
         with tracer.span("frame.stream.spill", category="frame", directory=str(target)) as span:
             for chunk in self.chunks():
-                path = target / f"chunk_{len(paths):06d}.npz"
-                try:
-                    write_table_npz(chunk, path, codec=codec)
-                except BaseException as error:
-                    path.unlink(missing_ok=True)
-                    if isinstance(error, OSError):
-                        raise FrameError(
-                            f"cannot write spill chunk {path}: {error}"
-                        ) from error
-                    raise
+                path = write_table_npz(
+                    chunk, target / f"chunk_{len(paths):06d}.npz", codec=codec
+                )
                 paths.append(path)
                 rows += chunk.num_rows
                 raw_bytes += table_raw_bytes(chunk)
                 spilled_bytes += path.stat().st_size
             span.set(chunks=len(paths), rows=rows, bytes=spilled_bytes)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "repro_frame_spill_chunks_total",
-                help="table chunks spilled to disk by the streaming engine",
-            ).inc(len(paths))
-            metrics.counter(
-                "repro_frame_spill_bytes_total",
-                help="bytes of spill files written by the streaming engine (encoded)",
-            ).inc(spilled_bytes)
-            metrics.counter(
-                "repro_frame_spill_raw_bytes_total",
-                help="bytes the raw (uncodec'd) spill layout would have written",
-            ).inc(raw_bytes)
+        count_spill(len(paths), spilled_bytes, raw_bytes)
         _count_stream_op("spill", len(paths), rows)
         record_event(
             "frame.spill",

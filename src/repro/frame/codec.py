@@ -13,13 +13,14 @@ scheme that round-trips it exactly:
 * object columns — dictionary encoding (uniques + int32 codes), with
   the code stream run-length encoded when it helps;
 * opt-in lossy floats — quantise to :data:`QUANT_STEP` steps, then
-  delta + RLE, exactly the transform :mod:`repro.monitor.codec` applies
-  to dense series.  Maximum absolute error ``QUANT_STEP / 2``; never
-  applied unless the caller names the column in
-  :class:`SpillCodec.quantise`.
+  delta + RLE (the cache's series file, :mod:`repro.monitor.codec`,
+  quantises every metric this way).  Maximum absolute error
+  ``QUANT_STEP / 2``; never applied unless the caller names the column
+  in :class:`SpillCodec.quantise`.
 
-A spill file (a table chunk, or a batch of series) is an ``.npz``-named
-zip with one member per chunk or series: the encoded parts laid out by
+A spill file (a table chunk, a batch of series, or the cache's series
+file) is an ``.npz``-named zip with one member per chunk or series,
+written by :func:`write_spill_file`: the encoded parts laid out by
 :func:`pack` behind a small header, so a read is one member read and one
 header parse.
 
@@ -46,6 +47,7 @@ from typing import BinaryIO, Iterable, Mapping
 import numpy as np
 
 from repro.errors import FrameError
+from repro.obs.runtime import get_metrics
 
 __all__ = [
     "QUANT_STEP",
@@ -59,11 +61,12 @@ __all__ = [
     "pack",
     "unpack",
     "write_spill_file",
+    "count_spill",
     "read_spill_member",
 ]
 
 #: Quantisation step for opt-in lossy float columns (percent, or watts
-#: for power) — matches :data:`repro.monitor.codec.QUANT_STEP`.
+#: for power).
 QUANT_STEP = 0.5
 
 #: Run-length bookkeeping per run: one value plus one int64 length.
@@ -335,22 +338,50 @@ def write_spill_file(
     Each column is encoded by ``codec`` (``None``: every column ``raw``)
     and its parts are packed straight into the deflated zip entry;
     ``members`` may be a generator, so one member is alive at a time.
+    A failed write leaves no file, and an ``OSError`` (a full or
+    unwritable disk) raises :class:`FrameError` naming it.
     """
-    with zipfile.ZipFile(
-        path, "w", zipfile.ZIP_DEFLATED, compresslevel=DEFLATE_LEVEL
-    ) as archive:
-        for name, columns in members:
-            parts = {}
-            for column, values in columns.items():
-                scheme, encoded = (
-                    ("raw", {"": values}) if codec is None
-                    else codec.scheme_for(column, np.asarray(values))
-                )
-                for suffix, part in encoded.items():
-                    parts[f"{scheme}/{suffix}/{column}"] = part
-            # zip64 as np.savez writes it: a member may pass 2 GiB.
-            with archive.open(name, "w", force_zip64=True) as fh:
-                pack(parts, fh)
+    path = Path(path)
+    try:
+        with zipfile.ZipFile(
+            path, "w", zipfile.ZIP_DEFLATED, compresslevel=DEFLATE_LEVEL
+        ) as archive:
+            for name, columns in members:
+                parts = {}
+                for column, values in columns.items():
+                    scheme, encoded = (
+                        ("raw", {"": values}) if codec is None
+                        else codec.scheme_for(column, np.asarray(values))
+                    )
+                    for suffix, part in encoded.items():
+                        parts[f"{scheme}/{suffix}/{column}"] = part
+                # zip64 as np.savez writes it: a member may pass 2 GiB.
+                with archive.open(name, "w", force_zip64=True) as fh:
+                    pack(parts, fh)
+    except BaseException as error:
+        path.unlink(missing_ok=True)
+        if isinstance(error, OSError):
+            raise FrameError(f"cannot write spill file {path}: {error}") from error
+        raise
+
+
+def count_spill(files: int, encoded_bytes: int, raw_bytes: int) -> None:
+    """Add spilled files and their bytes to the ``repro_frame_spill_*``
+    counters: ``encoded_bytes`` on disk, ``raw_bytes`` unencoded."""
+    metrics = get_metrics()
+    if metrics.enabled:
+        metrics.counter(
+            "repro_frame_spill_chunks_total",
+            help="table chunks spilled to disk by the streaming engine",
+        ).inc(files)
+        metrics.counter(
+            "repro_frame_spill_bytes_total",
+            help="bytes of spill files written by the streaming engine (encoded)",
+        ).inc(encoded_bytes)
+        metrics.counter(
+            "repro_frame_spill_raw_bytes_total",
+            help="bytes the raw (uncodec'd) spill layout would have written",
+        ).inc(raw_bytes)
 
 
 def read_spill_member(archive: zipfile.ZipFile, name: str) -> dict[str, np.ndarray]:

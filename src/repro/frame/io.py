@@ -166,6 +166,8 @@ def write_table_npz(
     integers, exact RLE for run-heavy floats, dictionary coding for
     object columns and opt-in quantisation for the columns it names;
     ``codec=None`` stores every column ``raw``.  Column order is kept.
+    A failed write leaves no file; an ``OSError`` raises
+    :class:`FrameError` naming it.
     """
     from repro.frame.codec import write_spill_file
 

@@ -1,140 +1,97 @@
-"""Compact on-disk encoding for GPU time series.
+"""Compact on-disk encoding for GPU time series: the cache's series file.
 
 The paper's operators worried about telemetry volume (42 GB for 2,149
 jobs) and file-system load.  nvidia-smi output is highly compressible:
 utilization percentages are small integers that dwell on a level for
-many samples.  This codec quantises each metric to 0.5 % steps,
-delta-encodes, and run-length-encodes the (mostly zero) deltas before
-handing the arrays to numpy's compressed container.
+many samples.  A store is saved as one spill file of
+:mod:`repro.frame.codec` holding one packed member per series, named
+``s<job>_<gpu>`` as in spill batches.  A member holds the series' start
+time ``t0`` (empty for an empty series), its sampling steps as int64
+microseconds ``steps_us`` (which the integer delta+RLE scheme stores
+losslessly), and every metric in :data:`METRIC_NAMES` under
+``SpillCodec(quantise=METRIC_NAMES)``: quantised to 0.5 % steps,
+delta-encoded, and run-length-encoded.
 
 The encoding is lossy only through quantisation (max error 0.25 %,
 below nvidia-smi's own integer resolution for utilization metrics;
-power is quantised to 0.5 W).
+power is quantised to 0.5 W) and the microsecond time steps.
 """
 
 from __future__ import annotations
 
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import MonitoringError
-from repro.frame.codec import QUANT_STEP, rle_decode as _rle_decode, rle_encode as _rle_encode
-from repro.monitor.timeseries import METRIC_NAMES, GpuTimeSeries, TimeSeriesStore
+from repro.frame.codec import QUANT_STEP, SpillCodec, read_spill_member, write_spill_file
+from repro.monitor.timeseries import (
+    METRIC_NAMES,
+    GpuTimeSeries,
+    TimeSeriesStore,
+    _series_member,
+)
 
-__all__ = [
-    "QUANT_STEP",
-    "encode_series",
-    "decode_series",
-    "save_store",
-    "load_store",
-    "compression_ratio",
-]
+__all__ = ["QUANT_STEP", "save_store", "load_store", "compression_ratio"]
 
-_FORMAT_VERSION = 1
+#: Metrics are quantised; ``t0`` and ``steps_us`` round-trip exactly.
+_CODEC = SpillCodec(quantise=METRIC_NAMES)
 
 
-def encode_series(series: GpuTimeSeries) -> dict[str, np.ndarray]:
-    """Encode one series into named integer arrays (npz-ready)."""
-    payload: dict[str, np.ndarray] = {
-        "format_version": np.asarray([_FORMAT_VERSION]),
-        "job_id": np.asarray([series.job_id]),
-        "gpu_index": np.asarray([series.gpu_index]),
-        "num_samples": np.asarray([series.num_samples]),
+def _member_columns(series: GpuTimeSeries) -> dict[str, np.ndarray]:
+    """The arrays one series member packs."""
+    times = np.asarray(series.times_s, dtype=float)
+    columns = {
+        "t0": times[:1],
+        "steps_us": np.round(np.diff(times) * 1e6).astype(np.int64),
     }
-    if series.num_samples:
-        payload["t0"] = np.asarray([series.times_s[0]])
-        # sampling steps are near-constant: store as quantised deltas
-        steps = np.diff(series.times_s)
-        payload["steps_us"] = np.round(steps * 1e6).astype(np.int64)
-    else:
-        payload["t0"] = np.asarray([0.0])
-        payload["steps_us"] = np.empty(0, dtype=np.int64)
     for name in METRIC_NAMES:
-        quantised = np.round(series.metrics[name] / QUANT_STEP).astype(np.int32)
-        # first delta carries the initial level so cumsum reconstructs
-        deltas = np.diff(quantised, prepend=np.int32(0)) if quantised.size else quantised
-        run_values, run_lengths = _rle_encode(deltas)
-        payload[f"{name}_values"] = run_values
-        payload[f"{name}_lengths"] = run_lengths
-    return payload
+        columns[name] = np.asarray(series.metrics[name], dtype=float)
+    return columns
 
 
-def decode_series(payload: dict[str, np.ndarray]) -> GpuTimeSeries:
-    """Invert :func:`encode_series`."""
-    version = int(payload["format_version"][0])
-    if version != _FORMAT_VERSION:
-        raise MonitoringError(f"unsupported series format version {version}")
-    n = int(payload["num_samples"][0])
-    if n:
-        steps = payload["steps_us"].astype(float) / 1e6
-        times = float(payload["t0"][0]) + np.concatenate(([0.0], np.cumsum(steps)))
-    else:
-        times = np.empty(0)
-    metrics = {}
-    for name in METRIC_NAMES:
-        run_values = payload[f"{name}_values"]
-        run_lengths = payload[f"{name}_lengths"]
-        if run_values.shape != run_lengths.shape:
-            raise MonitoringError(f"metric {name!r}: corrupt run-length payload")
-        deltas = _rle_decode(run_values, run_lengths)
-        if deltas.size != n:
-            raise MonitoringError(
-                f"metric {name!r}: decoded {deltas.size} samples, expected {n}"
-            )
-        metrics[name] = np.cumsum(deltas).astype(float) * QUANT_STEP
+def _decode_member(name: str, columns: dict[str, np.ndarray]) -> GpuTimeSeries:
+    """Invert :func:`_member_columns` for member ``name``."""
+    job_id, _, gpu_index = name[1:].partition("_")
+    t0 = columns.pop("t0")
+    steps = columns.pop("steps_us").astype(float) / 1e6
+    times = (
+        float(t0[0]) + np.concatenate(([0.0], np.cumsum(steps))) if t0.size else np.empty(0)
+    )
     return GpuTimeSeries(
-        job_id=int(payload["job_id"][0]),
-        gpu_index=int(payload["gpu_index"][0]),
-        times_s=times,
-        metrics=metrics,
+        job_id=int(job_id), gpu_index=int(gpu_index), times_s=times, metrics=columns
     )
 
 
 def save_store(store: TimeSeriesStore, path: str | Path) -> Path:
-    """Write a whole store to one compressed ``.npz`` file."""
+    """Write a whole store to one spill file, series in store order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    bundle: dict[str, np.ndarray] = {}
-    keys = []
-    for series in store:
-        prefix = f"s{series.job_id}_{series.gpu_index}"
-        keys.append(prefix)
-        for name, array in encode_series(series).items():
-            bundle[f"{prefix}/{name}"] = array
-    bundle["__keys__"] = np.asarray(keys)
-    np.savez_compressed(path, **bundle)
+    write_spill_file(
+        path,
+        ((_series_member(s.job_id, s.gpu_index), _member_columns(s)) for s in store),
+        _CODEC,
+    )
     return path
 
 
 def load_store(path: str | Path) -> TimeSeriesStore:
     """Read a store written by :func:`save_store`.
 
-    Raises :class:`MonitoringError` for anything unreadable — a
-    truncated or overwritten file, a foreign zip, missing members —
-    so callers (notably the pipeline artifact cache) can treat every
-    corruption uniformly instead of leaking zipfile/numpy internals.
+    Raises :class:`MonitoringError` naming ``path`` for anything
+    unreadable — a truncated or overwritten file, a foreign zip, an
+    older layout, a corrupt member — so callers (notably the pipeline
+    artifact cache) can treat every corruption uniformly instead of
+    leaking zipfile/numpy internals.
     """
     path = Path(path)
+    store = TimeSeriesStore()
     try:
-        with np.load(path, allow_pickle=False) as data:
-            keys = [str(k) for k in data["__keys__"]]
-            # One pass groups the ``<prefix>/<field>`` members by series.
-            members: dict[str, list[str]] = {}
-            for name in data.files:
-                prefix, slash, _ = name.partition("/")
-                if slash:
-                    members.setdefault(prefix, []).append(name)
-            store = TimeSeriesStore()
-            for prefix in keys:
-                payload = {
-                    name[len(prefix) + 1 :]: data[name]
-                    for name in members.get(prefix, ())
-                }
-                store.add(decode_series(payload))
-    except MonitoringError:
-        raise
-    except Exception as exc:  # BadZipFile, KeyError, OSError, ValueError, ...
+        with zipfile.ZipFile(path) as archive:
+            for name in archive.namelist():
+                store.add(_decode_member(name, read_spill_member(archive, name)))
+    except Exception as exc:  # BadZipFile, FrameError, KeyError, OSError, ...
         raise MonitoringError(f"unreadable time-series store {path}: {exc}") from exc
     return store
 

@@ -44,12 +44,6 @@ class MonitoringConfig:
     timeseries_fraction: float = 2149.0 / 47120.0
     #: Dense series are decimated beyond this many samples per GPU.
     timeseries_max_samples: int = 20000
-    #: When set, per-GPU summary rows rotate into sealed chunks of this
-    #: many rows as sampling flushes (the streaming path for
-    #: :meth:`MonitoringCollector.per_gpu_chunked`).  ``None`` keeps the
-    #: single-builder behavior; either way :meth:`per_gpu_table` returns
-    #: bit-identical rows.
-    summary_chunk_rows: int | None = None
     seed: int = 20220402
 
 
@@ -77,18 +71,14 @@ class MonitoringCollector:
         )
         self._store = TimeSeriesStore()
         self._gpu_builder = TableBuilder(columns=["job_id", "gpu_index"])
-        self._gpu_chunks: list[Table] = []
         self._cpu_builder = TableBuilder(columns=["job_id"])
         self._started: dict[int, tuple[float, tuple[int, ...]]] = {}
         self._pending: list[SamplingTask] = []
-        #: Seal threshold actually in force — starts at the config value
-        #: and may be tightened at runtime by :meth:`enable_spill`
-        #: without touching the config (the config participates in
-        #: dataset cache keys; spilling must not change them).
-        self._seal_rows = self.config.summary_chunk_rows
+        #: Set by :meth:`enable_spill`: where sealed summary runs go,
+        #: and how many rows seal one.
         self._spill_dir: Path | None = None
+        self._seal_rows = 0
         self._spill_runs: list[Path] = []
-        self._spill_codec = None
 
     # ------------------------------------------------------------------
     # Scheduler hooks
@@ -217,8 +207,8 @@ class MonitoringCollector:
                 rows += result.num_gpus
                 for series in result.series:
                     self._store.add(series)
-                if self._seal_rows is not None and self._gpu_builder.num_rows >= self._seal_rows:
-                    self._seal_gpu_chunk()
+                if self._spill_dir is not None and self._gpu_builder.num_rows >= self._seal_rows:
+                    self._seal_gpu_run()
             span.set(rows=rows)
         metrics = runtime.get_metrics()
         if metrics.enabled:
@@ -246,91 +236,55 @@ class MonitoringCollector:
         self.flush()
         return self._store
 
-    def enable_spill(
-        self,
-        directory: str | Path,
-        chunk_rows: int | None = None,
-        codec: "SpillCodec | None | str" = "default",
-    ) -> None:
-        """Seal per-GPU summary chunks to ``.npz`` files instead of memory.
+    def enable_spill(self, directory: str | Path, chunk_rows: int | None = None) -> None:
+        """Seal per-GPU summary rows to ``.npz`` runs as sampling flushes.
 
         A runtime switch, deliberately *not* a :class:`MonitoringConfig`
         field: the config hashes into dataset cache keys, and spilling
-        is an execution detail that must leave them untouched.  Chunks
-        already sealed in memory are written out immediately, so the
-        switch can be flipped at any point before the final flush.
-        ``chunk_rows`` tightens the seal threshold (defaults to the
-        config value, or the frame default when the config has none).
-        Runs are written through the spill codec — lossless by default,
-        so read-back stays bit-identical; pass ``codec=None`` to store
-        every column raw.
+        is an execution detail that must leave them untouched.  Flip it
+        before the final flush: from then on a flush seals the live
+        rows into a run whenever they reach ``chunk_rows`` (default
+        :data:`~repro.frame.DEFAULT_CHUNK_ROWS`).  Runs go through the
+        lossless spill codec, so read-back stays bit-identical.
         """
-        from repro.frame import DEFAULT_CHUNK_ROWS, LOSSLESS
+        from repro.frame import DEFAULT_CHUNK_ROWS
 
         target = Path(directory)
         target.mkdir(parents=True, exist_ok=True)
         self._spill_dir = target
-        self._spill_codec = LOSSLESS if codec == "default" else codec
-        if chunk_rows is not None:
-            self._seal_rows = chunk_rows
-        elif self._seal_rows is None:
-            self._seal_rows = DEFAULT_CHUNK_ROWS
-        for table in self._gpu_chunks:
-            self._write_spill_run(table)
-        self._gpu_chunks = []
+        self._seal_rows = chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS
 
-    def _write_spill_run(self, table: Table) -> None:
-        """Write one sealed run through the codec, counting its bytes."""
-        from repro.frame.io import table_raw_bytes, write_table_npz
-        from repro.obs import runtime
-
-        path = self._spill_dir / f"run_{len(self._spill_runs):06d}.npz"
-        write_table_npz(table, path, codec=self._spill_codec)
-        self._spill_runs.append(path)
-        metrics = runtime.get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "repro_frame_spill_chunks_total",
-                help="table chunks spilled to disk by the streaming engine",
-            ).inc()
-            metrics.counter(
-                "repro_frame_spill_bytes_total",
-                help="bytes of spill files written by the streaming engine (encoded)",
-            ).inc(path.stat().st_size)
-            metrics.counter(
-                "repro_frame_spill_raw_bytes_total",
-                help="bytes the raw (uncodec'd) spill layout would have written",
-            ).inc(table_raw_bytes(table))
-
-    def _seal_gpu_chunk(self) -> None:
-        """Rotate the summary builder into a sealed chunk (disk or RAM)."""
+    def _seal_gpu_run(self) -> None:
+        """Write the live summary rows as one sealed run, counting its
+        bytes, and start a fresh builder."""
+        from repro.frame import LOSSLESS, table_raw_bytes, write_table_npz
+        from repro.frame.codec import count_spill
         from repro.obs import runtime
 
         table = self._gpu_builder.finish()
-        if self._spill_dir is not None:
-            self._write_spill_run(table)
-        else:
-            self._gpu_chunks.append(table)
+        path = self._spill_dir / f"run_{len(self._spill_runs):06d}.npz"
+        write_table_npz(table, path, codec=LOSSLESS)
+        self._spill_runs.append(path)
         self._gpu_builder = TableBuilder(columns=self._gpu_builder.column_names)
+        count_spill(1, path.stat().st_size, table_raw_bytes(table))
         metrics = runtime.get_metrics()
         if metrics.enabled:
             metrics.counter(
                 "repro_monitor_summary_chunks_total",
-                help="sealed per-GPU summary chunks emitted by the collector",
+                help="per-GPU summary runs the collector sealed to disk",
             ).inc()
 
     def _sealed_parts(self) -> list:
-        """Sealed chunks as lazy thunks plus the live builder remainder.
+        """Sealed runs as lazy thunks plus the live builder remainder.
 
         Each element is a zero-arg callable returning a Table; disk
         runs load on call so only one run is resident at a time.
         """
-        from repro.frame.io import read_table_npz
+        from repro.frame import read_table_npz
 
         parts: list = [
             (lambda p=path: read_table_npz(p)) for path in self._spill_runs
         ]
-        parts.extend((lambda t=table: t) for table in self._gpu_chunks)
         if self._gpu_builder.num_rows or not parts:
             remainder = self._gpu_builder.finish()
             parts.append(lambda t=remainder: t)
@@ -345,30 +299,6 @@ class MonitoringCollector:
         if len(parts) == 1:
             return parts[0]
         return concat_tables(parts)
-
-    def per_gpu_chunked(self, chunk_rows: int | None = None) -> "ChunkedTable":
-        """The per-GPU summary as a :class:`~repro.frame.ChunkedTable`.
-
-        With ``summary_chunk_rows`` configured (or spilling enabled),
-        the sealed chunks stream through one at a time — disk runs are
-        read back lazily, never concatenated; otherwise the single
-        builder table is split into ``chunk_rows`` batches.
-        """
-        from repro.frame import ChunkedTable
-
-        self.flush()
-        if self._spill_runs or self._gpu_chunks:
-            parts = self._sealed_parts()
-
-            def produce():
-                for thunk in parts:
-                    table = thunk()
-                    if table.num_rows:
-                        yield table
-
-            return ChunkedTable(produce)
-        table = self._gpu_builder.finish()
-        return table.to_chunked(chunk_rows)
 
     def sorted_summary_stream(self, chunk_rows: int | None = None) -> "ChunkedTable":
         """Per-GPU summary rows in global ``(job_id, gpu_index)`` order.

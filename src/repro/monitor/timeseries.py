@@ -172,16 +172,17 @@ class TimeSeriesStore:
         code bit-identical samples to what the in-memory store holds.
         A :class:`~repro.frame.SpillCodec` with ``quantise=`` metric
         names opts those arrays into the lossy quantise+delta+RLE
-        transform of :mod:`repro.monitor.codec` (max error
-        ``QUANT_STEP/2``); ``codec=None`` stores every array raw.
-        Batches of :data:`SPILL_BATCH_SERIES` series land in
-        ``batch_%06d.npz`` with a JSON manifest, and the returned
-        :class:`SpilledTimeSeriesStore` loads one member at a time on
-        access.  Spill traffic counts into the ``repro_frame_spill_*``
-        byte counters.
+        transform (max error ``QUANT_STEP/2``); ``codec=None`` stores
+        every array raw.  Batches of :data:`SPILL_BATCH_SERIES` series
+        land in ``batch_%06d.npz`` with a JSON manifest, and the
+        returned :class:`SpilledTimeSeriesStore` loads one member at a
+        time on access.  A batch that fails to write leaves no file,
+        and an ``OSError`` raises :class:`~repro.errors.FrameError`
+        naming it.  Spill traffic counts into the
+        ``repro_frame_spill_*`` byte counters.
         """
-        from repro.frame.codec import LOSSLESS, write_spill_file
-        from repro.obs.runtime import get_metrics, record_event
+        from repro.frame.codec import LOSSLESS, count_spill, write_spill_file
+        from repro.obs.runtime import record_event
 
         if codec == "default":
             codec = LOSSLESS
@@ -210,20 +211,7 @@ class TimeSeriesStore:
             )
         manifest = {"format_version": _SPILL_FORMAT_VERSION, "files": files}
         (target / _SPILL_MANIFEST).write_text(json.dumps(manifest))
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "repro_frame_spill_chunks_total",
-                help="table chunks spilled to disk by the streaming engine",
-            ).inc(len(files))
-            metrics.counter(
-                "repro_frame_spill_bytes_total",
-                help="bytes of spill files written by the streaming engine (encoded)",
-            ).inc(encoded_bytes)
-            metrics.counter(
-                "repro_frame_spill_raw_bytes_total",
-                help="bytes the raw (uncodec'd) spill layout would have written",
-            ).inc(raw_bytes)
+        count_spill(len(files), encoded_bytes, raw_bytes)
         if codec is not None:
             record_event(
                 "frame.spill.codec",

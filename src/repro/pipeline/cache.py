@@ -11,8 +11,10 @@ version)`` and holds:
 ``jobs.csv`` / ``gpu_jobs.csv`` / ``per_gpu.csv``
     the frame tables, via :mod:`repro.frame.io`;
 ``timeseries.npz``
-    the dense series store through the :mod:`repro.monitor.codec`
-    compressed encoding (lossy only through its 0.25 % quantisation);
+    the dense series store (:func:`repro.monitor.codec.save_store`):
+    one spill file of the frame codec, one member per series, metrics
+    quantised to 0.5 % steps and sampling steps kept as integer
+    microseconds;
 ``records.pkl``
     the raw :class:`~repro.slurm.job.JobRecord` list (timeline and
     co-location analyses need the full records);
@@ -65,7 +67,9 @@ def _count_cache_event(kind: str) -> None:
 #: 2: WorkloadConfig grew ``partitions``/``cohorts`` (sharded builds).
 #: 3: every build runs as islands, so ``partitions=1`` entries now hold
 #:    ``job_id``-ordered tables and records (same content as before).
-SCHEMA_VERSION = 3
+#: 4: ``timeseries.npz`` is a frame-codec spill file (same decoded
+#:    series as before).
+SCHEMA_VERSION = 4
 
 _TABLE_FILES = {"jobs": "jobs.csv", "gpu_jobs": "gpu_jobs.csv", "per_gpu": "per_gpu.csv"}
 
@@ -137,7 +141,9 @@ class DatasetCache:
 
         Publication is atomic: a temp directory is fully written, then
         renamed onto the key.  Losing the race to another writer is
-        fine — entries for one key are interchangeable.
+        fine — entries for one key are interchangeable.  A failed write
+        removes the temp directory; a full or unwritable disk under the
+        series file raises :class:`~repro.errors.FrameError` naming it.
         """
         entry = self.entry_dir(key)
         if self.has(key):

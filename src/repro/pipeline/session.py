@@ -188,20 +188,17 @@ class Session:
     ):
         """The dataset as a bounded-memory streaming build.
 
-        With ``partitions > 1`` this is the spill-and-merge path: each
-        island spills its monitoring outputs to ``spill_dir`` (a fresh
-        temp directory by default) and the parent k-way-merges the
-        chunk streams, so parent memory stays bounded by the chunk
-        size.  The result carries chunked job tables, a
+        The spill-and-merge path, for one island or many: each island
+        spills its monitoring outputs to ``spill_dir`` (a fresh temp
+        directory by default) and the parent k-way-merges the chunk
+        streams, so parent memory stays bounded by the chunk size.  The
+        result carries chunked job tables, a
         :class:`~repro.monitor.timeseries.SpilledTimeSeriesStore`, and
         no job records; call :meth:`SupercloudDataset.materialize` to
         pull it back into memory.  Streaming builds bypass the disk
         cache (the artifacts *are* the spill files) but are memoized
-        on the session.  Unpartitioned configs fall back to a chunked
-        view of the materialized dataset.
+        on the session.
         """
-        if self.config.partitions <= 1:
-            return self.dataset().streaming_view(chunk_rows)
         if self._streaming_dataset is not None:
             self.instrumentation.bump("memory_hit")
             return self._streaming_dataset

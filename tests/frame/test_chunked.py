@@ -390,26 +390,8 @@ class TestSpillWriteFailure:
 
 
 class TestDeprecatedSubmoduleImports:
-    # Any direct `import repro.frame.<sub>` elsewhere re-binds the
-    # submodule attribute on the package (standard import-system
-    # behavior), so pop it first to exercise the __getattr__ shim
-    # regardless of test order.
-
-    def test_submodule_import_warns(self):
-        import repro.frame as frame
-
-        for name in ("table", "groupby", "chunked", "sketch", "io"):
-            frame.__dict__.pop(name, None)
-            with pytest.warns(DeprecationWarning, match="public surface"):
-                getattr(frame, name)
-
-    def test_reference_oracle_warns_but_works(self):
-        import repro.frame as frame
-
-        frame.__dict__.pop("reference", None)
-        with pytest.warns(DeprecationWarning, match="test oracle"):
-            reference = frame.reference
-        assert hasattr(reference, "naive_aggregate")
+    """The submodule deprecation shim is gone; the public surface stays
+    warning-free."""
 
     def test_public_surface_is_quiet(self):
         with warnings.catch_warnings():

@@ -107,14 +107,12 @@ class TestSummarySpill:
     def test_spilled_run_matches_in_memory(self, tmp_path):
         baseline = run_with_collector(spill_requests())
         simulator = SlurmSimulator(supercloud_spec(2))
-        collector = MonitoringCollector(
-            MonitoringConfig(summary_chunk_rows=4)
-        ).attach(simulator)
-        collector.enable_spill(tmp_path / "summary")
+        collector = MonitoringCollector().attach(simulator)
+        collector.enable_spill(tmp_path / "summary", chunk_rows=4)
         simulator.run(spill_requests())
-        # sampling is deferred: chunks hit disk at flush, not mid-run
+        # sampling is deferred: runs hit disk at flush, not mid-run
         collector.flush()
-        assert list((tmp_path / "summary").glob("run_*.npz"))
+        assert len(list((tmp_path / "summary").glob("run_*.npz"))) == 3
         assert (
             collector.per_gpu_table().to_dict()
             == baseline.per_gpu_table().to_dict()
@@ -124,36 +122,47 @@ class TestSummarySpill:
             == baseline.job_gpu_table().to_dict()
         )
 
-    def test_enable_spill_mid_stream_moves_sealed_chunks(self, tmp_path):
+    def test_enable_spill_before_flush_seals_to_disk(self, tmp_path):
+        baseline = run_with_collector(spill_requests())
         simulator = SlurmSimulator(supercloud_spec(2))
-        collector = MonitoringCollector(
-            MonitoringConfig(summary_chunk_rows=4)
-        ).attach(simulator)
+        collector = MonitoringCollector().attach(simulator)
         simulator.run(spill_requests())
-        before = collector.per_gpu_table().to_dict()
-        collector.enable_spill(tmp_path / "late")
+        assert collector.pending_tasks
+        collector.enable_spill(tmp_path / "late", chunk_rows=4)
+        assert collector.per_gpu_table().to_dict() == baseline.per_gpu_table().to_dict()
         assert list((tmp_path / "late").glob("run_*.npz"))
-        assert collector.per_gpu_table().to_dict() == before
 
     def test_sorted_summary_stream_is_global_sort(self, tmp_path):
         simulator = SlurmSimulator(supercloud_spec(2))
-        collector = MonitoringCollector(
-            MonitoringConfig(summary_chunk_rows=4)
-        ).attach(simulator)
+        collector = MonitoringCollector().attach(simulator)
         collector.enable_spill(tmp_path / "summary", chunk_rows=4)
         simulator.run(spill_requests())
         merged = collector.sorted_summary_stream(chunk_rows=3).materialize()
         expected = collector.per_gpu_table().sort_by("job_id", "gpu_index")
         assert merged.to_dict() == expected.to_dict()
 
-    def test_per_gpu_chunked_streams_sealed_parts(self, tmp_path):
+    def test_failed_run_write_leaves_no_file(self, tmp_path, monkeypatch):
+        import errno
+        import importlib
+
+        from repro.errors import FrameError
+
+        codec = importlib.import_module("repro.frame.codec")
+        pack = codec.pack
+        calls = []
+
+        def disk_full_on_second_run(parts, fh):
+            calls.append(None)
+            if len(calls) == 2:
+                fh.write(b"partial member bytes")
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return pack(parts, fh)
+
+        monkeypatch.setattr(codec, "pack", disk_full_on_second_run)
         simulator = SlurmSimulator(supercloud_spec(2))
-        collector = MonitoringCollector(
-            MonitoringConfig(summary_chunk_rows=4)
-        ).attach(simulator)
-        collector.enable_spill(tmp_path / "summary")
+        collector = MonitoringCollector().attach(simulator)
+        collector.enable_spill(tmp_path / "summary", chunk_rows=4)
         simulator.run(spill_requests())
-        chunks = list(collector.per_gpu_chunked().chunks())
-        assert len(chunks) > 1
-        total = sum(chunk.num_rows for chunk in chunks)
-        assert total == collector.per_gpu_table().num_rows
+        with pytest.raises(FrameError, match=r"run_000001\.npz: .*No space left"):
+            collector.flush()
+        assert [p.name for p in (tmp_path / "summary").iterdir()] == ["run_000000.npz"]

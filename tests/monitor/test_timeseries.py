@@ -111,9 +111,9 @@ def filled_store(num_jobs=3, gpus=2, start=0):
 
 
 class TestSpilledStore:
-    """The spill is **lossless** — raw float arrays, not the 0.5%-
-    quantized ``repro.monitor.codec`` — so figure-grade statistics off
-    the spill are bit-identical to the in-memory store."""
+    """The spill is **lossless** by default — not the 0.5%-quantized
+    cache series file of ``repro.monitor.codec`` — so figure-grade
+    statistics off the spill are bit-identical to the in-memory store."""
 
     def test_roundtrip_is_bit_exact(self, tmp_path):
         store = filled_store()
@@ -271,3 +271,25 @@ class TestSpillLayout:
         spilled = SpilledTimeSeriesStore([tmp_path / "series"])
         with pytest.raises(MonitoringError, match=r"batch_000000\.npz.*job 0 GPU 0"):
             spilled.get(0, 0)
+
+    def test_failed_batch_write_leaves_no_file(self, tmp_path, monkeypatch):
+        import errno
+        import importlib
+
+        from repro.errors import FrameError
+
+        codec = importlib.import_module("repro.frame.codec")
+        pack = codec.pack
+        calls = []
+
+        def disk_full_on_fourth_series(parts, fh):
+            calls.append(None)
+            if len(calls) == 4:
+                fh.write(b"partial member bytes")
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return pack(parts, fh)
+
+        monkeypatch.setattr(codec, "pack", disk_full_on_fourth_series)
+        with pytest.raises(FrameError, match=r"batch_000000\.npz: .*No space left"):
+            filled_store().spill(tmp_path / "series")
+        assert list((tmp_path / "series").iterdir()) == []

@@ -127,3 +127,32 @@ class TestCorruption:
 
     def test_missing_entry_loads_none(self, tmp_path):
         assert DatasetCache(tmp_path).load("no-such-key") is None
+
+
+class TestWriteFailure:
+    def test_failed_series_write_leaves_no_entry(self, small_dataset, tmp_path, monkeypatch):
+        """A full disk under the series file raises FrameError naming it
+        and leaves neither an entry nor a temp directory."""
+        import errno
+        import importlib
+
+        from repro.errors import FrameError
+
+        codec = importlib.import_module("repro.frame.codec")
+        pack = codec.pack
+        calls = []
+
+        def disk_full_on_third_series(parts, fh):
+            calls.append(None)
+            if len(calls) == 3:
+                fh.write(b"partial member bytes")
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return pack(parts, fh)
+
+        monkeypatch.setattr(codec, "pack", disk_full_on_third_series)
+        cache = DatasetCache(tmp_path / "cache")
+        assert len(small_dataset.timeseries) >= 3
+        with pytest.raises(FrameError, match=r"timeseries\.npz: .*No space left"):
+            cache.store("key", small_dataset)
+        assert not cache.has("key")
+        assert list((tmp_path / "cache").iterdir()) == []

@@ -1,14 +1,9 @@
-"""Tests for the end-to-end dataset pipeline.
-
-New code builds datasets through :class:`repro.pipeline.Session`; the
-deprecated ``default_dataset`` shim keeps exactly one test pinning its
-warning until the 2.0 removal (see CHANGELOG.md).
-"""
+"""Tests for the end-to-end dataset pipeline."""
 
 import numpy as np
 import pytest
 
-from repro.dataset import default_dataset, generate_dataset
+from repro.dataset import generate_dataset
 from repro.pipeline import Session
 from repro.workload.calibration import PAPER_TARGETS
 from repro.workload.generator import WorkloadConfig
@@ -77,13 +72,6 @@ class TestDeterminism:
         from_session = Session(config).dataset()
         direct = generate_dataset(config)
         assert list(from_session.gpu_jobs["sm_mean"]) == list(direct.gpu_jobs["sm_mean"])
-
-    def test_default_dataset_still_warns_until_removal(self):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            first = default_dataset(scale=0.01, seed=55)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            second = default_dataset(scale=0.01, seed=55)
-        assert first is second
 
 
 class TestPhaseTable:

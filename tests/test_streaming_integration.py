@@ -15,32 +15,25 @@ import numpy as np
 import pytest
 
 from repro.frame import ChunkedTable
-from repro.monitor.collector import MonitoringCollector, MonitoringConfig
 from repro.slurm.accounting import accounting_chunked, accounting_table
 
 
 class TestCollectorChunking:
-    def _run_pipeline(self, summary_chunk_rows):
+    def test_chunked_collector_is_bit_identical(self):
+        """The one-island streaming build seals the collector's summary
+        rows into 64-row runs on disk; its tables equal the
+        materialized build's."""
         from repro.pipeline import Session
         from repro.workload.generator import WorkloadConfig
 
-        monitoring = MonitoringConfig(summary_chunk_rows=summary_chunk_rows)
-        return Session(
-            WorkloadConfig(scale=0.01, seed=303), monitoring=monitoring
-        ).dataset()
-
-    def test_chunked_collector_is_bit_identical(self):
-        baseline = self._run_pipeline(None)
-        chunked = self._run_pipeline(64)
-        assert chunked.per_gpu.to_dict() == baseline.per_gpu.to_dict()
-        assert chunked.gpu_jobs.to_dict() == baseline.gpu_jobs.to_dict()
-        assert chunked.jobs.to_dict() == baseline.jobs.to_dict()
-
-    def test_per_gpu_chunked_view(self):
-        config = MonitoringConfig(summary_chunk_rows=2)
-        collector = MonitoringCollector(config)
-        chunked = collector.per_gpu_chunked()
-        assert isinstance(chunked, ChunkedTable)
+        config = WorkloadConfig(scale=0.01, seed=303)
+        baseline = Session(config).dataset()
+        chunked = Session(config).streaming_dataset(chunk_rows=64)
+        for name in ("per_gpu", "gpu_jobs", "jobs"):
+            assert (
+                getattr(chunked, name).materialize().to_dict()
+                == getattr(baseline, name).to_dict()
+            ), name
 
 
 class TestTimeSeriesScan:
