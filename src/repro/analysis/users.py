@@ -34,10 +34,10 @@ def user_table(gpu_jobs: Table) -> Table:
     :func:`repro.analysis.stats.coefficient_of_variation` — pipeline
     metrics are finite by construction, so no filtering is needed).
 
-    A chunked ``gpu_jobs`` dispatches to the streaming group-by — the
-    same spec and output naming, O(users) state — so the per-user view
-    never materializes the job stream.  Job counts stay exact;
-    mean/std fold chunk partials (deterministic for a fixed chunking).
+    A chunked ``gpu_jobs`` runs the same group-by fold — the same spec
+    and output naming, O(users) state — so the per-user view never
+    materializes the job stream.  Job counts stay exact; mean/std merge
+    chunk partials (deterministic for a fixed chunking).
     """
     spec: dict[str, list[str]] = {"gpu_hours": ["count", "sum"]}
     for column in USER_METRICS:

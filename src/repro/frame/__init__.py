@@ -35,7 +35,6 @@ from repro.frame.chunked import (
     DEFAULT_CHUNK_BYTES,
     DEFAULT_CHUNK_ROWS,
     ChunkedTable,
-    StreamingGroupBy,
     adaptive_chunk_rows,
     concat_chunked,
     merge_sorted_chunked,
@@ -43,12 +42,7 @@ from repro.frame.chunked import (
 from repro.frame.codec import LOSSLESS, QUANT_STEP, SpillCodec
 from repro.frame.column import as_column, column_dtype, is_string_column
 from repro.frame.factorize import Factorization, factorize_columns
-from repro.frame.groupby import (
-    EXACT_STREAMING_REDUCERS,
-    STREAMABLE_REDUCERS,
-    GroupBy,
-    StreamingAggregateState,
-)
+from repro.frame.groupby import EXACT_STREAMING_REDUCERS, STREAMABLE_REDUCERS, GroupBy
 from repro.frame.io import (
     read_csv,
     read_jsonl,
@@ -67,8 +61,6 @@ __all__ = [
     "Table",
     "TableBuilder",
     "ChunkedTable",
-    "StreamingGroupBy",
-    "StreamingAggregateState",
     "QuantileSketch",
     "StreamingMoments",
     "GroupBy",

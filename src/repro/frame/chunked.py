@@ -4,17 +4,18 @@ A :class:`ChunkedTable` is a re-iterable stream of bounded-size
 :class:`~repro.frame.table.Table` batches behind (a subset of) the same
 verbs.  Transformations (``select``/``drop``/``rename``/``filter``/
 ``with_column``/``join`` against a broadcast table) stay lazy — each
-builds a new chunked view whose chunks are produced on demand — while
-terminal operations (``group_by(...).aggregate``, ``value_counts``,
-``sketch``, ``moments``, ``materialize``, ``spill``) run one bounded-
-memory pass.
+builds a new chunked view whose chunks are produced on demand, running
+the :class:`Table` verb per chunk — while terminal operations
+(``group_by(...).aggregate``, ``value_counts``, ``sketch``,
+``moments``, ``materialize``, ``spill``) run one bounded-memory pass.
 
 Memory contract (the full verb-by-verb table lives in
 docs/performance.md):
 
 * lazy verbs hold at most one chunk at a time plus O(1) state;
-* ``group_by`` aggregation holds O(groups) state
-  (:class:`~repro.frame.groupby.StreamingAggregateState`);
+* ``group_by`` and ``value_counts`` hold O(groups) state: they return
+  the one :class:`~repro.frame.groupby.GroupBy` fold, the same one a
+  :class:`Table` runs as its own one-chunk stream;
 * ``sketch`` holds O(k log(n/k)) state;
 * ``spill`` streams chunks to ``.npz`` files and returns a file-backed
   view (re-iterable without re-running the producing pipeline);
@@ -24,10 +25,10 @@ docs/performance.md):
 Exactness: chunked ``filter``/``join``/``value_counts``/``head`` and
 the ``count``/``min``/``max``/``first``/``last`` reducers are
 bit-for-bit identical to running the materialized kernel on
-``materialize()``; ``sum``/``mean``/``std`` accumulate float partials
-(deterministic for a fixed chunking); sketch quantiles carry a tracked
-rank-error bound.  The streaming property suite pins all of this
-against :mod:`repro.frame.reference`.
+``materialize()``; ``sum``/``mean``/``std`` merge float partials
+(bit-for-bit on one chunk, deterministic for a fixed chunking); sketch
+quantiles carry a tracked rank-error bound.  The streaming property
+suite pins all of this against :mod:`repro.frame.reference`.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.errors import FrameError
-from repro.frame.groupby import StreamingAggregateState
 from repro.frame.sketch import DEFAULT_SKETCH_K, QuantileSketch, StreamingMoments
-from repro.frame.table import Table, _unwrap, concat_tables
+from repro.frame.table import Table, concat_tables
 from repro.obs.runtime import get_metrics, get_tracer, record_event, record_peak_rss
 
 __all__ = [
@@ -381,41 +381,21 @@ class ChunkedTable:
     # ------------------------------------------------------------------
     # Terminal operations
     # ------------------------------------------------------------------
-    def group_by(self, *names: str) -> "StreamingGroupBy":
-        """Streaming group-by; see :class:`StreamingGroupBy`."""
-        return StreamingGroupBy(self, names)
+    def group_by(self, *names: str) -> "GroupBy":
+        """Group by the key columns; see :class:`~repro.frame.GroupBy`.
+
+        ``aggregate``/``sizes``/``mean``/``sum`` fold the chunks in
+        O(groups) state; iterating groups needs ``materialize()``.
+        """
+        from repro.frame.groupby import GroupBy
+
+        return GroupBy(self, names)
 
     def value_counts(self, name: str) -> Table:
-        """Count occurrences of each value, most frequent first (ties
-        broken by the value's string form) — bit-for-bit the
-        materialized :meth:`Table.value_counts` contract, in one
-        O(distinct values) pass."""
-        counts: dict[Any, int] = {}
-        rows = 0
-        chunks = 0
-        tracer = get_tracer()
-        with tracer.span("frame.stream.value_counts", category="frame", column=name) as span:
-            for chunk in self.chunks():
-                chunks += 1
-                rows += chunk.num_rows
-                partial = chunk.value_counts(name)
-                for value, count in zip(
-                    (_unwrap(v) for v in partial.column(name)),
-                    partial.column("count").tolist(),
-                ):
-                    counts[value] = counts.get(value, 0) + count
-            span.set(chunks=chunks, rows=rows, groups=len(counts))
-        _count_stream_op("value_counts", chunks, rows)
-        if not counts:
-            return Table.from_rows([])
-        values = list(counts)
-        totals = np.asarray(list(counts.values()), dtype=np.int64)
-        labels = np.asarray([str(v) for v in values])
-        order = np.lexsort((labels, -totals))
-        column = np.empty(len(values), dtype=object)
-        column[:] = values
-        out = Table({name: column[order], "count": totals[order]})
-        return out
+        """Count occurrences of each value; see :meth:`Table.value_counts`."""
+        from repro.frame.groupby import value_counts
+
+        return value_counts(self, name)
 
     def sketch(self, name: str, k: int = DEFAULT_SKETCH_K) -> QuantileSketch:
         """One-pass mergeable quantile/ECDF sketch of a column."""
@@ -533,59 +513,6 @@ class ChunkedTable:
             column_names=self._column_names,
             num_rows=rows,
         )
-
-
-class StreamingGroupBy:
-    """Streaming group-by over a :class:`ChunkedTable`.
-
-    Mirrors the :class:`~repro.frame.groupby.GroupBy` aggregation
-    surface (``aggregate``/``sizes``/``mean``/``sum``) with O(groups)
-    state.  Iteration over group sub-tables is a materialized-only
-    feature: the stream cannot hand out per-group row sets without
-    buffering them.
-    """
-
-    def __init__(self, source: ChunkedTable, keys: Sequence[str]) -> None:
-        if not keys:
-            raise FrameError("group_by requires at least one key column")
-        self._source = source
-        self._keys = tuple(keys)
-
-    def _run(self, spec: Mapping[str, Sequence[str] | str]) -> StreamingAggregateState:
-        state = StreamingAggregateState(self._keys, spec)
-        chunks = 0
-        rows = 0
-        tracer = get_tracer()
-        with tracer.span(
-            "frame.stream.aggregate", category="frame", keys=",".join(self._keys)
-        ) as span:
-            for chunk in self._source.chunks():
-                chunks += 1
-                rows += chunk.num_rows
-                state.update(chunk)
-            span.set(chunks=chunks, rows=rows, groups=state.num_groups)
-        _count_stream_op("aggregate", chunks, rows)
-        record_peak_rss()
-        return state
-
-    def aggregate(self, spec: Mapping[str, Sequence[str] | str]) -> Table:
-        """Aggregate columns per group; see :meth:`GroupBy.aggregate`.
-
-        Supports the streamable reducers
-        (:data:`~repro.frame.groupby.STREAMABLE_REDUCERS`); ``median``
-        requires ``materialize()`` or a quantile sketch.
-        """
-        return self._run(spec).result()
-
-    def sizes(self) -> Table:
-        """Group keys and row counts, like :meth:`GroupBy.sizes`."""
-        return self._run({}).sizes()
-
-    def mean(self, column: str) -> Table:
-        return self.aggregate({column: "mean"})
-
-    def sum(self, column: str) -> Table:
-        return self.aggregate({column: "sum"})
 
 
 def concat_chunked(sources: Iterable[Table | ChunkedTable]) -> ChunkedTable:

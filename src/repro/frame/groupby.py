@@ -1,22 +1,37 @@
-"""Group-by support for :class:`repro.frame.Table`.
+"""Group-by for :class:`repro.frame.Table` and
+:class:`~repro.frame.ChunkedTable`.
 
 The paper's pipeline aggregates jobs by user, by GPU count, by
-interface type, and by life-cycle class.  :class:`GroupBy` supports
-iteration over groups and a vectorised ``aggregate`` that applies named
-reducers to columns.
+interface type, and by life-cycle class.  :class:`GroupBy` is the one
+group-by engine: ``aggregate``/``sizes``/``mean``/``sum`` (and
+``value_counts`` on either representation) are one fold over
+``source.chunks()``, where a :class:`Table` is the one-chunk stream of
+itself.  On a table it also hands out the groups themselves
+(``keys``, iteration, ``group``, ``apply``).
 
 Execution model
 ---------------
-Keys are factorized once (:mod:`repro.frame.factorize`): every row gets
-an integer group code in first-seen order, and one stable sort of the
-codes turns the table into contiguous per-group segments.  From there:
+Each chunk's keys are factorized once (:mod:`repro.frame.factorize`):
+every row gets an integer group code in first-seen order, and one
+stable sort of the codes turns the chunk into contiguous per-group
+segments.  :func:`_reduce_segments` then reduces every segment at once:
 
-* ``sizes`` and the ``count`` reducer are segment-length differences;
+* ``count`` is segment-length differences;
 * ``min``/``max``/``sum`` run as ``np.{minimum,maximum,add}.reduceat``
-  over the sorted value column; ``mean``/``std`` derive from those;
+  over the sorted value column; ``m2``, the centred sum of squares,
+  subtracts each segment's mean before squaring; ``mean``/``std``
+  derive from those;
 * ``first``/``last`` fancy-index the segment boundaries;
 * ``median`` sorts values within segments via one ``lexsort`` and
   averages the two middle elements per segment.
+
+The first chunk's partials are kept as they are, so a table's
+aggregate is the kernel output unchanged.  Later chunks merge by key:
+counts and sums add, ``min``/``max`` combine, ``first`` keeps the
+earlier value and ``last`` takes the later one, and ``m2`` merges by
+Chan et al.'s pairwise update.  ``median`` has no mergeable partial, so
+a chunk stream refuses it up front.  Group order is first-seen order
+across the stream, which is the order on the concatenated input.
 
 So that the vectorized kernels stay **bit-for-bit identical** to the
 row-at-a-time reference path (:mod:`repro.frame.reference`), the
@@ -30,14 +45,18 @@ property tests assert exactly that.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import FrameError
+from repro.frame.chunked import _count_stream_op
 from repro.frame.factorize import Factorization, factorize_columns
-from repro.frame.table import Table, _unwrap
-from repro.obs.runtime import record_kernel
+from repro.frame.table import Table, _concat_columns, _unwrap
+from repro.obs.runtime import get_tracer, record_kernel, record_peak_rss
+
+if TYPE_CHECKING:
+    from repro.frame.chunked import ChunkedTable
 
 Reducer = Callable[[np.ndarray], Any]
 
@@ -75,39 +94,72 @@ _BUILTIN_REDUCERS: dict[str, Reducer] = {
     "last": lambda a: _unwrap(a[-1]),
 }
 
+#: Reducers with a mergeable partial state.  ``median`` is the one
+#: builtin without one — it needs the whole group (materialize, or use
+#: a :class:`repro.frame.sketch.QuantileSketch`).
+STREAMABLE_REDUCERS = ("sum", "count", "mean", "min", "max", "std", "first", "last")
+
+#: Streamable reducers whose chunked result is bit-for-bit identical to
+#: the materialized kernel regardless of chunking.  ``sum``/``mean``/
+#: ``std`` merge float partials instead (bit-for-bit on one chunk,
+#: deterministic for a fixed chunking; see docs/performance.md).
+EXACT_STREAMING_REDUCERS = ("count", "min", "max", "first", "last")
+
+#: The per-group partials a reducer reads besides the group sizes.
+_PARTIALS = {"count": (), "mean": ("sum",), "std": ("sum", "m2")}
+
+#: ``sizes``/``value_counts``: one ``count`` output column, no values.
+_SIZES = (("count", "", "count"),)
+
 
 class GroupBy:
-    """Grouping of a table by one or more key columns.
+    """Grouping of a table or chunk stream by one or more key columns.
 
     Group order is first-seen order of the key; row order within a
     group is the table's row order (the factorization sort is stable).
+    Iterating groups (``num_groups``, ``keys``, iteration, ``group``,
+    ``apply``) needs a :class:`Table`: a stream cannot hand out
+    per-group rows without buffering them.
     """
 
-    def __init__(self, table: Table, keys: Sequence[str]) -> None:
+    def __init__(self, source: "Table | ChunkedTable", keys: Sequence[str]) -> None:
         if not keys:
             raise FrameError("group_by requires at least one key column")
-        self._table = table
+        self._source = source
         self._keys = tuple(keys)
-        self._fact: Factorization = factorize_columns(
-            [table.column(k) for k in self._keys]
+        # A table is factorized once, here; a stream per chunk, in the fold.
+        self._fact: Factorization | None = (
+            factorize_columns([source.column(k) for k in self._keys])
+            if isinstance(source, Table)
+            else None
         )
         self._key_tuples: list[tuple[Any, ...]] | None = None
         self._lookup: dict[tuple[Any, ...], int] | None = None
 
     # ------------------------------------------------------------------
+    # Groups of a materialized table
+    # ------------------------------------------------------------------
+    def _table_fact(self, verb: str) -> Factorization:
+        if self._fact is None:
+            raise FrameError(
+                f"GroupBy.{verb} needs a materialized table: a chunk stream "
+                "cannot hand out per-group rows without buffering them; call "
+                ".materialize() on the chunked table first"
+            )
+        return self._fact
+
     @property
     def num_groups(self) -> int:
-        return self._fact.num_groups
+        return self._table_fact("num_groups").num_groups
 
     def keys(self) -> list[tuple[Any, ...]]:
         """Group keys in first-seen order."""
+        fact = self._table_fact("keys")
         if self._key_tuples is None:
-            reps = [
-                self._table.column(k)[self._fact.first_rows] for k in self._keys
-            ]
+            reps = [self._source.column(k)[fact.first_rows] for k in self._keys]
             self._key_tuples = [
                 tuple(_unwrap(col[g]) for col in reps)
-                for g in range(self._fact.num_groups)
+                for g in range(fact.num_groups)
             ]
         return list(self._key_tuples)
 
@@ -116,73 +168,26 @@ class GroupBy:
         return f.order[f.starts[group] : f.starts[group + 1]]
 
     def __iter__(self) -> Iterator[tuple[tuple[Any, ...], Table]]:
+        self._table_fact("__iter__")
         for group, key in enumerate(self.keys()):
-            yield key, self._table.take(self._group_rows(group))
+            yield key, self._source.take(self._group_rows(group))
 
     def group(self, *key: Any) -> Table:
         """Return the sub-table for one group key."""
+        self._table_fact("group")
         if self._lookup is None:
             self._lookup = {k: g for g, k in enumerate(self.keys())}
         k = tuple(key)
         group = self._lookup.get(k)
         if group is None:
             raise FrameError(f"no group with key {k!r}")
-        return self._table.take(self._group_rows(group))
-
-    def _key_columns(self) -> dict[str, np.ndarray]:
-        """Key columns of the output table, one row per group."""
-        return {
-            name: self._table.column(name)[self._fact.first_rows]
-            for name in self._keys
-        }
-
-    def sizes(self) -> Table:
-        """Return a table of group keys and their row counts."""
-        if self._fact.num_groups == 0:
-            return Table.from_rows([])
-        data = self._key_columns()
-        data["count"] = self._fact.sizes.astype(np.int64, copy=False)
-        return Table(data)
-
-    # ------------------------------------------------------------------
-    def aggregate(self, spec: Mapping[str, Sequence[str] | str]) -> Table:
-        """Aggregate columns per group.
-
-        ``spec`` maps a column name to one reducer name or a list of
-        reducer names (``mean``/``sum``/``min``/``max``/``median``/
-        ``std``/``count``/``first``/``last``).  The result has one row
-        per group with columns ``{column}_{reducer}``.
-        """
-        record_kernel("aggregate", self._table.num_rows)
-        normalized: list[tuple[str, str]] = []
-        for column, reducers in spec.items():
-            if isinstance(reducers, str):
-                reducers = [reducers]
-            for name in reducers:
-                if name not in _BUILTIN_REDUCERS:
-                    raise FrameError(
-                        f"unknown reducer {name!r}; choose from {sorted(_BUILTIN_REDUCERS)}"
-                    )
-                normalized.append((column, name))
-
-        if self._fact.num_groups == 0:
-            return Table.from_rows([])
-        data = self._key_columns()
-        sorted_cache: dict[str, np.ndarray] = {}
-        for column, name in normalized:
-            values = sorted_cache.get(column)
-            if values is None:
-                values = sorted_cache[column] = self._table.column(column)[
-                    self._fact.order
-                ]
-            data[f"{column}_{name}"] = _reduce_segments(values, self._fact, name)
-        return Table(data)
+        return self._source.take(self._group_rows(group))
 
     def apply(self, fn: Callable[[Table], Mapping[str, Any]]) -> Table:
         """Apply ``fn`` to each group's sub-table; collect dict results."""
         from repro.frame.builder import TableBuilder
 
-        if self._fact.num_groups == 0:
+        if self._table_fact("apply").num_groups == 0:
             return Table.from_rows([])
         builder = TableBuilder(columns=self._keys)
         for key, sub in self:
@@ -191,47 +196,24 @@ class GroupBy:
             builder.append_row(row)
         return builder.finish()
 
-    def mean(self, column: str) -> Table:
-        """Shorthand for ``aggregate({column: "mean"})``."""
-        return self.aggregate({column: "mean"})
+    # ------------------------------------------------------------------
+    # The fold
+    # ------------------------------------------------------------------
+    def sizes(self) -> Table:
+        """Return a table of group keys and their row counts."""
+        return self._fold(_SIZES, "aggregate")
 
-    def sum(self, column: str) -> Table:
-        """Shorthand for ``aggregate({column: "sum"})``."""
-        return self.aggregate({column: "sum"})
+    def aggregate(self, spec: Mapping[str, Sequence[str] | str]) -> Table:
+        """Aggregate columns per group.
 
-
-# ----------------------------------------------------------------------
-# Streaming (chunk-at-a-time) aggregation
-# ----------------------------------------------------------------------
-#: Reducers with a mergeable partial state.  ``median`` is the one
-#: builtin without one — it needs the whole group (materialize, or use
-#: a :class:`repro.frame.sketch.QuantileSketch`).
-STREAMABLE_REDUCERS = ("sum", "count", "mean", "min", "max", "std", "first", "last")
-
-#: Streamable reducers whose chunked result is bit-for-bit identical to
-#: the materialized kernel regardless of chunking.  ``sum``/``mean``/
-#: ``std`` accumulate float partials instead (deterministic for a fixed
-#: chunking, exact when the addends are exactly representable; see
-#: docs/performance.md for the full contract).
-EXACT_STREAMING_REDUCERS = ("count", "min", "max", "first", "last")
-
-
-class StreamingAggregateState:
-    """Mergeable partial-aggregate state for a chunked group-by.
-
-    Feed chunks with :meth:`update`; combine parallel partials with
-    :meth:`merge`; read the one-row-per-group table with
-    :meth:`result`.  Group order is first-seen order across the update
-    stream, matching :class:`GroupBy` on the concatenated input.  State
-    size is O(groups), independent of total rows.
-    """
-
-    def __init__(self, keys: Sequence[str], spec: Mapping[str, Sequence[str] | str]) -> None:
-        if not keys:
-            raise FrameError("group_by requires at least one key column")
-        self._keys = tuple(keys)
-        normalized: list[tuple[str, str]] = []
-        need: dict[str, set[str]] = {}
+        ``spec`` maps a column name to one reducer name or a list of
+        reducer names (``mean``/``sum``/``min``/``max``/``median``/
+        ``std``/``count``/``first``/``last``).  The result has one row
+        per group with columns ``{column}_{reducer}``.  A chunk stream
+        supports the :data:`STREAMABLE_REDUCERS`; ``median`` requires
+        ``materialize()`` or a quantile sketch.
+        """
+        outputs: list[tuple[str, str, str]] = []
         for column, reducers in spec.items():
             if isinstance(reducers, str):
                 reducers = [reducers]
@@ -240,7 +222,7 @@ class StreamingAggregateState:
                     raise FrameError(
                         f"unknown reducer {name!r}; choose from {sorted(_BUILTIN_REDUCERS)}"
                     )
-                if name not in STREAMABLE_REDUCERS:
+                if self._fact is None and name not in STREAMABLE_REDUCERS:
                     raise FrameError(
                         f"reducer {name!r} on column {column!r} cannot run "
                         "streaming: it has no mergeable partial state (it "
@@ -251,223 +233,141 @@ class StreamingAggregateState:
                         "rank-bounded median over one streaming pass); "
                         f"streamable reducers: {', '.join(STREAMABLE_REDUCERS)}"
                     )
-                normalized.append((column, name))
-                need.setdefault(column, set()).add(name)
-        self._normalized = normalized
-        self._need = need
-        self._lookup: dict[tuple[Any, ...], int] = {}
-        self._key_values: list[list[Any]] = [[] for _ in self._keys]
-        self._counts = np.zeros(0, dtype=np.int64)
-        self._sums: dict[str, np.ndarray] = {}
-        self._sumsqs: dict[str, np.ndarray] = {}
-        self._mins: dict[str, np.ndarray] = {}
-        self._maxs: dict[str, np.ndarray] = {}
-        self._firsts: dict[str, list[Any]] = {}
-        self._lasts: dict[str, list[Any]] = {}
-        for column, stats in need.items():
-            if stats & {"sum", "mean", "std"}:
-                self._sums[column] = np.zeros(0, dtype=float)
-            if "std" in stats:
-                self._sumsqs[column] = np.zeros(0, dtype=float)
-            if "min" in stats:
-                self._mins[column] = np.zeros(0, dtype=float)
-            if "max" in stats:
-                self._maxs[column] = np.zeros(0, dtype=float)
-            if "first" in stats:
-                self._firsts[column] = []
-            if "last" in stats:
-                self._lasts[column] = []
+                outputs.append((f"{column}_{name}", column, name))
+        return self._fold(outputs, "aggregate")
 
-    @property
-    def num_groups(self) -> int:
-        return len(self._lookup)
+    def mean(self, column: str) -> Table:
+        """Shorthand for ``aggregate({column: "mean"})``."""
+        return self.aggregate({column: "mean"})
 
-    # ------------------------------------------------------------------
-    def update(self, table: Table) -> "StreamingAggregateState":
-        """Absorb one chunk."""
-        if table.num_rows == 0:
-            return self
-        record_kernel("stream_aggregate", table.num_rows)
-        fact = factorize_columns([table.column(k) for k in self._keys])
-        reps = [table.column(k)[fact.first_rows] for k in self._keys]
-        rep_rows = list(zip(*(col.tolist() for col in reps)))
-        lookup = self._lookup
-        gids = np.empty(fact.num_groups, dtype=np.intp)
-        new_flags = np.zeros(fact.num_groups, dtype=bool)
-        for g, key in enumerate(rep_rows):
-            gid = lookup.get(key)
-            if gid is None:
-                gid = lookup[key] = len(lookup)
-                for store, col in zip(self._key_values, reps):
-                    store.append(col[g])
-                new_flags[g] = True
-            gids[g] = gid
-        total = len(lookup)
-        new_gids = gids[new_flags]
-        old_mask = ~new_flags
+    def sum(self, column: str) -> Table:
+        """Shorthand for ``aggregate({column: "sum"})``."""
+        return self.aggregate({column: "sum"})
 
-        self._counts = _extend(self._counts, total, 0)
-        self._counts[gids] += fact.sizes
-
-        starts = fact.starts[:-1]
-        sorted_cache: dict[str, np.ndarray] = {}
-        for column, stats in self._need.items():
-            values = sorted_cache.get(column)
-            if values is None:
-                values = sorted_cache[column] = table.column(column)[fact.order]
-            if "first" in stats:
-                firsts = self._firsts[column]
-                chunk_firsts = values[starts]
-                for g in np.flatnonzero(new_flags):
-                    firsts.append(chunk_firsts[g])
-            if "last" in stats:
-                lasts = self._lasts[column]
-                lasts.extend([None] * (total - len(lasts)))
-                chunk_lasts = values[fact.starts[1:] - 1]
-                for g in range(fact.num_groups):
-                    lasts[gids[g]] = chunk_lasts[g]
-            if not stats - {"first", "last", "count"}:
-                continue
-            floats = values.astype(float)
-            if column in self._sums:
-                partial = np.add.reduceat(floats, starts)
-                arr = self._sums[column] = _extend(self._sums[column], total, 0.0)
-                arr[new_gids] = partial[new_flags]
-                arr[gids[old_mask]] += partial[old_mask]
-            if column in self._sumsqs:
-                partial = np.add.reduceat(floats * floats, starts)
-                arr = self._sumsqs[column] = _extend(self._sumsqs[column], total, 0.0)
-                arr[new_gids] = partial[new_flags]
-                arr[gids[old_mask]] += partial[old_mask]
-            if column in self._mins:
-                partial = np.minimum.reduceat(floats, starts)
-                arr = self._mins[column] = _extend(self._mins[column], total, np.inf)
-                arr[new_gids] = partial[new_flags]
-                old = gids[old_mask]
-                arr[old] = np.minimum(arr[old], partial[old_mask])
-            if column in self._maxs:
-                partial = np.maximum.reduceat(floats, starts)
-                arr = self._maxs[column] = _extend(self._maxs[column], total, -np.inf)
-                arr[new_gids] = partial[new_flags]
-                old = gids[old_mask]
-                arr[old] = np.maximum(arr[old], partial[old_mask])
-        return self
-
-    def merge(self, other: "StreamingAggregateState") -> "StreamingAggregateState":
-        """Fold another state into this one (parallel chunk partials).
-
-        Groups unseen by ``self`` are appended in ``other``'s first-seen
-        order, so merging states built from a partitioned stream gives
-        the same group set (order depends on the merge order).
-        """
-        if other._keys != self._keys or other._normalized != self._normalized:
-            raise FrameError("cannot merge streaming states with different specs")
-        if not other._lookup:
-            return self
-        remap = np.empty(len(other._lookup), dtype=np.intp)
-        new_other: list[int] = []
-        for key, theirs in other._lookup.items():
-            gid = self._lookup.get(key)
-            if gid is None:
-                gid = self._lookup[key] = len(self._lookup)
-                for store, theirs_store in zip(self._key_values, other._key_values):
-                    store.append(theirs_store[theirs])
-                new_other.append(theirs)
-            remap[theirs] = gid
-        total = len(self._lookup)
-        self._counts = _extend(self._counts, total, 0)
-        np.add.at(self._counts, remap, other._counts)
-        for ours, theirs, fill, combine in (
-            (self._sums, other._sums, 0.0, "add"),
-            (self._sumsqs, other._sumsqs, 0.0, "add"),
-            (self._mins, other._mins, np.inf, "min"),
-            (self._maxs, other._maxs, -np.inf, "max"),
-        ):
-            for column, their_arr in theirs.items():
-                arr = ours[column] = _extend(ours[column], total, fill)
-                if combine == "add":
-                    np.add.at(arr, remap, their_arr)
-                elif combine == "min":
-                    np.minimum.at(arr, remap, their_arr)
-                else:
-                    np.maximum.at(arr, remap, their_arr)
-        for column, their_firsts in other._firsts.items():
-            firsts = self._firsts[column]
-            for theirs in new_other:
-                firsts.append(their_firsts[theirs])
-        for column, their_lasts in other._lasts.items():
-            lasts = self._lasts[column]
-            lasts.extend([None] * (total - len(lasts)))
-            for theirs, value in enumerate(their_lasts):
-                lasts[remap[theirs]] = value
-        return self
-
-    # ------------------------------------------------------------------
-    def result(self) -> Table:
-        """The aggregate table: key columns plus ``{column}_{reducer}``."""
-        total = len(self._lookup)
-        if total == 0:
+    def _fold(self, outputs: Sequence[tuple[str, str, str]], op: str) -> Table:
+        """Fold ``source.chunks()`` into the ``(output, column, reducer)``
+        columns, counting each chunk as one ``op`` kernel call."""
+        need: dict[str, dict[str, None]] = {}
+        for _, column, name in outputs:
+            for partial in _PARTIALS.get(name, (name,)):
+                need.setdefault(column, {})[partial] = None
+        keys: list[np.ndarray] = []
+        counts: np.ndarray | None = None
+        parts: dict[tuple[str, str], np.ndarray] = {}
+        lookup: dict[tuple[Any, ...], int] | None = None
+        chunks = rows = 0
+        with get_tracer().span(
+            f"frame.stream.{op}", category="frame", keys=",".join(self._keys)
+        ) as span:
+            for chunk in self._source.chunks():
+                chunks += 1
+                rows += chunk.num_rows
+                record_kernel(op, chunk.num_rows)
+                fact = (
+                    self._fact
+                    if chunk is self._source
+                    else factorize_columns([chunk.column(k) for k in self._keys])
+                )
+                chunk_keys = [chunk.column(k)[fact.first_rows] for k in self._keys]
+                chunk_counts = fact.sizes.astype(np.int64, copy=False)
+                chunk_parts = {}
+                for column, partials in need.items():
+                    values = chunk.column(column)[fact.order]
+                    for partial in partials:
+                        chunk_parts[column, partial] = _reduce_segments(
+                            values, fact, partial
+                        )
+                if counts is None:
+                    keys, counts, parts = chunk_keys, chunk_counts, chunk_parts
+                    continue
+                if lookup is None:
+                    lookup = {key: g for g, key in enumerate(_key_rows(keys))}
+                # A key seen before maps to its group; a new one takes the
+                # next group id, so new groups append in first-seen order.
+                gids = np.fromiter(
+                    (lookup.setdefault(key, len(lookup)) for key in _key_rows(chunk_keys)),
+                    dtype=np.intp,
+                    count=fact.num_groups,
+                )
+                new = gids >= len(counts)
+                keys = [_concat_columns(k, c[new]) for k, c in zip(keys, chunk_keys)]
+                counts, parts = _merge(counts, parts, chunk_counts, chunk_parts, gids, new)
+            span.set(chunks=chunks, rows=rows, groups=0 if counts is None else len(counts))
+        _count_stream_op(op, chunks, rows)
+        record_peak_rss()
+        if counts is None:
             return Table.from_rows([])
-        data: dict[str, Any] = {
-            name: _key_column(store)
-            for name, store in zip(self._keys, self._key_values)
-        }
-        counts = self._counts[:total]
-        for column, name in self._normalized:
-            out = f"{column}_{name}"
+        data = dict(zip(self._keys, keys))
+        for out, column, name in outputs:
             if name == "count":
-                data[out] = counts.copy()
-            elif name == "sum":
-                data[out] = self._sums[column][:total].copy()
+                data[out] = counts
             elif name == "mean":
-                data[out] = self._sums[column][:total] / counts
+                data[out] = parts[column, "sum"] / counts
             elif name == "std":
-                mean = self._sums[column][:total] / counts
-                variance = self._sumsqs[column][:total] / counts - mean * mean
-                data[out] = np.sqrt(np.where(np.isnan(variance), np.nan, np.maximum(variance, 0.0)))
-            elif name == "min":
-                data[out] = self._mins[column][:total].copy()
-            elif name == "max":
-                data[out] = self._maxs[column][:total].copy()
-            elif name == "first":
-                data[out] = _key_column(self._firsts[column])
-            elif name == "last":
-                data[out] = _key_column(self._lasts[column])
-        return Table(data)
-
-    def sizes(self) -> Table:
-        """Key columns plus a ``count`` column, like :meth:`GroupBy.sizes`."""
-        total = len(self._lookup)
-        if total == 0:
-            return Table.from_rows([])
-        data: dict[str, Any] = {
-            name: _key_column(store)
-            for name, store in zip(self._keys, self._key_values)
-        }
-        data["count"] = self._counts[:total].copy()
+                data[out] = np.sqrt(parts[column, "m2"] / counts)
+            else:
+                data[out] = parts[column, name]
         return Table(data)
 
 
-def _extend(arr: np.ndarray, n: int, fill: Any) -> np.ndarray:
-    """Grow a running per-group array to ``n`` slots, filling new ones."""
-    if n <= len(arr):
-        return arr
-    grown = np.full(n, fill, dtype=arr.dtype)
-    grown[: len(arr)] = arr
-    return grown
+def value_counts(source: "Table | ChunkedTable", name: str) -> Table:
+    """Count occurrences of each value of ``name``, most frequent first
+    (ties broken by the value's string form).
 
-
-def _key_column(values: list[Any]) -> np.ndarray:
-    """Materialize collected per-group scalars as a column.
-
-    The scalars were plucked from per-chunk numpy columns, so rebuild
-    through a list round-trip: numeric lists become typed arrays,
-    anything else an object column — the same coercion
-    :class:`~repro.frame.Table` applies to user input.
+    The group sizes of one fold, so the value column keeps the column's
+    dtype on either representation.
     """
-    from repro.frame.column import as_column
+    counts = GroupBy(source, (name,))._fold(_SIZES, "value_counts")
+    if counts.num_rows == 0:
+        return counts
+    labels = np.asarray([str(_unwrap(v)) for v in counts.column(name)])
+    return counts.take(np.lexsort((labels, -counts.column("count"))))
 
-    return as_column([_unwrap(v) for v in values])
+
+def _key_rows(keys: Sequence[np.ndarray]) -> Iterator[tuple[Any, ...]]:
+    """One hashable key tuple per group (numpy scalars unwrapped)."""
+    return zip(*(column.tolist() for column in keys))
+
+
+def _merge(
+    counts: np.ndarray,
+    parts: dict[tuple[str, str], np.ndarray],
+    chunk_counts: np.ndarray,
+    chunk_parts: dict[tuple[str, str], np.ndarray],
+    gids: np.ndarray,
+    new: np.ndarray,
+) -> tuple[np.ndarray, dict[tuple[str, str], np.ndarray]]:
+    """Merge one chunk's per-group partials into the fold's state.
+
+    ``gids`` maps each chunk group to its state group and ``new`` flags
+    the chunk groups the state has not seen; those append in chunk
+    order.  ``m2`` merges by Chan et al.'s pairwise update,
+    ``M2 = M2_a + M2_b + delta**2 * n_a * n_b / n``, reading the
+    pre-merge sums and counts of both sides.
+    """
+    seen = ~new
+    at = gids[seen]
+    n_a = counts[at]
+    n_b = chunk_counts[seen]
+    merged = {}
+    for (column, partial), ours in parts.items():
+        theirs = chunk_parts[column, partial]
+        out = _concat_columns(ours, theirs[new])
+        if partial == "sum":
+            out[at] += theirs[seen]
+        elif partial == "min":
+            out[at] = np.minimum(ours[at], theirs[seen])
+        elif partial == "max":
+            out[at] = np.maximum(ours[at], theirs[seen])
+        elif partial == "last":
+            out[at] = theirs[seen]
+        elif partial == "m2":
+            delta = chunk_parts[column, "sum"][seen] / n_b - parts[column, "sum"][at] / n_a
+            out[at] += theirs[seen] + delta * delta * (n_a * (n_b / (n_a + n_b)))
+        merged[column, partial] = out
+    merged_counts = np.concatenate([counts, chunk_counts[new]])
+    merged_counts[at] += n_b
+    return merged_counts, merged
 
 
 def _reduce_segments(values: np.ndarray, fact: Factorization, name: str) -> np.ndarray:
@@ -492,10 +392,12 @@ def _reduce_segments(values: np.ndarray, fact: Factorization, name: str) -> np.n
         return np.add.reduceat(floats, starts)
     if name == "mean":
         return np.add.reduceat(floats, starts) / counts
-    if name == "std":
+    if name in ("m2", "std"):
+        # m2: the centred sum of squares, the mergeable partial of std.
         means = np.add.reduceat(floats, starts) / counts
         centered = floats - np.repeat(means, counts)
-        return np.sqrt(np.add.reduceat(centered * centered, starts) / counts)
+        m2 = np.add.reduceat(centered * centered, starts)
+        return m2 if name == "m2" else np.sqrt(m2 / counts)
     if name == "median":
         return _segment_median(floats, fact)
     raise FrameError(f"no vectorized kernel for reducer {name!r}")

@@ -262,24 +262,12 @@ class Table:
 
     def value_counts(self, name: str) -> "Table":
         """Count occurrences of each value, most frequent first (ties
-        broken by the value's string form)."""
-        from repro.frame.factorize import factorize_codes
+        broken by the value's string form); the value column keeps the
+        column's dtype.  The same fold serves a
+        :class:`~repro.frame.ChunkedTable`."""
+        from repro.frame.groupby import value_counts
 
-        record_kernel("value_counts", self._length)
-        column = self.column(name)
-        if len(column) == 0:
-            return Table.from_rows([])
-        # The output is sorted by (-count, label), so group order is
-        # irrelevant: cheap codes plus a bincount suffice, and any
-        # occurrence of a value can represent its group.
-        codes, num_groups = factorize_codes(column)
-        counts = np.bincount(codes, minlength=num_groups).astype(np.int64, copy=False)
-        representatives = np.empty(num_groups, dtype=np.intp)
-        representatives[codes] = np.arange(len(codes), dtype=np.intp)
-        values = column[representatives]
-        labels = np.asarray([str(_unwrap(v)) for v in values])
-        order = np.lexsort((labels, -counts))
-        return Table({name: values[order], "count": counts[order]})
+        return value_counts(self, name)
 
     def pivot(
         self,

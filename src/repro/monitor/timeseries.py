@@ -10,6 +10,7 @@ holding one open batch per spill directory.
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import MonitoringError
+from repro.errors import FrameError, MonitoringError
 
 #: Series per spill batch file: small enough that loading one batch
 #: stays bounded, large enough to amortize the zip overhead.
@@ -176,9 +177,10 @@ class TimeSeriesStore:
         every array raw.  Batches of :data:`SPILL_BATCH_SERIES` series
         land in ``batch_%06d.npz`` with a JSON manifest, and the
         returned :class:`SpilledTimeSeriesStore` loads one member at a
-        time on access.  A batch that fails to write leaves no file,
-        and an ``OSError`` raises :class:`~repro.errors.FrameError`
-        naming it.  Spill traffic counts into the
+        time on access.  A batch or manifest that fails to write leaves
+        no file (the manifest lands through a temp file), and an
+        ``OSError`` raises :class:`~repro.errors.FrameError` naming it.
+        Spill traffic counts into the
         ``repro_frame_spill_*`` byte counters.
         """
         from repro.frame.codec import LOSSLESS, count_spill, write_spill_file
@@ -209,8 +211,7 @@ class TimeSeriesStore:
                     "series": [[s.job_id, s.gpu_index, s.num_samples] for s in batch],
                 }
             )
-        manifest = {"format_version": _SPILL_FORMAT_VERSION, "files": files}
-        (target / _SPILL_MANIFEST).write_text(json.dumps(manifest))
+        _write_manifest(target, {"format_version": _SPILL_FORMAT_VERSION, "files": files})
         count_spill(len(files), encoded_bytes, raw_bytes)
         if codec is not None:
             record_event(
@@ -234,9 +235,10 @@ class SpilledTimeSeriesStore:
     islands opens each batch once; :meth:`close` releases them.  Figure
     code runs unchanged against either store.  The partitioned build
     spills one directory per island and unions them here — job ids are
-    globally unique, so duplicate keys mean a bug and raise.  A batch
-    that cannot be read (truncated, corrupt, or an older layout) raises
-    :class:`MonitoringError` naming the batch, job and GPU.
+    globally unique, so duplicate keys mean a bug and raise.  A
+    manifest that cannot be read raises :class:`MonitoringError` naming
+    its directory; a batch that cannot be read (truncated, corrupt, or
+    an older layout) raises it naming the batch, job and GPU.
     """
 
     def __init__(self, directories: "Iterable[str | Path]") -> None:
@@ -244,24 +246,12 @@ class SpilledTimeSeriesStore:
         self._index: dict[tuple[int, int], tuple[Path, int]] = {}
         self.directories = tuple(Path(d) for d in directories)
         for directory in self.directories:
-            manifest_path = directory / _SPILL_MANIFEST
-            if not manifest_path.is_file():
-                raise MonitoringError(f"no spill manifest in {directory}")
-            manifest = json.loads(manifest_path.read_text())
-            version = int(manifest.get("format_version", -1))
-            if version != _SPILL_FORMAT_VERSION:
-                raise MonitoringError(
-                    f"unsupported spill format version {version} in {directory}"
-                )
-            for entry in manifest["files"]:
-                path = directory / entry["name"]
-                for job_id, gpu_index, num_samples in entry["series"]:
-                    key = (int(job_id), int(gpu_index))
-                    if key in self._index:
-                        raise MonitoringError(
-                            f"duplicate spilled series for job {key[0]} GPU {key[1]}"
-                        )
-                    self._index[key] = (path, int(num_samples))
+            for path, key, num_samples in _read_manifest(directory):
+                if key in self._index:
+                    raise MonitoringError(
+                        f"duplicate spilled series for job {key[0]} GPU {key[1]}"
+                    )
+                self._index[key] = (path, num_samples)
         #: spill directory -> (batch path, its open zip)
         self._open: dict[Path, tuple[Path, zipfile.ZipFile]] = {}
 
@@ -363,6 +353,48 @@ def _series_columns(series: GpuTimeSeries) -> dict[str, np.ndarray]:
     for name in METRIC_NAMES:
         columns[name] = np.asarray(series.metrics[name], dtype=float)
     return columns
+
+
+def _write_manifest(directory: Path, manifest: dict) -> None:
+    """Write a spill directory's manifest through a temp file, so a
+    failed write leaves no partial manifest; an ``OSError`` raises
+    :class:`~repro.errors.FrameError` naming it."""
+    path = directory / _SPILL_MANIFEST
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(manifest))
+        os.replace(tmp, path)
+    except BaseException as error:
+        tmp.unlink(missing_ok=True)
+        if isinstance(error, OSError):
+            raise FrameError(f"cannot write spill manifest {path}: {error}") from error
+        raise
+
+
+def _read_manifest(directory: Path) -> list[tuple[Path, tuple[int, int], int]]:
+    """``(batch path, (job_id, gpu_index), num_samples)`` for every
+    series a spill directory's manifest lists.  A missing, unreadable,
+    malformed or older-version manifest raises
+    :class:`~repro.errors.MonitoringError` naming the directory."""
+    path = directory / _SPILL_MANIFEST
+    if not path.is_file():
+        raise MonitoringError(f"no spill manifest in {directory}")
+    try:
+        manifest = json.loads(path.read_text())
+        version = int(manifest.get("format_version", -1))
+        if version != _SPILL_FORMAT_VERSION:
+            raise MonitoringError(
+                f"unsupported spill format version {version} in {directory}"
+            )
+        return [
+            (directory / entry["name"], (int(job_id), int(gpu_index)), int(num_samples))
+            for entry in manifest["files"]
+            for job_id, gpu_index, num_samples in entry["series"]
+        ]
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as error:
+        raise MonitoringError(
+            f"unreadable spill manifest in {directory}: {error!r}"
+        ) from error
 
 
 def _scan_series(

@@ -88,21 +88,21 @@ def record_event(name: str, category: str = "repro", **attrs: Any) -> None:
         r.emit(name, category, **attrs)
 
 
-def record_peak_rss() -> float:
+def record_peak_rss() -> None:
     """Record the process's peak RSS (bytes) into the active registry.
 
     Gauges merge by max across snapshots, so pool workers and the
     parent session roll up to the single highest high-water mark.
-    Returns the measured value (0.0 when the platform offers none).
+    With metrics disabled this returns before the ``getrusage`` call.
     """
-    value = peak_rss_bytes()
     m = _metrics
-    if m.enabled and value:
-        m.gauge(
-            "repro_process_peak_rss_bytes",
-            help="peak resident set size of the process (ru_maxrss)",
-        ).set_max(value)
-    return value
+    if m.enabled:
+        value = peak_rss_bytes()
+        if value:
+            m.gauge(
+                "repro_process_peak_rss_bytes",
+                help="peak resident set size of the process (ru_maxrss)",
+            ).set_max(value)
 
 
 def peak_rss_bytes() -> float:

@@ -189,9 +189,26 @@ class TestTerminalVerbs:
         assert "sum" in message and "mean" in message  # streamable list
 
     def test_value_counts_matches_materialized(self, table):
-        for chunk_rows in (1, 9, 100):
-            got = table.to_chunked(chunk_rows=chunk_rows).value_counts("user")
-            assert got.to_dict() == table.value_counts("user").to_dict()
+        for name in ("user", "num_gpus"):
+            expected = table.value_counts(name)
+            for chunk_rows in (1, 9, 100):
+                got = table.to_chunked(chunk_rows=chunk_rows).value_counts(name)
+                assert got.to_dict() == expected.to_dict()
+                assert got[name].dtype == expected[name].dtype == table[name].dtype
+
+    def test_group_iteration_needs_materialize(self, table):
+        """A stream cannot hand out per-group rows: every group-iterating
+        verb raises and points at materialize()."""
+        grouped = table.to_chunked(chunk_rows=10).group_by("user")
+        for verb in (
+            lambda: grouped.num_groups,
+            grouped.keys,
+            lambda: list(grouped),
+            lambda: grouped.group("u0"),
+            lambda: grouped.apply(lambda sub: {"n": sub.num_rows}),
+        ):
+            with pytest.raises(FrameError, match=r"\.materialize\(\)"):
+                verb()
 
     def test_sketch_and_moments(self, table):
         chunked = table.to_chunked(chunk_rows=8)

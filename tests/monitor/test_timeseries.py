@@ -1,6 +1,7 @@
 """Tests for GPU time-series containers and the lossless disk spill."""
 
 import json
+import re
 import zipfile
 
 import numpy as np
@@ -293,3 +294,49 @@ class TestSpillLayout:
         with pytest.raises(FrameError, match=r"batch_000000\.npz: .*No space left"):
             filled_store().spill(tmp_path / "series")
         assert list((tmp_path / "series").iterdir()) == []
+
+    def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        """A disk that fills up mid-manifest leaves no (partial)
+        manifest, and the error names the manifest file."""
+        import errno
+        from pathlib import Path
+
+        from repro.errors import FrameError
+
+        write_text = Path.write_text
+
+        def disk_full_in_manifest(self, data, *args, **kwargs):
+            if self.name.startswith("manifest.json"):
+                write_text(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_text(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", disk_full_in_manifest)
+        directory = tmp_path / "series"
+        with pytest.raises(FrameError, match=r"manifest\.json: .*No space left"):
+            filled_store().spill(directory)
+        assert [p.name for p in directory.iterdir()] == ["batch_000000.npz"]
+        with pytest.raises(MonitoringError, match="no spill manifest"):
+            SpilledTimeSeriesStore([directory])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"format_version": 2, "files": [{"name": "batch_0',
+            "[]",
+            '{"format_version": 2, "files": [{"name": "batch_000000.npz"}]}',
+            b"\xff\xfe\x00",
+        ],
+        ids=["truncated", "not_an_object", "entry_without_series", "not_text"],
+    )
+    def test_malformed_manifest_names_the_directory(self, tmp_path, payload):
+        directory = tmp_path / "series"
+        filled_store().spill(directory)
+        manifest = directory / "manifest.json"
+        if isinstance(payload, bytes):
+            manifest.write_bytes(payload)
+        else:
+            manifest.write_text(payload)
+        match = "unreadable spill manifest in " + re.escape(str(directory))
+        with pytest.raises(MonitoringError, match=match):
+            SpilledTimeSeriesStore([directory])
