@@ -1,18 +1,26 @@
 """Cold-dataset-build perf gates: deferred batched sampling.
 
 The monitor epilog used to evaluate each job's activity model one GPU
-at a time; the deferred sampling path batches every GPU of a job into
-one ``metrics_at_all`` call and can shard the task queue across a
-process pool.  These benchmarks hold the batched path to the speedup
-that justified the refactor and pin the contract that makes deferral
-safe at all: serial and parallel flushes produce bit-for-bit the same
+at a time; the deferred sampling path evaluates a whole island's task
+list as one batch (every GPU of a job in one ``metrics_at_all`` call
+outside it) and can shard the task queue across a process pool.
+These benchmarks hold the batched path to the speedup that justified
+the refactor and pin the contract that makes deferral safe at all:
+serial and parallel flushes produce bit-for-bit the same
 dataset.
 
-The ``>=1.5x`` gate is deliberately below the measured ratio (~2x on
-single-core containers where the vector math dominates, 4-8x where
-per-call Python overhead does) so it catches a silent fall-back to
+The ``>=1.5x`` gate is deliberately below the measured ratio (1.7-2.2x
+on a 2-vCPU x86 machine, where both sides also pay one ``analytic_max``
+per GPU, a one-model batch each) so it catches a silent fall-back to
 the per-GPU loop — which measures ~1.0x — without flaking on the
 slowest machines.
+
+The island gate holds deferred sampling to its batch: one
+``run_sampling`` call over a mostly single-GPU island (paper_cold's
+island at seed 20220214 has 865 one-GPU jobs of 1,030) must beat one
+call per task by ``>=2.5x`` with byte-identical summaries.  It
+measured ~3.4x on a 2-vCPU x86 machine; a batch that silently fell
+back to per-task evaluation measures ~1x.
 
 The phase-schedule gate holds the generator's per-job schedule work
 (``active_time_s`` plus burst placement for five metrics) to array
@@ -27,6 +35,7 @@ import numpy as np
 
 from repro.bench import record_bench_stat
 from repro.monitor.nvidia_smi import NvidiaSmiSampler
+from repro.monitor.sampling import SamplingPlan, SamplingTask, run_sampling
 from repro.pipeline import Session
 from repro.workload.activity import (
     JobActivityModel,
@@ -39,6 +48,9 @@ from repro.workload.generator import WorkloadConfig
 NUM_JOBS = 48
 NUM_GPUS = 16
 SUMMARY_SAMPLES = 256
+ISLAND_JOBS = 240
+#: GPUs per job in the island gate, and how often each occurs.
+ISLAND_GPUS = ([1, 2, 4, 8], [0.84, 0.14, 0.015, 0.005])
 
 
 def _make_model(job_id: int, num_gpus: int, rng: np.random.Generator) -> JobActivityModel:
@@ -131,6 +143,42 @@ def test_batched_summaries_faster():
         f"summaries[{NUM_JOBS} jobs x {NUM_GPUS} GPUs]: batched "
         f"{fast_s * 1e3:.1f}ms vs per-GPU {naive_s * 1e3:.1f}ms "
         f"({naive_s / fast_s:.1f}x < 1.5x)"
+    )
+
+
+def test_island_sampling_faster():
+    """One ``run_sampling`` call over a mostly single-GPU island: >=2.5x
+    over one call per task, with byte-identical summaries."""
+    rng = np.random.default_rng(20220214)
+    sampler = NvidiaSmiSampler(0.1, SUMMARY_SAMPLES)
+    tasks = []
+    for job_id in range(ISLAND_JOBS):
+        num_gpus = int(rng.choice(ISLAND_GPUS[0], p=ISLAND_GPUS[1]))
+        model = _make_model(job_id, num_gpus, rng)
+        offsets = sampler.draw_offsets(model.duration_s, num_gpus, rng)
+        tasks.append(SamplingTask(job_id, model, model.duration_s, offsets, keep_series=False))
+    plan = SamplingPlan()
+
+    def island():
+        return run_sampling(tasks, plan)
+
+    def per_task():
+        return [result for task in tasks for result in run_sampling([task], plan)]
+
+    fast_s, fast = _best_of(island)
+    naive_s, naive = _best_of(per_task)
+    rows = sum(task.num_gpus for task in tasks)
+    record_bench_stat(
+        "island_sampling", rows_per_s=rows / fast_s, speedup_x=naive_s / fast_s
+    )
+    for fast_job, naive_job in zip(fast, naive):
+        assert fast_job.summary.keys() == naive_job.summary.keys()
+        for name, values in fast_job.summary.items():
+            assert values.tobytes() == naive_job.summary[name].tobytes(), name
+    assert naive_s >= 2.5 * fast_s, (
+        f"island[{ISLAND_JOBS} jobs, {rows} GPU rows]: one call "
+        f"{fast_s * 1e3:.1f}ms vs per task {naive_s * 1e3:.1f}ms "
+        f"({naive_s / fast_s:.1f}x < 2.5x)"
     )
 
 

@@ -46,7 +46,7 @@ from repro.pipeline import Session
 from repro.workload.calibration import PAPER_TARGETS, PaperTargets
 from repro.workload.generator import WorkloadConfig
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "PAPER_TARGETS",

@@ -457,21 +457,22 @@ class ChunkedTable:
         store every column raw.  Each chunk file is one packed zip
         member (:func:`~repro.frame.io.write_table_npz`); a failed write
         leaves no file, and an ``OSError`` raises :class:`FrameError`
-        naming it (:func:`~repro.frame.codec.write_spill_file`).  Emits
+        naming it (:func:`~repro.frame.codec.write_spill_file`), as does
+        a ``directory`` that cannot be created
+        (:func:`~repro.frame.codec.make_spill_dir`).  Emits
         the ``repro_frame_spill_*`` counters
         (:func:`~repro.frame.codec.count_spill`) and a
         ``frame.spill.codec`` event carrying the raw bytes, encoded
         bytes, and compression ratio.
         """
-        from repro.frame.codec import LOSSLESS, count_spill
+        from repro.frame.codec import LOSSLESS, count_spill, make_spill_dir
         from repro.frame.io import read_table_npz, table_raw_bytes, write_table_npz
 
         if codec == "default":
             codec = LOSSLESS
-        target = Path(
+        target = make_spill_dir(
             tempfile.mkdtemp(prefix="repro-spill-") if directory is None else directory
         )
-        target.mkdir(parents=True, exist_ok=True)
         paths: list[Path] = []
         rows = 0
         raw_bytes = 0

@@ -328,6 +328,21 @@ def _read(fh: BinaryIO, count: int) -> bytearray:
     return out
 
 
+def make_spill_dir(directory: str | Path) -> Path:
+    """Create a spill directory (and its parents) if it is missing.
+
+    A directory that cannot be created — a full or unwritable spill
+    root, or a path under a regular file — raises :class:`FrameError`
+    naming it instead of a bare ``OSError``.
+    """
+    path = Path(directory)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        raise FrameError(f"cannot create spill directory {path}: {error}") from error
+    return path
+
+
 def write_spill_file(
     path: str | Path,
     members: Iterable[tuple[str, Mapping[str, np.ndarray]]],

@@ -30,7 +30,6 @@ from repro.monitor.sampling import (
     SamplingPlan,
     SamplingResult,
     SamplingTask,
-    evaluate_task,
     run_sampling,
 )
 from repro.monitor.timeseries import (
@@ -54,7 +53,6 @@ __all__ = [
     "SpilledTimeSeriesStore",
     "TimeSeriesStore",
     "compression_ratio",
-    "evaluate_task",
     "interval_tradeoff",
     "load_store",
     "monitoring_volume",

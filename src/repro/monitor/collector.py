@@ -245,13 +245,14 @@ class MonitoringCollector:
         before the final flush: from then on a flush seals the live
         rows into a run whenever they reach ``chunk_rows`` (default
         :data:`~repro.frame.DEFAULT_CHUNK_ROWS`).  Runs go through the
-        lossless spill codec, so read-back stays bit-identical.
+        lossless spill codec, so read-back stays bit-identical.  A
+        ``directory`` that cannot be created raises
+        :class:`~repro.errors.FrameError` naming it.
         """
         from repro.frame import DEFAULT_CHUNK_ROWS
+        from repro.frame.codec import make_spill_dir
 
-        target = Path(directory)
-        target.mkdir(parents=True, exist_ok=True)
-        self._spill_dir = target
+        self._spill_dir = make_spill_dir(directory)
         self._seal_rows = chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS
 
     def _seal_gpu_run(self) -> None:

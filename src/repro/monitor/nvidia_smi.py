@@ -29,7 +29,10 @@ class ActivityModel(Protocol):
     may additionally offer ``metrics_at_all(times_s)`` — the batched
     form evaluating every GPU from one ``(num_gpus, n)`` time matrix —
     which the sampler uses when present and falls back to per-GPU
-    :meth:`metrics_at` calls otherwise.
+    :meth:`metrics_at` calls otherwise.  Deferred sampling
+    (:func:`repro.monitor.sampling.run_sampling`) evaluates a whole
+    island of :class:`~repro.workload.activity.JobActivityModel` s as
+    one batch; any other model keeps this per-GPU path.
     """
 
     @property
@@ -186,25 +189,22 @@ class NvidiaSmiSampler:
         a process pool — without touching the RNG stream.  When the
         model implements ``metrics_at_all`` the whole job is evaluated
         in one vectorized call; the per-GPU ``metrics_at`` loop remains
-        as the fallback and produces bit-identical output.
+        as the fallback and produces bit-identical output.  The island
+        batch of :mod:`repro.monitor.sampling` shares its
+        :func:`stratified_times` and :func:`summary_stats`.
         """
         if duration_s < 0:
             raise MonitoringError(f"negative duration {duration_s}")
-        num_rows, n = offsets.shape
-        edges = np.linspace(0.0, duration_s, n + 1)
-        times = edges[:-1] + offsets * np.diff(edges)
+        num_rows = offsets.shape[0]
+        times = stratified_times(np.full(num_rows, float(duration_s)), offsets)
         if gpu_indices is None:
             gpu_indices = tuple(range(num_rows))
         metrics = self._metrics_rows(model, times, gpu_indices=gpu_indices)
         analytic = [model.analytic_max(g) for g in gpu_indices]
-        out: dict[str, np.ndarray] = {}
-        for name in METRIC_NAMES:
-            values = metrics[name]
-            analytic_max = np.asarray([a.get(name, -np.inf) for a in analytic])
-            out[f"{name}_min"] = values.min(axis=1)
-            out[f"{name}_mean"] = values.mean(axis=1)
-            out[f"{name}_max"] = np.maximum(values.max(axis=1), analytic_max)
-        return out
+        maxima = {
+            name: np.asarray([a.get(name, -np.inf) for a in analytic]) for name in METRIC_NAMES
+        }
+        return summary_stats(metrics, maxima)
 
     def _metrics_rows(
         self,
@@ -240,3 +240,43 @@ class NvidiaSmiSampler:
         if missing:
             label = f"job {job_id}" if job_id is not None else "model"
             raise MonitoringError(f"{label} produced no values for {missing}")
+
+
+def stratified_times(durations: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Stratified sample times for rows of ``(rows, n)`` ``offsets``.
+
+    Row ``i`` splits ``[0, durations[i]]`` into ``n`` equal strata at
+    ``np.linspace(0.0, durations[i], n + 1)`` and samples stratum ``k``
+    at fraction ``offsets[i, k]``.  The edges repeat ``np.linspace``'s
+    own operations row by row (including its zero-step branch), so a
+    row is bit-for-bit what a one-job evaluation computes.  Each row's
+    times come out non-decreasing, which lets the batch kernel find a
+    burst window as one index range of the row.
+    """
+    n = offsets.shape[1]
+    steps = durations / n
+    grid = np.arange(n + 1, dtype=float)
+    edges = grid * steps[:, None]
+    zero = steps == 0
+    if zero.any():
+        edges[zero] = grid / n * durations[zero, None]
+    edges += 0.0
+    edges[:, -1] = durations
+    return edges[:, :-1] + offsets * np.diff(edges, axis=1)
+
+
+def summary_stats(
+    metrics: dict[str, np.ndarray], maxima: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """``{"<metric>_<stat>": (rows,) array}`` from ``(rows, n)`` samples.
+
+    min/mean/max reduce along each row; the max is raised to the row's
+    analytic maximum so short bursts the strata missed still count.
+    """
+    out: dict[str, np.ndarray] = {}
+    for name in METRIC_NAMES:
+        values = metrics[name]
+        out[f"{name}_min"] = values.min(axis=1)
+        out[f"{name}_mean"] = values.mean(axis=1)
+        out[f"{name}_max"] = np.maximum(values.max(axis=1), maxima[name])
+    return out

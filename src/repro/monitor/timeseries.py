@@ -179,17 +179,16 @@ class TimeSeriesStore:
         returned :class:`SpilledTimeSeriesStore` loads one member at a
         time on access.  A batch or manifest that fails to write leaves
         no file (the manifest lands through a temp file), and an
-        ``OSError`` raises :class:`~repro.errors.FrameError` naming it.
-        Spill traffic counts into the
-        ``repro_frame_spill_*`` byte counters.
+        ``OSError`` raises :class:`~repro.errors.FrameError` naming it,
+        as does a ``directory`` that cannot be created.  Spill traffic
+        counts into the ``repro_frame_spill_*`` byte counters.
         """
-        from repro.frame.codec import LOSSLESS, count_spill, write_spill_file
+        from repro.frame.codec import LOSSLESS, count_spill, make_spill_dir, write_spill_file
         from repro.obs.runtime import record_event
 
         if codec == "default":
             codec = LOSSLESS
-        target = Path(directory)
-        target.mkdir(parents=True, exist_ok=True)
+        target = make_spill_dir(directory)
         keys = sorted(self._series)
         files: list[dict] = []
         raw_bytes = 0

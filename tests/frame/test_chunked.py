@@ -405,6 +405,14 @@ class TestSpillWriteFailure:
             "chunk_000000.npz", "chunk_000001.npz",
         ]
 
+    def test_uncreatable_directory_names_it(self, table, tmp_path):
+        """A spill directory under a regular file cannot be created,
+        even by root; the error names the directory."""
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        with pytest.raises(FrameError, match=r"cannot create spill directory .*not_a_dir/spill"):
+            table.to_chunked(chunk_rows=30).spill(blocker / "spill")
+
 
 class TestDeprecatedSubmoduleImports:
     """The submodule deprecation shim is gone; the public surface stays

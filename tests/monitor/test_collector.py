@@ -141,6 +141,16 @@ class TestSummarySpill:
         expected = collector.per_gpu_table().sort_by("job_id", "gpu_index")
         assert merged.to_dict() == expected.to_dict()
 
+    def test_uncreatable_spill_directory_names_it(self, tmp_path):
+        """A spill directory under a regular file cannot be created,
+        even by root; the error names the directory."""
+        from repro.errors import FrameError
+
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        with pytest.raises(FrameError, match=r"cannot create spill directory .*not_a_dir/summary"):
+            MonitoringCollector().enable_spill(blocker / "summary")
+
     def test_failed_run_write_leaves_no_file(self, tmp_path, monkeypatch):
         import errno
         import importlib

@@ -295,6 +295,16 @@ class TestSpillLayout:
             filled_store().spill(tmp_path / "series")
         assert list((tmp_path / "series").iterdir()) == []
 
+    def test_uncreatable_directory_names_it(self, tmp_path):
+        """A spill directory under a regular file cannot be created,
+        even by root; the error names the directory."""
+        from repro.errors import FrameError
+
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        with pytest.raises(FrameError, match=r"cannot create spill directory .*not_a_dir/series"):
+            filled_store().spill(blocker / "series")
+
     def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, monkeypatch):
         """A disk that fills up mid-manifest leaves no (partial)
         manifest, and the error names the manifest file."""

@@ -20,6 +20,25 @@ def rng():
     return np.random.default_rng(11)
 
 
+POWER = PowerModel(25.0, 1.25, 0.4, 0.03, 0.2)
+
+
+def one_process_model(process, duration_s, scale=1.0):
+    """A one-GPU, always-active model running ``process`` for every
+    metric: its ``sm`` is the process's value at ``scale`` (the
+    schedule gate is 1 throughout)."""
+    return JobActivityModel(
+        1, 1, duration_s, PhaseSchedule.always(duration_s, True),
+        {name: process for name in ("sm", "mem_bw", "mem_size", "pcie_tx", "pcie_rx")},
+        np.asarray([scale]), POWER,
+    )
+
+
+def process_values(process, times, scale=1.0):
+    """``process`` evaluated at ``times`` on a GPU of ``scale``."""
+    return one_process_model(process, float(times.max()), scale).metrics_at(times, 0)["sm"]
+
+
 class TestPhaseSchedule:
     def test_always_active(self):
         schedule = PhaseSchedule.always(100.0, active=True)
@@ -82,7 +101,7 @@ class TestMetricProcess:
             rng, level=50.0, noise_cov=0.1, burst_level=50.0,
             schedule=PhaseSchedule.always(1000.0, True), num_bursts=0,
         )
-        values = process.values_at(np.linspace(0, 1000, 500))
+        values = process_values(process, np.linspace(0, 1000, 500))
         assert values.mean() == pytest.approx(50.0, rel=0.15)
         assert values.std() == pytest.approx(5.0, rel=0.5)
 
@@ -93,7 +112,7 @@ class TestMetricProcess:
             schedule=schedule, num_bursts=3,
         )
         assert len(process.burst_windows) == 3
-        dense = process.values_at(np.linspace(0, 1000, 20000))
+        dense = process_values(process, np.linspace(0, 1000, 20000))
         assert dense.max() == pytest.approx(100.0)
 
     def test_bursts_only_in_active_intervals(self, rng):
@@ -117,7 +136,7 @@ class TestMetricProcess:
             rng, level=97.0, noise_cov=0.3, burst_level=97.0,
             schedule=PhaseSchedule.always(1000.0, True), num_bursts=0,
         )
-        values = process.values_at(np.linspace(0, 1000, 5000), scale=1.2)
+        values = process_values(process, np.linspace(0, 1000, 5000), scale=1.2)
         assert values.max() <= MetricProcess.SMOOTH_CAP
 
     def test_analytic_peak_bounds_values(self, rng):
@@ -125,8 +144,9 @@ class TestMetricProcess:
             rng, level=40.0, noise_cov=0.2, burst_level=80.0,
             schedule=PhaseSchedule.always(1000.0, True), num_bursts=2,
         )
-        dense = process.values_at(np.linspace(0, 1000, 50000))
-        assert dense.max() <= process.analytic_peak() + 1e-9
+        dense = process_values(process, np.linspace(0, 1000, 50000))
+        peak = one_process_model(process, 1000.0).analytic_max(0)["sm"]
+        assert dense.max() <= peak + 1e-9
 
 
 class TestJobActivityModel:
@@ -342,3 +362,68 @@ def test_schedule_fraction_in_bounds(duration, fraction, seed):
     schedule = PhaseSchedule.generate(rng, duration, fraction, 60.0, 1.69, 1.26)
     assert 0.0 <= schedule.active_fraction() <= 1.0
     assert schedule.duration_s == duration
+
+
+def choice_metric_process(rng, level, noise_cov, burst_level, schedule, num_bursts,
+                          num_harmonics=4, burst_width_median_s=3.0):
+    """``build_metric_process`` drawing each burst's interval with its
+    own ``rng.choice(starts.size, p=probs)`` call."""
+    level = float(np.clip(level, 0.0, 100.0))
+    amplitude = noise_cov * level * np.sqrt(2.0 / max(num_harmonics, 1))
+    amplitudes = np.full(num_harmonics, amplitude)
+    frequencies = np.exp(rng.uniform(np.log(1.0 / 600.0), np.log(1.0 / 5.0), num_harmonics))
+    phases = rng.uniform(0.0, 2.0 * np.pi, num_harmonics)
+    starts, ends, active = schedule.spans()
+    starts, ends = starts[active], ends[active]
+    windows = []
+    if starts.size and burst_level > level and num_bursts > 0:
+        lengths = ends - starts
+        probs = lengths / lengths.sum()
+        for _ in range(num_bursts):
+            idx = int(rng.choice(starts.size, p=probs))
+            a, b = float(starts[idx]), float(ends[idx])
+            width = min(rng.lognormal(np.log(burst_width_median_s), 0.8), b - a)
+            start = rng.uniform(a, max(b - width, a))
+            windows.append((start, start + width))
+    return MetricProcess(
+        level=level,
+        amplitudes=amplitudes,
+        frequencies_hz=frequencies,
+        phases=phases,
+        burst_level=float(np.clip(burst_level, 0.0, 100.0)),
+        burst_windows=np.asarray(windows).reshape(-1, 2),
+    )
+
+
+@given(
+    st.sampled_from(["single", "no_active", "renewal", "no_draw"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 20),
+    st.floats(1.0, 4e5),
+    st.floats(0.0, 100.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_burst_placement_matches_per_burst_choice(kind, seed, num_bursts, duration, level):
+    """One CDF per schedule draws the same windows, from the same RNG
+    stream, as one ``rng.choice(p=...)`` per burst."""
+    rng = np.random.default_rng(seed)
+    if kind == "single":
+        schedule = PhaseSchedule.always(duration, True)
+    elif kind == "no_active":
+        schedule = PhaseSchedule.always(duration, False)
+    else:
+        schedule = PhaseSchedule.generate(rng, duration, 0.5, 60.0, 1.69, 1.26)
+    # "no_draw": a burst level at or below the level places no bursts.
+    burst_level = level / 2 if kind == "no_draw" else level + (100.0 - level) / 2
+    state = rng.bit_generator.state
+    rng_new, rng_old = np.random.default_rng(), np.random.default_rng()
+    rng_new.bit_generator.state = rng_old.bit_generator.state = state
+    new = build_metric_process(rng_new, level, 0.2, burst_level, schedule, num_bursts)
+    old = choice_metric_process(rng_old, level, 0.2, burst_level, schedule, num_bursts)
+    assert new.burst_windows.shape == old.burst_windows.shape
+    assert new.burst_windows.tobytes() == old.burst_windows.tobytes()
+    for name in ("amplitudes", "frequencies_hz", "phases"):
+        assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    places = schedule.spans()[2].any() and burst_level > level
+    assert len(new.burst_windows) == (num_bursts if places else 0)
