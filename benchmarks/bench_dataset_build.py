@@ -1,19 +1,10 @@
 """Cold-dataset-build perf gates: deferred batched sampling.
 
-The monitor epilog used to evaluate each job's activity model one GPU
-at a time; the deferred sampling path evaluates a whole island's task
-list as one batch (every GPU of a job in one ``metrics_at_all`` call
-outside it) and can shard the task queue across a process pool.
-These benchmarks hold the batched path to the speedup that justified
-the refactor and pin the contract that makes deferral safe at all:
-serial and parallel flushes produce bit-for-bit the same
-dataset.
-
-The ``>=1.5x`` gate is deliberately below the measured ratio (1.7-2.2x
-on a 2-vCPU x86 machine, where both sides also pay one ``analytic_max``
-per GPU, a one-model batch each) so it catches a silent fall-back to
-the per-GPU loop — which measures ~1.0x — without flaking on the
-slowest machines.
+The deferred sampling path evaluates a whole island's task list as
+one batch and can shard the task queue across a process pool.  These
+benchmarks hold the batch to the speedup that justified it and pin
+the contract that makes deferral safe at all: serial and parallel
+flushes produce bit-for-bit the same dataset.
 
 The island gate holds deferred sampling to its batch: one
 ``run_sampling`` call over a mostly single-GPU island (paper_cold's
@@ -35,7 +26,7 @@ import numpy as np
 
 from repro.bench import record_bench_stat
 from repro.monitor.nvidia_smi import NvidiaSmiSampler
-from repro.monitor.sampling import SamplingPlan, SamplingTask, run_sampling
+from repro.monitor.sampling import SamplingTask, run_sampling
 from repro.pipeline import Session
 from repro.workload.activity import (
     JobActivityModel,
@@ -45,8 +36,6 @@ from repro.workload.activity import (
 )
 from repro.workload.generator import WorkloadConfig
 
-NUM_JOBS = 48
-NUM_GPUS = 16
 SUMMARY_SAMPLES = 256
 ISLAND_JOBS = 240
 #: GPUs per job in the island gate, and how often each occurs.
@@ -78,24 +67,6 @@ def _make_model(job_id: int, num_gpus: int, rng: np.random.Generator) -> JobActi
     )
 
 
-class _PerGpuView:
-    """The same model with ``metrics_at_all`` hidden — forces the
-    sampler onto its per-GPU ``metrics_at`` reference loop."""
-
-    def __init__(self, model: JobActivityModel) -> None:
-        self._model = model
-
-    @property
-    def num_gpus(self) -> int:
-        return self._model.num_gpus
-
-    def metrics_at(self, times_s, gpu_index):
-        return self._model.metrics_at(times_s, gpu_index)
-
-    def analytic_max(self, gpu_index):
-        return self._model.analytic_max(gpu_index)
-
-
 def _best_of(fn, repeats=3):
     best, result = float("inf"), None
     for _ in range(repeats):
@@ -103,47 +74,6 @@ def _best_of(fn, repeats=3):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def test_batched_summaries_faster():
-    """Batched ``metrics_at_all`` summaries: >=1.5x over the per-GPU
-    loop on a multi-GPU-heavy workload, with bit-identical output."""
-    rng = np.random.default_rng(20220402)
-    sampler = NvidiaSmiSampler(0.1, SUMMARY_SAMPLES)
-    jobs = []
-    for job_id in range(NUM_JOBS):
-        model = _make_model(job_id, NUM_GPUS, rng)
-        offsets = sampler.draw_offsets(model.duration_s, NUM_GPUS, rng)
-        jobs.append((model, offsets))
-
-    def batched():
-        return [
-            sampler.summarize_with_offsets(model, model.duration_s, offsets)
-            for model, offsets in jobs
-        ]
-
-    def per_gpu():
-        return [
-            sampler.summarize_with_offsets(_PerGpuView(model), model.duration_s, offsets)
-            for model, offsets in jobs
-        ]
-
-    fast_s, fast = _best_of(batched)
-    naive_s, naive = _best_of(per_gpu)
-    record_bench_stat(
-        "batched_summaries",
-        rows_per_s=NUM_JOBS * NUM_GPUS * SUMMARY_SAMPLES / fast_s,
-        speedup_x=naive_s / fast_s,
-    )
-    for fast_job, naive_job in zip(fast, naive):
-        assert fast_job.keys() == naive_job.keys()
-        for name, values in fast_job.items():
-            assert np.array_equal(values, naive_job[name]), name
-    assert naive_s >= 1.5 * fast_s, (
-        f"summaries[{NUM_JOBS} jobs x {NUM_GPUS} GPUs]: batched "
-        f"{fast_s * 1e3:.1f}ms vs per-GPU {naive_s * 1e3:.1f}ms "
-        f"({naive_s / fast_s:.1f}x < 1.5x)"
-    )
 
 
 def test_island_sampling_faster():
@@ -157,13 +87,12 @@ def test_island_sampling_faster():
         model = _make_model(job_id, num_gpus, rng)
         offsets = sampler.draw_offsets(model.duration_s, num_gpus, rng)
         tasks.append(SamplingTask(job_id, model, model.duration_s, offsets, keep_series=False))
-    plan = SamplingPlan()
 
     def island():
-        return run_sampling(tasks, plan)
+        return run_sampling(tasks, sampler)
 
     def per_task():
-        return [result for task in tasks for result in run_sampling([task], plan)]
+        return [result for task in tasks for result in run_sampling([task], sampler)]
 
     fast_s, fast = _best_of(island)
     naive_s, naive = _best_of(per_task)

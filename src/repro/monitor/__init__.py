@@ -9,29 +9,26 @@ Mirrors the paper's data-collection design (Sec. II):
 * production jobs keep only min/mean/max summaries; a subset keeps
   the full time series (the paper's 2,149-job / 42 GB dataset).
 
-The sampler consumes any object implementing the
-:class:`~repro.monitor.nvidia_smi.ActivityModel` protocol — the
-calibrated models live in :mod:`repro.workload.activity`.
+Each GPU job carries a
+:class:`~repro.workload.activity.JobActivityModel`, the calibrated
+ground truth of its activity; the
+:class:`~repro.monitor.nvidia_smi.NvidiaSmiSampler` decides when it
+is sampled.
 
 Sampling is *deferred*: epilogs record the cheap ordered facts (RNG
 draws, CPU summary) and enqueue
 :class:`~repro.monitor.sampling.SamplingTask` objects; the expensive
-activity-model evaluation runs after the simulation — optionally
-across a process pool — with bit-for-bit identical output
-(:mod:`repro.monitor.sampling`).
+activity-model evaluation runs after the simulation, a whole island
+of jobs as one batch — optionally across a process pool — with
+bit-for-bit identical output (:mod:`repro.monitor.sampling`).
 """
 
 from repro.monitor.codec import compression_ratio, load_store, save_store
 from repro.monitor.collector import MonitoringCollector, MonitoringConfig
 from repro.monitor.cpu_sampler import CpuSampler
-from repro.monitor.nvidia_smi import ActivityModel, NvidiaSmiSampler
+from repro.monitor.nvidia_smi import NvidiaSmiSampler
 from repro.monitor.overhead import interval_tradeoff, monitoring_volume
-from repro.monitor.sampling import (
-    SamplingPlan,
-    SamplingResult,
-    SamplingTask,
-    run_sampling,
-)
+from repro.monitor.sampling import SamplingResult, SamplingTask, run_sampling
 from repro.monitor.timeseries import (
     METRIC_NAMES,
     GpuTimeSeries,
@@ -41,13 +38,11 @@ from repro.monitor.timeseries import (
 
 __all__ = [
     "METRIC_NAMES",
-    "ActivityModel",
     "CpuSampler",
     "GpuTimeSeries",
     "MonitoringCollector",
     "MonitoringConfig",
     "NvidiaSmiSampler",
-    "SamplingPlan",
     "SamplingResult",
     "SamplingTask",
     "SpilledTimeSeriesStore",

@@ -9,11 +9,14 @@ expensive activity-model evaluation as a
 evaluates the queue after the simulation (optionally across a process
 pool) and lands min/mean/max summary rows (one per GPU) plus the dense
 series subset, reproducing the paper's 2,149-job detailed dataset with
-bit-for-bit the output of the old inline epilog.
+bit-for-bit the output of an inline epilog.  One
+:class:`~repro.monitor.nvidia_smi.NvidiaSmiSampler`, built from the
+config, draws the offsets in the epilog and places the dense series
+in :meth:`flush`.
 
-The activity model travels on the job request under
-``request.tags["activity"]`` so the monitoring substrate stays
-decoupled from the workload generator.
+The job's :class:`~repro.workload.activity.JobActivityModel` travels
+on the job request under ``request.tags["activity"]``, so the
+scheduler never sees it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.errors import MonitoringError
 from repro.frame import Table, TableBuilder
 from repro.monitor.cpu_sampler import CpuSampler
 from repro.monitor.nvidia_smi import NvidiaSmiSampler
-from repro.monitor.sampling import SamplingPlan, SamplingTask, run_sampling
+from repro.monitor.sampling import SamplingTask, run_sampling
 from repro.monitor.timeseries import METRIC_NAMES, TimeSeriesStore
 from repro.slurm.job import JobRecord, JobRequest
 
@@ -62,13 +65,11 @@ class MonitoringCollector:
             raise MonitoringError("timeseries_fraction must be in [0, 1]")
         self._rng = np.random.default_rng(self.config.seed)
         self._gpu_sampler = NvidiaSmiSampler(
-            self.config.gpu_interval_s, self.config.summary_samples
+            self.config.gpu_interval_s,
+            self.config.summary_samples,
+            self.config.timeseries_max_samples,
         )
         self._cpu_sampler = CpuSampler(self.config.cpu_interval_s)
-        self._plan = SamplingPlan(
-            gpu_interval_s=self.config.gpu_interval_s,
-            timeseries_max_samples=self.config.timeseries_max_samples,
-        )
         self._store = TimeSeriesStore()
         self._gpu_builder = TableBuilder(columns=["job_id", "gpu_index"])
         self._cpu_builder = TableBuilder(columns=["job_id"])
@@ -192,7 +193,7 @@ class MonitoringCollector:
         with runtime.get_tracer().span(
             "monitor.sampling", category="monitor", tasks=len(tasks), mode=mode
         ) as span:
-            results = run_sampling(tasks, self._plan, workers=workers)
+            results = run_sampling(tasks, self._gpu_sampler, workers=workers)
             rows = 0
             for result in results:
                 # All of the job's GPUs land in the builder as column

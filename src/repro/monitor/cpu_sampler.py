@@ -10,6 +10,8 @@ working set, and I/O is bursty at the start (input read) and end
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import MonitoringError
@@ -19,8 +21,10 @@ class CpuSampler:
     """Generates the 10 s CPU series for one job on one node."""
 
     def __init__(self, interval_s: float = 10.0) -> None:
-        if interval_s <= 0:
-            raise MonitoringError(f"sampling interval must be positive, got {interval_s}")
+        if not 0 < interval_s < math.inf:
+            raise MonitoringError(
+                f"sampling interval must be positive and finite, got {interval_s}"
+            )
         self.interval_s = interval_s
 
     def sample(

@@ -5,58 +5,47 @@ collector RNG in job-completion order (CPU summary, keep-series draw,
 stratified offsets) and enqueues a :class:`SamplingTask` instead of
 evaluating the activity model inline.  Everything a task needs is
 frozen at enqueue time, and the evaluation is a deterministic function
-of those inputs, so the task list can be evaluated *after* the
+of those inputs and the :class:`~repro.monitor.nvidia_smi.NvidiaSmiSampler`
+that drew the offsets, so the task list can be evaluated *after* the
 simulation and merged back in job order with bit-for-bit the dataset
-the old inline epilog produced.
+an inline epilog would produce.
 
 :func:`run_sampling` evaluates an island's whole task list at once.
-Tasks whose model is a :class:`~repro.workload.activity.JobActivityModel`
-are grouped by stratified sample count ``n`` and cut into blocks of
-at most ``_BLOCK_SAMPLES`` samples and burst windows; each block is one
-:class:`~repro.workload.activity.ActivityBatch` of its own models, so
-the working set is bounded by the block however large the island.
-min/mean/max reduce along each block's rows and the analytic maxima
-are array expressions.  Any other
-:class:`~repro.monitor.nvidia_smi.ActivityModel` keeps the sampler's
-per-GPU path.  A kept dense series is one batch per job, its smooth
-part computed once for all of the job's GPUs.  With ``workers > 1``
-contiguous task slices go through the same code in a process pool.
-Each row is computed elementwise and reduced along its own axis, so
-neither grouping, blocking nor sharding changes a byte of the output.
-``benchmarks/bench_dataset_build.py`` gates the island batch against
-one call per task.
+Tasks are grouped by stratified sample count ``n`` and cut into blocks
+of at most ``_BLOCK_SAMPLES`` samples and burst windows; each block is
+one :class:`~repro.workload.activity.ActivityBatch` of its own
+:class:`~repro.workload.activity.JobActivityModel` s, so the working
+set is bounded by the block however large the island.  min/mean/max
+reduce along each block's rows and the analytic maxima are array
+expressions.  A kept dense series is a one-model batch at
+:meth:`~repro.monitor.nvidia_smi.NvidiaSmiSampler.series_times`, its
+smooth part computed once for all of the job's GPUs.  With
+``workers > 1`` contiguous task slices go through the same code in a
+process pool.  Each row is computed elementwise and reduced along its
+own axis, so neither grouping, blocking nor sharding changes a byte of
+the output.  ``benchmarks/bench_dataset_build.py`` gates the island
+batch against one call per task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import MonitoringError, WorkloadError
-from repro.monitor.nvidia_smi import (
-    ActivityModel,
-    NvidiaSmiSampler,
-    stratified_times,
-    summary_stats,
-)
+from repro.errors import MonitoringError
+from repro.monitor.nvidia_smi import NvidiaSmiSampler, stratified_times, summary_stats
 from repro.monitor.timeseries import GpuTimeSeries
+
+if TYPE_CHECKING:
+    from repro.workload.activity import JobActivityModel
 
 #: Samples plus burst windows per batch block: bounds the kernel's
 #: working set (a few dozen arrays of this many entries) whatever the
 #: island's size.
 _BLOCK_SAMPLES = 1 << 14
-
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Deterministic evaluation parameters shared by every task."""
-
-    #: Dense-series sampling cadence (100 ms in production).
-    gpu_interval_s: float = 0.1
-    #: Dense series are decimated beyond this many samples per GPU.
-    timeseries_max_samples: int = 20000
 
 
 @dataclass
@@ -69,7 +58,7 @@ class SamplingTask:
     """
 
     job_id: int
-    model: ActivityModel
+    model: JobActivityModel
     run_time_s: float
     offsets: np.ndarray
     keep_series: bool
@@ -93,13 +82,15 @@ class SamplingResult:
 
 def run_sampling(
     tasks: list[SamplingTask],
-    plan: SamplingPlan,
+    sampler: NvidiaSmiSampler,
     workers: int | None = None,
 ) -> list[SamplingResult]:
     """Evaluate every task, in task (= job-completion) order.
 
-    With ``workers > 1`` the list is cut into one contiguous slice per
-    worker and the slices run in a process pool;
+    ``sampler`` is the one that drew the tasks' offsets; its cadence
+    and cap place the kept dense series.  With ``workers > 1`` the
+    list is cut into one contiguous slice per worker and the slices
+    run in a process pool;
     :func:`~repro.pipeline.parallel.parallel_map` preserves their order
     and falls back to the serial path when a pool cannot start, so the
     merged results are identical either way.
@@ -108,39 +99,51 @@ def run_sampling(
 
     workers = resolve_workers(workers)
     if workers <= 1 or len(tasks) <= 1:
-        return _sample_slice(plan, tasks)
+        return _sample_slice(sampler, tasks)
     size = -(-len(tasks) // workers)
     slices = [tasks[start : start + size] for start in range(0, len(tasks), size)]
-    parts = parallel_map(partial(_sample_slice, plan), slices, workers=workers)
+    parts = parallel_map(partial(_sample_slice, sampler), slices, workers=workers)
     return [result for part in parts for result in part]
 
 
-def _sample_slice(plan: SamplingPlan, tasks: list[SamplingTask]) -> list[SamplingResult]:
-    """Evaluate ``tasks`` — a pure function of ``(plan, tasks)``."""
-    sampler = NvidiaSmiSampler(plan.gpu_interval_s)
+def _sample_slice(sampler: NvidiaSmiSampler, tasks: list[SamplingTask]) -> list[SamplingResult]:
+    """Evaluate ``tasks`` — a pure function of ``(sampler, tasks)``."""
+    from repro.workload.activity import ActivityBatch, JobActivityModel
+
     for task in tasks:
+        if not isinstance(task.model, JobActivityModel):
+            raise MonitoringError(
+                f"job {task.job_id}: activity model must be a JobActivityModel, "
+                f"got {type(task.model).__name__}"
+            )
         if task.run_time_s < 0:
-            raise MonitoringError(f"negative duration {task.run_time_s}")
-    summaries = _batched_summaries(tasks)
+            raise MonitoringError(f"job {task.job_id}: negative duration {task.run_time_s}")
+        if task.offsets.ndim != 2 or task.offsets.shape[0] != task.model.num_gpus:
+            raise MonitoringError(
+                f"job {task.job_id}: offsets must have shape "
+                f"({task.model.num_gpus}, n), got {task.offsets.shape}"
+            )
     results = []
-    for index, task in enumerate(tasks):
-        summary = summaries.get(index)
-        if summary is None:
-            summary = sampler.summarize_with_offsets(task.model, task.run_time_s, task.offsets)
+    for task, summary in zip(tasks, _batched_summaries(tasks)):
         series: list[GpuTimeSeries] = []
         if task.keep_series:
-            series = sampler.sample_series_job(
-                task.job_id,
-                task.model,
-                task.run_time_s,
-                max_samples=plan.timeseries_max_samples,
-            )
+            times = sampler.series_times(task.run_time_s)
+            metrics = ActivityBatch([task.model]).metrics(times)
+            series = [
+                GpuTimeSeries(
+                    job_id=task.job_id,
+                    gpu_index=gpu_index,
+                    times_s=times,
+                    metrics={name: values[gpu_index] for name, values in metrics.items()},
+                )
+                for gpu_index in range(task.num_gpus)
+            ]
         results.append(SamplingResult(task.job_id, task.num_gpus, summary, series))
     return results
 
 
-def _batched_summaries(tasks: list[SamplingTask]) -> dict[int, dict[str, np.ndarray]]:
-    """Summaries of the tasks with a ``JobActivityModel``, by task index.
+def _batched_summaries(tasks: list[SamplingTask]) -> list[dict[str, np.ndarray]]:
+    """Each task's summary, in task order.
 
     Tasks sharing a stratified sample count ``n`` stack their GPU rows
     into ``(rows, n)`` blocks, and each block is one
@@ -149,19 +152,12 @@ def _batched_summaries(tasks: list[SamplingTask]) -> dict[int, dict[str, np.ndar
     burst windows together (a larger task is a block of its own), so
     the kernel's working set is bounded by the block, not the island.
     """
-    from repro.workload.activity import ActivityBatch, JobActivityModel
+    from repro.workload.activity import ActivityBatch
 
     by_count: dict[int, list[int]] = {}
     for index, task in enumerate(tasks):
-        if not isinstance(task.model, JobActivityModel):
-            continue
-        if task.offsets.ndim != 2 or task.offsets.shape[0] != task.model.num_gpus:
-            raise WorkloadError(
-                f"job {task.job_id}: batched times must have shape "
-                f"({task.model.num_gpus}, n), got {task.offsets.shape}"
-            )
         by_count.setdefault(task.offsets.shape[1], []).append(index)
-    out: dict[int, dict[str, np.ndarray]] = {}
+    out: list[dict[str, np.ndarray]] = [{} for _ in tasks]
     for n, members in by_count.items():
         weights = [
             tasks[index].model.num_gpus

@@ -24,8 +24,7 @@ Structure per job:
 :class:`ActivityBatch` holds the GPU rows of many models as one struct
 of arrays and is the one implementation of the metric math: the
 monitor samples a whole island's jobs through it in a few array
-passes, and a model's own ``metrics_at`` / ``metrics_at_all`` /
-``analytic_max`` are one-model batches.
+passes, and a model's own ``metrics_at`` is a one-model batch.
 """
 
 from __future__ import annotations
@@ -266,8 +265,8 @@ class PowerModel:
 class JobActivityModel:
     """Deterministic ground truth for one job's GPUs.
 
-    Implements the :class:`repro.monitor.nvidia_smi.ActivityModel`
-    protocol; every method is a one-model :class:`ActivityBatch`.
+    The monitor samples it through :class:`ActivityBatch`, many jobs at
+    once; :meth:`metrics_at` evaluates one GPU as a one-model batch.
     """
 
     def __init__(
@@ -297,7 +296,6 @@ class JobActivityModel:
         self.power_model = power_model
         self.mem_ramp_s = min(mem_ramp_s, max(duration_s * 0.05, 1.0))
 
-    # -- ActivityModel protocol ----------------------------------------
     @property
     def num_gpus(self) -> int:
         return self._num_gpus
@@ -309,43 +307,13 @@ class JobActivityModel:
         ramps up over ``mem_ramp_s`` and persists through idle phases;
         an idle GPU (scale 0) holds ~no memory.
         """
-        self._check_gpu_index(gpu_index)
-        times = np.asarray(times_s, dtype=float)
-        metrics = ActivityBatch([self]).metrics(times.reshape(-1), rows=[gpu_index])
-        return {name: values[0].reshape(times.shape) for name, values in metrics.items()}
-
-    def metrics_at_all(self, times_s: np.ndarray) -> dict[str, np.ndarray]:
-        """Batched :meth:`metrics_at` over every GPU of the job.
-
-        ``times_s`` has shape ``(num_gpus, n)``: row ``g`` holds GPU
-        ``g``'s sample offsets (rows may differ — stratified summary
-        draws — or be broadcast copies — dense series).  Returns each
-        metric as a ``(num_gpus, n)`` array whose row ``g`` is
-        bit-for-bit ``metrics_at(times_s[g], g)[metric]``.
-        """
-        times_s = np.asarray(times_s, dtype=float)
-        if times_s.ndim != 2 or times_s.shape[0] != self._num_gpus:
-            raise WorkloadError(
-                f"job {self.job_id}: batched times must have shape "
-                f"({self._num_gpus}, n), got {times_s.shape}"
-            )
-        return ActivityBatch([self]).metrics(times_s)
-
-    def analytic_max(self, gpu_index: int) -> dict[str, float]:
-        self._check_gpu_index(gpu_index)
-        peaks = ActivityBatch([self]).analytic_max()
-        return {name: float(values[gpu_index]) for name, values in peaks.items()}
-
-    # ------------------------------------------------------------------
-    def _check_gpu_index(self, gpu_index: int) -> None:
         if not 0 <= gpu_index < self._num_gpus:
             raise WorkloadError(
                 f"job {self.job_id}: GPU index {gpu_index} out of range [0, {self._num_gpus})"
             )
-
-    @property
-    def idle_gpu_count(self) -> int:
-        return int(np.sum(self.gpu_scale == 0.0))
+        times = np.asarray(times_s, dtype=float)
+        metrics = ActivityBatch([self]).metrics(times.reshape(-1), rows=[gpu_index])
+        return {name: values[0].reshape(times.shape) for name, values in metrics.items()}
 
 
 # ----------------------------------------------------------------------
@@ -631,7 +599,12 @@ class ActivityBatch:
         """
         row_model = self.row_model if rows is None else self.row_model[rows]
         scale = self.scale if rows is None else self.scale[rows]
-        grid = _Grid(np.asarray(times_s, dtype=float), row_model)
+        times = np.asarray(times_s, dtype=float)
+        if not (times.ndim == 1 or times.ndim == 2 and times.shape[0] == row_model.size):
+            raise WorkloadError(
+                f"times must have shape (n,) or ({row_model.size}, n), got {times.shape}"
+            )
+        grid = _Grid(times, row_model)
         num, gated = len(_PROCESS_ORDER), len(GATED_METRICS)
         # (metric, row, sample) arrays, metrics in _PROCESS_ORDER: metric
         # j of a grid row's model is process j * num_models + model.

@@ -68,6 +68,15 @@ class TestTimeSeriesSelection:
         with pytest.raises(MonitoringError):
             MonitoringCollector(MonitoringConfig(timeseries_fraction=1.5))
 
+    @pytest.mark.parametrize(
+        "config",
+        [MonitoringConfig(gpu_interval_s=float("nan")), MonitoringConfig(timeseries_max_samples=0)],
+        ids=["nan_interval", "zero_cap"],
+    )
+    def test_invalid_sampler_config_rejected_at_construction(self, config):
+        with pytest.raises(MonitoringError, match="got (nan|0)"):
+            MonitoringCollector(config)
+
     def test_series_capped_at_max_samples(self):
         config = MonitoringConfig(timeseries_fraction=1.0, timeseries_max_samples=100)
         collector = run_with_collector([gpu_request(1, runtime_s=3600.0)], config)

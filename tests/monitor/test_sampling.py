@@ -1,10 +1,10 @@
 """Property tests for deferred batched sampling.
 
-The whole deferral refactor rests on two bit-for-bit contracts:
+Deferred sampling rests on three bit-for-bit contracts:
 
-* batching changes nothing — ``metrics_at_all`` / ``summarize_job``
-  match the per-GPU ``metrics_at`` / ``summarize`` loop exactly,
-  including the RNG stream they consume;
+* batching changes nothing — a job's rows of an
+  :class:`~repro.workload.activity.ActivityBatch` match the per-GPU
+  ``metrics_at`` evaluation exactly;
 * deferring changes nothing — a collector that flushes after every
   epilog (the old inline behavior), one that flushes once at the end,
   and one that flushes across a process pool all build identical
@@ -25,21 +25,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.spec import supercloud_spec
-from repro.errors import MonitoringError, WorkloadError
+from repro.errors import MonitoringError
 from repro.monitor.collector import MonitoringCollector, MonitoringConfig
 from repro.monitor.nvidia_smi import NvidiaSmiSampler, stratified_times
-from repro.monitor.sampling import SamplingPlan, SamplingTask, run_sampling
+from repro.monitor.sampling import SamplingTask, run_sampling
 from repro.monitor.timeseries import METRIC_NAMES
 from repro.slurm.scheduler import SlurmSimulator
 from repro.workload.activity import (
     GATED_METRICS,
+    ActivityBatch,
     JobActivityModel,
     MetricProcess,
     PhaseSchedule,
     PowerModel,
     build_metric_process,
 )
-from tests.monitor.test_nvidia_smi import BurstyModel, FlatModel
+from tests.monitor.test_nvidia_smi import FlatModel
 from tests.slurm.test_job import make_request
 
 
@@ -77,63 +78,20 @@ class TestBatchedMatchesPerGpu:
     )
     @settings(max_examples=30, deadline=None)
     def test_metrics_at_all_bit_identical(self, seed, num_gpus, duration, fraction):
+        """A job's batch rows are each GPU's own ``metrics_at``."""
         model = make_model(seed, num_gpus, duration, fraction)
         times = np.random.default_rng(seed + 1).uniform(
             0.0, duration, (num_gpus, 64)
         )
-        batched = model.metrics_at_all(times)
+        batched = ActivityBatch([model]).metrics(times)
         for gpu_index in range(num_gpus):
             single = model.metrics_at(times[gpu_index], gpu_index)
             for name in METRIC_NAMES:
                 assert np.array_equal(batched[name][gpu_index], single[name]), name
 
-    @given(
-        st.integers(0, 2**31 - 1),
-        st.integers(1, 4),
-        st.floats(1.0, 5000.0),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_summarize_job_matches_per_gpu_stream(self, seed, num_gpus, duration):
-        """``summarize_job`` equals ``num_gpus`` consecutive
-        ``summarize`` calls — same values, same RNG stream consumed."""
-        model = make_model(seed, num_gpus, duration, 0.8)
-        sampler = NvidiaSmiSampler(0.1, 64)
-        rng_batched = np.random.default_rng(seed)
-        rng_single = np.random.default_rng(seed)
-        batched = sampler.summarize_job(model, duration, rng_batched)
-        for gpu_index in range(num_gpus):
-            single = sampler.summarize(model, duration, gpu_index, rng_single)
-            for name, values in batched.items():
-                assert values[gpu_index] == single[name], name
-        assert (
-            rng_batched.bit_generator.state == rng_single.bit_generator.state
-        )
-
-    def test_sample_series_job_matches_per_gpu(self):
-        model = make_model(11, 3, 400.0, 0.6)
-        sampler = NvidiaSmiSampler(0.1)
-        all_series = sampler.sample_series_job(7, model, 400.0, max_samples=200)
-        assert len(all_series) == 3
-        for gpu_index, series in enumerate(all_series):
-            single = sampler.sample_series(7, model, 400.0, gpu_index, max_samples=200)
-            assert series.job_id == 7 and series.gpu_index == gpu_index
-            assert np.array_equal(series.times_s, single.times_s)
-            for name in METRIC_NAMES:
-                assert np.array_equal(series.metrics[name], single.metrics[name])
-
-    def test_protocol_fallback_without_metrics_at_all(self):
-        """Test doubles without the batched method keep working and
-        match their own per-GPU evaluation."""
-        sampler = NvidiaSmiSampler(0.1, 32)
-        for model in (FlatModel(2), BurstyModel(2)):
-            offsets = np.random.default_rng(3).random((2, 32))
-            summary = sampler.summarize_with_offsets(model, 120.0, offsets)
-            assert summary["sm_max"].shape == (2,)
-
 
 def _evaluated(task):
-    plan = SamplingPlan(gpu_interval_s=0.1, timeseries_max_samples=100)
-    [result] = run_sampling([task], plan)
+    [result] = run_sampling([task], NvidiaSmiSampler(0.1, max_series_samples=100))
     return result
 
 
@@ -154,8 +112,7 @@ class TestEvaluateTask:
         task = SamplingTask(3, model, 300.0, offsets, keep_series=False)
         assert _evaluated(task).series == []
 
-    @pytest.mark.parametrize("model", [make_model(5, 2, 300.0, 0.7), FlatModel(2)],
-                             ids=["batched", "protocol"])
+    @pytest.mark.parametrize("model", [make_model(5, 2, 300.0, 0.7)], ids=["batched"])
     def test_negative_duration_rejected(self, model):
         offsets = np.random.default_rng(5).random((2, 32))
         with pytest.raises(MonitoringError, match="negative duration"):
@@ -164,19 +121,17 @@ class TestEvaluateTask:
     def test_offsets_must_cover_every_gpu(self):
         offsets = np.random.default_rng(5).random((3, 32))
         task = SamplingTask(3, make_model(5, 2, 300.0, 0.7), 300.0, offsets, keep_series=False)
-        with pytest.raises(WorkloadError, match="shape"):
+        with pytest.raises(MonitoringError, match=r"job 3: offsets must have shape \(2, n\)"):
             _evaluated(task)
 
-    def test_protocol_model_missing_a_metric_rejected(self):
-        class Partial(FlatModel):
-            def metrics_at(self, times_s, gpu_index):
-                out = super().metrics_at(times_s, gpu_index)
-                del out["power_w"]
-                return out
+    def test_model_must_be_a_job_activity_model(self):
+        class Duck:
+            num_gpus = 1
 
         offsets = np.random.default_rng(5).random((1, 32))
-        with pytest.raises(MonitoringError, match="produced no values"):
-            _evaluated(SamplingTask(3, Partial(1), 300.0, offsets, keep_series=False))
+        task = SamplingTask(4, Duck(), 300.0, offsets, keep_series=False)
+        with pytest.raises(MonitoringError, match="job 4: .*JobActivityModel, got Duck"):
+            _evaluated(task)
 
 
 def _gpu_request(job_id, num_gpus, runtime_s):
@@ -281,7 +236,7 @@ def oracle_values(process, times, scale):
 
 
 def oracle_metrics(model, times):
-    """``metrics_at_all`` as one job's ``(num_gpus, n)`` evaluation."""
+    """One job's metrics at ``(num_gpus, n)`` times, per process."""
     active = model.schedule.active_at(times).astype(float)
     out = {
         name: oracle_values(model.processes[name], times, model.gpu_scale[:, None]) * active
@@ -338,7 +293,7 @@ def oracle_analytic_max(model, gpu_index):
     return out
 
 
-def oracle_task(plan, task):
+def oracle_task(sampler, task):
     """One task's ``(summary, [(times, metrics) per GPU])``, per job."""
     model, duration, offsets = task.model, task.run_time_s, task.offsets
     edges = np.linspace(0.0, duration, offsets.shape[1] + 1)
@@ -354,11 +309,11 @@ def oracle_task(plan, task):
         )
     series = []
     if task.keep_series:
-        count = int(duration / plan.gpu_interval_s) + 1
-        if count > plan.timeseries_max_samples:
-            times = np.linspace(0.0, duration, plan.timeseries_max_samples)
+        count = int(duration / sampler.interval_s) + 1
+        if count > sampler.max_series_samples:
+            times = np.linspace(0.0, duration, sampler.max_series_samples)
         else:
-            times = np.arange(count) * plan.gpu_interval_s
+            times = np.arange(count) * sampler.interval_s
         dense = oracle_metrics(model, np.broadcast_to(times, (model.num_gpus, times.size)))
         series = [
             (times, {name: values[g] for name, values in dense.items()})
@@ -374,7 +329,7 @@ def island_tasks(draw):
     always-idle / always-active / renewal schedules, 0-20 bursts per
     metric, and kept series, some decimated."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sampler = NvidiaSmiSampler(0.1, 256)
+    sampler = NvidiaSmiSampler(0.1, 256, draw(st.integers(2, 400)))
     tasks = []
     shapes = st.tuples(
         st.integers(1, 16),
@@ -411,20 +366,19 @@ def island_tasks(draw):
         run_time = duration * stretch
         offsets = sampler.draw_offsets(run_time, num_gpus, rng)
         tasks.append(SamplingTask(job_id, model, run_time, offsets, keep))
-    plan = SamplingPlan(0.1, timeseries_max_samples=draw(st.integers(2, 400)))
-    return plan, tasks
+    return sampler, tasks
 
 
 class TestIslandBatchMatchesPerJob:
     @given(island_tasks())
     @settings(max_examples=40, deadline=None)
     def test_bytes_match_the_per_job_oracle(self, island):
-        plan, tasks = island
+        sampler, tasks = island
         pickled = [pickle.dumps(task.model) for task in tasks]
-        results = run_sampling(tasks, plan)
+        results = run_sampling(tasks, sampler)
         assert [r.job_id for r in results] == [t.job_id for t in tasks]
         for task, result in zip(tasks, results):
-            summary, series = oracle_task(plan, task)
+            summary, series = oracle_task(sampler, task)
             assert list(result.summary) == list(summary)
             for name, values in summary.items():
                 assert result.summary[name].tobytes() == values.tobytes(), name
@@ -458,8 +412,7 @@ class TestIslandBatchMatchesPerJob:
         """Slices across a pool and tiny blocks give the same bytes."""
         import repro.monitor.sampling as sampling
 
-        plan = SamplingPlan(0.1, timeseries_max_samples=50)
-        sampler = NvidiaSmiSampler(0.1, 64)
+        sampler = NvidiaSmiSampler(0.1, 64, max_series_samples=50)
         rng = np.random.default_rng(9)
         tasks = []
         for job_id, num_gpus in enumerate([1, 3, 1, 2, 1, 4]):
@@ -474,10 +427,10 @@ class TestIslandBatchMatchesPerJob:
                 for r in results
             ]
 
-        whole = snapshot(run_sampling(tasks, plan))
-        assert snapshot(run_sampling(tasks, plan, workers=2)) == whole
+        whole = snapshot(run_sampling(tasks, sampler))
+        assert snapshot(run_sampling(tasks, sampler, workers=2)) == whole
         monkeypatch.setattr(sampling, "_BLOCK_SAMPLES", 64)
-        assert snapshot(run_sampling(tasks, plan)) == whole
+        assert snapshot(run_sampling(tasks, sampler)) == whole
 
 
 def test_working_set_does_not_grow_with_the_island():
@@ -496,8 +449,7 @@ def test_working_set_does_not_grow_with_the_island():
         name: build_metric_process(rng, 50.0, 0.2, 90.0, schedule, 3)
         for name in ("sm", "mem_bw", "mem_size", "pcie_tx", "pcie_rx")
     }
-    sampler = NvidiaSmiSampler(0.1, 256)
-    plan = SamplingPlan(0.1, timeseries_max_samples=100)
+    sampler = NvidiaSmiSampler(0.1, 256, max_series_samples=100)
 
     def transient_bytes(num_jobs):
         tasks = [
@@ -513,7 +465,7 @@ def test_working_set_does_not_grow_with_the_island():
         ]
         tracemalloc.start()
         try:
-            results = run_sampling(tasks, plan)
+            results = run_sampling(tasks, sampler)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -574,25 +526,25 @@ def _odd_model(rng, job_id, num_harmonics=4, level=None, burst_level=None, windo
 def test_odd_models_match_the_oracle(shapes):
     """Batches mixing harmonic counts, and processes whose gated-off
     samples are not +0.0, still match the per-job evaluation byte for
-    byte — in the island batch and through ``metrics_at_all`` at
-    unsorted times."""
+    byte — in the island batch and in a one-model batch at unsorted
+    times."""
     rng = np.random.default_rng(5)
-    sampler = NvidiaSmiSampler(0.1, 256)
-    plan = SamplingPlan(0.1, timeseries_max_samples=300)
+    sampler = NvidiaSmiSampler(0.1, 256, max_series_samples=300)
     tasks = []
     for job_id, shape in enumerate(shapes):
         model = _odd_model(rng, job_id, **shape)
         offsets = sampler.draw_offsets(1900.0, 3, rng)
         tasks.append(SamplingTask(job_id, model, 1900.0, offsets, True))
-    for task, result in zip(tasks, run_sampling(tasks, plan)):
-        summary, series = oracle_task(plan, task)
+    for task, result in zip(tasks, run_sampling(tasks, sampler)):
+        summary, series = oracle_task(sampler, task)
         for name, values in summary.items():
             assert result.summary[name].tobytes() == values.tobytes(), name
         for got, (_, metrics) in zip(result.series, series):
             for name, values in metrics.items():
                 assert got.metrics[name].tobytes() == values.tobytes(), name
         times = rng.uniform(0.0, 2000.0, (3, 40))
-        batched, oracle = task.model.metrics_at_all(times), oracle_metrics(task.model, times)
+        batched = ActivityBatch([task.model]).metrics(times)
+        oracle = oracle_metrics(task.model, times)
         for name, values in oracle.items():
             assert batched[name].tobytes() == values.tobytes(), name
 

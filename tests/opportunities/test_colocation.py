@@ -21,9 +21,6 @@ class ConstantDemand:
         out["sm"] = np.full(len(times_s), self.demand)
         return out
 
-    def analytic_max(self, gpu_index):
-        return {name: 0.0 for name in METRIC_NAMES} | {"sm": self.demand}
-
 
 class AlternatingDemand(ConstantDemand):
     """Active (at `demand`) during even 100-second windows only."""

@@ -99,6 +99,7 @@ def test_activity_model_envelope(duration, fraction, seed):
     """Any generated activity model stays inside [0, 100] on every
     metric and its analytic max dominates dense samples."""
     from repro.workload.activity import (
+        ActivityBatch,
         JobActivityModel,
         PhaseSchedule,
         PowerModel,
@@ -124,9 +125,9 @@ def test_activity_model_envelope(duration, fraction, seed):
     )
     times = np.linspace(0.0, duration, 300)
     metrics = model.metrics_at(times, 0)
-    peaks = model.analytic_max(0)
+    peaks = ActivityBatch([model]).analytic_max()
     for name in ("sm", "mem_bw", "mem_size", "pcie_tx", "pcie_rx"):
         assert metrics[name].min() >= 0.0
         assert metrics[name].max() <= 100.0
-        assert metrics[name].max() <= peaks[name] + 1e-6
+        assert metrics[name].max() <= peaks[name][0] + 1e-6
     assert metrics["power_w"].max() <= 300.0 + 1e-6

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.workload.activity import (
+    ActivityBatch,
     JobActivityModel,
     MetricProcess,
     PhaseSchedule,
@@ -145,7 +146,7 @@ class TestMetricProcess:
             schedule=PhaseSchedule.always(1000.0, True), num_bursts=2,
         )
         dense = process_values(process, np.linspace(0, 1000, 50000))
-        peak = one_process_model(process, 1000.0).analytic_max(0)["sm"]
+        peak = ActivityBatch([one_process_model(process, 1000.0)]).analytic_max()["sm"][0]
         assert dense.max() <= peak + 1e-9
 
 
@@ -193,7 +194,8 @@ class TestJobActivityModel:
         for name in ("sm", "mem_bw", "mem_size", "pcie_tx", "pcie_rx"):
             assert (out[name] == 0.0).all()
         assert (out["power_w"] == 25.0).all()
-        assert model.idle_gpu_count == 1
+        peaks = ActivityBatch([model]).analytic_max()
+        assert all(peaks[name][1] == 0.0 for name in ("sm", "mem_bw", "mem_size"))
 
     def test_power_derived_from_metrics(self, rng):
         model = self.make_model(rng)
@@ -208,9 +210,9 @@ class TestJobActivityModel:
         model = self.make_model(rng)
         times = np.linspace(0, 600, 30000)
         out = model.metrics_at(times, 0)
-        peaks = model.analytic_max(0)
+        peaks = ActivityBatch([model]).analytic_max()
         for name in ("sm", "mem_bw", "mem_size", "pcie_tx", "pcie_rx"):
-            assert out[name].max() <= peaks[name] + 1e-6
+            assert out[name].max() <= peaks[name][0] + 1e-6
 
     def test_gpu_index_out_of_range(self, rng):
         model = self.make_model(rng)
@@ -236,7 +238,7 @@ class TestJobActivityModel:
     def test_metrics_at_all_matches_per_gpu(self, rng):
         model = self.make_model(rng, num_gpus=3, gpu_scale=np.array([1.0, 0.5, 0.0]))
         times = rng.uniform(0, 600, (3, 50))
-        batched = model.metrics_at_all(times)
+        batched = ActivityBatch([model]).metrics(times)
         for gpu_index in range(3):
             single = model.metrics_at(times[gpu_index], gpu_index)
             for name in single:
@@ -245,10 +247,11 @@ class TestJobActivityModel:
 
     def test_metrics_at_all_rejects_bad_shape(self, rng):
         model = self.make_model(rng, num_gpus=2, gpu_scale=np.ones(2))
+        batch = ActivityBatch([model])
         with pytest.raises(WorkloadError, match="shape"):
-            model.metrics_at_all(np.zeros(5))
+            batch.metrics(np.zeros((2, 5, 1)))
         with pytest.raises(WorkloadError, match="shape"):
-            model.metrics_at_all(np.zeros((3, 5)))
+            batch.metrics(np.zeros((3, 5)))
 
 
 # ----------------------------------------------------------------------
