@@ -25,9 +25,10 @@ or serial),
 ``$REPRO_CACHE_DIR`` or the XDG cache home), ``--no-cache``, and the
 observability exports ``--trace-out FILE`` (Chrome trace-event JSON,
 loadable in ``chrome://tracing``/Perfetto), ``--metrics-out FILE``
-(Prometheus text exposition), and ``--events-out FILE`` (flight
-recorder JSONL), plus ``--progress`` for live per-island build
-telemetry on stderr — see ``docs/observability.md``.  All of
+(Prometheus text exposition), and ``--events-out FILE`` (the
+flight recorder's events and one row per span, as JSONL), plus
+``--progress`` for live per-island build telemetry on stderr — see
+``docs/observability.md``.  All of
 them share one :class:`repro.pipeline.Session`, so the dataset is
 built at most once per configuration — and at most once *ever* while
 the cache holds it.
@@ -118,7 +119,8 @@ class DatasetOptions:
             )
             parser.add_argument(
                 "--events-out", default=None, metavar="FILE",
-                help="write the flight-recorder event log as JSONL",
+                help="write the run's event timeline (flight-recorder events "
+                     "plus one row per span) as JSONL",
             )
             parser.add_argument(
                 "--progress", action="store_true",
@@ -172,8 +174,12 @@ def _session(args: argparse.Namespace) -> Session:
 
 
 def _write_obs(session: Session, args: argparse.Namespace) -> None:
-    """Honour ``--trace-out``/``--metrics-out``/``--events-out``."""
-    from repro.obs import prometheus_text, write_chrome_trace
+    """Honour ``--trace-out``/``--metrics-out``/``--events-out``.
+
+    Each flag overwrites its file with this run's output; the events
+    file is the exported timeline (:func:`repro.obs.timeline_events`).
+    """
+    from repro.obs import prometheus_text, timeline_events, write_chrome_trace, write_jsonl
 
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
@@ -187,8 +193,9 @@ def _write_obs(session: Session, args: argparse.Namespace) -> None:
         Path(metrics_out).write_text(prometheus_text(session.metrics), encoding="utf-8")
         print(f"wrote {metrics_out}")
     if events_out:
-        path = session.recorder.write_jsonl(events_out)
-        print(f"wrote {path} ({len(session.recorder)} events)")
+        events = timeline_events(session.recorder, session.tracer)
+        path = write_jsonl(events_out, events)
+        print(f"wrote {path} ({len(events)} events)")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -291,13 +298,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     With ``--trace FILE`` it summarizes an existing Chrome trace
     export.  ``repro obs top`` runs the build under the live island
     telemetry view (heartbeat table redrawn in place on a TTY) and
-    finishes with the flight-recorder digest.  The default ``report``
+    finishes with the event-timeline digest.  The default ``report``
     mode runs the dataset build (and, with ``--figures``, every
     figure) under tracing and prints the run report — the span tree
     plus the metric digest — honouring ``--trace-out`` /
     ``--metrics-out`` / ``--events-out`` like the other commands.
     """
-    from repro.obs import run_report, summarize_chrome_trace, summarize_events
+    from repro.obs import run_report, summarize_chrome_trace, summarize_events, timeline_events
 
     if args.trace:
         print(summarize_chrome_trace(args.trace))
@@ -309,15 +316,16 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if args.figures:
         session.run_figures()
     print(run_report(session.tracer, session.metrics))
-    if len(session.recorder):
-        print(summarize_events(session.recorder.events()))
+    events = timeline_events(session.recorder, session.tracer)
+    if events:
+        print(summarize_events(events))
     _write_obs(session, args)
     return 0
 
 
 def _cmd_obs_top(args: argparse.Namespace) -> int:
     """``repro obs top``: live per-island telemetry around a build."""
-    from repro.obs import ProgressPrinter, ResourceSampler, summarize_events
+    from repro.obs import ProgressPrinter, ResourceSampler, summarize_events, timeline_events
     from repro.obs.progress import use_sink
 
     session = _session(args)
@@ -326,7 +334,7 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
         session.dataset()
     printer.finish()
     print(session.summary())
-    print(summarize_events(session.recorder.events()))
+    print(summarize_events(timeline_events(session.recorder, session.tracer)))
     _write_obs(session, args)
     return 0
 

@@ -462,8 +462,8 @@ class ChunkedTable:
         (:func:`~repro.frame.codec.make_spill_dir`).  Emits
         the ``repro_frame_spill_*`` counters
         (:func:`~repro.frame.codec.count_spill`) and a
-        ``frame.spill.codec`` event carrying the raw bytes, encoded
-        bytes, and compression ratio.
+        ``frame.stream.spill`` span carrying the chunk, row, encoded
+        byte and raw byte counts.
         """
         from repro.frame.codec import LOSSLESS, count_spill, make_spill_dir
         from repro.frame.io import read_table_npz, table_raw_bytes, write_table_npz
@@ -487,26 +487,9 @@ class ChunkedTable:
                 rows += chunk.num_rows
                 raw_bytes += table_raw_bytes(chunk)
                 spilled_bytes += path.stat().st_size
-            span.set(chunks=len(paths), rows=rows, bytes=spilled_bytes)
+            span.set(chunks=len(paths), rows=rows, bytes=spilled_bytes, raw_bytes=raw_bytes)
         count_spill(len(paths), spilled_bytes, raw_bytes)
         _count_stream_op("spill", len(paths), rows)
-        record_event(
-            "frame.spill",
-            category="frame",
-            directory=str(target),
-            chunks=len(paths),
-            rows=rows,
-            bytes=spilled_bytes,
-        )
-        if codec is not None:
-            record_event(
-                "frame.spill.codec",
-                category="frame",
-                directory=str(target),
-                raw_bytes=raw_bytes,
-                encoded_bytes=spilled_bytes,
-                ratio=round(raw_bytes / spilled_bytes, 3) if spilled_bytes else 0.0,
-            )
         record_peak_rss()
         self._num_rows = rows
         return ChunkedTable(

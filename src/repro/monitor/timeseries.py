@@ -181,10 +181,12 @@ class TimeSeriesStore:
         no file (the manifest lands through a temp file), and an
         ``OSError`` raises :class:`~repro.errors.FrameError` naming it,
         as does a ``directory`` that cannot be created.  Spill traffic
-        counts into the ``repro_frame_spill_*`` byte counters.
+        counts into the ``repro_frame_spill_*`` byte counters, and a
+        ``monitor.series.spill`` span carries the raw bytes, encoded
+        bytes and compression ratio.
         """
         from repro.frame.codec import LOSSLESS, count_spill, make_spill_dir, write_spill_file
-        from repro.obs.runtime import record_event
+        from repro.obs.runtime import get_tracer
 
         if codec == "default":
             codec = LOSSLESS
@@ -193,34 +195,33 @@ class TimeSeriesStore:
         files: list[dict] = []
         raw_bytes = 0
         encoded_bytes = 0
-        for start in range(0, len(keys), SPILL_BATCH_SERIES):
-            batch = [self._series[key] for key in keys[start : start + SPILL_BATCH_SERIES]]
-            name = f"batch_{len(files):06d}.npz"
-            path = target / name
-            write_spill_file(
-                path,
-                ((_series_member(s.job_id, s.gpu_index), _series_columns(s)) for s in batch),
-                codec,
-            )
-            raw_bytes += sum(s.num_samples for s in batch) * 8 * (1 + len(METRIC_NAMES))
-            encoded_bytes += path.stat().st_size
-            files.append(
-                {
-                    "name": name,
-                    "series": [[s.job_id, s.gpu_index, s.num_samples] for s in batch],
-                }
-            )
-        _write_manifest(target, {"format_version": _SPILL_FORMAT_VERSION, "files": files})
-        count_spill(len(files), encoded_bytes, raw_bytes)
-        if codec is not None:
-            record_event(
-                "frame.spill.codec",
-                category="monitor",
-                directory=str(target),
+        with get_tracer().span(
+            "monitor.series.spill", category="monitor", directory=str(target)
+        ) as span:
+            for start in range(0, len(keys), SPILL_BATCH_SERIES):
+                batch = [self._series[key] for key in keys[start : start + SPILL_BATCH_SERIES]]
+                name = f"batch_{len(files):06d}.npz"
+                path = target / name
+                write_spill_file(
+                    path,
+                    ((_series_member(s.job_id, s.gpu_index), _series_columns(s)) for s in batch),
+                    codec,
+                )
+                raw_bytes += sum(s.num_samples for s in batch) * 8 * (1 + len(METRIC_NAMES))
+                encoded_bytes += path.stat().st_size
+                files.append(
+                    {
+                        "name": name,
+                        "series": [[s.job_id, s.gpu_index, s.num_samples] for s in batch],
+                    }
+                )
+            _write_manifest(target, {"format_version": _SPILL_FORMAT_VERSION, "files": files})
+            span.set(
                 raw_bytes=raw_bytes,
                 encoded_bytes=encoded_bytes,
                 ratio=round(raw_bytes / encoded_bytes, 3) if encoded_bytes else 0.0,
             )
+        count_spill(len(files), encoded_bytes, raw_bytes)
         return SpilledTimeSeriesStore([target])
 
 

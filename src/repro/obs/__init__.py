@@ -13,16 +13,22 @@ figure harness:
   gauges, and fixed-bucket histograms, with snapshot/merge for
   process-pool propagation;
 * :class:`~repro.obs.events.FlightRecorder` — a bounded ring of
-  structured events (span closes, stage transitions, cache probes,
-  epoch boundaries, spill/merge ops) with JSONL drain/spill and the
-  same no-op fast path via :data:`~repro.obs.events.NULL_RECORDER`;
+  structured events for the moments no span covers (cache probes,
+  island epoch boundaries, k-way merges), with the same no-op fast
+  path via :data:`~repro.obs.events.NULL_RECORDER`;
 * :mod:`~repro.obs.progress` — live island telemetry: worker
   heartbeats, the ``--progress`` / ``repro obs top`` renderers, and
   the background :class:`~repro.obs.progress.ResourceSampler`;
 * :mod:`~repro.obs.runtime` — the ambient (tracer, metrics, recorder)
   triple library code reads, scoped by sessions and pool workers;
 * :mod:`~repro.obs.export` — Chrome trace-event JSON, Prometheus text
-  exposition, and the human-readable run report.
+  exposition, the human-readable run report, and the event timeline
+  (:func:`~repro.obs.export.timeline_events`: the recorder's events
+  plus one ``span:<name>`` row per finished span, written as JSONL by
+  :func:`~repro.obs.events.write_jsonl`).
+
+Each record is kept once: span closes live only in the tracer, and the
+timeline derives their rows at export.
 
 See ``docs/observability.md`` for the span model, the metric catalog,
 and the overhead contract.
@@ -35,6 +41,7 @@ from repro.obs.events import (
     NullRecorder,
     read_jsonl,
     summarize_events,
+    write_jsonl,
 )
 from repro.obs.export import (
     chrome_trace_events,
@@ -42,6 +49,7 @@ from repro.obs.export import (
     prometheus_text,
     run_report,
     summarize_chrome_trace,
+    timeline_events,
     write_chrome_trace,
 )
 from repro.obs.metrics import (
@@ -90,5 +98,7 @@ __all__ = [
     "run_report",
     "summarize_chrome_trace",
     "summarize_events",
+    "timeline_events",
     "write_chrome_trace",
+    "write_jsonl",
 ]

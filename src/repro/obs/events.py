@@ -1,15 +1,19 @@
 """The flight recorder — a bounded structured event log for live runs.
 
 Spans and metrics answer *how long* and *how much*; the flight
-recorder answers *what just happened*.  It is a bounded ring of
-structured :class:`EventRecord` entries fed by the instrumented
-layers — span closes, pipeline stage transitions, cache hits and
-misses, island epoch boundaries, spill and merge operations — each
-stamped with wall-clock **and** monotonic time, the recording pid, and
-the island that produced it.  Because the ring is bounded, leaving the
+recorder answers *what just happened* at the moments no span covers:
+cache probes, island epoch boundaries, and k-way merges.  It is a
+bounded ring of structured :class:`EventRecord` entries, each stamped
+with wall-clock **and** monotonic time, the recording pid, and the
+island that produced it.  Because the ring is bounded, leaving the
 recorder enabled for a multi-hour sharded build costs a fixed amount
-of memory: old events fall off the back (optionally spilling to a
-JSONL file first), recent history is always queryable.
+of memory: old events fall off the back (counted in
+:attr:`FlightRecorder.dropped`), recent history is always queryable.
+
+Span closes live only in the tracer.  The exported timeline
+(:func:`repro.obs.export.timeline_events`) adds one ``span:<name>``
+row per finished span to the recorder's events, so "what happened"
+reads as one stream without recording any moment twice.
 
 The recorder follows the same three contracts as the tracer and the
 metrics registry (:mod:`repro.obs.trace` / :mod:`repro.obs.metrics`):
@@ -25,10 +29,9 @@ metrics registry (:mod:`repro.obs.trace` / :mod:`repro.obs.metrics`):
   pid and island id and re-sorting on the wall clock so the merged log
   reads as one timeline.
 
-JSONL is the durable form: :meth:`FlightRecorder.write_jsonl` drains
-(or copies) the ring to one JSON object per line, and
-:func:`read_jsonl` loads it back — the ``--events-out`` CLI flag and
-the overflow spill both use it.
+JSONL is the durable form: :func:`write_jsonl` writes a timeline to
+one JSON object per line (the ``--events-out`` CLI flag) and
+:func:`read_jsonl` loads it back.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 #: Default ring capacity: enough for every epoch of a 10x build plus
-#: the stage/cache/spill traffic around it, at a few MB of memory.
+#: the cache and merge traffic around it, at a few MB of memory.
 DEFAULT_CAPACITY = 8192
 
 
@@ -56,7 +59,8 @@ class EventRecord:
     #: Wall-clock microseconds (same epoch anchor as span timestamps).
     wall_us: int
     #: Monotonic nanoseconds (``time.monotonic_ns``): orders events
-    #: within one process even if the wall clock steps.
+    #: within one process even if the wall clock steps.  0 on the
+    #: ``span:<name>`` rows of an exported timeline.
     mono_ns: int
     pid: int
     #: Island that produced the event; ``None`` outside sharded runs.
@@ -99,9 +103,6 @@ class NullRecorder:
     def emit(self, name: str, category: str = "repro", **attrs: Any) -> None:
         pass
 
-    def span_closed(self, record) -> None:
-        pass
-
     def events(self) -> list[EventRecord]:
         return []
 
@@ -132,28 +133,17 @@ class FlightRecorder:
         Island id stamped on every event this recorder emits (worker
         recorders in sharded builds set it; the parent leaves it
         ``None``).
-    spill_path:
-        Optional JSONL file.  When the ring is full, the event evicted
-        to make room is appended there instead of being lost — the
-        in-memory ring stays recent history, the file keeps the rest.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        *,
-        island: int | None = None,
-        spill_path: str | Path | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY, *, island: int | None = None) -> None:
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
         self.capacity = capacity
         self.island = island
-        self.spill_path = Path(spill_path) if spill_path is not None else None
+        #: Events that fell off the back of the full ring.
         self.dropped = 0
-        self.spilled = 0
         self._ring: deque[EventRecord] = deque()
         self._lock = threading.Lock()
 
@@ -174,36 +164,9 @@ class FlightRecorder:
         )
         with self._lock:
             if len(self._ring) >= self.capacity:
-                evicted = self._ring.popleft()
-                self._evict(evicted)
+                self._ring.popleft()
+                self.dropped += 1
             self._ring.append(record)
-
-    def span_closed(self, record) -> None:
-        """Tracer listener: mirror one finished span into the log.
-
-        Wired by sessions (``tracer.listener = recorder.span_closed``)
-        so every span close lands in the flight recorder too, with the
-        span's duration and attributes.
-        """
-        self.emit(
-            f"span:{record.name}",
-            category=record.category,
-            duration_us=record.duration_us,
-            **record.attrs,
-        )
-
-    def _evict(self, record: EventRecord) -> None:
-        """Handle one event falling off the back of the ring."""
-        if self.spill_path is None:
-            self.dropped += 1
-            return
-        try:
-            with self.spill_path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record.to_payload(), default=str) + "\n")
-            self.spilled += 1
-        except OSError:
-            # A broken spill file must never fail the instrumented run.
-            self.dropped += 1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -216,13 +179,6 @@ class FlightRecorder:
         """The in-memory events, oldest first."""
         with self._lock:
             return list(self._ring)
-
-    def tail(self, count: int = 20) -> list[EventRecord]:
-        """The most recent ``count`` events, oldest first."""
-        with self._lock:
-            if count >= len(self._ring):
-                return list(self._ring)
-            return list(self._ring)[-count:]
 
     # ------------------------------------------------------------------
     # Cross-process propagation
@@ -249,32 +205,26 @@ class FlightRecorder:
                 list(self._ring) + records, key=lambda record: record.wall_us
             )
             while len(merged) > self.capacity:
-                self._evict(merged.pop(0))
+                merged.pop(0)
+                self.dropped += 1
             self._ring = deque(merged)
         return len(records)
 
-    # ------------------------------------------------------------------
-    # JSONL
-    # ------------------------------------------------------------------
-    def write_jsonl(self, path: str | Path, *, drain: bool = False) -> Path:
-        """Write the in-memory events to ``path``, one JSON per line.
 
-        With ``drain=True`` the ring is cleared afterwards (the JSONL
-        file becomes the single copy).  Appends, so a ring that has
-        been spilling evictions to the same file stays in order.
-        """
-        path = Path(path)
-        records = self.drain_payload() if drain else [
-            record.to_payload() for record in self.events()
-        ]
-        with path.open("a", encoding="utf-8") as handle:
-            for payload in records:
-                handle.write(json.dumps(payload, default=str) + "\n")
-        return path
+def write_jsonl(path: str | Path, events: Iterable[EventRecord]) -> Path:
+    """Write ``events`` to ``path``, one JSON object per line.
+
+    Overwrites ``path``: the file holds one run's timeline.
+    """
+    path = Path(path)
+    with path.open("w", encoding="utf-8") as handle:
+        for event in events:
+            handle.write(json.dumps(event.to_payload(), default=str) + "\n")
+    return path
 
 
 def read_jsonl(path: str | Path) -> Iterator[EventRecord]:
-    """Load events back from a JSONL file written by the recorder."""
+    """Load events back from a JSONL file written by :func:`write_jsonl`."""
     with Path(path).open("r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()

@@ -12,6 +12,9 @@ the human-readable run report.
 * :func:`run_report` — an indented span tree and a metric digest for
   terminals; :func:`summarize_chrome_trace` re-reads an exported
   trace file and condenses it (the ``repro obs --trace`` path).
+* :func:`timeline_events` — the flight recorder's events plus one
+  ``span:<name>`` row per finished span, on one wall clock (the
+  ``--events-out`` file and the ``repro obs`` event digests).
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.obs.events import EventRecord, FlightRecorder, NullRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import SpanRecord, Tracer
+from repro.obs.trace import NullTracer, SpanRecord, Tracer
 
 # ----------------------------------------------------------------------
 # Chrome trace events
@@ -144,6 +148,41 @@ def summarize_chrome_trace(path: str | Path) -> str:
     if len(ranked) > 20:
         lines.append(f"  ... {len(ranked) - 20} more span names")
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Event timeline
+# ----------------------------------------------------------------------
+
+
+def timeline_events(
+    recorder: FlightRecorder | NullRecorder, tracer: Tracer | NullTracer
+) -> list[EventRecord]:
+    """The recorder's events plus one ``span:<name>`` row per finished span.
+
+    Span closes are kept only by the tracer; this derives their rows at
+    export.  Each row carries the span's attributes, ``duration_us``
+    and (for a worker lane) ``track``, and is stamped with the span's
+    pid at its end.  Rows are sorted on the wall clock, recorder events
+    first on a tie.
+    """
+    rows = recorder.events()
+    for record in tracer.finished():
+        attrs = {**record.attrs, "duration_us": record.duration_us}
+        if record.track:
+            attrs["track"] = record.track
+        rows.append(
+            EventRecord(
+                name=f"span:{record.name}",
+                category=record.category,
+                wall_us=record.end_us,
+                mono_ns=0,
+                pid=record.pid,
+                attrs=attrs,
+            )
+        )
+    rows.sort(key=lambda event: event.wall_us)
+    return rows
 
 
 # ----------------------------------------------------------------------

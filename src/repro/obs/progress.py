@@ -8,17 +8,17 @@ end.  This module is the live side channel:
 * :class:`Heartbeat` — one worker's periodic status (epoch, simulation
   clock, queue depth, dispatched jobs, peak RSS, spill bytes), a plain
   picklable dict on the wire;
-* an **ambient sink** (:func:`use_sink` / :func:`emit`) mirroring
-  :mod:`repro.obs.runtime`: island runners call :func:`emit`
-  unconditionally — one module read and a branch when nobody is
-  watching, an aggregator update when a ``--progress`` view is;
+* an **ambient sink** (:func:`use_sink` / :func:`get_sink`) mirroring
+  :mod:`repro.obs.runtime`: when a build starts its island hosts it
+  reads the sink once; with nobody watching no heartbeat is built.  An
+  in-process host hands its heartbeats to the sink's ``update``, and
+  forked hosts send theirs over a pipe the parent drains into it;
 * :class:`ProgressAggregator` — folds heartbeats into a per-island
   table and renders it for terminals (the ``--progress`` flag and the
   ``repro obs top`` live view);
 * :class:`ResourceSampler` — a daemon thread sampling the parent
-  process (RSS, spill-directory bytes, streamed-row throughput) into
-  the existing :class:`~repro.obs.metrics.MetricsRegistry` while a
-  build runs.
+  process (peak RSS, streamed-row throughput) into the existing
+  :class:`~repro.obs.metrics.MetricsRegistry` while a build runs.
 
 The heartbeat path is observation-only: it rides a dedicated pipe per
 island worker (never the interchange payload), consumes no RNG, and
@@ -31,7 +31,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from contextlib import contextmanager
@@ -78,25 +77,13 @@ class Heartbeat:
 # Ambient sink
 # ----------------------------------------------------------------------
 
-#: The currently-watching sink; ``None`` means nobody is watching and
-#: :func:`emit` is a read + branch.
+#: The currently-watching sink; ``None`` means nobody is watching.
 _sink: "ProgressAggregator | None" = None
 
 
 def get_sink() -> "ProgressAggregator | None":
     """The active heartbeat sink, or ``None`` when nobody watches."""
     return _sink
-
-
-def emit(heartbeat: "Heartbeat | Mapping[str, Any]") -> None:
-    """Deliver one heartbeat to the active sink, if any.
-
-    The single call sites (island runners, the parent drain loop)
-    make; with no sink installed this is one module read and a branch.
-    """
-    sink = _sink
-    if sink is not None:
-        sink.update(heartbeat)
 
 
 @contextmanager
@@ -246,21 +233,6 @@ class ProgressPrinter(ProgressAggregator):
 # ----------------------------------------------------------------------
 
 
-def directory_bytes(root: str | Path) -> int:
-    """Total file bytes under ``root`` (0 if it does not exist)."""
-    total = 0
-    try:
-        for path in Path(root).rglob("*"):
-            try:
-                if path.is_file():
-                    total += path.stat().st_size
-            except OSError:
-                continue
-    except OSError:
-        return total
-    return total
-
-
 class ResourceSampler:
     """Daemon thread sampling parent-process resources into metrics.
 
@@ -268,38 +240,25 @@ class ResourceSampler:
 
     * ``repro_process_peak_rss_bytes`` — the parent's RSS high-water
       mark (same gauge the worker roll-up uses, merged by max);
-    * ``repro_spill_dir_bytes`` — total bytes under each watched spill
-      directory (gauge, labelled by directory);
     * ``repro_stream_rows_per_s`` — chunk throughput, the windowed
       delta of the ``repro_frame_stream_rows_total`` counters.
 
-    Observation-only: it reads counters and the filesystem, never the
-    build state.  ``stop()`` joins the thread; use as a context
-    manager around a build.
+    Observation-only: it reads counters, never the build state.
+    ``stop()`` joins the thread; use as a context manager around a
+    build.
     """
 
-    def __init__(
-        self,
-        metrics=None,
-        *,
-        spill_dirs: "list[str | Path] | None" = None,
-        interval_s: float = 0.5,
-    ) -> None:
+    def __init__(self, metrics=None, *, interval_s: float = 0.5) -> None:
         #: ``None`` means "whatever registry is ambient at sample
         #: time" — the CLI installs the sampler before any session
         #: (and its registry) exists.
         self.metrics = metrics
-        self.spill_dirs = [Path(d) for d in (spill_dirs or [])]
         self.interval_s = interval_s
         self.samples = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._last_rows = 0.0
         self._last_time = 0.0
-
-    def watch(self, directory: str | Path) -> None:
-        """Add a spill directory to the sampling set (thread-safe)."""
-        self.spill_dirs.append(Path(directory))
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ResourceSampler":
@@ -363,12 +322,6 @@ class ResourceSampler:
                 "repro_process_peak_rss_bytes",
                 help="peak resident set size of the process (ru_maxrss)",
             ).set_max(rss)
-        for directory in list(self.spill_dirs):
-            metrics.gauge(
-                "repro_spill_dir_bytes",
-                help="total bytes under a watched spill directory",
-                directory=str(directory),
-            ).set(directory_bytes(directory))
         now = time.monotonic()
         rows = self._stream_rows()
         window = now - self._last_time

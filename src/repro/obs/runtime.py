@@ -79,9 +79,10 @@ def use(
 def record_event(name: str, category: str = "repro", **attrs: Any) -> None:
     """Emit one event into the active flight recorder.
 
-    This is the single call sites (stage transitions, cache probes,
-    epoch boundaries, spill/merge ops) make; when recording is disabled
-    it is one function call, one attribute load, and one branch.
+    This is the single call sites make for the moments no span covers
+    (cache probes, island epoch boundaries, k-way merges); when
+    recording is disabled it is one function call, one attribute load,
+    and one branch.
     """
     r = _recorder
     if r.enabled:

@@ -198,11 +198,9 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """Collects a thread-safe tree of finished spans.
 
-    ``listener``, when set, is called with every :class:`SpanRecord`
-    as its span closes (adopted spans do not re-fire it — they already
-    closed in their home process).  The flight recorder hooks it
-    (``tracer.listener = recorder.span_closed``) so span closes land
-    in the event log too.
+    The tracer is the one store of span closes; the exported event
+    timeline (:func:`repro.obs.export.timeline_events`) derives its
+    ``span:<name>`` rows from :meth:`finished`.
     """
 
     enabled = True
@@ -213,7 +211,6 @@ class Tracer:
         #: worker tracers get their process name so exporters can
         #: render them as distinct lanes.
         self.track = process_name if process_name != "repro" else ""
-        self.listener = None
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._finished: list[SpanRecord] = []
@@ -266,9 +263,6 @@ class Tracer:
         )
         with self._lock:
             self._finished.append(record)
-        listener = self.listener
-        if listener is not None:
-            listener(record)
 
     # ------------------------------------------------------------------
     # Introspection

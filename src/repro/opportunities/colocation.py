@@ -16,6 +16,7 @@ module quantifies that claim on ground-truth activity models:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,10 @@ class ColocationSimulator:
         max_samples: int = 4000,
         demand_metric: str = "sm",
     ) -> None:
-        if resolution_s <= 0:
-            raise AnalysisError("resolution must be positive")
+        if not 0 < resolution_s < math.inf:
+            raise AnalysisError(
+                f"resolution must be positive and finite, got {resolution_s}"
+            )
         self.resolution_s = resolution_s
         self.max_samples = max_samples
         self.demand_metric = demand_metric

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS, NullMetrics
-from repro.obs.runtime import record_event
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 #: Histogram buckets for stage latencies (seconds).
@@ -99,17 +98,6 @@ class PipelineInstrumentation:
             seconds = time.perf_counter() - start
             self.stages.append(
                 StageRecord(name, seconds, int(probe.rows), from_cache, depth)
-            )
-            # Stage transitions also land in the flight recorder (the
-            # span-close mirror only covers sessions that wired a
-            # listener; this keeps bare instrumentation observable).
-            record_event(
-                "stage",
-                category="pipeline",
-                stage=name,
-                seconds=round(seconds, 6),
-                rows=int(probe.rows),
-                from_cache=from_cache,
             )
             metrics = self.metrics
             if metrics.enabled:

@@ -80,8 +80,10 @@ class Session:
         While the session builds datasets or runs figures the triple
         is installed as the ambient observability
         (:func:`repro.obs.runtime.use`), so the scheduler loop, the
-        frame kernels, and the collector report into it too, and every
-        span close is mirrored into the flight recorder.
+        frame kernels, and the collector report into it too.  Span
+        closes live only in the tracer; the recorder keeps the moments
+        no span covers, and :func:`repro.obs.export.timeline_events`
+        joins the two for export.
     """
 
     def __init__(
@@ -104,8 +106,6 @@ class Session:
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.recorder = recorder if recorder is not None else FlightRecorder()
-        if self.tracer.enabled and self.recorder.enabled:
-            self.tracer.listener = self.recorder.span_closed
         self.instrumentation = PipelineInstrumentation(self.tracer, self.metrics)
         self._dataset = None
         self._streaming_dataset = None

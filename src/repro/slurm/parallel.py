@@ -146,7 +146,6 @@ def _host_main(conn, runner, buckets: dict[int, list], beats) -> None:
     tracer = Tracer(process_name="repro-island-host")
     metrics = MetricsRegistry()
     recorder = FlightRecorder()
-    tracer.listener = recorder.span_closed
     try:
         with runtime.use(tracer, metrics, recorder):
             host = IslandHost(

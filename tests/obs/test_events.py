@@ -1,4 +1,5 @@
-"""Flight recorder: ring bounding, spill, cross-process merge, JSONL."""
+"""Flight recorder: ring bounding, cross-process merge, the exported
+timeline, JSONL."""
 
 from __future__ import annotations
 
@@ -14,7 +15,10 @@ from repro.obs.events import (
     NULL_RECORDER,
     read_jsonl,
     summarize_events,
+    write_jsonl,
 )
+from repro.obs.export import timeline_events
+from repro.obs.trace import NULL_TRACER, Tracer
 
 
 def test_emit_stamps_time_pid_and_island():
@@ -52,27 +56,6 @@ def test_ring_stays_bounded_and_counts_drops():
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         FlightRecorder(capacity=0)
-
-
-def test_eviction_spills_to_jsonl(tmp_path):
-    spill = tmp_path / "spill.jsonl"
-    recorder = FlightRecorder(capacity=2, spill_path=spill)
-    for index in range(5):
-        recorder.emit("e", index=index)
-    assert recorder.spilled == 3
-    assert recorder.dropped == 0
-    spilled = list(read_jsonl(spill))
-    assert [e.attrs["index"] for e in spilled] == [0, 1, 2]
-    assert [e.attrs["index"] for e in recorder.events()] == [3, 4]
-
-
-def test_tail_returns_most_recent_events():
-    recorder = FlightRecorder()
-    for index in range(30):
-        recorder.emit("e", index=index)
-    tail = recorder.tail(5)
-    assert [e.attrs["index"] for e in tail] == [25, 26, 27, 28, 29]
-    assert len(recorder.tail(100)) == 30
 
 
 def test_payload_round_trip():
@@ -121,18 +104,42 @@ def test_adopt_empty_payload_is_a_noop():
 
 
 def test_span_closed_mirrors_span_into_ring():
-    from repro.obs.trace import Tracer
-
-    tracer = Tracer()
+    """A closed span stays in the tracer only; the exported timeline
+    derives its ``span:<name>`` row, stamped at the span's end."""
+    tracer = Tracer(process_name="repro-island-1")
     recorder = FlightRecorder()
-    tracer.listener = recorder.span_closed
+    recorder.emit("cache", category="cache", kind="miss")
     with tracer.span("workload", category="pipeline", rows=42):
         pass
-    (event,) = recorder.events()
-    assert event.name == "span:workload"
-    assert event.category == "pipeline"
-    assert event.attrs["rows"] == 42
-    assert event.attrs["duration_us"] >= 0
+    assert [e.name for e in recorder.events()] == ["cache"]
+    (record,) = tracer.finished()
+    rows = timeline_events(recorder, tracer)
+    assert [e.name for e in rows] == ["cache", "span:workload"]
+    assert [e.wall_us for e in rows] == sorted(e.wall_us for e in rows)
+    row = rows[1]
+    assert row.category == "pipeline"
+    assert row.wall_us == record.end_us
+    assert row.pid == record.pid
+    assert row.attrs == {
+        "rows": 42,
+        "duration_us": record.duration_us,
+        "track": "repro-island-1",
+    }
+    assert "span:workload" in summarize_events(rows)
+    assert len(recorder) == 1  # exporting records nothing
+    assert timeline_events(NULL_RECORDER, NULL_TRACER) == []
+
+
+def test_timeline_interleaves_spans_on_the_wall_clock():
+    tracer = Tracer()
+    recorder = FlightRecorder()
+    with tracer.span("outer"):
+        recorder.emit("island.epoch", epoch=0)
+        with tracer.span("inner"):
+            pass
+    rows = timeline_events(recorder, tracer)
+    assert [e.name for e in rows] == ["island.epoch", "span:inner", "span:outer"]
+    assert "track" not in rows[1].attrs  # an unnamed tracer has no lane
 
 
 def test_write_jsonl_round_trip(tmp_path):
@@ -140,16 +147,15 @@ def test_write_jsonl_round_trip(tmp_path):
     recorder = FlightRecorder(island=4)
     recorder.emit("a", category="x", value=1)
     recorder.emit("b", category="y", value=2)
-    recorder.write_jsonl(path)
-    assert len(recorder) == 2  # non-draining copy
+    write_jsonl(path, recorder.events())
+    assert len(recorder) == 2  # writing leaves the ring as it was
     loaded = list(read_jsonl(path))
     assert [(e.name, e.category, e.island) for e in loaded] == [
         ("a", "x", 4),
         ("b", "y", 4),
     ]
-    recorder.write_jsonl(path, drain=True)
-    assert len(recorder) == 0
-    assert len(list(read_jsonl(path))) == 4  # appends
+    write_jsonl(path, recorder.events()[:1])
+    assert [e.name for e in read_jsonl(path)] == ["a"]  # overwrites
 
 
 def test_null_recorder_is_inert():

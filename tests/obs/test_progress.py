@@ -11,8 +11,6 @@ from repro.obs.progress import (
     ProgressAggregator,
     ProgressPrinter,
     ResourceSampler,
-    directory_bytes,
-    emit,
     get_sink,
     use_sink,
 )
@@ -42,12 +40,11 @@ def test_heartbeat_payload_round_trip():
 
 def test_ambient_sink_scoping():
     assert get_sink() is None
-    emit(_beat())  # no sink: a no-op, not an error
     agg = ProgressAggregator()
     with use_sink(agg):
         assert get_sink() is agg
-        emit(_beat(island=1))
-        emit(_beat(island=2).to_payload())  # plain dicts work too
+        get_sink().update(_beat(island=1))
+        get_sink().update(_beat(island=2).to_payload())  # plain dicts work too
     assert get_sink() is None
     assert agg.heartbeats == 2
     assert {hb.island for hb in agg.islands()} == {1, 2}
@@ -58,8 +55,9 @@ def test_use_sink_restores_previous_sink():
     inner = ProgressAggregator()
     with use_sink(outer):
         with use_sink(inner):
-            emit(_beat())
+            get_sink().update(_beat())
         assert get_sink() is outer
+    assert get_sink() is None
     assert inner.heartbeats == 1
     assert outer.heartbeats == 0
 
@@ -125,28 +123,15 @@ def test_printer_throttles_redraws():
     assert stream.getvalue().count("progress:") == 1
 
 
-def test_directory_bytes(tmp_path):
-    assert directory_bytes(tmp_path / "missing") == 0
-    (tmp_path / "a.bin").write_bytes(b"x" * 100)
-    sub = tmp_path / "sub"
-    sub.mkdir()
-    (sub / "b.bin").write_bytes(b"y" * 50)
-    assert directory_bytes(tmp_path) == 150
-
-
-def test_resource_sampler_records_gauges(tmp_path):
-    (tmp_path / "chunk.bin").write_bytes(b"z" * 2048)
+def test_resource_sampler_records_gauges():
     metrics = MetricsRegistry()
     metrics.counter("repro_frame_stream_rows_total", op="spill").inc(1000)
-    sampler = ResourceSampler(metrics, spill_dirs=[tmp_path], interval_s=0.01)
+    sampler = ResourceSampler(metrics, interval_s=0.01)
     with sampler:
         metrics.counter("repro_frame_stream_rows_total", op="spill").inc(500)
         time.sleep(0.05)
     assert sampler.samples >= 1
     assert metrics.gauge("repro_process_peak_rss_bytes").value > 0
-    assert (
-        metrics.gauge("repro_spill_dir_bytes", directory=str(tmp_path)).value == 2048
-    )
     # 500 rows arrived during the sampling window: throughput is positive.
     assert metrics.gauge("repro_stream_rows_per_s").value >= 0
 

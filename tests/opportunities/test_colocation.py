@@ -1,5 +1,7 @@
 """Tests for the co-location simulator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -83,8 +85,9 @@ class TestPack:
             ColocationSimulator().pack([])
 
     def test_invalid_resolution_rejected(self):
-        with pytest.raises(AnalysisError):
-            ColocationSimulator(resolution_s=0.0)
+        for resolution in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(AnalysisError, match=f"got {resolution}"):
+                ColocationSimulator(resolution_s=resolution)
 
 
 class TestStudyOnDataset:

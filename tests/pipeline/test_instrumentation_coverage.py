@@ -3,10 +3,12 @@ with the pipeline surface.
 
 These tests pin the contract that every build stage and every
 registered figure producer runs under a span (and therefore shows up
-in Chrome traces, the run report, and the flight recorder's span
-mirror).  Adding a stage to ``BUILD_STAGES`` or a figure to the
-registry without instrumentation fails here, not in a silent gap in
-the next trace someone reads.
+in Chrome traces, the run report, and the exported event timeline).
+Adding a stage to ``BUILD_STAGES`` or a figure to the registry without
+instrumentation fails here, not in a silent gap in the next trace
+someone reads.  They also pin that each record is kept once: span
+closes live only in the tracer, and the flight recorder holds only the
+moments no span covers.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ import os
 import pytest
 
 from repro.figures.registry import all_figures
+from repro.obs import timeline_events
 from repro.pipeline import BUILD_STAGES, Session
+from repro.slurm.interchange import InterchangeConfig
 from repro.workload.generator import WorkloadConfig
 
 CONFIG = WorkloadConfig(scale=0.01, seed=31)
+FORKED_CONFIG = WorkloadConfig(scale=0.02, seed=31, num_nodes=1600, partitions=2)
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +62,50 @@ def test_every_figure_span_is_categorised(traced_session):
 
 
 def test_every_build_stage_lands_in_the_flight_recorder(traced_session):
-    stages = {
-        event.attrs.get("stage")
-        for event in traced_session.recorder.events()
-        if event.name == "stage"
+    """Each build stage is a ``span:<stage>`` row of the exported timeline."""
+    rows = {
+        event.name
+        for event in timeline_events(traced_session.recorder, traced_session.tracer)
+        if event.category == "pipeline"
     }
-    missing = [stage for stage in BUILD_STAGES if stage not in stages]
-    assert not missing, f"stages missing from the flight recorder: {missing}"
+    missing = [stage for stage in BUILD_STAGES if f"span:{stage}" not in rows]
+    assert not missing, f"stages missing from the exported timeline: {missing}"
+
+
+@pytest.fixture(scope="module")
+def forked_stream_session(tmp_path_factory):
+    """A forked two-island coupled streaming build."""
+    session = Session(
+        FORKED_CONFIG,
+        workers=2,
+        interchange=InterchangeConfig(epoch_s=3600.0, migrate_after_s=900.0),
+    )
+    session.streaming_dataset(chunk_rows=512, spill_dir=tmp_path_factory.mktemp("spill"))
+    return session
+
+
+@pytest.mark.parametrize(
+    "build, islands",
+    [("traced_session", {0}), ("forked_stream_session", {0, 1})],
+)
+def test_each_record_is_kept_once(build, islands, request):
+    session = request.getfixturevalue(build)
+    events = session.recorder.events()
+    repeats = [
+        event.name
+        for event in events
+        if event.name.startswith("span:")
+        or event.name in ("stage", "frame.spill", "frame.spill.codec")
+    ]
+    assert not repeats, f"recorder events that repeat a span: {sorted(set(repeats))}"
+    spans = session.tracer.finished()
+    rows = [
+        (event.name, event.wall_us, event.pid)
+        for event in timeline_events(session.recorder, session.tracer)
+        if event.name.startswith("span:")
+    ]
+    assert sorted(rows) == sorted((f"span:{s.name}", s.end_us, s.pid) for s in spans)
+    assert {event.island for event in events if event.name == "island.epoch"} == islands
 
 
 def _sampling_spans_under_schedule(session):

@@ -287,7 +287,24 @@ class TestCommands:
         from repro.obs import read_jsonl
 
         events = list(read_jsonl(events_file))
-        assert any(e.name == "stage" for e in events)
+        assert any(e.name == "span:workload" for e in events)
+
+    def test_events_out_overwrites_with_one_run(self, tmp_path, capsys):
+        from repro.obs import read_jsonl
+
+        events_file = tmp_path / "events.jsonl"
+        argv = [
+            "generate", "--scale", "0.01", "--seed", "5", "--no-cache",
+            "--output", str(tmp_path / "ds"), "--events-out", str(events_file),
+        ]
+        for _ in range(2):
+            assert main(argv) == 0
+        out = capsys.readouterr().out
+        written = [line for line in out.splitlines() if line.startswith(f"wrote {events_file}")]
+        assert len(written) == 2
+        events = list(read_jsonl(events_file))
+        assert written[-1] == f"wrote {events_file} ({len(events)} events)"
+        assert [e.name for e in events].count("span:workload") == 1
 
     def test_progress_flag_renders_final_table(self, tmp_path, capsys):
         rc = main(
