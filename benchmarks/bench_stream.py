@@ -20,8 +20,9 @@ These gates pin both halves of that contract:
   rank-bounded medians, and a peak under eight chunk footprints.
 
 * **spill layout** — the bench dataset's ``per_gpu`` chunks and series
-  spill as one zip member per chunk and per series, so a re-read is
-  one member read each; both re-read rates are recorded.
+  spill as one stored (not deflated) zip member per chunk and per
+  series, so a re-read is one member read each; both re-read rates and
+  the series write rate are recorded.
 
 ``REPRO_BENCH_FULL=1`` adds a scale-0.5 end-to-end smoke: build, spill
 ``per_gpu`` to disk, and stream fig04's five CDFs off the spill under
@@ -267,23 +268,29 @@ def _best_seconds(fn, repeats=3):
 
 
 def test_spill_is_one_member_per_chunk_and_series(dataset, tmp_path):
-    """Spilled table chunks hold one zip member each, series batches one
-    member per series; record both re-read rates (best of 3 passes)."""
+    """Spilled table chunks hold one stored zip member each, series
+    batches one stored member per series; record both re-read rates and
+    the series write rate (best of 3 passes)."""
     table = dataset.per_gpu.to_chunked(chunk_rows=4096).spill(tmp_path / "per_gpu")
     for path in sorted((tmp_path / "per_gpu").glob("*.npz")):
         with zipfile.ZipFile(path) as archive:
             assert archive.namelist() == ["chunk"], path.name
+            assert archive.getinfo("chunk").compress_type == zipfile.ZIP_STORED, path.name
     rows = sum(chunk.num_rows for chunk in table.chunks())
     assert rows == dataset.per_gpu.num_rows
     table_s = _best_seconds(lambda: list(table.chunks()))
 
+    targets = iter([tmp_path / f"series_write_{i}" for i in range(3)])
+    write_s = _best_seconds(lambda: dataset.timeseries.spill(next(targets)))
     store = dataset.timeseries.spill(tmp_path / "series")
     manifest = json.loads((tmp_path / "series" / "manifest.json").read_text())
     members = []
     for entry in manifest["files"]:
         with zipfile.ZipFile(tmp_path / "series" / entry["name"]) as archive:
             names = archive.namelist()
+            stored = all(info.compress_type == zipfile.ZIP_STORED for info in archive.infolist())
         assert names == [f"s{job}_{gpu}" for job, gpu, _ in entry["series"]], entry["name"]
+        assert stored, f"{entry['name']} deflates lossless series members"
         members += names
     assert len(members) == len(dataset.timeseries)
     samples = sum(series.num_samples for series in store)
@@ -298,6 +305,12 @@ def test_spill_is_one_member_per_chunk_and_series(dataset, tmp_path):
         series=len(members),
         series_rows=samples,
         series_rows_per_s=round(samples / max(series_s, 1e-9), 1),
+    )
+    record_bench_stat(
+        "spill_write",
+        series=len(members),
+        series_rows=samples,
+        series_rows_per_s=round(samples / max(write_s, 1e-9), 1),
     )
 
 

@@ -45,8 +45,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-#: Default ring capacity: enough for every epoch of a 10x build plus
-#: the cache and merge traffic around it, at a few MB of memory.
+#: Default ring capacity, a few MB of memory.  A sharded build emits
+#: one ``island.epoch`` event per island per epoch, so the ring keeps
+#: every epoch while ``islands x epochs`` plus the cache and merge
+#: events stays within it: two islands at six-hour epochs cover ~2.8
+#: simulated years, four at hourly epochs ~85 days.  Past that the
+#: oldest events fall off (counted in ``dropped``).
 DEFAULT_CAPACITY = 8192
 
 
@@ -204,10 +208,9 @@ class FlightRecorder:
             merged = sorted(
                 list(self._ring) + records, key=lambda record: record.wall_us
             )
-            while len(merged) > self.capacity:
-                merged.pop(0)
-                self.dropped += 1
-            self._ring = deque(merged)
+            overflow = max(len(merged) - self.capacity, 0)
+            self.dropped += overflow
+            self._ring = deque(merged[overflow:])
         return len(records)
 
 

@@ -398,12 +398,14 @@ class IslandHost:
       the reply is ``{"result", "extra", "peak_rss_bytes"}``.
 
     ``beat`` receives heartbeat payloads; ``lanes`` is a forked host's
-    own ``(tracer, recorder)`` pair, re-stamped with the island index
-    before each island steps so its spans and events keep their island.
+    own live ``(tracer, recorder)`` pair (``None`` for one that is off),
+    re-stamped with the island index before each island steps so its
+    spans and events keep their island.
     """
 
     def __init__(self, runner: PartitionedRunner, buckets: dict[int, list], *,
-                 beat: Callable[[dict], None] | None = None, lanes=None) -> None:
+                 beat: Callable[[dict], None] | None = None,
+                 lanes: tuple = (None, None)) -> None:
         self.runner = runner
         self.islands = sorted(buckets)
         self._buckets = dict(buckets)
@@ -507,9 +509,10 @@ class IslandHost:
         return {"result": result, "extra": extra, "peak_rss_bytes": peak_rss_bytes()}
 
     def _enter(self, index: int) -> None:
-        if self._lanes is not None:
-            tracer, recorder = self._lanes
+        tracer, recorder = self._lanes
+        if tracer is not None:
             tracer.track = f"repro-island-{index}"
+        if recorder is not None:
             recorder.island = index
 
     def _report(self, index: int, simulator: SlurmSimulator) -> None:

@@ -136,16 +136,21 @@ def fork_hosts(runner, buckets: dict[int, list], count: int) -> list[ForkedHost]
 
 
 def _host_main(conn, runner, buckets: dict[int, list], beats) -> None:
-    """A forked host: answer parent commands until ``finalize``."""
+    """A forked host: answer parent commands until ``finalize``.
+
+    The host records only where the ambient observability it inherited
+    from the parent is live: an untraced build's hosts record nothing
+    and ship home empty payloads.
+    """
     from repro.obs import runtime
     from repro.obs.events import FlightRecorder
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
     from repro.slurm.interchange import IslandHost
 
-    tracer = Tracer(process_name="repro-island-host")
-    metrics = MetricsRegistry()
-    recorder = FlightRecorder()
+    tracer = Tracer(process_name="repro-island-host") if runtime.get_tracer().enabled else None
+    metrics = MetricsRegistry() if runtime.get_metrics().enabled else None
+    recorder = FlightRecorder() if runtime.get_recorder().enabled else None
     try:
         with runtime.use(tracer, metrics, recorder):
             host = IslandHost(
@@ -160,9 +165,9 @@ def _host_main(conn, runner, buckets: dict[int, list], beats) -> None:
                 for reply in host.handle(command, *args):
                     if command == "finalize":
                         reply["obs"] = (
-                            tracer.drain_payload(),
-                            metrics.drain(),
-                            recorder.drain_payload(),
+                            runtime.get_tracer().drain_payload(),
+                            runtime.get_metrics().drain(),
+                            runtime.get_recorder().drain_payload(),
                         )
                     conn.send(("ok", reply))
     except Exception:

@@ -7,6 +7,8 @@ contract (accumulated float partials, sketch bounds) is pinned by the
 property suite and docs/performance.md.
 """
 
+import json
+import struct
 import warnings
 import zipfile
 
@@ -15,8 +17,10 @@ import pytest
 
 from repro.errors import FrameError
 from repro.frame import (
+    QUANT_STEP,
     ChunkedTable,
     QuantileSketch,
+    SpillCodec,
     StreamingMoments,
     Table,
     concat_chunked,
@@ -29,6 +33,29 @@ from repro.frame import (
 )
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs import runtime
+
+
+def stored_part_byte(path, member: str, column: str) -> int:
+    """File offset of the middle byte of ``column``'s numeric part in
+    the stored spill member ``member`` of ``path``.
+
+    Flipping that byte leaves the zip headers and the packed header
+    intact and still decodes to a column of the right shape, so only
+    the member's CRC-32 can tell the payload was damaged.
+    """
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    assert info.compress_type == zipfile.ZIP_STORED
+    data = path.read_bytes()
+    # Local file header: 30 fixed bytes, then the name and extra field.
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    header_len = int.from_bytes(data[start + 4 : start + 8], "little")
+    parts_start = start + 8 + header_len
+    for name, dtype, _, offset, nbytes in json.loads(data[start + 8 : parts_start]):
+        if name.endswith(f"/{column}") and np.dtype(dtype).kind in "iuf" and nbytes:
+            return parts_start + offset + nbytes // 2
+    raise AssertionError(f"member {member} has no numeric part for {column!r}")
 
 
 @pytest.fixture
@@ -333,8 +360,9 @@ class TestScanCodecs:
 
 
 class TestSpillFiles:
-    """A spilled chunk is one packed zip member, with or without a codec;
-    a damaged or older-layout chunk raises FrameError naming the file."""
+    """A spilled chunk is one packed zip member, with or without a codec,
+    stored unless the codec quantises; a damaged or older-layout chunk
+    raises FrameError naming the file."""
 
     @pytest.mark.parametrize("codec", ["default", None])
     def test_chunk_is_one_member(self, table, tmp_path, codec):
@@ -345,7 +373,20 @@ class TestSpillFiles:
         for path in paths:
             with zipfile.ZipFile(path) as archive:
                 assert archive.namelist() == ["chunk"]
+                assert archive.getinfo("chunk").compress_type == zipfile.ZIP_STORED
         assert spilled.materialize().to_dict() == table.to_dict()
+
+    def test_quantised_chunk_is_deflated(self, table, tmp_path):
+        codec = SpillCodec(quantise=("runtime_s",))
+        spilled = table.to_chunked(chunk_rows=30).spill(tmp_path / "spill", codec=codec)
+        paths = sorted((tmp_path / "spill").glob("*.npz"))
+        assert len(paths) == 4
+        for path in paths:
+            with zipfile.ZipFile(path) as archive:
+                assert archive.getinfo("chunk").compress_type == zipfile.ZIP_DEFLATED
+        back = spilled.materialize()
+        error = np.abs(back.column("runtime_s") - table.column("runtime_s")).max()
+        assert error <= QUANT_STEP / 2
 
     def test_truncated_chunk_names_the_file(self, table, tmp_path):
         path = write_table_npz(table, tmp_path / "t.npz")
@@ -358,7 +399,7 @@ class TestSpillFiles:
     def test_corrupt_member_names_the_file(self, table, tmp_path):
         path = write_table_npz(table, tmp_path / "t.npz")
         data = bytearray(path.read_bytes())
-        data[len(data) // 3] ^= 0xFF  # inside the deflated member
+        data[stored_part_byte(path, "chunk", "runtime_s")] ^= 0xFF  # caught by CRC-32 only
         path.write_bytes(bytes(data))
         with pytest.raises(FrameError, match="t.npz"):
             read_table_npz(path)

@@ -15,6 +15,7 @@ from repro.monitor.timeseries import (
     SpilledTimeSeriesStore,
     TimeSeriesStore,
 )
+from tests.frame.test_chunked import stored_part_byte
 
 
 def make_series(job_id=1, gpu_index=0, n=10):
@@ -212,6 +213,18 @@ class TestSpillLayout:
             twin = back.get(series.job_id, series.gpu_index)
             assert np.array_equal(series.times_s, twin.times_s)
 
+    def test_lossless_members_are_stored(self, tmp_path):
+        """Lossless series batches are stored, not deflated: after the
+        codec, deflate saves little on telemetry and costs every read."""
+        store = filled_store(num_jobs=40, gpus=2)
+        store.spill(tmp_path / "series")
+        batches = sorted((tmp_path / "series").glob("batch_*.npz"))
+        assert len(batches) == 2
+        for batch in batches:
+            with zipfile.ZipFile(batch) as archive:
+                types = {info.compress_type for info in archive.infolist()}
+            assert types == {zipfile.ZIP_STORED}
+
     def test_interleaved_walk_opens_each_batch_once(self, tmp_path, monkeypatch):
         """One handle per directory: a (job, GPU) walk alternating
         between two islands never re-opens a batch."""
@@ -250,7 +263,7 @@ class TestSpillLayout:
         store.spill(tmp_path / "series", codec=None)
         batch = tmp_path / "series" / "batch_000000.npz"
         data = bytearray(batch.read_bytes())
-        data[len(data) // 2] ^= 0xFF  # inside job 5's deflated member
+        data[stored_part_byte(batch, "s5_0", "sm")] ^= 0xFF  # caught by CRC-32 only
         batch.write_bytes(bytes(data))
         spilled = SpilledTimeSeriesStore([tmp_path / "series"])
         with pytest.raises(MonitoringError, match=r"batch_000000\.npz.*job 5 GPU 0"):

@@ -4,6 +4,7 @@ timeline, JSONL."""
 from __future__ import annotations
 
 import multiprocessing
+import random
 
 import pytest
 
@@ -94,6 +95,22 @@ def test_adopt_rebounds_to_capacity():
     assert len(parent) == 3
     assert parent.dropped == 3
     assert [e.name for e in parent.events()] == ["w"] * 3
+
+    # An overflow hundreds of times the capacity, arriving out of order:
+    # the newest events stay, in wall-clock order, and every other one
+    # is counted as dropped.
+    newest = parent.events()[-1].wall_us
+    stamps = [newest + 1 + step for step in range(1000)]
+    random.Random(7).shuffle(stamps)
+    payload = [
+        {"name": "late", "wall_us": stamp, "island": 1, "attrs": {"stamp": stamp}}
+        for stamp in stamps
+    ]
+    assert parent.adopt(payload) == 1000
+    assert len(parent) == 3
+    assert parent.dropped == 3 + 3 + 1000 - 3
+    assert [e.wall_us for e in parent.events()] == [newest + 998, newest + 999, newest + 1000]
+    assert [e.attrs["stamp"] for e in parent.events()] == [e.wall_us for e in parent.events()]
 
 
 def test_adopt_empty_payload_is_a_noop():

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -82,6 +83,15 @@ class TestRoundTrip:
             )
             for name, values in series.metrics.items():
                 np.testing.assert_allclose(twin.metrics[name], values, atol=0.26)
+
+    def test_series_file_members_are_deflated(self, cached_pair):
+        """The cache's quantised series file keeps deflate: its delta+RLE
+        levels shrink ~12x more, unlike the stored lossless spills."""
+        _, _, loader = cached_pair
+        path = loader.cache.entry_dir(loader.key) / "timeseries.npz"
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert infos and {info.compress_type for info in infos} == {zipfile.ZIP_DEFLATED}
 
     def test_records_and_config_survive(self, cached_pair):
         fresh, loaded, _ = cached_pair

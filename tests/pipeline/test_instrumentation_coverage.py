@@ -108,6 +108,31 @@ def test_each_record_is_kept_once(build, islands, request):
     assert {event.island for event in events if event.name == "island.epoch"} == islands
 
 
+def test_untraced_forked_hosts_ship_no_records(tmp_path, monkeypatch):
+    """An untraced session's forked hosts record nothing, so the parent
+    adopts empty span, counter and event payloads."""
+    from repro.obs import NULL_METRICS, NULL_RECORDER, NULL_TRACER
+    from repro.slurm import parallel
+
+    adopted = []
+    adopt = parallel._adopt
+    monkeypatch.setattr(parallel, "_adopt", lambda obs: (adopted.append(obs), adopt(obs)))
+    session = Session(
+        FORKED_CONFIG,
+        workers=2,
+        interchange=InterchangeConfig(epoch_s=3600.0, migrate_after_s=900.0),
+        tracer=NULL_TRACER,
+        metrics=NULL_METRICS,
+        recorder=NULL_RECORDER,
+    )
+    session.streaming_dataset(chunk_rows=512, spill_dir=tmp_path / "spill")
+    assert len(adopted) == 2  # one finalize payload per host
+    for spans, snapshot, events in adopted:
+        assert spans == []
+        assert snapshot["counters"] == [] and snapshot["gauges"] == []
+        assert events == []
+
+
 def _sampling_spans_under_schedule(session):
     """The ``monitor.sampling`` spans, each checked to sit under ``schedule``."""
     spans = session.tracer.finished()
