@@ -268,8 +268,8 @@ def coupled_builds(assemble_peak):
     with use_sink(progress), pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             shard,
-            "_assemble_spilled",
-            _traced_assemble(shard._assemble_spilled, assemble_peak),
+            "_assemble",
+            _traced_assemble(shard._assemble, assemble_peak),
         )
         stream = stream_session.streaming_dataset(chunk_rows=STREAM_CHUNK_ROWS)
     parallel_s = time.perf_counter() - start

@@ -22,7 +22,6 @@ scheduler never sees it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -75,11 +74,6 @@ class MonitoringCollector:
         self._cpu_builder = TableBuilder(columns=["job_id"])
         self._started: dict[int, tuple[float, tuple[int, ...]]] = {}
         self._pending: list[SamplingTask] = []
-        #: Set by :meth:`enable_spill`: where sealed summary runs go,
-        #: and how many rows seal one.
-        self._spill_dir: Path | None = None
-        self._seal_rows = 0
-        self._spill_runs: list[Path] = []
 
     # ------------------------------------------------------------------
     # Scheduler hooks
@@ -208,8 +202,6 @@ class MonitoringCollector:
                 rows += result.num_gpus
                 for series in result.series:
                     self._store.add(series)
-                if self._spill_dir is not None and self._gpu_builder.num_rows >= self._seal_rows:
-                    self._seal_gpu_run()
             span.set(rows=rows)
         metrics = runtime.get_metrics()
         if metrics.enabled:
@@ -237,125 +229,41 @@ class MonitoringCollector:
         self.flush()
         return self._store
 
-    def enable_spill(self, directory: str | Path, chunk_rows: int | None = None) -> None:
-        """Seal per-GPU summary rows to ``.npz`` runs as sampling flushes.
-
-        A runtime switch, deliberately *not* a :class:`MonitoringConfig`
-        field: the config hashes into dataset cache keys, and spilling
-        is an execution detail that must leave them untouched.  Flip it
-        before the final flush: from then on a flush seals the live
-        rows into a run whenever they reach ``chunk_rows`` (default
-        :data:`~repro.frame.DEFAULT_CHUNK_ROWS`).  Runs go through the
-        lossless spill codec, so read-back stays bit-identical.  A
-        ``directory`` that cannot be created raises
-        :class:`~repro.errors.FrameError` naming it.
-        """
-        from repro.frame import DEFAULT_CHUNK_ROWS
-        from repro.frame.codec import make_spill_dir
-
-        self._spill_dir = make_spill_dir(directory)
-        self._seal_rows = chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS
-
-    def _seal_gpu_run(self) -> None:
-        """Write the live summary rows as one sealed run, counting its
-        bytes, and start a fresh builder."""
-        from repro.frame import LOSSLESS, table_raw_bytes, write_table_npz
-        from repro.frame.codec import count_spill
-        from repro.obs import runtime
-
-        table = self._gpu_builder.finish()
-        path = self._spill_dir / f"run_{len(self._spill_runs):06d}.npz"
-        write_table_npz(table, path, codec=LOSSLESS)
-        self._spill_runs.append(path)
-        self._gpu_builder = TableBuilder(columns=self._gpu_builder.column_names)
-        count_spill(1, path.stat().st_size, table_raw_bytes(table))
-        metrics = runtime.get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "repro_monitor_summary_chunks_total",
-                help="per-GPU summary runs the collector sealed to disk",
-            ).inc()
-
-    def _sealed_parts(self) -> list:
-        """Sealed runs as lazy thunks plus the live builder remainder.
-
-        Each element is a zero-arg callable returning a Table; disk
-        runs load on call so only one run is resident at a time.
-        """
-        from repro.frame import read_table_npz
-
-        parts: list = [
-            (lambda p=path: read_table_npz(p)) for path in self._spill_runs
-        ]
-        if self._gpu_builder.num_rows or not parts:
-            remainder = self._gpu_builder.finish()
-            parts.append(lambda t=remainder: t)
-        return parts
-
     def per_gpu_table(self) -> Table:
-        """One row per (job, GPU) with min/mean/max of every metric."""
-        from repro.frame import concat_tables
-
+        """One row per (job, GPU) with min/mean/max of every metric, in
+        job-completion order."""
         self.flush()
-        parts = [thunk() for thunk in self._sealed_parts()]
-        if len(parts) == 1:
-            return parts[0]
-        return concat_tables(parts)
-
-    def sorted_summary_stream(self, chunk_rows: int | None = None) -> "ChunkedTable":
-        """Per-GPU summary rows in global ``(job_id, gpu_index)`` order.
-
-        Sealed runs are each job-completion-ordered internally, so a
-        lazily sorted view of every run feeds a k-way
-        :func:`~repro.frame.merge_sorted_chunked` — at most one run is
-        fully resident per source while merging.  Bit-identical to
-        ``per_gpu_table().sort_by("job_id", "gpu_index")`` because the
-        merge preserves source order on ties and sorts are stable.
-        """
-        from repro.frame import DEFAULT_CHUNK_ROWS, ChunkedTable, merge_sorted_chunked
-
-        self.flush()
-        parts = self._sealed_parts()
-        rows = chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS
-
-        def source(thunk):
-            def produce():
-                table = thunk().sort_by("job_id", "gpu_index")
-                if table.num_rows:
-                    yield table
-
-            return ChunkedTable(produce)
-
-        return merge_sorted_chunked(
-            [source(thunk) for thunk in parts],
-            ("job_id", "gpu_index"),
-            chunk_rows=rows,
-        )
+        return self._gpu_builder.finish()
 
     def cpu_table(self) -> Table:
         """One row per job with CPU-side summary metrics."""
         return self._cpu_builder.finish()
 
     def job_gpu_table(self) -> Table:
-        """Per-job GPU summary averaged over the job's GPUs.
+        """Per-job GPU summary of :meth:`per_gpu_table`; see
+        :func:`job_gpu_summary`."""
+        return job_gpu_summary(self.per_gpu_table())
 
-        Matches the paper's methodology: "the average over multiple
-        GPUs was computed to get a single number for multi-GPU jobs".
-        Minima take the min over GPUs and maxima the max, so bottleneck
-        detection still sees the most-loaded device.
-        """
-        per_gpu = self.per_gpu_table()
-        if not per_gpu.num_rows:
-            return Table.empty(["job_id"])
-        spec = {}
-        for name in METRIC_NAMES:
-            spec[f"{name}_min"] = "min"
-            spec[f"{name}_mean"] = "mean"
-            spec[f"{name}_max"] = "max"
-        aggregated = per_gpu.group_by("job_id").aggregate(spec)
-        renames = {}
-        for name in METRIC_NAMES:
-            renames[f"{name}_min_min"] = f"{name}_min"
-            renames[f"{name}_mean_mean"] = f"{name}_mean"
-            renames[f"{name}_max_max"] = f"{name}_max"
-        return aggregated.rename(renames)
+
+def job_gpu_summary(per_gpu: Table) -> Table:
+    """Per-job GPU summary averaged over the job's GPUs.
+
+    Matches the paper's methodology: "the average over multiple GPUs
+    was computed to get a single number for multi-GPU jobs".  Minima
+    take the min over GPUs and maxima the max, so bottleneck detection
+    still sees the most-loaded device.
+    """
+    if not per_gpu.num_rows:
+        return Table.empty(["job_id"])
+    spec = {}
+    for name in METRIC_NAMES:
+        spec[f"{name}_min"] = "min"
+        spec[f"{name}_mean"] = "mean"
+        spec[f"{name}_max"] = "max"
+    aggregated = per_gpu.group_by("job_id").aggregate(spec)
+    renames = {}
+    for name in METRIC_NAMES:
+        renames[f"{name}_min_min"] = f"{name}_min"
+        renames[f"{name}_mean_mean"] = f"{name}_mean"
+        renames[f"{name}_max_max"] = f"{name}_max"
+    return aggregated.rename(renames)

@@ -12,8 +12,13 @@ The per-island outputs merge deterministically:
 
 * job records — global job-id order, node indices remapped to the
   whole machine;
-* monitoring tables — merged into ``(job_id[, gpu_index])`` order, so
-  the merge is independent of which process ran which island;
+* job tables — each island builds its three key-sorted tables once
+  (``jobs`` and ``gpu_summary`` by ``job_id``, ``per_gpu`` by
+  ``(job_id, gpu_index)``); the parent opens each as a
+  :class:`~repro.frame.ChunkedTable`, k-way merges the islands
+  (:func:`~repro.frame.merge_sorted_chunked`) and assembles the
+  dataset through the lazy ``filter``/``join_sorted`` verbs, so the
+  result is independent of which process ran which island;
 * time series — disjoint union of the island stores;
 * obs spans/metrics/events — reported straight into the session's by
   in-process islands; drained by forked hosts and adopted by the parent.
@@ -25,13 +30,13 @@ Two orthogonal axes:
   fair-share sync) the runner steps the islands through lockstep
   epochs, exchanging only the bounded interchange payload; uncoupled
   islands are the one-round case of the same loop;
-* **streaming** — islands spill their monitoring tables and series to
-  per-island ``.npz`` chunk directories and return *handles*; the
-  parent k-way-merges the key-sorted spill streams
-  (:func:`~repro.frame.merge_sorted_chunked`) and assembles the
-  dataset chunk-wise (:meth:`~repro.frame.ChunkedTable.join_sorted`),
-  so its resident set is bounded by the chunk size instead of the
-  trace size, then spills the assembled tables once under
+* **streaming** — where the island tables and the assembled tables
+  land.  Without it the islands hand their tables and series stores
+  back in memory and the assembled tables are materialized.  With it
+  the islands spill them to per-island ``.npz`` chunk directories and
+  return only those directories; the merge then re-reads them lazily,
+  so the parent's resident set is bounded by the chunk size instead
+  of the trace size, and the assembled tables are spilled once under
   ``<spill_dir>/assembled/``.  Streaming datasets carry file-backed
   :class:`~repro.frame.ChunkedTable` job tables, a
   :class:`~repro.monitor.timeseries.SpilledTimeSeriesStore`, and no
@@ -91,12 +96,6 @@ def _island_setup(simulator, partition: Partition, context: dict):
         context.get("monitoring"), partition.index, context["num_partitions"]
     )
     collector = MonitoringCollector(monitoring).attach(simulator)
-    spill_dir = context.get("spill_dir")
-    if spill_dir is not None:
-        collector.enable_spill(
-            Path(spill_dir) / f"island_{partition.index:03d}" / "summary",
-            context.get("chunk_rows"),
-        )
     return (collector, partition, context)
 
 
@@ -106,47 +105,47 @@ def _island_finish(simulator, state, result) -> dict:
     Receives the finalized :class:`SimulationResult` (records already
     remapped to global node indices).  The deferred sampling runs
     here, with the session's ``workers`` in the parent process and
-    serially in a forked host.  Materialized path (no ``spill_dir``):
-    the tables and series store come back as objects.  Streaming path:
-    every output is spilled under ``<spill_dir>/island_<index>/`` in
-    the key order the parent merge expects — accounting and the
-    per-job GPU summary sorted by ``job_id``, the per-GPU summary by
-    ``(job_id, gpu_index)`` — and only directory handles plus row
-    counts return.
+    serially in a forked host.  The island then builds its three
+    tables once, in the key order the parent merge expects: ``jobs``
+    (accounting) and ``gpu_summary`` (per-job GPU summary) by
+    ``job_id``, ``per_gpu`` by ``(job_id, gpu_index)`` — both summaries
+    from one :meth:`~repro.monitor.collector.MonitoringCollector.per_gpu_table`.
+    Each table returns as a ``(source, rows)`` pair for
+    :func:`_merge_islands`, next to the series ``store``.  Without a
+    ``spill_dir`` the sources are the tables and the store is the
+    island's store; with one, each is spilled under
+    ``<spill_dir>/island_<index>/`` and only its directory returns.
     """
+    from repro.monitor.collector import job_gpu_summary
+    from repro.slurm.accounting import accounting_table
+
     collector, partition, context = state
     simulator.cluster.check_invariants()
     in_parent = os.getpid() == context["parent_pid"]
     sampling_rows = collector.flush(workers=context["workers"] if in_parent else 1)
-    spill_dir = context.get("spill_dir")
-    if spill_dir is None:
-        return {
-            "sampling_rows": sampling_rows,
-            "gpu_summary": collector.job_gpu_table(),
-            "per_gpu": collector.per_gpu_table(),
-            "store": collector.store,
-            "handles": None,
-        }
-    from repro.frame import DEFAULT_CHUNK_ROWS
-    from repro.slurm.accounting import accounting_chunked
-
-    island_dir = Path(spill_dir) / f"island_{partition.index:03d}"
-    chunk_rows = context.get("chunk_rows")
-    rows = chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS
-    ordered = sorted(result.records, key=lambda record: record.request.job_id)
-    accounting_chunked(ordered, rows).spill(island_dir / "jobs")
-    gpu_summary = collector.job_gpu_table().sort_by("job_id")
-    gpu_summary.to_chunked(rows).spill(island_dir / "gpu_summary")
-    per_gpu = collector.sorted_summary_stream(rows).spill(island_dir / "per_gpu")
-    collector.store.spill(island_dir / "series")
+    per_gpu = collector.per_gpu_table()
+    tables = {
+        "jobs": accounting_table(
+            sorted(result.records, key=lambda record: record.request.job_id)
+        ),
+        "gpu_summary": job_gpu_summary(per_gpu).sort_by("job_id"),
+        "per_gpu": per_gpu.sort_by("job_id", "gpu_index"),
+    }
+    sources, store = tables, collector.store
+    spill_dir = context["spill_dir"]
+    if spill_dir is not None:
+        island_dir = Path(spill_dir) / f"island_{partition.index:03d}"
+        for name, table in tables.items():
+            table.to_chunked(context["chunk_rows"]).spill(island_dir / name)
+        store.spill(island_dir / "series")
+        sources = {name: str(island_dir / name) for name in tables}
+        store = str(island_dir / "series")
     return {
         "sampling_rows": sampling_rows,
-        "handles": {
-            "root": str(island_dir),
-            "jobs_rows": len(ordered),
-            "gpu_summary_rows": gpu_summary.num_rows,
-            "per_gpu_rows": per_gpu.num_rows,
+        "tables": {
+            name: (sources[name], table.num_rows) for name, table in tables.items()
         },
+        "store": store,
     }
 
 
@@ -174,55 +173,49 @@ def check_island_capacity(layout: PartitionLayout, buckets: list, spec) -> None:
             )
 
 
-def _merge_tables(tables: list, sort_keys: tuple[str, ...]):
-    """Concatenate island tables and sort into a process-independent
-    order; empty islands (no rows yet, schema-less) are skipped."""
-    from repro.frame import concat_tables
-
-    filled = [table for table in tables if table.num_rows]
-    if not filled:
-        return tables[0]
-    merged = concat_tables(filled) if len(filled) > 1 else filled[0]
-    return merged.sort_by(*sort_keys)
-
-
-def _merge_spilled(
-    handles: list[dict], name: str, keys: tuple[str, ...],
-    chunk_rows: int, column_names: tuple[str, ...] | None = None,
+def _merge_islands(
+    islands: list[dict], name: str, keys: tuple[str, ...], chunk_rows: int,
+    column_names: tuple[str, ...] | None = None,
 ):
-    """K-way merge the islands' key-sorted spill streams for one output.
+    """The lazy k-way merge of the islands' key-sorted ``name`` tables.
 
-    Each island directory re-reads lazily, so the parent holds one
-    in-flight chunk per island plus the current merge segment — never
-    a whole island's table.
+    Each island's table opens as a chunked view — an in-memory table
+    sliced into ``chunk_rows`` chunks, a spill directory re-read
+    lazily — so the parent holds one in-flight chunk per island plus
+    the current merge segment, and nothing runs until the view is
+    iterated.  Empty islands are skipped; when every island is empty
+    the view is empty with ``column_names``.
     """
     from repro.frame import ChunkedTable, merge_sorted_chunked
 
-    total = 0
-    sources = []
-    for handle in handles:
-        rows = handle[f"{name}_rows"]
-        total += rows
-        if rows:
-            sources.append(
-                ChunkedTable.scan(Path(handle["root"]) / name, chunk_rows)
-            )
+    parts = [island["tables"][name] for island in islands]
+    sources = [ChunkedTable.scan(source, chunk_rows) for source, rows in parts if rows]
     if not sources:
         return ChunkedTable((), column_names=column_names, num_rows=0)
     merged = merge_sorted_chunked(sources, keys, chunk_rows=chunk_rows)
-    merged._num_rows = total
+    merged._num_rows = sum(rows for _, rows in parts)
     return merged
 
 
-def _assemble_spilled(jobs, gpu_summary, per_gpu, target: Path):
-    """Join the merged island streams and spill each output once, in
-    the chunks the lazy joins produce; ``jobs`` spills first and feeds
-    both merge-joins, so each island spill is k-way merged once."""
-    jobs = jobs.spill(target / "jobs")
-    gpu_jobs = jobs.filter(_keep_gpu_jobs).join_sorted(gpu_summary, on="job_id")
+def _assemble(jobs, gpu_summary, per_gpu, target: Path | None):
+    """Join the merged island streams into the dataset's three tables.
+
+    Each output lands once, in the chunks the lazy joins produce:
+    spilled under ``target`` when streaming, materialized when
+    ``target`` is ``None``.  ``jobs`` lands first and its landed copy
+    feeds both merge-joins, so each island table is k-way merged once.
+    """
+    from repro.frame import ChunkedTable
+
+    def land(view, name):
+        return view.materialize() if target is None else view.spill(target / name)
+
+    jobs = land(jobs, "jobs")
+    job_view = ChunkedTable.scan(jobs)
+    gpu_jobs = job_view.filter(_keep_gpu_jobs).join_sorted(gpu_summary, on="job_id")
     if per_gpu.num_rows:
-        per_gpu = per_gpu.join_sorted(jobs.select(CONTEXT_COLUMNS), on="job_id")
-    return jobs, gpu_jobs.spill(target / "gpu_jobs"), per_gpu.spill(target / "per_gpu")
+        per_gpu = per_gpu.join_sorted(job_view.select(CONTEXT_COLUMNS), on="job_id")
+    return jobs, land(gpu_jobs, "gpu_jobs"), land(per_gpu, "per_gpu")
 
 
 def _keep_gpu_jobs(chunk):
@@ -252,14 +245,18 @@ def build_sharded_dataset(
     Five stages.  ``workload`` draws the requests; ``schedule`` runs
     the islands through one :class:`~repro.slurm.interchange.PartitionedRunner`
     — in-process, or across ``min(workers, partitions)`` forked hosts —
-    whose finish hook also samples each island; ``sampling`` tallies
-    those rows; ``monitor`` merges the partition-local outputs; and
-    ``assemble`` joins the job tables.  With ``streaming=True`` the
-    merge is the k-way spill merge and ``assemble`` spills its chunks
-    once under ``<spill_dir>/assembled/``, removing the island table
-    spills; the returned dataset holds those file-backed tables, a
-    spilled series store, and no job records (``spill_dir`` defaults to
-    a temp directory, removed if any stage from ``schedule`` on fails).
+    whose finish hook also samples each island and builds its key-sorted
+    tables; ``sampling`` tallies those rows; ``monitor`` opens the lazy
+    k-way merges of the island tables and unions the series stores; and
+    ``assemble`` runs the merges through the joins and lands the job
+    tables (:func:`_assemble`).  Both builds share that path; only where
+    the tables land differs.  Without ``streaming`` they stay in memory.
+    With ``streaming=True`` the islands spill them, ``assemble`` spills
+    its chunks once under ``<spill_dir>/assembled/`` and removes the
+    island table spills, and the returned dataset holds those
+    file-backed tables, a spilled series store, and no job records
+    (``spill_dir`` defaults to a temp directory, removed if any stage
+    from ``schedule`` on fails).
     """
     import shutil
     import tempfile
@@ -268,7 +265,7 @@ def build_sharded_dataset(
     from repro.dataset import SupercloudDataset
     from repro.frame import DEFAULT_CHUNK_ROWS
     from repro.monitor.timeseries import SpilledTimeSeriesStore, TimeSeriesStore
-    from repro.slurm.accounting import ACCOUNTING_COLUMNS, accounting_table
+    from repro.slurm.accounting import ACCOUNTING_COLUMNS
     from repro.slurm.interchange import PartitionedRunner, route_requests
     from repro.workload.cohorts import generate_sharded
 
@@ -278,6 +275,7 @@ def build_sharded_dataset(
 
     layout = PartitionLayout.even(config.scaled_nodes, config.partitions)
     spec = supercloud_spec(config.scaled_nodes)
+    rows = chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS
     temp_spill = streaming and spill_dir is None
     if temp_spill:
         spill_dir = tempfile.mkdtemp(prefix="repro-shard-")
@@ -297,7 +295,7 @@ def build_sharded_dataset(
                     "monitoring": monitoring,
                     "num_partitions": len(layout),
                     "spill_dir": spill,
-                    "chunk_rows": chunk_rows,
+                    "chunk_rows": rows,
                     "workers": workers,
                     "parent_pid": os.getpid(),
                 },
@@ -314,11 +312,7 @@ def build_sharded_dataset(
                 "repro_shard_island_peak_rss_bytes",
                 help="largest per-island process peak RSS in the sharded build",
             ).set_max(outcome.island_peak_rss_bytes)
-            probe.rows = (
-                sum(island["handles"]["jobs_rows"] for island in islands)
-                if streaming
-                else len(records)
-            )
+            probe.rows = sum(island["tables"]["jobs"][1] for island in islands)
 
         with inst.stage("sampling") as probe:
             # Sampling already ran island-locally inside ``schedule``; this
@@ -326,43 +320,23 @@ def build_sharded_dataset(
             probe.rows = sum(island["sampling_rows"] for island in islands)
 
         with inst.stage("monitor") as probe:
-            if streaming:
-                handles = [island["handles"] for island in islands]
-                rows = chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS
-                jobs = _merge_spilled(
-                    handles, "jobs", ("job_id",), rows, ACCOUNTING_COLUMNS
-                )
-                gpu_summary = _merge_spilled(handles, "gpu_summary", ("job_id",), rows)
-                per_gpu = _merge_spilled(
-                    handles, "per_gpu", ("job_id", "gpu_index"), rows
-                )
-                store = SpilledTimeSeriesStore(
-                    Path(handle["root"]) / "series" for handle in handles
-                )
-            else:
-                gpu_summary = _merge_tables(
-                    [island["gpu_summary"] for island in islands], ("job_id",)
-                )
-                per_gpu = _merge_tables(
-                    [island["per_gpu"] for island in islands], ("job_id", "gpu_index")
-                )
-                store = TimeSeriesStore.merged(island["store"] for island in islands)
+            jobs = _merge_islands(islands, "jobs", ("job_id",), rows, ACCOUNTING_COLUMNS)
+            gpu_summary = _merge_islands(islands, "gpu_summary", ("job_id",), rows)
+            per_gpu = _merge_islands(islands, "per_gpu", ("job_id", "gpu_index"), rows)
+            stores = [island["store"] for island in islands]
+            store = (
+                SpilledTimeSeriesStore(stores) if streaming else TimeSeriesStore.merged(stores)
+            )
             probe.rows = per_gpu.num_rows
 
         with inst.stage("assemble") as probe:
+            jobs, gpu_jobs, per_gpu = _assemble(
+                jobs, gpu_summary, per_gpu, Path(spill) / "assembled" if streaming else None
+            )
             if streaming:
-                jobs, gpu_jobs, per_gpu = _assemble_spilled(
-                    jobs, gpu_summary, per_gpu, Path(spill) / "assembled"
-                )
-                for handle in handles:
-                    for name in ("summary", "jobs", "gpu_summary", "per_gpu"):
-                        shutil.rmtree(Path(handle["root"]) / name, ignore_errors=True)
-            else:
-                jobs = accounting_table(records)
-                gpu_jobs = jobs.filter(_keep_gpu_jobs(jobs)).join(gpu_summary, on="job_id")
-                if per_gpu.num_rows:
-                    context = jobs.select(list(CONTEXT_COLUMNS))
-                    per_gpu = per_gpu.join(context, on="job_id")
+                for island in islands:
+                    for source, _ in island["tables"].values():
+                        shutil.rmtree(source, ignore_errors=True)
             probe.rows = jobs.num_rows
     except BaseException:
         if temp_spill:

@@ -9,9 +9,9 @@ using job Ids to create a single dataset").
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.frame import ChunkedTable, Table, TableBuilder
+from repro.frame import Table, TableBuilder
 from repro.slurm.job import JobRecord
 
 ACCOUNTING_COLUMNS = (
@@ -51,24 +51,3 @@ def accounting_table(records: Iterable[JobRecord]) -> Table:
         data["time_limit_s"].append(request.time_limit_s)
     return builder.finish()
 
-
-def accounting_chunked(
-    records: Sequence[JobRecord], chunk_rows: int = 65536
-) -> ChunkedTable:
-    """The accounting table as a lazy chunked stream.
-
-    Each pass re-walks ``records`` in ``chunk_rows`` batches through
-    :func:`accounting_table`, so only one batch of rows is columnar at
-    a time — the Slurm half of an out-of-core dataset assembly.
-    """
-    records = list(records)
-
-    def produce():
-        for start in range(0, len(records), chunk_rows):
-            yield accounting_table(records[start : start + chunk_rows])
-
-    return ChunkedTable(
-        produce,
-        column_names=ACCOUNTING_COLUMNS,
-        num_rows=len(records),
-    )

@@ -14,7 +14,9 @@ pinned end to end at the session level:
 * the **streaming** build — islands spill to disk, the parent k-way
   merges chunk streams — yields the same tables chunk for chunk, for
   uncoupled islands and for interchange-coupled islands run serially
-  or process-parallel.
+  or process-parallel;
+* the in-memory build merges and joins through the same verbs, and
+  equals a concatenate, stable-sort and hash-join oracle byte for byte.
 """
 
 import hashlib
@@ -327,25 +329,70 @@ class TestAssembledOnce:
         assert metrics.counter_value("repro_frame_stream_chunks_total", op="merge") == 0
         datasets_equal(stream.materialize(), session.dataset())
 
+    def test_islands_write_their_per_gpu_rows_once(self, tmp_path, monkeypatch):
+        """Each island writes its per-GPU summary rows once, as its
+        ``per_gpu`` table's chunks; no island seals ``summary/run_*.npz``
+        runs."""
+        from pathlib import Path
+
+        from repro.frame import codec
+
+        written = []
+        write = codec.write_spill_file
+
+        def spy(path, members, spill_codec):
+            members = list(members)
+            written.append((Path(path).relative_to(tmp_path), members))
+            return write(path, members, spill_codec)
+
+        monkeypatch.setattr(codec, "write_spill_file", spy)
+        stream = Session(WorkloadConfig(**SMALL_STREAM), workers=1).streaming_dataset(
+            chunk_rows=256, spill_dir=tmp_path
+        )
+        assert not [path for path, _ in written if path.match("island_*/summary/run_*.npz")]
+        summary_rows = {}
+        table_rows = {}
+        for path, members in written:
+            island, table = path.parts[0], path.parts[1]
+            if not island.startswith("island_") or table == "series":
+                continue
+            rows = sum(len(columns["gpu_index"]) for _, columns in members if "gpu_index" in columns)
+            summary_rows[island] = summary_rows.get(island, 0) + rows
+            if table == "per_gpu":
+                table_rows[island] = table_rows.get(island, 0) + rows
+        assert sorted(summary_rows) == ["island_000", "island_001"]
+        assert summary_rows == table_rows
+        assert sum(table_rows.values()) == stream.per_gpu.num_rows
+
     @staticmethod
-    def _island(root, jobs, gpu_summary, per_gpu):
-        """Hand-built island spill directories and their handle."""
-        for name, table in (("jobs", jobs), ("gpu_summary", gpu_summary), ("per_gpu", per_gpu)):
-            table.to_chunked(2).spill(root / name)
+    def _island(root, jobs, gpu_summary, per_gpu, spilled):
+        """A hand-built island's finish-hook output: its tables held in
+        memory, or spilled under ``root`` and handed back as
+        directories."""
+        tables = {"jobs": jobs, "gpu_summary": gpu_summary, "per_gpu": per_gpu}
+        sources = dict(tables)
+        if spilled:
+            for name, table in tables.items():
+                table.to_chunked(2).spill(root / name)
+                sources[name] = str(root / name)
         return {
-            "root": str(root),
-            "jobs_rows": jobs.num_rows,
-            "gpu_summary_rows": gpu_summary.num_rows,
-            "per_gpu_rows": per_gpu.num_rows,
+            "tables": {
+                name: (sources[name], table.num_rows) for name, table in tables.items()
+            }
         }
 
-    @pytest.mark.parametrize("gpu_islands", [1, 0])
-    def test_island_without_gpu_jobs(self, tmp_path, gpu_islands):
-        """An island with no GPU job spills empty summary tables; the
-        assembled outputs equal the lazy joins, and an empty one keeps
-        its column names."""
-        from repro.frame import Table
-        from repro.pipeline.shard import _assemble_spilled, _keep_gpu_jobs, _merge_spilled
+    @pytest.mark.parametrize(
+        ("gpu_islands", "spilled"),
+        [(1, True), (0, True), (1, False), (0, False)],
+        ids=["1", "0", "1-in_memory", "0-in_memory"],
+    )
+    def test_island_without_gpu_jobs(self, tmp_path, gpu_islands, spilled):
+        """An island with no GPU job hands back empty summary tables;
+        the assembled outputs equal the lazy joins, and an empty one
+        keeps its column names, whether the tables land on disk or in
+        memory."""
+        from repro.frame import ChunkedTable, Table
+        from repro.pipeline.shard import _assemble, _keep_gpu_jobs, _merge_islands
         from repro.slurm.accounting import ACCOUNTING_COLUMNS
 
         def jobs(ids, gpus):
@@ -361,13 +408,14 @@ class TestAssembledOnce:
             "gpu_index": np.zeros(0, dtype=np.int64),
             "sm_mean": np.zeros(0),
         })
-        handles = [
+        islands = [
             self._island(
-                tmp_path / "island_001", jobs([1, 3, 5], [0, 0, 0]), empty, empty_gpu
+                tmp_path / "island_001", jobs([1, 3, 5], [0, 0, 0]), empty, empty_gpu,
+                spilled,
             )
         ]
         if gpu_islands:
-            handles.insert(0, self._island(
+            islands.insert(0, self._island(
                 tmp_path / "island_000",
                 jobs([2, 4, 6], [1, 2, 1]),
                 Table({"job_id": [2, 4, 6], "sm_mean": [10.0, 20.0, 30.0]}),
@@ -376,13 +424,14 @@ class TestAssembledOnce:
                     "gpu_index": [0, 0, 1, 0],
                     "sm_mean": [10.0, 15.0, 25.0, 30.0],
                 }),
+                spilled,
             ))
 
         def merged():
             return (
-                _merge_spilled(handles, "jobs", ("job_id",), 2, ACCOUNTING_COLUMNS),
-                _merge_spilled(handles, "gpu_summary", ("job_id",), 2),
-                _merge_spilled(handles, "per_gpu", ("job_id", "gpu_index"), 2),
+                _merge_islands(islands, "jobs", ("job_id",), 2, ACCOUNTING_COLUMNS),
+                _merge_islands(islands, "gpu_summary", ("job_id",), 2),
+                _merge_islands(islands, "per_gpu", ("job_id", "gpu_index"), 2),
             )
 
         jobs_in, summary, per_gpu = merged()
@@ -391,9 +440,11 @@ class TestAssembledOnce:
             per_gpu.join_sorted(jobs_in.select(CONTEXT_COLUMNS), on="job_id")
             if per_gpu.num_rows else per_gpu
         )
-        out = _assemble_spilled(*merged(), tmp_path / "assembled")
-        for lazy, spilled in zip((jobs_in, lazy_gpu_jobs, lazy_per_gpu), out):
-            rows = list(spilled.materialize().iter_rows())
+        out = _assemble(*merged(), tmp_path / "assembled" if spilled else None)
+        # A materialized output is a Table; scan() opens it as a stream.
+        out = tuple(ChunkedTable.scan(table) for table in out)
+        for lazy, landed in zip((jobs_in, lazy_gpu_jobs, lazy_per_gpu), out):
+            rows = list(landed.materialize().iter_rows())
             assert rows == list(lazy.materialize().iter_rows())
         assert out[0].num_rows == 3 + 3 * gpu_islands
         assert out[1].num_rows == 3 * gpu_islands
@@ -401,6 +452,72 @@ class TestAssembledOnce:
         gpu_columns = job_columns + (("sm_mean",) if gpu_islands else ())
         assert out[1].column_names == gpu_columns
         assert out[1].materialize().column_names == gpu_columns
+
+
+def table_bytes(table):
+    """Each column's name, dtype and exact values (object cells with
+    their types): equal lists mean byte-identical tables."""
+    out = []
+    for name in table.column_names:
+        values = np.asarray(table[name])
+        if values.dtype == object:
+            out.append((name, "O", [(type(value), value) for value in values.tolist()]))
+        else:
+            out.append((name, values.dtype.str, values.tobytes()))
+    return out
+
+
+def oracle_assemble(islands, records):
+    """The in-memory assemble the build once ran beside the streaming
+    one, kept as an oracle: concatenate the islands' tables, stable-sort
+    them, and hash-join with ``Table.join``."""
+    from repro.frame import concat_tables
+    from repro.pipeline.shard import _keep_gpu_jobs
+    from repro.slurm.accounting import accounting_table
+
+    def merge(name, keys):
+        tables = [island["tables"][name][0] for island in islands]
+        filled = [table for table in tables if table.num_rows]
+        if not filled:
+            return tables[0]
+        merged = concat_tables(filled) if len(filled) > 1 else filled[0]
+        return merged.sort_by(*keys)
+
+    jobs = accounting_table(records)
+    assert table_bytes(merge("jobs", ("job_id",))) == table_bytes(jobs)
+    gpu_summary = merge("gpu_summary", ("job_id",))
+    per_gpu = merge("per_gpu", ("job_id", "gpu_index"))
+    gpu_jobs = jobs.filter(_keep_gpu_jobs(jobs)).join(gpu_summary, on="job_id")
+    if per_gpu.num_rows:
+        per_gpu = per_gpu.join(jobs.select(list(CONTEXT_COLUMNS)), on="job_id")
+    return {"jobs": jobs, "gpu_jobs": gpu_jobs, "per_gpu": per_gpu}
+
+
+class TestAssembleOracle:
+    """``dataset()`` merges and joins through the streaming verbs; the
+    concat, stable sort and ``Table.join`` they replaced give the same
+    bytes on the islands' own tables."""
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["uncoupled", "coupled"])
+    def test_two_island_build_equals_oracle(self, coupled, monkeypatch):
+        from repro.pipeline import shard
+
+        islands = []
+        finish = shard._island_finish
+
+        def keep(simulator, state, result):
+            islands.append(finish(simulator, state, result))
+            return islands[-1]
+
+        monkeypatch.setattr(shard, "_island_finish", keep)
+        interchange = TestCoupledBuild.INTERCHANGE if coupled else None
+        dataset = Session(
+            WorkloadConfig(**SMALL_STREAM), workers=1, interchange=interchange
+        ).dataset()
+        assert len(islands) == 2
+        assert all(island["tables"]["per_gpu"][1] for island in islands)
+        for name, table in oracle_assemble(islands, dataset.records).items():
+            assert table_bytes(getattr(dataset, name)) == table_bytes(table), name
 
 
 class TestFailureCleanup:
@@ -423,7 +540,7 @@ class TestFailureCleanup:
             def merge_fails(*args, **kwargs):
                 raise FrameError("injected merge failure")
 
-            monkeypatch.setattr("repro.pipeline.shard._merge_spilled", merge_fails)
+            monkeypatch.setattr("repro.pipeline.shard._merge_islands", merge_fails)
             match = "injected merge failure"
         else:
             class DiskFullWhenAssembling(zipfile.ZipFile):

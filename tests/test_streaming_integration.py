@@ -1,9 +1,9 @@
 """End-to-end streaming integration: producers and consumers agree
 with the materialized pipeline.
 
-Each producer that grew a chunked emission path (monitor collector,
-time-series store, accounting) must stay bit-identical to its
-materialized output, and *every* figure producer in the registry must
+Each chunked emission path (the one-island spill build, the
+time-series store) must stay bit-identical to its materialized
+output, and *every* figure producer in the registry must
 accept ``dataset.streaming_view()`` and reproduce the materialized
 comparisons — bit-for-bit for integer-count fractions, within the
 sketch's documented rank error for quantiles.  fig06 additionally gets
@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 from repro.frame import ChunkedTable
-from repro.slurm.accounting import accounting_chunked, accounting_table
 
 
 class TestCollectorChunking:
     def test_chunked_collector_is_bit_identical(self):
-        """The one-island streaming build seals the collector's summary
-        rows into 64-row runs on disk; its tables equal the
+        """The one-island streaming build spills the island's tables in
+        64-row chunks and k-way merges them back; its tables equal the
         materialized build's."""
         from repro.pipeline import Session
         from repro.workload.generator import WorkloadConfig
@@ -60,14 +59,6 @@ class TestTimeSeriesScan:
         materialized = np.concatenate([s.metric("sm") for s in store])
         assert moments.count == materialized.size
         assert moments.mean() == pytest.approx(materialized.mean(), rel=1e-9)
-
-
-class TestAccountingChunked:
-    def test_matches_accounting_table(self, small_dataset):
-        records = small_dataset.records
-        chunked = accounting_chunked(records, chunk_rows=37)
-        assert chunked.num_rows == len(records)
-        assert chunked.materialize().to_dict() == accounting_table(records).to_dict()
 
 
 class TestStreamingFigures:
