@@ -8,10 +8,16 @@ table).  Every timed pair also asserts ``to_dict`` equality, so a perf
 "fix" that diverges from the reference semantics fails here before it
 fails a property test.
 
+The CSV pair times the column-wise reader and writer against the
+per-cell reader and per-row writer on a 5,000-row slice of the same
+table: the read must equal the reference's ``to_dict``, the written
+file the reference's bytes.
+
 The hard gates are deliberately below the measured ratios (~13x
-grouped aggregation on an integer key, ~55x on an all-match join) so
-they catch wholesale regressions — a silent fall-back to the dict
-loop — without flaking on machine noise.
+grouped aggregation on an integer key, ~55x on an all-match join,
+~4x CSV read and ~1.8x CSV write on a 2-vCPU machine) so they catch
+wholesale regressions — a silent fall-back to the dict loop — without
+flaking on machine noise.
 """
 
 import time
@@ -19,11 +25,17 @@ import time
 import numpy as np
 
 from repro.bench import record_bench_stat
-from repro.frame import Table
-from repro.frame.reference import naive_aggregate, naive_join
+from repro.frame import Table, read_csv, write_csv
+from repro.frame.reference import (
+    naive_aggregate,
+    naive_join,
+    naive_read_csv,
+    naive_write_csv,
+)
 
 NUM_ROWS = 50_000
 NUM_METRIC_COLUMNS = 37  # + job_id/user/num_gpus/gpu_hours = 41 columns
+CSV_ROWS = 5_000
 
 AGG_SPEC = {
     "m00": ["mean", "sum", "max"],
@@ -146,4 +158,39 @@ def test_join_half_match_5x():
     assert naive_s >= 5 * fast_s, (
         f"join[half-match]: fast {fast_s * 1e3:.2f}ms vs naive "
         f"{naive_s * 1e3:.2f}ms ({naive_s / fast_s:.1f}x < 5x)"
+    )
+
+
+def test_csv_read_3x(tmp_path):
+    """Column-wise CSV read: >=3x over the per-cell reader."""
+    path = write_csv(_bench_table().head(CSV_ROWS), tmp_path / "bench.csv")
+    fast_s, fast = _best_of(lambda: read_csv(path))
+    naive_s, naive = _best_of(lambda: naive_read_csv(path), repeats=1)
+    record_bench_stat(
+        "csv_read",
+        rows_per_s=CSV_ROWS / fast_s,
+        speedup_x=naive_s / fast_s,
+    )
+    assert fast.to_dict() == naive.to_dict()
+    assert naive_s >= 3 * fast_s, (
+        f"read_csv: fast {fast_s * 1e3:.2f}ms vs naive "
+        f"{naive_s * 1e3:.2f}ms ({naive_s / fast_s:.1f}x < 3x)"
+    )
+
+
+def test_csv_write_1_5x(tmp_path):
+    """Column-wise CSV write: >=1.5x over the per-row writer, same bytes."""
+    table = _bench_table().head(CSV_ROWS)
+    fast_path, naive_path = tmp_path / "fast.csv", tmp_path / "naive.csv"
+    fast_s, _ = _best_of(lambda: write_csv(table, fast_path))
+    naive_s, _ = _best_of(lambda: naive_write_csv(table, naive_path), repeats=1)
+    record_bench_stat(
+        "csv_write",
+        rows_per_s=CSV_ROWS / fast_s,
+        speedup_x=naive_s / fast_s,
+    )
+    assert fast_path.read_bytes() == naive_path.read_bytes()
+    assert naive_s >= 1.5 * fast_s, (
+        f"write_csv: fast {fast_s * 1e3:.2f}ms vs naive "
+        f"{naive_s * 1e3:.2f}ms ({naive_s / fast_s:.1f}x < 1.5x)"
     )

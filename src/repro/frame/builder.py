@@ -15,11 +15,8 @@ column append ``None`` — the same union-of-keys semantics as
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-import numpy as np
-
-from repro.errors import FrameError, LengthMismatchError
 from repro.frame.table import Table
 
 
@@ -67,56 +64,13 @@ class TableBuilder:
                     column.append(None)
         self._length += 1
 
-    def extend_columns(self, columns: Mapping[str, Any]) -> None:
-        """Append a batch of equal-length column fragments at once.
-
-        ``columns`` maps names to sequences/arrays that must all share
-        one length; columns of the builder missing from the batch get
-        ``None`` backfill, new names get ``None`` for all prior rows.
-        """
-        if not columns:
-            return
-        batch: dict[str, list[Any]] = {}
-        size: int | None = None
-        for name, values in columns.items():
-            if isinstance(values, np.ndarray):
-                fragment = list(values)
-            elif isinstance(values, (str, bytes)):
-                raise FrameError(
-                    "a single string is not a valid column fragment; wrap it in a list"
-                )
-            elif isinstance(values, Iterable):
-                fragment = list(values)
-            else:
-                raise FrameError(
-                    f"cannot extend column {name!r} from {type(values).__name__}"
-                )
-            if size is None:
-                size = len(fragment)
-            elif len(fragment) != size:
-                raise LengthMismatchError(
-                    f"column fragment {name!r} has length {len(fragment)}, expected {size}"
-                )
-            batch[str(name)] = fragment
-        assert size is not None
-        for name, fragment in batch.items():
-            column = self._data.get(name)
-            if column is None:
-                column = self._data[name] = [None] * self._length
-            column.extend(fragment)
-        for name, column in self._data.items():
-            if name not in batch:
-                column.extend([None] * size)
-        self._length += size
-
     def accumulator(self, name: str) -> list[Any]:
         """Direct handle on one column's list for hot append loops.
 
         Callers appending through accumulators must keep every column
         the same length themselves (``finish`` still validates) and
-        must not mix accumulator appends with :meth:`append_row` /
-        :meth:`extend_columns`, whose ``None`` backfill relies on the
-        builder's own row count.
+        must not mix accumulator appends with :meth:`append_row`, whose
+        ``None`` backfill relies on the builder's own row count.
         """
         column = self._data.get(name)
         if column is None:

@@ -21,12 +21,14 @@ from __future__ import annotations
 import csv
 import json
 import zipfile
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterator
 
 import numpy as np
 
 from repro.errors import FrameError
+from repro.frame.column import as_column
 from repro.frame.table import Table, _unwrap
 
 #: The one member of a spilled table chunk.
@@ -34,14 +36,18 @@ _CHUNK_MEMBER = "chunk"
 
 
 def write_csv(table: Table, path: str | Path) -> Path:
-    """Write the table to ``path`` as UTF-8 CSV and return the path."""
+    """Write the table to ``path`` as UTF-8 CSV and return the path.
+
+    One ``writerows`` call over the transposed columns; ``None`` lands
+    as an empty cell, which is how ``csv`` writes it.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    columns = [_cells(table.column(name)) for name in table.column_names]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.column_names)
-        for row in table.iter_rows():
-            writer.writerow([_serialize(v) for v in row.values()])
+        writer.writerows(zip(*columns))
     return path
 
 
@@ -50,18 +56,8 @@ def read_csv(path: str | Path) -> Table:
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FrameError(f"CSV file {path} is empty") from None
-        raw_rows = list(reader)
-    columns: dict[str, list[Any]] = {name: [] for name in header}
-    for raw in raw_rows:
-        if len(raw) != len(header):
-            raise FrameError(f"CSV row has {len(raw)} cells, header has {len(header)}")
-        for name, cell in zip(header, raw):
-            columns[name].append(_parse(cell))
-    return Table(columns)
+        header = _read_header(reader, path)
+        return _parse_rows(header, list(reader))
 
 
 def write_jsonl(table: Table, path: str | Path) -> Path:
@@ -99,26 +95,9 @@ def scan_csv(path: str | Path, chunk_rows: int = 65536) -> Iterator[Table]:
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FrameError(f"CSV file {path} is empty") from None
-        columns: dict[str, list[Any]] = {name: [] for name in header}
-        filled = 0
-        for raw in reader:
-            if len(raw) != len(header):
-                raise FrameError(
-                    f"CSV row has {len(raw)} cells, header has {len(header)}"
-                )
-            for name, cell in zip(header, raw):
-                columns[name].append(_parse(cell))
-            filled += 1
-            if filled == chunk_rows:
-                yield Table(columns)
-                columns = {name: [] for name in header}
-                filled = 0
-        if filled:
-            yield Table(columns)
+        header = _read_header(reader, path)
+        while rows := list(islice(reader, chunk_rows)):
+            yield _parse_rows(header, rows)
 
 
 def scan_jsonl(path: str | Path, chunk_rows: int = 65536) -> Iterator[Table]:
@@ -210,10 +189,57 @@ def table_raw_bytes(table: Table) -> int:
     )
 
 
-def _serialize(value: Any) -> Any:
-    if value is None:
-        return ""
-    return value
+def _cells(column: np.ndarray) -> list[Any]:
+    """A column's cells as native Python values, as ``Table.row`` gives them."""
+    if column.dtype == object:
+        return [_unwrap(value) for value in column]
+    return column.tolist()
+
+
+def _read_header(reader: Iterator[list[str]], path: Path) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FrameError(f"CSV file {path} is empty") from None
+    if len(set(header)) != len(header):
+        raise FrameError(f"CSV file {path} repeats a column name: {header}")
+    return header
+
+
+def _parse_rows(header: list[str], rows: list[list[str]]) -> Table:
+    """Type ``rows`` column by column into a table."""
+    for raw in rows:
+        if len(raw) != len(header):
+            raise FrameError(f"CSV row has {len(raw)} cells, header has {len(header)}")
+    columns = zip(*rows) if rows else [()] * len(header)
+    return Table(dict(zip(header, map(_parse_column, columns))))
+
+
+def _parse_column(cells: tuple[str, ...]) -> np.ndarray:
+    """One column, typed exactly as ``as_column`` types ``map(_parse, cells)``.
+
+    All-int and all-float columns parse in one C loop.  Everything else
+    takes :func:`_parse` once per distinct cell: bool and empty cells,
+    and the two float columns whose per-cell typing ``float`` cannot
+    reproduce — one holding an int cell of magnitude 2**63 or more
+    (numpy then infers float64 or object) or a ``-0`` int cell (+0.0
+    per cell, -0.0 by ``float``).
+    """
+    if cells:
+        try:
+            return np.fromiter(map(int, cells), np.int64, len(cells))
+        except (ValueError, OverflowError):
+            pass
+        try:
+            values = np.fromiter(map(float, cells), np.float64, len(cells))
+        except ValueError:
+            pass
+        else:
+            suspect = (np.abs(values) >= 2.0**63) | (np.signbit(values) & (values == 0))
+            if not suspect.any():
+                return values
+    parsed = {cell: _parse(cell) for cell in set(cells)}
+    return as_column([parsed[cell] for cell in cells])
 
 
 def _parse(cell: str) -> Any:

@@ -1,8 +1,9 @@
-"""Naive row-at-a-time reference implementations of the grouped ops.
+"""Naive row-at-a-time reference implementations of the grouped ops and CSV IO.
 
 These are the original (pre-vectorization) engine bodies, kept verbatim
 as executable specifications: the property tests assert that the
-vectorized kernels in :mod:`repro.frame.groupby` / :class:`Table`
+vectorized kernels in :mod:`repro.frame.groupby` / :class:`Table` and
+the column-wise CSV reader and writer in :mod:`repro.frame.io`
 produce identical results, and ``benchmarks/bench_frame.py`` measures
 the speedup against them.  They are not exported through the package
 namespace and should never be called from production paths.
@@ -10,11 +11,14 @@ namespace and should never be called from production paths.
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import FrameError
+from repro.frame.io import _parse
 from repro.frame.table import Table, _unwrap
 
 
@@ -141,3 +145,34 @@ def naive_join(
             values[~matched] = None
         result = result.with_column(out_name, values)
     return result
+
+
+def naive_write_csv(table: Table, path: str | Path) -> Path:
+    """One ``writerow`` per row dict, ``None`` written as ``""``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.column_names)
+        for row in table.iter_rows():
+            writer.writerow(["" if v is None else v for v in row.values()])
+    return path
+
+
+def naive_read_csv(path: str | Path) -> Table:
+    """Per-cell :func:`~repro.frame.io._parse` into per-column lists."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FrameError(f"CSV file {path} is empty") from None
+        raw_rows = list(reader)
+    columns: dict[str, list[Any]] = {name: [] for name in header}
+    for raw in raw_rows:
+        if len(raw) != len(header):
+            raise FrameError(f"CSV row has {len(raw)} cells, header has {len(header)}")
+        for name, cell in zip(header, raw):
+            columns[name].append(_parse(cell))
+    return Table(columns)

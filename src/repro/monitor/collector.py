@@ -70,7 +70,9 @@ class MonitoringCollector:
         )
         self._cpu_sampler = CpuSampler(self.config.cpu_interval_s)
         self._store = TimeSeriesStore()
-        self._gpu_builder = TableBuilder(columns=["job_id", "gpu_index"])
+        #: Per-GPU summary columns, one array per flush, concatenated
+        #: once by :meth:`per_gpu_table`.
+        self._gpu_parts: dict[str, list[np.ndarray]] = {"job_id": [], "gpu_index": []}
         self._cpu_builder = TableBuilder(columns=["job_id"])
         self._started: dict[int, tuple[float, tuple[int, ...]]] = {}
         self._pending: list[SamplingTask] = []
@@ -188,18 +190,20 @@ class MonitoringCollector:
             "monitor.sampling", category="monitor", tasks=len(tasks), mode=mode
         ) as span:
             results = run_sampling(tasks, self._gpu_sampler, workers=workers)
-            rows = 0
-            for result in results:
-                # All of the job's GPUs land in the builder as column
-                # fragments — no per-GPU row dict.
-                self._gpu_builder.extend_columns(
-                    {
-                        "job_id": np.full(result.num_gpus, result.job_id, dtype=np.int64),
-                        "gpu_index": np.arange(result.num_gpus, dtype=np.int64),
-                        **result.summary,
-                    }
+            sizes = [result.num_gpus for result in results]
+            rows = sum(sizes)
+            parts = self._gpu_parts
+            parts["job_id"].append(
+                np.repeat(np.array([result.job_id for result in results], dtype=np.int64), sizes)
+            )
+            parts["gpu_index"].append(
+                np.concatenate([np.arange(size, dtype=np.int64) for size in sizes])
+            )
+            for name in results[0].summary:
+                parts.setdefault(name, []).append(
+                    np.concatenate([result.summary[name] for result in results])
                 )
-                rows += result.num_gpus
+            for result in results:
                 for series in result.series:
                     self._store.add(series)
             span.set(rows=rows)
@@ -233,7 +237,13 @@ class MonitoringCollector:
         """One row per (job, GPU) with min/mean/max of every metric, in
         job-completion order."""
         self.flush()
-        return self._gpu_builder.finish()
+        columns = {}
+        for name, parts in self._gpu_parts.items():
+            if len(parts) > 1:
+                parts[:] = [np.concatenate(parts)]
+            # An island without GPU jobs has empty float64 key columns.
+            columns[name] = parts[0] if parts else np.empty(0)
+        return Table(columns)
 
     def cpu_table(self) -> Table:
         """One row per job with CPU-side summary metrics."""

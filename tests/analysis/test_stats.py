@@ -12,6 +12,7 @@ from repro.analysis.stats import (
     gini,
     quantiles,
     spearman,
+    student_t_two_sided,
 )
 from repro.errors import AnalysisError
 
@@ -96,6 +97,8 @@ class TestSpearman:
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 20, 100, 1000])
     @pytest.mark.parametrize("target", [-0.95, -0.5, -0.05, 0.0, 0.2, 0.6, 0.99])
     def test_p_value_is_scipy_t_tail_exactly(self, n, target):
+        """The p-value is scipy's two-sided Student-t tail to 1e-12
+        relative; the float itself differs across scipy versions."""
         rng = np.random.default_rng(n)
         x = rng.normal(size=n)
         y = target * x + np.sqrt(1.0 - target * target) * rng.normal(size=n)
@@ -104,7 +107,21 @@ class TestSpearman:
             assert p == 0.0
             return
         t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-        assert p == 2 * scipy_stats.t.sf(abs(t), n - 2)
+        assert p == pytest.approx(2 * scipy_stats.t.sf(abs(t), n - 2), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 20, 50])
+    @pytest.mark.parametrize("rho", [1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12, -(1 - 1e-12)])
+    def test_tiny_p_value_matches_scipy_t_tail(self, n, rho):
+        t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
+        expected = 2 * scipy_stats.t.sf(abs(t), n - 2)
+        p = student_t_two_sided(t, n - 2)
+        assert 0.0 < p < 0.05
+        assert p == pytest.approx(expected, rel=1e-12)
+
+    def test_t_tail_limits(self):
+        assert student_t_two_sided(0.0, 5) == 1.0
+        assert student_t_two_sided(float("inf"), 5) == 0.0
+        assert student_t_two_sided(-1.0, 1) == pytest.approx(0.5, rel=1e-15)
 
     def test_handles_ties_like_scipy(self):
         x = [1, 1, 2, 2, 3, 3, 4]

@@ -1,9 +1,8 @@
 """Unit tests for :class:`repro.frame.TableBuilder`."""
 
-import numpy as np
 import pytest
 
-from repro.errors import FrameError, LengthMismatchError
+from repro.errors import LengthMismatchError
 from repro.frame import Table, TableBuilder
 
 
@@ -37,40 +36,6 @@ class TestAppendRow:
         builder.append_row(a=1)
         builder.append_row(a=2, b="late")
         assert builder.finish().to_dict() == {"a": [1, 2], "b": [None, "late"]}
-
-
-class TestExtendColumns:
-    def test_batch_fragments(self):
-        builder = TableBuilder()
-        builder.extend_columns({"a": np.arange(3), "b": ["x", "y", "z"]})
-        builder.extend_columns({"a": [3, 4], "b": ["w", "v"]})
-        table = builder.finish()
-        assert list(table["a"]) == [0, 1, 2, 3, 4]
-        assert list(table["b"]) == ["x", "y", "z", "w", "v"]
-
-    def test_missing_and_new_columns_backfill(self):
-        builder = TableBuilder()
-        builder.extend_columns({"a": [1, 2]})
-        builder.extend_columns({"b": [True, False]})
-        assert builder.finish().to_dict() == {
-            "a": [1, 2, None, None],
-            "b": [None, None, True, False],
-        }
-
-    def test_unequal_fragments_raise(self):
-        builder = TableBuilder()
-        with pytest.raises(LengthMismatchError):
-            builder.extend_columns({"a": [1, 2], "b": [1]})
-
-    def test_bare_string_fragment_rejected(self):
-        builder = TableBuilder()
-        with pytest.raises(FrameError, match="wrap it in a list"):
-            builder.extend_columns({"a": "oops"})
-
-    def test_empty_mapping_is_noop(self):
-        builder = TableBuilder()
-        builder.extend_columns({})
-        assert len(builder) == 0
 
 
 class TestFinish:

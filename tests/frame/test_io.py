@@ -52,6 +52,12 @@ class TestCsv:
         with pytest.raises(FrameError, match="cells"):
             read_csv(path)
 
+    def test_repeated_column_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,b,a\n1,2,3\n")
+        with pytest.raises(FrameError, match="repeats a column name"):
+            read_csv(path)
+
     def test_int_float_string_inference(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b,c\n1,1.5,xyz\n")
