@@ -1,17 +1,16 @@
 """Cold-dataset-build perf gates: deferred batched sampling.
 
 The deferred sampling path evaluates a whole island's task list as
-one batch and can shard the task queue across a process pool.  These
-benchmarks hold the batch to the speedup that justified it and pin
-the contract that makes deferral safe at all: serial and parallel
-flushes produce bit-for-bit the same dataset.
+one batch, in the process that hosts the island.
 
 The island gate holds deferred sampling to its batch: one
-``run_sampling`` call over a mostly single-GPU island (paper_cold's
-island at seed 20220214 has 865 one-GPU jobs of 1,030) must beat one
-call per task by ``>=2.5x`` with byte-identical summaries.  It
-measured ~3.4x on a 2-vCPU x86 machine; a batch that silently fell
-back to per-task evaluation measures ~1x.
+``run_sampling`` call over a mostly single-GPU island the size of
+paper_cold's (865 one-GPU jobs of 1,030 at seed 20220214) must beat
+one call per task by ``>=2.5x`` with byte-identical summaries.  The
+two sides run in alternating pairs, so both see the same machine, and
+each keeps its best of five (~0.35 s against ~1.1 s on a 2-vCPU x86
+machine).  A batch that silently fell back to per-task evaluation
+measures ~1x.
 
 The phase-schedule gate holds the generator's per-job schedule work
 (``active_time_s`` plus burst placement for five metrics) to array
@@ -27,17 +26,17 @@ import numpy as np
 from repro.bench import record_bench_stat
 from repro.monitor.nvidia_smi import NvidiaSmiSampler
 from repro.monitor.sampling import SamplingTask, run_sampling
-from repro.pipeline import Session
 from repro.workload.activity import (
     JobActivityModel,
     PhaseSchedule,
     PowerModel,
     build_metric_process,
 )
-from repro.workload.generator import WorkloadConfig
 
 SUMMARY_SAMPLES = 256
-ISLAND_JOBS = 240
+ISLAND_JOBS = 1030
+#: Alternating (batch, per-task) timing pairs; each side keeps its best.
+ISLAND_PAIRS = 5
 #: GPUs per job in the island gate, and how often each occurs.
 ISLAND_GPUS = ([1, 2, 4, 8], [0.84, 0.14, 0.015, 0.005])
 
@@ -67,12 +66,17 @@ def _make_model(job_id: int, num_gpus: int, rng: np.random.Generator) -> JobActi
     )
 
 
+def _timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - start, result
+
+
 def _best_of(fn, repeats=3):
     best, result = float("inf"), None
     for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
+        seconds, result = _timed(fn)
+        best = min(best, seconds)
     return best, result
 
 
@@ -94,8 +98,12 @@ def test_island_sampling_faster():
     def per_task():
         return [result for task in tasks for result in run_sampling([task], sampler)]
 
-    fast_s, fast = _best_of(island)
-    naive_s, naive = _best_of(per_task)
+    fast_s = naive_s = float("inf")
+    for _ in range(ISLAND_PAIRS):
+        seconds, fast = _timed(island)
+        fast_s = min(fast_s, seconds)
+        seconds, naive = _timed(per_task)
+        naive_s = min(naive_s, seconds)
     rows = sum(task.num_gpus for task in tasks)
     record_bench_stat(
         "island_sampling", rows_per_s=rows / fast_s, speedup_x=naive_s / fast_s
@@ -109,27 +117,6 @@ def test_island_sampling_faster():
         f"{fast_s * 1e3:.1f}ms vs per task {naive_s * 1e3:.1f}ms "
         f"({naive_s / fast_s:.1f}x < 2.5x)"
     )
-
-
-def test_parallel_build_is_bit_identical():
-    """Serial and parallel deferred sampling build the same dataset.
-
-    This is the contract that lets ``--workers`` touch a cold build at
-    all: the process pool only shards deterministic evaluation, so
-    every table and every dense series must match the serial build
-    exactly.
-    """
-    serial = Session(WorkloadConfig(scale=0.01, seed=7), workers=1).dataset()
-    parallel = Session(WorkloadConfig(scale=0.01, seed=7), workers=2).dataset()
-    assert serial.jobs.to_dict() == parallel.jobs.to_dict()
-    assert serial.gpu_jobs.to_dict() == parallel.gpu_jobs.to_dict()
-    assert serial.per_gpu.to_dict() == parallel.per_gpu.to_dict()
-    assert len(serial.timeseries) == len(parallel.timeseries)
-    for series in serial.timeseries:
-        twin = parallel.timeseries.get(series.job_id, series.gpu_index)
-        assert np.array_equal(series.times_s, twin.times_s)
-        for name, values in series.metrics.items():
-            assert np.array_equal(values, twin.metrics[name]), name
 
 
 def _schedule_work_s(num_boundaries: int) -> float:

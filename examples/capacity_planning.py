@@ -10,7 +10,12 @@ Run with ``python examples/capacity_planning.py``.
 """
 
 from repro import WorkloadConfig, generate_dataset
-from repro.analysis.timeline import capacity_sweep, daily_gpu_hours, gpu_occupancy, surge_visibility
+from repro.analysis.timeline import (
+    capacity_sweep,
+    daily_gpu_hours_from_jobs,
+    gpu_occupancy_from_jobs,
+    surge_visibility,
+)
 from repro.opportunities.sharing_sim import GpuSharingSimulator, jobs_from_dataset
 from repro.workload.generator import WorkloadGenerator
 
@@ -21,7 +26,7 @@ def main() -> None:
     print(dataset.describe())
     print()
 
-    timeline = gpu_occupancy(dataset.records, capacity=dataset.spec.total_gpus)
+    timeline = gpu_occupancy_from_jobs(dataset.jobs, capacity=dataset.spec.total_gpus)
     print(
         f"GPU occupancy: mean {timeline.mean:.1f} / peak {timeline.peak:.0f} "
         f"of {dataset.spec.total_gpus} GPUs "
@@ -29,7 +34,7 @@ def main() -> None:
     )
 
     surges = surge_visibility(
-        daily_gpu_hours(dataset.records), config.knobs.deadline_windows
+        daily_gpu_hours_from_jobs(dataset.jobs), config.knobs.deadline_windows
     )
     for row in surges.iter_rows():
         print(

@@ -9,10 +9,8 @@ prints a side-by-side operator view.
 Run with ``python examples/workload_scenarios.py``.
 """
 
-import numpy as np
-
 from repro.analysis.lifecycle import lifecycle_breakdown
-from repro.analysis.timeline import gpu_occupancy
+from repro.analysis.timeline import gpu_occupancy_from_jobs
 from repro.dataset import generate_dataset
 from repro.opportunities.checkpoint import checkpoint_study
 from repro.opportunities.tiering import tiering_study
@@ -29,7 +27,7 @@ def main() -> None:
         breakdown = {r["lifecycle_class"]: r for r in lifecycle_breakdown(gpu).iter_rows()}
         mature_jobs = breakdown["mature"]["job_fraction"]
         nonmature_hours = 1.0 - breakdown["mature"]["gpu_hour_fraction"]
-        timeline = gpu_occupancy(dataset.records, capacity=dataset.spec.total_gpus)
+        timeline = gpu_occupancy_from_jobs(dataset.jobs, capacity=dataset.spec.total_gpus)
         tier = tiering_study(gpu)
         ckpt = checkpoint_study(gpu)
         print(

@@ -11,7 +11,7 @@ redistributable):
 * :mod:`repro.monitor` — nvidia-smi/CPU telemetry substrate;
 * :mod:`repro.workload` — calibrated workload generator;
 * :mod:`repro.pipeline` — the dataset engine: staged sessions, an
-  on-disk artifact cache, process-parallel fan-out;
+  on-disk artifact cache, process-parallel cohort and seed fan-out;
 * :mod:`repro.analysis` — the characterization toolkit;
 * :mod:`repro.figures` — per-figure reproduction harness;
 * :mod:`repro.opportunities` — Sec. VI/VIII what-if models.
@@ -46,7 +46,7 @@ from repro.pipeline import Session
 from repro.workload.calibration import PAPER_TARGETS, PaperTargets
 from repro.workload.generator import WorkloadConfig
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "PAPER_TARGETS",

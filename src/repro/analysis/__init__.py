@@ -34,12 +34,7 @@ from repro.analysis.prediction import (
     strategy_comparison,
 )
 from repro.analysis.stats import Ecdf, coefficient_of_variation, ecdf, spearman
-from repro.analysis.timeline import (
-    capacity_sweep,
-    daily_gpu_hours,
-    gpu_occupancy,
-    surge_visibility,
-)
+from repro.analysis.timeline import capacity_sweep, surge_visibility
 from repro.analysis.users import pareto_stats, user_table
 
 __all__ = [
@@ -49,8 +44,6 @@ __all__ = [
     "capacity_sweep",
     "classify_exit",
     "coefficient_of_variation",
-    "daily_gpu_hours",
-    "gpu_occupancy",
     "surge_visibility",
     "ecdf",
     "gpu_count_breakdown",

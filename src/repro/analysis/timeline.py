@@ -3,10 +3,10 @@
 The paper's queue-wait findings rest on a provisioning claim:
 "Supercloud achieves low wait times by investing in provisioning
 enough resources to meet the GPU demand" (Sec. III takeaway).  This
-module reconstructs the load timeline from simulation records so that
-claim can be inspected: concurrent GPU/node occupancy, daily GPU
-hours, peak concurrency, and the visibility of conference-deadline
-surges.
+module reconstructs the load timeline from the dataset's jobs table,
+materialized or as a chunk stream, so that claim can be inspected:
+concurrent GPU occupancy, daily GPU hours, peak concurrency, and the
+visibility of conference-deadline surges.
 """
 
 from __future__ import annotations
@@ -49,47 +49,17 @@ class OccupancyTimeline:
         return self.peak / self.capacity if self.capacity > 0 else 0.0
 
 
-def _interval_counts(starts, ends, weights, grid) -> np.ndarray:
-    """Weighted count of intervals covering each grid point.
-
-    Uses the +w at start / -w at end sweep, evaluated on the grid:
-    O((n + g) log n) instead of O(n*g).
-    """
-    events = np.concatenate([starts, ends])
-    deltas = np.concatenate([weights, -weights])
-    order = np.argsort(events, kind="stable")
-    events = events[order]
-    cumulative = np.cumsum(deltas[order])
-    idx = np.searchsorted(events, grid, side="right") - 1
-    out = np.where(idx >= 0, cumulative[np.clip(idx, 0, None)], 0.0)
-    return np.maximum(out, 0.0)
-
-
-def gpu_occupancy(records, capacity: int, num_samples: int = 2000) -> OccupancyTimeline:
-    """Concurrent GPUs in use, sampled on an even grid."""
-    gpu_records = [r for r in records if r.request.num_gpus > 0]
-    if not gpu_records:
-        raise AnalysisError("no GPU jobs in records")
-    starts = np.asarray([r.start_time_s for r in gpu_records])
-    ends = np.asarray([r.end_time_s for r in gpu_records])
-    weights = np.asarray([float(r.request.num_gpus) for r in gpu_records])
-    grid = np.linspace(starts.min(), ends.max(), num_samples)
-    occupancy = _interval_counts(starts, ends, weights, grid)
-    return OccupancyTimeline(times_s=grid, occupancy=occupancy, capacity=float(capacity))
-
-
 def gpu_occupancy_from_jobs(jobs, capacity: int, num_samples: int = 2000) -> OccupancyTimeline:
-    """Concurrent GPUs in use, read from a jobs table instead of records.
+    """Concurrent GPUs in use, sampled on an even grid.
 
-    Accepts the materialized ``dataset.jobs`` Table or a chunked
-    stream of it (a streaming build carries no record list), using the
-    ``start_time_s``/``end_time_s``/``num_gpus`` columns.  The sweep
-    in :func:`_interval_counts` is separable per job — occupancy(g) =
-    sum of weights started at or before g minus weights ended at or
-    before g — so the fold adds two sorted-prefix sums per chunk onto
-    the grid (one extra pass first for the grid extent).  GPU counts
-    are integer-valued floats, so the occupancy is exact on any
-    chunking.
+    Reads the ``start_time_s``/``end_time_s``/``num_gpus`` columns of
+    the materialized ``dataset.jobs`` Table or a chunked stream of it
+    (a streaming build carries no record list).  The +w at start / -w
+    at end sweep is separable per job — occupancy(g) = sum of weights
+    started at or before g minus weights ended at or before g — so the
+    fold adds two sorted-prefix sums per chunk onto the grid (one extra
+    pass first for the grid extent).  GPU counts are integer-valued
+    floats, so the occupancy is exact on any chunking.
     """
     gpu_jobs = jobs.filter(lambda t: np.asarray(t["num_gpus"]) > 0)
     lo, hi, any_rows = math.inf, -math.inf, False
@@ -98,7 +68,7 @@ def gpu_occupancy_from_jobs(jobs, capacity: int, num_samples: int = 2000) -> Occ
         lo = min(lo, float(np.min(np.asarray(chunk["start_time_s"], dtype=float))))
         hi = max(hi, float(np.max(np.asarray(chunk["end_time_s"], dtype=float))))
     if not any_rows:
-        raise AnalysisError("no GPU jobs in records")
+        raise AnalysisError("no GPU jobs in the jobs table")
     grid = np.linspace(lo, hi, num_samples)
     occupancy = np.zeros(num_samples)
     for chunk in gpu_jobs.chunks():
@@ -113,35 +83,13 @@ def gpu_occupancy_from_jobs(jobs, capacity: int, num_samples: int = 2000) -> Occ
     return OccupancyTimeline(times_s=grid, occupancy=occupancy, capacity=float(capacity))
 
 
-def daily_gpu_hours(records) -> Table:
+def daily_gpu_hours_from_jobs(jobs) -> Table:
     """GPU hours consumed per study day (start-day attribution).
 
-    A grouped segment-sum over the start days; ``reduceat`` adds each
-    day's hours in record order, exactly like the dict accumulator it
-    replaced.
-    """
-    gpu_records = [r for r in records if r.request.num_gpus > 0]
-    if not gpu_records:
-        raise AnalysisError("no GPU jobs in records")
-    per_job = Table(
-        {
-            "day": np.asarray(
-                [int(r.start_time_s // SECONDS_PER_DAY) for r in gpu_records],
-                dtype=np.int64,
-            ),
-            "gpu_hours": np.asarray([r.gpu_hours for r in gpu_records], dtype=float),
-        }
-    )
-    daily = per_job.group_by("day").aggregate({"gpu_hours": "sum"})
-    return daily.rename({"gpu_hours_sum": "gpu_hours"}).sort_by("day")
-
-
-def daily_gpu_hours_from_jobs(jobs) -> Table:
-    """GPU hours per study day, read from a jobs table (or chunk stream).
-
-    The jobs-table counterpart of :func:`daily_gpu_hours` for builds
-    that never materialize their records: the day column is computed
-    per chunk and the grouped sum streams with O(days) state.
+    Reads a jobs table or a chunk stream of it: the day column is
+    computed per chunk and the grouped sum streams with O(days) state.
+    A chunked view sums each day's hours chunk by chunk, so it may
+    differ from the materialized table's sum in the last bits.
     """
     from repro.frame import ChunkedTable
 
@@ -159,7 +107,7 @@ def daily_gpu_hours_from_jobs(jobs) -> Table:
     per_job = ChunkedTable(gpu_jobs.chunks).map_chunks(day_table)
     daily = per_job.group_by("day").aggregate({"gpu_hours": "sum"})
     if daily.num_rows == 0:
-        raise AnalysisError("no GPU jobs in records")
+        raise AnalysisError("no GPU jobs in the jobs table")
     return daily.rename({"gpu_hours_sum": "gpu_hours"}).sort_by("day")
 
 

@@ -292,8 +292,9 @@ def _flat_stats(suite: dict) -> dict[str, float]:
 
 
 def _scale_knobs(payload: dict) -> tuple:
-    """The run's two scale knobs; a run without the full-scale stamp
-    ran the scale suite at its ``1.0`` default."""
+    """The run's two scale knobs; a run stamped before
+    ``bench_scale_full`` existed ran the scale suite at the then
+    default ``1.0``."""
     return payload.get("bench_scale"), payload.get("bench_scale_full", "1.0")
 
 
@@ -456,7 +457,9 @@ def bench_trend(root: Path, *, window: int = 20) -> dict:
 
     Uses up to ``window`` most recent runs at the latest run's
     ``bench_scale`` and ``bench_scale_full`` (other scales are
-    incomparable, same rule as :func:`check_regressions`).  Returns::
+    incomparable, same rule as :func:`check_regressions`), and trends
+    only the series the latest run records: a suite or stat the bench
+    no longer measures drops out of the report.  Returns::
 
         {"scale": ..., "run_ids": [...], "shas": [...],
          "skipped_runs": N, "series": [
@@ -507,8 +510,11 @@ def bench_trend(root: Path, *, window: int = 20) -> dict:
             for metric, value in _flat_stats(suite).items():
                 kind = _stat_kind(metric.rsplit(".", 1)[-1]) or "seconds"
                 columns.setdefault((name, metric, kind), {})[position] = value
+    latest = len(same_scale) - 1
     series = []
     for (suite, metric, kind), points in sorted(columns.items()):
+        if latest not in points:
+            continue
         values: list[float | None] = [
             points.get(position) for position in range(len(same_scale))
         ]
@@ -662,7 +668,7 @@ def write_bench_json(results: list[SuiteResult], path: Path) -> dict:
         "git_sha": _git_sha(path.parent),
         "python": sys.version.split()[0],
         "bench_scale": os.environ.get("REPRO_BENCH_SCALE", "0.05"),
-        "bench_scale_full": os.environ.get("REPRO_BENCH_SCALE_FULL", "1.0"),
+        "bench_scale_full": os.environ.get("REPRO_BENCH_SCALE_FULL", "0.25"),
         "bench_seed": os.environ.get("REPRO_BENCH_SEED", "20220214"),
         "runner_peak_rss_bytes": peak_rss_bytes(),
         "passed": all(r.passed for r in results),

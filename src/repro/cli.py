@@ -18,9 +18,9 @@ Every command accepts ``--scale`` (1.0 = paper size), ``--seed``,
 ``--days``, and ``--scenario`` (paper, training_heavy,
 exploration_surge, interactive_campus).  The dataset-building commands
 (``generate``, ``report``, ``plot``, ``validate``, ``obs``)
-additionally take ``--workers`` (process-parallel island hosts,
-deferred sampling and figure fan-out; defaults to ``$REPRO_WORKERS``
-or serial),
+additionally take ``--workers`` (forked island hosts and
+cohort-generation processes; defaults to ``$REPRO_WORKERS`` or
+serial),
 ``--cache-dir`` (pipeline artifact cache location; defaults to
 ``$REPRO_CACHE_DIR`` or the XDG cache home), ``--no-cache``, and the
 observability exports ``--trace-out FILE`` (Chrome trace-event JSON,
@@ -98,8 +98,8 @@ class DatasetOptions:
         if session_flags:
             parser.add_argument(
                 "--workers", type=int, default=None,
-                help="worker processes for island hosts, deferred sampling and "
-                     "figure fan-out (default: $REPRO_WORKERS, else serial)",
+                help="worker processes for island hosts and cohort generation "
+                     "(default: $REPRO_WORKERS, else serial)",
             )
             parser.add_argument(
                 "--cache-dir", default=None,

@@ -80,9 +80,9 @@ _FIGURE_BUCKETS = (0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0)
 def run_figure(figure_id: str, dataset: SupercloudDataset) -> FigureResult:
     """Run one figure reproduction against a dataset.
 
-    When observability is active (inside a session build or a pool
-    worker), the run is recorded as a ``figure:<id>`` span and its
-    wall time lands in the ``repro_figure_seconds`` histogram.
+    When observability is active (inside a session's figure run), the
+    run is recorded as a ``figure:<id>`` span and its wall time lands
+    in the ``repro_figure_seconds`` histogram.
     """
     from repro.obs import runtime
 
@@ -105,9 +105,9 @@ def run_all(source, figure_ids: list[str] | None = None) -> list[FigureResult]:
     """Run figure reproductions against a shared dataset source.
 
     ``source`` is preferably a :class:`repro.pipeline.Session` — the
-    figures then share its memoized dataset, its on-disk result cache,
-    and its worker pool — but a bare :class:`SupercloudDataset` is
-    accepted for compatibility (serial, uncached).
+    figures then share its memoized dataset and its on-disk result
+    cache — but a bare :class:`SupercloudDataset` is accepted for
+    compatibility (uncached).
     """
     from repro.pipeline.session import Session
 

@@ -2,7 +2,7 @@
 
 ``python -m repro report`` writes EXPERIMENTS.md from this module.
 Entry points accept either a :class:`repro.pipeline.Session` (shared
-cached dataset, parallel figure fan-out) or a bare
+cached dataset and figure results) or a bare
 :class:`~repro.dataset.SupercloudDataset`.
 """
 

@@ -19,8 +19,8 @@ Sampling is *deferred*: epilogs record the cheap ordered facts (RNG
 draws, CPU summary) and enqueue
 :class:`~repro.monitor.sampling.SamplingTask` objects; the expensive
 activity-model evaluation runs after the simulation, a whole island
-of jobs as one batch — optionally across a process pool — with
-bit-for-bit identical output (:mod:`repro.monitor.sampling`).
+of jobs as one batch, with bit-for-bit the output of an inline
+epilog (:mod:`repro.monitor.sampling`).
 """
 
 from repro.monitor.codec import compression_ratio, load_store, save_store

@@ -6,10 +6,10 @@ keep-series decision, and the stratified sample offsets, all drawn
 from the collector RNG in job-completion order — and enqueues the
 expensive activity-model evaluation as a
 :class:`~repro.monitor.sampling.SamplingTask`.  :meth:`flush`
-evaluates the queue after the simulation (optionally across a process
-pool) and lands min/mean/max summary rows (one per GPU) plus the dense
-series subset, reproducing the paper's 2,149-job detailed dataset with
-bit-for-bit the output of an inline epilog.  One
+evaluates the queue after the simulation and lands min/mean/max
+summary rows (one per GPU) plus the dense series subset, reproducing
+the paper's 2,149-job detailed dataset with bit-for-bit the output of
+an inline epilog.  One
 :class:`~repro.monitor.nvidia_smi.NvidiaSmiSampler`, built from the
 config, draws the offsets in the epilog and places the dense series
 in :meth:`flush`.
@@ -53,8 +53,7 @@ class MonitoringCollector:
     """Collects summaries and dense series as jobs finish.
 
     GPU sampling is deferred: epilogs enqueue tasks, :meth:`flush`
-    evaluates them (``workers > 1`` shards the queue across a process
-    pool).  Every dataset accessor flushes serially first, so callers
+    evaluates them.  Every dataset accessor flushes first, so callers
     that never learned about deferral still see the finished tables.
     """
 
@@ -169,27 +168,25 @@ class MonitoringCollector:
         """Sampling tasks enqueued but not yet evaluated."""
         return len(self._pending)
 
-    def flush(self, workers: int | None = None) -> int:
+    def flush(self) -> int:
         """Evaluate every pending task and merge the results.
 
-        Tasks are evaluated in job-completion order (sharded across a
-        process pool when ``workers > 1``, with identical output), so
-        repeated partial flushes, one big flush, and the old inline
-        epilog all build the same tables and series store.  Returns
-        the number of per-GPU summary rows produced.  A flush with work
-        to do runs under a ``monitor.sampling`` span carrying its task
-        count, row count and mode (``serial`` or ``parallel``).
+        Tasks are evaluated in job-completion order, so repeated
+        partial flushes, one big flush, and the old inline epilog all
+        build the same tables and series store.  Returns the number of
+        per-GPU summary rows produced.  A flush with work to do runs
+        under a ``monitor.sampling`` span carrying its task and row
+        counts.
         """
         from repro.obs import runtime
 
         if not self._pending:
             return 0
         tasks, self._pending = self._pending, []
-        mode = "parallel" if workers is not None and workers > 1 else "serial"
         with runtime.get_tracer().span(
-            "monitor.sampling", category="monitor", tasks=len(tasks), mode=mode
+            "monitor.sampling", category="monitor", tasks=len(tasks)
         ) as span:
-            results = run_sampling(tasks, self._gpu_sampler, workers=workers)
+            results = run_sampling(tasks, self._gpu_sampler)
             sizes = [result.num_gpus for result in results]
             rows = sum(sizes)
             parts = self._gpu_parts
@@ -212,7 +209,6 @@ class MonitoringCollector:
             metrics.counter(
                 "repro_sampling_tasks_total",
                 help="deferred sampling tasks evaluated",
-                mode=mode,
             ).inc(len(tasks))
             metrics.counter(
                 "repro_sampling_rows_total",

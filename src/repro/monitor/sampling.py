@@ -19,18 +19,17 @@ set is bounded by the block however large the island.  min/mean/max
 reduce along each block's rows and the analytic maxima are array
 expressions.  A kept dense series is a one-model batch at
 :meth:`~repro.monitor.nvidia_smi.NvidiaSmiSampler.series_times`, its
-smooth part computed once for all of the job's GPUs.  With
-``workers > 1`` contiguous task slices go through the same code in a
-process pool.  Each row is computed elementwise and reduced along its
-own axis, so neither grouping, blocking nor sharding changes a byte of
-the output.  ``benchmarks/bench_dataset_build.py`` gates the island
-batch against one call per task.
+smooth part computed once for all of the job's GPUs.  Each row is
+computed elementwise and reduced along its own axis, so neither
+grouping nor blocking changes a byte of the output.  The island's
+host process runs the whole list serially.
+``benchmarks/bench_dataset_build.py`` gates the island batch against
+one call per task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -80,34 +79,13 @@ class SamplingResult:
     series: list[GpuTimeSeries]
 
 
-def run_sampling(
-    tasks: list[SamplingTask],
-    sampler: NvidiaSmiSampler,
-    workers: int | None = None,
-) -> list[SamplingResult]:
+def run_sampling(tasks: list[SamplingTask], sampler: NvidiaSmiSampler) -> list[SamplingResult]:
     """Evaluate every task, in task (= job-completion) order.
 
     ``sampler`` is the one that drew the tasks' offsets; its cadence
-    and cap place the kept dense series.  With ``workers > 1`` the
-    list is cut into one contiguous slice per worker and the slices
-    run in a process pool;
-    :func:`~repro.pipeline.parallel.parallel_map` preserves their order
-    and falls back to the serial path when a pool cannot start, so the
-    merged results are identical either way.
+    and cap place the kept dense series.  The results are a pure
+    function of ``(tasks, sampler)``.
     """
-    from repro.pipeline.parallel import parallel_map, resolve_workers
-
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(tasks) <= 1:
-        return _sample_slice(sampler, tasks)
-    size = -(-len(tasks) // workers)
-    slices = [tasks[start : start + size] for start in range(0, len(tasks), size)]
-    parts = parallel_map(partial(_sample_slice, sampler), slices, workers=workers)
-    return [result for part in parts for result in part]
-
-
-def _sample_slice(sampler: NvidiaSmiSampler, tasks: list[SamplingTask]) -> list[SamplingResult]:
-    """Evaluate ``tasks`` — a pure function of ``(sampler, tasks)``."""
     from repro.workload.activity import ActivityBatch, JobActivityModel
 
     for task in tasks:

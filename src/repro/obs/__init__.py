@@ -11,7 +11,7 @@ figure harness:
   :data:`~repro.obs.trace.NULL_TRACER`);
 * :class:`~repro.obs.metrics.MetricsRegistry` — labelled counters,
   gauges, and fixed-bucket histograms, with snapshot/merge for
-  process-pool propagation;
+  forked-host propagation;
 * :class:`~repro.obs.events.FlightRecorder` — a bounded ring of
   structured events for the moments no span covers (cache probes,
   island epoch boundaries, k-way merges), with the same no-op fast
@@ -20,7 +20,7 @@ figure harness:
   heartbeats, the ``--progress`` / ``repro obs top`` renderers, and
   the background :class:`~repro.obs.progress.ResourceSampler`;
 * :mod:`~repro.obs.runtime` — the ambient (tracer, metrics, recorder)
-  triple library code reads, scoped by sessions and pool workers;
+  triple library code reads, scoped by sessions and island hosts;
 * :mod:`~repro.obs.export` — Chrome trace-event JSON, Prometheus text
   exposition, the human-readable run report, and the event timeline
   (:func:`~repro.obs.export.timeline_events`: the recorder's events

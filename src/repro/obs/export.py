@@ -46,7 +46,7 @@ def _track_tids(
     Worker-adopted island spans carry a ``track`` name (e.g.
     ``repro-island-2``); giving each (pid, track) pair its own tid
     renders islands as separate lanes instead of interleaving on one
-    row when a single pool process ran several islands.  Untracked
+    row when a single host process ran several islands.  Untracked
     spans keep their real OS thread id.  Synthetic tids start above
     every real tid in the trace so they can never collide.
     """

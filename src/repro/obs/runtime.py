@@ -8,8 +8,8 @@ null implementations, so a bare ``Table.join`` or ``SlurmSimulator``
 pays only an attribute load and a branch.
 
 :class:`~repro.pipeline.session.Session` scopes its observability with
-:func:`use` around dataset builds and figure runs; pool workers call
-:func:`activate` once in their initializer (process-lifetime).
+:func:`use` around dataset builds and figure runs, and each forked
+island host scopes its own triple the same way.
 """
 
 from __future__ import annotations
@@ -39,23 +39,6 @@ def get_metrics() -> MetricsRegistry | NullMetrics:
 def get_recorder() -> FlightRecorder | NullRecorder:
     """The currently active flight recorder (null when disabled)."""
     return _recorder
-
-
-def activate(
-    tracer: Tracer | None,
-    metrics: MetricsRegistry | None,
-    recorder: FlightRecorder | None = None,
-) -> None:
-    """Install observability for the rest of the process (workers)."""
-    global _tracer, _metrics, _recorder
-    _tracer = tracer if tracer is not None else NULL_TRACER
-    _metrics = metrics if metrics is not None else NULL_METRICS
-    _recorder = recorder if recorder is not None else NULL_RECORDER
-
-
-def deactivate() -> None:
-    """Back to the null implementations."""
-    activate(None, None, None)
 
 
 @contextmanager
@@ -92,8 +75,8 @@ def record_event(name: str, category: str = "repro", **attrs: Any) -> None:
 def record_peak_rss() -> None:
     """Record the process's peak RSS (bytes) into the active registry.
 
-    Gauges merge by max across snapshots, so pool workers and the
-    parent session roll up to the single highest high-water mark.
+    Gauges merge by max across snapshots, so forked island hosts and
+    the parent session roll up to the single highest high-water mark.
     With metrics disabled this returns before the ``getrusage`` call.
     """
     m = _metrics

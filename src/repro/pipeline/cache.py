@@ -25,8 +25,8 @@ Figure results computed against an entry are cached next to it under
 ``<key>.figures/<figure_id>.pkl``.
 
 Entries are written to a temp directory and atomically renamed into
-place, so concurrent writers (``--workers N``) cannot publish a
-half-written entry.  Any load failure — missing file, corrupt npz,
+place, so concurrent writers (parallel seed sweeps, two commands
+sharing a cache directory) cannot publish a half-written entry.  Any load failure — missing file, corrupt npz,
 truncated pickle, schema mismatch — returns ``None`` and the caller
 regenerates; a broken cache can never make a run fail.
 """

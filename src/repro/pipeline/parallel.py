@@ -1,23 +1,26 @@
 """Process-parallel fan-out for pipeline sessions.
 
-Two fan-out shapes appear in the reproduction:
+:func:`parallel_map` is the process pool behind two fan-out shapes:
 
-* **many figures, one dataset** — workers each load the shared dataset
-  from the on-disk cache once (initializer), then stream figure ids;
+* **many cohorts, one workload** — cohort generation draws each
+  cohort's jobs from its own stream
+  (:func:`repro.workload.cohorts.generate_sharded`);
 * **many seeds, one analysis** — robustness sweeps run the full
   pipeline per seed in separate processes.
 
-Everything degrades to serial execution: ``workers <= 1``, a single
-work item, or a pool that cannot start (restricted environments) all
-take the in-process path, so parallelism is purely an optimisation and
-never a correctness requirement.
+The islands of a build fork their own hosts instead
+(:mod:`repro.slurm.parallel`).  Everything degrades to serial
+execution: ``workers <= 1``, a single work item, or a pool that cannot
+start (restricted environments) all take the in-process path, so
+parallelism is purely an optimisation and never a correctness
+requirement.
 """
 
 from __future__ import annotations
 
 import os
 import traceback
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -107,65 +110,3 @@ def parallel_map(
             return list(pool.map(_IndexedTask(fn), enumerate(items)))
     except (ImportError, OSError, PermissionError):
         return [fn(item) for item in items]
-
-
-# ----------------------------------------------------------------------
-# Figure fan-out against one shared cached dataset
-# ----------------------------------------------------------------------
-_WORKER_DATASET = None
-
-
-def _figure_worker_init(cache_dir: str, key: str) -> None:
-    """Pool initializer: start worker observability, load the dataset.
-
-    The worker gets its own enabled tracer/metrics pair installed for
-    the process lifetime (:func:`repro.obs.runtime.activate`); every
-    figure run drains its spans and metric deltas back to the parent,
-    which re-parents them into the session trace.
-    """
-    global _WORKER_DATASET
-    from repro.obs import runtime
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.trace import Tracer
-
-    runtime.activate(Tracer(process_name="repro-worker"), MetricsRegistry())
-    from repro.pipeline.cache import DatasetCache
-
-    _WORKER_DATASET = DatasetCache(cache_dir).load(key)
-
-
-def _figure_worker_run(figure_id: str):
-    """Run one figure; return ``(result, span payload, metric deltas)``."""
-    from repro.errors import AnalysisError
-    from repro.figures.registry import run_figure
-    from repro.obs import runtime
-
-    if _WORKER_DATASET is None:
-        raise AnalysisError("figure worker has no dataset (cache miss in worker)")
-    result = run_figure(figure_id, _WORKER_DATASET)
-    return result, runtime.get_tracer().drain_payload(), runtime.get_metrics().drain()
-
-
-def run_figures_parallel(
-    figure_ids: Sequence[str], cache_dir: str | os.PathLike, key: str, workers: int
-) -> list | None:
-    """Run figures across a worker pool sharing one cached dataset.
-
-    Returns ``(result, span_payload, metrics_snapshot)`` triples in
-    ``figure_ids`` order, or ``None`` if the pool could not run
-    (caller falls back to serial execution).
-    """
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(figure_ids) <= 1:
-        return None
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(figure_ids)),
-            initializer=_figure_worker_init,
-            initargs=(str(cache_dir), key),
-        ) as pool:
-            return list(pool.map(_figure_worker_run, figure_ids))
-    except Exception:
-        return None

@@ -4,13 +4,12 @@ A session owns one pipeline configuration and everything derived from
 it: the staged dataset build (``workload → schedule → sampling →
 monitor → assemble``, run by :func:`repro.pipeline.shard.build_sharded_dataset`
 as ``partitions`` cluster islands, one island for the whole machine),
-the on-disk artifact cache, figure execution (optionally across a
-process pool), and per-stage instrumentation.  Each island evaluates
-the GPU sampling tasks its monitoring epilogs deferred as it finishes,
-inside ``schedule``; the ``sampling`` stage tallies those rows.  The
-session's ``workers`` setting bounds the forked island hosts, and
-islands hosted in the parent shard their sampling across a process
-pool of that width.  Consumers —
+the on-disk artifact cache, figure execution, and per-stage
+instrumentation.  Each island evaluates the GPU sampling tasks its
+monitoring epilogs deferred as it finishes, inside ``schedule``; the
+``sampling`` stage tallies those rows.  The session's ``workers``
+setting bounds the forked island hosts and the cohort-generation
+pool; figures always run in the session's process.  Consumers —
 the CLI, figure regeneration, validation, robustness sweeps,
 benchmarks — share one session instead of each re-running the
 generation pipeline:
@@ -40,7 +39,7 @@ from repro.obs.metrics import MetricsRegistry, NullMetrics
 from repro.obs.trace import NullTracer, Tracer
 from repro.pipeline.cache import DatasetCache, dataset_key
 from repro.pipeline.instrument import PipelineInstrumentation, StageRecord
-from repro.pipeline.parallel import resolve_workers, run_figures_parallel
+from repro.pipeline.parallel import resolve_workers
 from repro.pipeline.shard import build_sharded_dataset
 from repro.workload.generator import WorkloadConfig
 
@@ -61,14 +60,13 @@ class Session:
         Directory for the on-disk artifact cache.  ``None`` disables
         disk caching (the in-memory memo still applies).
     workers:
-        Process width of cold dataset builds and figure fan-out; ``1``
-        means serial.  A build forks ``min(workers, partitions)``
-        island hosts; islands hosted in the parent (``partitions=1``
-        among them) shard their deferred sampling across a pool of
-        this width instead.  ``None`` defers to the ``REPRO_WORKERS``
-        environment variable (serial when unset).  Parallel figure
-        execution additionally requires a disk cache (workers load the
-        shared dataset from it); the build does not.
+        Process width of cold dataset builds; ``1`` means serial.  A
+        build draws its cohorts (when it has several) across a pool of
+        this width and forks ``min(workers, partitions)`` island hosts;
+        every island samples serially in the process that hosts it.
+        Figures run in the session's process at any width.  ``None``
+        defers to the ``REPRO_WORKERS`` environment variable (serial
+        when unset).
     tracer, metrics, recorder:
         The session's observability triple (see :mod:`repro.obs`).
         Defaults to a fresh enabled :class:`~repro.obs.trace.Tracer`,
@@ -224,12 +222,8 @@ class Session:
         """Run figure reproductions against the shared dataset.
 
         Cached figure results are returned without touching the
-        dataset at all; the remainder run serially or across the
-        worker pool (``workers > 1``), each worker loading the shared
-        dataset from the on-disk cache exactly once.  Worker runs come
-        back with their span payloads and metric snapshots, which are
-        re-parented into this session's trace under the ``figures``
-        stage and merged into its registry.
+        dataset at all; the remainder run one after another in this
+        process, under the ``figures`` stage.
         """
         from repro.figures.registry import all_figures, get_figure, run_figure
 
@@ -250,21 +244,7 @@ class Session:
             if misses:
                 dataset = self.dataset()
                 with inst.stage("figures") as probe:
-                    computed = None
-                    if self.workers > 1 and self.cache is not None and self.cache.has(self.key):
-                        pooled = run_figures_parallel(
-                            misses, self.cache.root, self.key, self.workers
-                        )
-                        if pooled is not None:
-                            inst.bump("figure_pool_runs")
-                            parent = self.tracer.current_span_id()
-                            computed = []
-                            for result, spans, metrics_snapshot in pooled:
-                                self.tracer.adopt(spans, parent=parent)
-                                self.metrics.merge(metrics_snapshot)
-                                computed.append(result)
-                    if computed is None:
-                        computed = [run_figure(fid, dataset) for fid in misses]
+                    computed = [run_figure(fid, dataset) for fid in misses]
                     probe.rows = len(misses)
                 inst.bump("figures_computed", len(misses))
                 for figure_id, result in zip(misses, computed):

@@ -5,10 +5,9 @@ islands (``partitions=1`` is the whole machine as one island); each
 island gets its own :class:`~repro.slurm.scheduler.SlurmSimulator` plus
 a partition-local :class:`~repro.monitor.collector.MonitoringCollector`,
 attached by the :class:`~repro.slurm.interchange.PartitionedRunner`
-setup hook and flushed — the deferred sampling — by its finish hook, in
-whichever process hosts the island.  Islands hosted in the parent
-sample with the session's ``workers``; forked hosts sample serially.
-The per-island outputs merge deterministically:
+setup hook and flushed — the deferred sampling — by its finish hook,
+serially, in whichever process hosts the island.  The per-island
+outputs merge deterministically:
 
 * job records — global job-id order, node indices remapped to the
   whole machine;
@@ -46,7 +45,6 @@ Two orthogonal axes:
 from __future__ import annotations
 
 import dataclasses
-import os
 from pathlib import Path
 
 import numpy as np
@@ -104,12 +102,11 @@ def _island_finish(simulator, state, result) -> dict:
 
     Receives the finalized :class:`SimulationResult` (records already
     remapped to global node indices).  The deferred sampling runs
-    here, with the session's ``workers`` in the parent process and
-    serially in a forked host.  The island then builds its three
-    tables once, in the key order the parent merge expects: ``jobs``
-    (accounting) and ``gpu_summary`` (per-job GPU summary) by
-    ``job_id``, ``per_gpu`` by ``(job_id, gpu_index)`` — both summaries
-    from one :meth:`~repro.monitor.collector.MonitoringCollector.per_gpu_table`.
+    here, serially, in whichever process hosts the island.  The island
+    then builds its three tables once, in the key order the parent
+    merge expects: ``jobs`` (accounting) and ``gpu_summary`` (per-job
+    GPU summary) by ``job_id``, ``per_gpu`` by ``(job_id, gpu_index)``
+    — both summaries from one :meth:`~repro.monitor.collector.MonitoringCollector.per_gpu_table`.
     Each table returns as a ``(source, rows)`` pair for
     :func:`_merge_islands`, next to the series ``store``.  Without a
     ``spill_dir`` the sources are the tables and the store is the
@@ -121,8 +118,7 @@ def _island_finish(simulator, state, result) -> dict:
 
     collector, partition, context = state
     simulator.cluster.check_invariants()
-    in_parent = os.getpid() == context["parent_pid"]
-    sampling_rows = collector.flush(workers=context["workers"] if in_parent else 1)
+    sampling_rows = collector.flush()
     per_gpu = collector.per_gpu_table()
     tables = {
         "jobs": accounting_table(
@@ -154,8 +150,8 @@ def check_island_capacity(layout: PartitionLayout, buckets: list, spec) -> None:
 
     Splitting a small machine into many islands can leave every island
     smaller than the largest job in its bucket; without this check the
-    failure surfaces as a :class:`PlacementError` deep inside a pool
-    worker.
+    failure surfaces as a :class:`PlacementError` deep inside an
+    island host.
     """
     gpus_per_node = spec.node.gpus_per_node
     for part, bucket in zip(layout, buckets):
@@ -242,12 +238,14 @@ def build_sharded_dataset(
 ):
     """Build the dataset as ``config.partitions`` islands: the only build.
 
-    Five stages.  ``workload`` draws the requests; ``schedule`` runs
-    the islands through one :class:`~repro.slurm.interchange.PartitionedRunner`
-    — in-process, or across ``min(workers, partitions)`` forked hosts —
-    whose finish hook also samples each island and builds its key-sorted
-    tables; ``sampling`` tallies those rows; ``monitor`` opens the lazy
-    k-way merges of the island tables and unions the series stores; and
+    Five stages.  ``workload`` draws the requests, its cohort streams
+    across a pool of ``workers`` processes when there are several;
+    ``schedule`` runs the islands through one
+    :class:`~repro.slurm.interchange.PartitionedRunner` — in-process, or
+    across ``min(workers, partitions)`` forked hosts — whose finish hook
+    also samples each island and builds its key-sorted tables;
+    ``sampling`` tallies those rows; ``monitor`` opens the lazy k-way
+    merges of the island tables and unions the series stores; and
     ``assemble`` runs the merges through the joins and lands the job
     tables (:func:`_assemble`).  Both builds share that path; only where
     the tables land differs.  Without ``streaming`` they stay in memory.
@@ -296,8 +294,6 @@ def build_sharded_dataset(
                     "num_partitions": len(layout),
                     "spill_dir": spill,
                     "chunk_rows": rows,
-                    "workers": workers,
-                    "parent_pid": os.getpid(),
                 },
                 return_records=not streaming,
             )

@@ -6,49 +6,52 @@ import pytest
 from repro.analysis.timeline import (
     OccupancyTimeline,
     capacity_sweep,
-    daily_gpu_hours,
-    gpu_occupancy,
+    daily_gpu_hours_from_jobs,
+    gpu_occupancy_from_jobs,
     surge_visibility,
 )
 from repro.errors import AnalysisError
-from repro.slurm.job import ExitCondition, JobRecord
+from repro.frame import ChunkedTable, Table
 from tests.slurm.test_job import make_request
 
 
-def record(job_id, start, end, gpus=1, submit=None):
-    request = make_request(
-        job_id=job_id,
-        submit_time_s=start if submit is None else submit,
-        runtime_s=end - start,
-        num_gpus=gpus,
+def jobs(*rows):
+    """A jobs table from ``(start_s, end_s, num_gpus)`` rows."""
+    start, end, gpus = np.asarray(rows, dtype=float).reshape(-1, 3).T
+    return Table(
+        {
+            "start_time_s": start,
+            "end_time_s": end,
+            "num_gpus": gpus.astype(np.int64),
+            "gpu_hours": gpus * (end - start) / 3600.0,
+        }
     )
-    return JobRecord(request, start, end, (0,) if gpus else (), ExitCondition.COMPLETED)
 
 
 class TestGpuOccupancy:
     def test_single_job_plateau(self):
-        timeline = gpu_occupancy([record(1, 0.0, 100.0, gpus=2)], capacity=4, num_samples=50)
+        timeline = gpu_occupancy_from_jobs(jobs((0.0, 100.0, 2)), capacity=4, num_samples=50)
         assert timeline.peak == 2.0
         assert timeline.peak_utilization == 0.5
 
     def test_overlapping_jobs_stack(self):
-        records = [record(1, 0.0, 100.0), record(2, 50.0, 150.0, gpus=3)]
-        timeline = gpu_occupancy(records, capacity=8, num_samples=400)
+        table = jobs((0.0, 100.0, 1), (50.0, 150.0, 3))
+        timeline = gpu_occupancy_from_jobs(table, capacity=8, num_samples=400)
         assert timeline.peak == 4.0
 
     def test_disjoint_jobs_never_stack(self):
-        records = [record(1, 0.0, 10.0), record(2, 100.0, 110.0)]
-        timeline = gpu_occupancy(records, capacity=2, num_samples=500)
+        table = jobs((0.0, 10.0, 1), (100.0, 110.0, 1))
+        timeline = gpu_occupancy_from_jobs(table, capacity=2, num_samples=500)
         assert timeline.peak == 1.0
 
     def test_occupancy_never_negative(self):
-        records = [record(i, float(i), float(i) + 5.0) for i in range(20)]
-        timeline = gpu_occupancy(records, capacity=4)
+        table = jobs(*[(float(i), float(i) + 5.0, 1) for i in range(20)])
+        timeline = gpu_occupancy_from_jobs(table, capacity=4)
         assert (timeline.occupancy >= 0).all()
 
     def test_cpu_only_records_rejected(self):
         with pytest.raises(AnalysisError):
-            gpu_occupancy([record(1, 0.0, 10.0, gpus=0)], capacity=2)
+            gpu_occupancy_from_jobs(jobs((0.0, 10.0, 0)), capacity=2)
 
     def test_mean_utilization_requires_capacity(self):
         timeline = OccupancyTimeline(np.zeros(1), np.zeros(1), capacity=0.0)
@@ -58,23 +61,42 @@ class TestGpuOccupancy:
 
 class TestDailyGpuHours:
     def test_attribution_by_start_day(self):
-        records = [
-            record(1, 0.0, 3600.0),                      # day 0, 1 GPU-hour
-            record(2, 86400.0 + 10.0, 86400.0 + 7210.0, gpus=2),  # day 1, 4 GPU-hours
-        ]
-        table = daily_gpu_hours(records)
+        table = daily_gpu_hours_from_jobs(
+            jobs(
+                (0.0, 3600.0, 1),  # day 0, 1 GPU-hour
+                (86400.0 + 10.0, 86400.0 + 7210.0, 2),  # day 1, 4 GPU-hours
+            )
+        )
         by_day = {r["day"]: r["gpu_hours"] for r in table.iter_rows()}
         assert by_day[0] == pytest.approx(1.0)
         assert by_day[1] == pytest.approx(4.0)
 
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):
-            daily_gpu_hours([])
+            daily_gpu_hours_from_jobs(jobs())
+
+
+class TestChunkedView:
+    def test_chunked_view_matches_the_table(self, small_dataset):
+        """256-row chunks give the same grid, occupancy and days; each
+        day's hours are summed chunk by chunk, so only their last bits
+        may move."""
+        table = small_dataset.jobs
+        view = ChunkedTable.scan(table, 256)
+        capacity = small_dataset.spec.total_gpus
+        whole = gpu_occupancy_from_jobs(table, capacity)
+        chunked = gpu_occupancy_from_jobs(view, capacity)
+        assert np.array_equal(whole.times_s, chunked.times_s)
+        assert np.array_equal(whole.occupancy, chunked.occupancy)
+        daily = daily_gpu_hours_from_jobs(table)
+        daily_chunked = daily_gpu_hours_from_jobs(view)
+        assert np.array_equal(daily["day"], daily_chunked["day"])
+        np.testing.assert_allclose(daily_chunked["gpu_hours"], daily["gpu_hours"], rtol=1e-12)
 
 
 class TestSurgeVisibility:
     def test_surge_detected_in_generated_data(self, medium_dataset):
-        daily = daily_gpu_hours(medium_dataset.records)
+        daily = daily_gpu_hours_from_jobs(medium_dataset.jobs)
         windows = medium_dataset.config.knobs.deadline_windows
         table = surge_visibility(daily, windows)
         assert table.num_rows >= 1
@@ -82,7 +104,7 @@ class TestSurgeVisibility:
         assert all(r["observed_ratio"] > 1.0 for r in table.iter_rows())
 
     def test_no_overlap_rejected(self):
-        daily = daily_gpu_hours([record(1, 0.0, 3600.0)])
+        daily = daily_gpu_hours_from_jobs(jobs((0.0, 3600.0, 1)))
         with pytest.raises(AnalysisError):
             surge_visibility(daily, [(500.0, 510.0, 2.0)])
 
@@ -99,8 +121,8 @@ class TestCapacitySweep:
         assert rows[1]["gpu_wait_under_1min"] >= rows[0]["gpu_wait_under_1min"]
 
     def test_provisioned_cluster_keeps_waits_low(self, medium_dataset):
-        timeline = gpu_occupancy(
-            medium_dataset.records, capacity=medium_dataset.spec.total_gpus
+        timeline = gpu_occupancy_from_jobs(
+            medium_dataset.jobs, capacity=medium_dataset.spec.total_gpus
         )
         # the paper's claim: capacity comfortably exceeds demand
         assert timeline.peak_utilization <= 1.0

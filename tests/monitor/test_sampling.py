@@ -6,9 +6,8 @@ Deferred sampling rests on three bit-for-bit contracts:
   :class:`~repro.workload.activity.ActivityBatch` match the per-GPU
   ``metrics_at`` evaluation exactly;
 * deferring changes nothing — a collector that flushes after every
-  epilog (the old inline behavior), one that flushes once at the end,
-  and one that flushes across a process pool all build identical
-  tables and series stores;
+  epilog (the old inline behavior) and one that flushes once at the
+  end build identical tables and series stores;
 * the island batch changes nothing — :func:`run_sampling` over a whole
   mixed island is byte-for-byte the per-job evaluation it replaced,
   kept below as the oracle (``oracle_task``).
@@ -192,16 +191,12 @@ job_shapes = st.lists(
 class TestDeferralIsInvisible:
     @given(job_shapes)
     @settings(max_examples=15, deadline=None)
-    def test_inline_deferred_parallel_identical(self, shape):
+    def test_inline_and_deferred_identical(self, shape):
         config = MonitoringConfig(timeseries_fraction=0.5, timeseries_max_samples=50)
         inline = _run_collector(shape, _InlineCollector(config))
         deferred = _run_collector(shape, MonitoringCollector(config))
-        pooled = _run_collector(shape, MonitoringCollector(config))
         assert inline.pending_tasks == 0
-        pooled.flush(workers=2)
-        inline_snap = _snapshot(inline)
-        _assert_same(inline_snap, _snapshot(deferred))
-        _assert_same(inline_snap, _snapshot(pooled))
+        _assert_same(_snapshot(inline), _snapshot(deferred))
 
     def test_accessors_flush_pending(self):
         collector = _run_collector([(2, 100.0)], MonitoringCollector())
@@ -408,8 +403,8 @@ class TestIslandBatchMatchesPerJob:
         assert collector.flush() == sum(model.num_gpus for model in models)
         assert [pickle.dumps(model) for model in models] == pickled
 
-    def test_shards_and_blocks_do_not_change_bytes(self, monkeypatch):
-        """Slices across a pool and tiny blocks give the same bytes."""
+    def test_blocks_do_not_change_bytes(self, monkeypatch):
+        """Tiny blocks give the same bytes as one block."""
         import repro.monitor.sampling as sampling
 
         sampler = NvidiaSmiSampler(0.1, 64, max_series_samples=50)
@@ -428,7 +423,6 @@ class TestIslandBatchMatchesPerJob:
             ]
 
         whole = snapshot(run_sampling(tasks, sampler))
-        assert snapshot(run_sampling(tasks, sampler, workers=2)) == whole
         monkeypatch.setattr(sampling, "_BLOCK_SAMPLES", 64)
         assert snapshot(run_sampling(tasks, sampler)) == whole
 

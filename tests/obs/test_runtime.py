@@ -34,16 +34,6 @@ class TestRuntimeScoping:
             pass
         assert runtime.get_tracer() is NULL_TRACER
 
-    def test_activate_deactivate(self):
-        tracer = Tracer()
-        runtime.activate(tracer, None)
-        try:
-            assert runtime.get_tracer() is tracer
-            assert runtime.get_metrics() is NULL_METRICS
-        finally:
-            runtime.deactivate()
-        assert runtime.get_tracer() is NULL_TRACER
-
 
 class TestRecordKernel:
     def test_disabled_is_silent(self):

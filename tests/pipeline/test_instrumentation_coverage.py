@@ -163,7 +163,6 @@ def test_forked_island_sampling_is_attributed():
     spans = _sampling_spans_under_schedule(session)
     assert sorted(span.track for span in spans) == ["repro-island-0", "repro-island-1"]
     assert all(span.pid != os.getpid() for span in spans)
-    assert {span.attrs["mode"] for span in spans} == {"serial"}
 
 
 def test_every_figure_run_is_timed(traced_session):

@@ -92,19 +92,22 @@ class TestFigures:
 
 class TestParallelFigures:
     def test_parallel_matches_serial(self, tmp_path):
-        ids = ["table1", "fig03", "fig15", "queue_waits"]
+        """``workers`` widens only cold builds: a ``workers=2`` session
+        runs its figures in its own process, on the dataset it built,
+        so even the series figures equal the serial session's exactly."""
+        ids = ["table1", "fig06", "fig09", "queue_waits"]
         parallel = Session(CONFIG, cache_dir=tmp_path, workers=2)
         parallel_results = parallel.run_figures(ids)
-        assert parallel.instrumentation.count("figure_pool_runs") == 1
+        assert parallel.instrumentation.count("figures_computed") == len(ids)
 
-        serial = Session(CONFIG)
-        serial_results = serial.run_figures(ids)
+        serial_results = Session(CONFIG).run_figures(ids)
         for a, b in zip(parallel_results, serial_results):
             assert a.figure_id == b.figure_id
             for ca, cb in zip(a.comparisons, b.comparisons):
-                # workers compute from the cache-loaded dataset, whose
-                # series went through the codec's 0.25% quantisation
-                assert ca.measured == pytest.approx(cb.measured, rel=0.02, abs=0.5, nan_ok=True)
+                assert ca.name == cb.name
+                assert ca.measured == cb.measured or (
+                    math.isnan(ca.measured) and math.isnan(cb.measured)
+                )
 
     def test_figure_cache_short_circuits_dataset(self, tmp_path):
         first = Session(CONFIG, cache_dir=tmp_path)

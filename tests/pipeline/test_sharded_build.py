@@ -8,7 +8,8 @@ pinned end to end at the session level:
   forked hosts do;
 * ``partitions=1`` is a one-island build that reproduces the
   pre-island monolithic build's content exactly (golden digests), in
-  ascending ``job_id`` order;
+  ascending ``job_id`` order, and runs in the session's process at any
+  ``workers``;
 * the merged dataset keeps the whole-machine shape (global node
   indices, one spec, job-id-ordered tables);
 * the **streaming** build — islands spill to disk, the parent k-way
@@ -22,7 +23,6 @@ pinned end to end at the session level:
 import hashlib
 import multiprocessing
 import os
-import re
 
 import numpy as np
 import pytest
@@ -66,10 +66,32 @@ class TestBitIdentity:
     def test_single_partition_matches_legacy(self):
         base = dict(SHARDED, partitions=1)
         legacy = Session(WorkloadConfig(**base)).dataset()
-        # The one island runs in the parent at any worker count; workers
-        # only widens its sampling pool (TestGolden pins the content).
+        # The one island runs and samples in the parent at any worker
+        # count, so workers changes nothing (TestGolden pins the content).
         roundtrip = Session(WorkloadConfig(**base), workers=2).dataset()
         datasets_equal(legacy, roundtrip)
+
+    def test_single_partition_starts_no_process_pool(self, tmp_path, monkeypatch):
+        """A ``workers=2`` one-island cold build and a ``workers=2``
+        report on its warm cache construct no process pool: the island
+        samples, and the figures run, in the session's process."""
+        from concurrent.futures import process
+
+        pools = []
+        init = process.ProcessPoolExecutor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            pools.append((args, kwargs))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(process.ProcessPoolExecutor, "__init__", recording_init)
+        config = WorkloadConfig(scale=0.01, seed=7)
+        Session(config, cache_dir=tmp_path, workers=2).dataset()
+        warm = Session(config, cache_dir=tmp_path, workers=2)
+        results = warm.run_figures()
+        assert warm.instrumentation.count("cache_hit") == 1
+        assert len(results) == warm.instrumentation.count("figures_computed") > 0
+        assert pools == []
 
 
 def table_digest(table, keys):
@@ -189,7 +211,7 @@ class TestIslandCapacity:
 
     def test_cli_scale_too_small_for_partitions(self):
         # end to end: the session surfaces the actionable error instead
-        # of a PlacementError from inside a pool worker
+        # of a PlacementError from inside an island host
         from repro.cluster.partition import PartitionError
 
         session = Session(WorkloadConfig(scale=0.05, seed=20220214, partitions=2))

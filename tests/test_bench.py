@@ -85,7 +85,8 @@ def write_run(root, bench_id, seconds_by_suite, scale="0.05", stats=None, scale_
 
 class TestScaleKnobs:
     """Runs compare only when both scale knobs match; a run without the
-    ``bench_scale_full`` stamp ran the scale suite at its 1.0 default."""
+    ``bench_scale_full`` stamp ran the scale suite at the then default
+    1.0, and a run that sets no knob now stamps the 0.25 default."""
 
     def test_both_knobs_stamped(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE_FULL", "0.25")
@@ -93,7 +94,7 @@ class TestScaleKnobs:
         payload = write_bench_json([], tmp_path / "BENCH_6.json")
         assert (payload["bench_scale"], payload["bench_scale_full"]) == ("0.05", "0.25")
         monkeypatch.delenv("REPRO_BENCH_SCALE_FULL")
-        assert write_bench_json([], tmp_path / "BENCH_7.json")["bench_scale_full"] == "1.0"
+        assert write_bench_json([], tmp_path / "BENCH_7.json")["bench_scale_full"] == "0.25"
 
     def history(self, root):
         """Full-scale history (unstamped and stamped), then reduced runs."""
@@ -366,6 +367,25 @@ class TestBenchTrend:
         assert by_metric[("frame", "wall_s")]["values"] == [1.0, 1.1]
         # stream only exists in run 7: a None gap keeps runs aligned
         assert by_metric[("stream", "wall_s")]["values"] == [None, 4.0]
+
+    def test_series_the_latest_run_lacks_are_dropped(self, tmp_path):
+        """A stat the newest run no longer records leaves the trend,
+        although it fell (a DRIFT) over the runs that recorded it."""
+        from repro.bench import bench_trend, trend_report
+
+        def run(bench_id, **blocks):
+            write_run(tmp_path, bench_id, {"dataset-build": 1.0}, stats={"dataset-build": blocks})
+
+        run(6, island={"rows_per_s": 1e5}, batched={"rows_per_s": 1e5})
+        run(7, island={"rows_per_s": 1e5}, batched={"rows_per_s": 5e4})
+        run(8, island={"rows_per_s": 1e5})
+        trend = bench_trend(tmp_path)
+        assert trend["run_ids"] == [6, 7, 8]
+        metrics = {s["metric"]: s for s in trend["series"]}
+        assert sorted(metrics) == ["island.rows_per_s", "wall_s"]
+        assert metrics["island.rows_per_s"]["values"] == [1e5, 1e5, 1e5]
+        text = trend_report(tmp_path)
+        assert "batched" not in text and "DRIFT" not in text
 
     def test_other_scales_skipped(self, tmp_path):
         from repro.bench import bench_trend
