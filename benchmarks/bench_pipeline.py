@@ -94,3 +94,16 @@ def test_cached_report(tmp_path):
     assert warm_s * 5 <= cold_s, (
         f"warm run_all took {warm_s:.2f}s vs cold {cold_s:.2f}s (< 5x speedup)"
     )
+
+    # The entry's cost per file, from the cache spans: bytes on disk and
+    # the seconds a fresh session's load spends on each file.
+    loader = Session(config, cache_dir=cache_dir)
+    loader.dataset()
+    spans = [span for span in loader.tracer.finished() if span.name == "cache.load"]
+    assert len(spans) == 7
+    stats = {}
+    for span in spans:
+        stem = span.attrs["file"].replace(".", "_")
+        stats[f"{stem}_entry_bytes"] = span.attrs["bytes"]
+        stats[f"{stem}_load_s"] = round(span.duration_us / 1e6, 4)
+    record_bench_stat("cache_entry", **stats)

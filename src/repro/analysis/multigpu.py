@@ -125,20 +125,17 @@ def multi_gpu_cov(
     ``cov_all`` includes idle GPUs; ``cov_active`` drops GPUs whose
     mean SM *and* memory utilization sit below ``idle_threshold``.
 
-    Folds one job's rows at a time via
-    :func:`~repro.analysis.streaming.iter_sorted_groups`, so results
-    come in ascending ``job_id`` order; each group keeps its rows'
-    stream order, so every CoV is bit-identical to a materialized
+    Folds one multi-GPU job's rows at a time via
+    :func:`~repro.analysis.streaming.iter_sorted_groups`, which skips
+    one-GPU jobs before it materializes them, so results come in
+    ascending ``job_id`` order; each group keeps its rows' stream
+    order, so every CoV is bit-identical to a materialized
     ``group_by("job_id")``.  A materialized ``per_gpu`` may be in any
     row order; a chunked one must arrive job-id ordered across chunks,
     as the pipeline emits it.
     """
-    empty = True
     results = []
-    for job_key, group in iter_sorted_groups(per_gpu, "job_id"):
-        empty = False
-        if group.num_rows < 2:
-            continue
+    for job_key, group in iter_sorted_groups(per_gpu, "job_id", min_rows=2):
         sm = np.asarray(group["sm_mean"], dtype=float)
         mem = np.asarray(group["mem_bw_mean"], dtype=float)
         active = (sm > idle_threshold) | (mem > idle_threshold)
@@ -161,7 +158,7 @@ def multi_gpu_cov(
                 cov_active=cov_active,
             )
         )
-    if empty:
+    if not results and per_gpu.num_rows == 0:
         raise AnalysisError("no per-GPU rows")
     return results
 

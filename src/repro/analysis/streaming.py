@@ -49,7 +49,9 @@ def iter_key_sorted_chunks(source: Any, key: str) -> Iterator[Table]:
         yield chunk
 
 
-def iter_sorted_groups(source: Any, key: str) -> Iterator[tuple[Any, Table]]:
+def iter_sorted_groups(
+    source: Any, key: str, min_rows: int = 1
+) -> Iterator[tuple[Any, Table]]:
     """Yield ``(key_value, group)`` from a ``key``-ordered chunk stream.
 
     Chunks pass through :func:`iter_key_sorted_chunks`, so rows within
@@ -62,22 +64,31 @@ def iter_sorted_groups(source: Any, key: str) -> Iterator[tuple[Any, Table]]:
     together with ``concat_tables``, which keeps each group's row order
     — and therefore any per-group arithmetic — bit-identical to the
     materialized ``group_by(key)``.
+
+    Groups of fewer than ``min_rows`` rows are skipped; one that lies
+    wholly inside a chunk is never materialized.
     """
     pending_key: Any = None
     parts: list[Table] = []
+
+    def finished() -> Iterator[tuple[Any, Table]]:
+        if sum(part.num_rows for part in parts) >= min_rows:
+            yield pending_key, parts[0] if len(parts) == 1 else concat_tables(parts)
+
     for chunk in iter_key_sorted_chunks(source, key):
         keys = np.asarray(chunk.column(key))
         change = np.nonzero(keys[1:] != keys[:-1])[0]
         starts = np.concatenate(([0], change + 1))
         ends = np.concatenate((change + 1, [len(keys)]))
-        for start, end in zip(starts, ends):
+        keep = ends - starts >= min_rows
+        keep[-1] = True  # it may continue into the next chunk
+        keep[0] |= bool(parts) and keys[0] == pending_key
+        for start, end in zip(starts[keep].tolist(), ends[keep].tolist()):
             sub = chunk.take(np.arange(start, end))
             value = keys[start]
             if parts and value == pending_key:
                 parts.append(sub)
                 continue
-            if parts:
-                yield pending_key, parts[0] if len(parts) == 1 else concat_tables(parts)
+            yield from finished()
             pending_key, parts = value, [sub]
-    if parts:
-        yield pending_key, parts[0] if len(parts) == 1 else concat_tables(parts)
+    yield from finished()

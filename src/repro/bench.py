@@ -260,18 +260,22 @@ def _stat_kind(key: str) -> str | None:
 
     ``rows_per_s``-style keys are throughput (lower is worse);
     ``*peak*bytes``-style keys are memory (higher is worse);
-    ``*spill*bytes``-style keys are spill volume (higher is worse —
-    the codec's job is to keep encoded bytes down); keys ending in
-    ``compression_ratio`` are codec ratios (lower is worse).  Anything
+    ``*spill*bytes``- and ``*entry*bytes``-style keys are stored volume,
+    spill files or cache-entry files (higher is worse — the codec's job
+    is to keep encoded bytes down); keys ending in
+    ``compression_ratio`` are codec ratios (lower is worse); keys
+    ending in ``_load_s`` are seconds (higher is worse).  Anything
     else is informational and never gated.
     """
     if key.endswith("rows_per_s"):
         return "throughput"
     if key.endswith("compression_ratio"):
         return "ratio"
+    if key.endswith("_load_s"):
+        return "seconds"
     if "peak" in key and key.endswith("bytes"):
         return "memory"
-    if "spill" in key and key.endswith("bytes"):
+    if ("spill" in key or "entry" in key) and key.endswith("bytes"):
         return "spill"
     return None
 
@@ -322,8 +326,10 @@ def check_regressions(
     :data:`MIN_ROWS_PER_S_DROP`; a ``*peak*bytes`` memory stat
     regresses when it exceeds ``(1 + threshold) * median`` and grows by
     more than :data:`MIN_PEAK_BYTES_GROWTH`; a ``*spill*bytes`` volume
-    stat works like memory with a :data:`MIN_SPILL_BYTES_GROWTH` floor;
-    a ``*compression_ratio`` stat works like throughput with a
+    stat (or ``*entry*bytes``) works like memory with a
+    :data:`MIN_SPILL_BYTES_GROWTH` floor; a ``*_load_s`` seconds stat
+    works like wall time, ``min_seconds`` floor included; a
+    ``*compression_ratio`` stat works like throughput with a
     :data:`MIN_COMPRESSION_RATIO_DROP` floor.  Stats absent from the
     baseline are, like new suites, never flagged.
     """
@@ -396,6 +402,11 @@ def check_regressions(
                 regressed = (
                     value > (1.0 + threshold) * baseline
                     and value - baseline > MIN_SPILL_BYTES_GROWTH
+                )
+            elif kind == "seconds":
+                regressed = (
+                    value > (1.0 + threshold) * baseline
+                    and value - baseline > min_seconds
                 )
             else:
                 regressed = (

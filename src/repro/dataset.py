@@ -66,6 +66,15 @@ class SupercloudDataset:
 
         return job_phase_table(self.timeseries)
 
+    @functools.cached_property
+    def figure_results(self) -> dict:
+        """Figure results computed against this dataset, by figure id:
+        :func:`~repro.figures.registry.run_figure` keeps each one the
+        first time it computes it, so validation grades the figures a
+        report already ran; copies (:meth:`streaming_view`,
+        ``dataclasses.replace``) compute their own."""
+        return {}
+
     @property
     def num_users(self) -> int:
         return self.gpu_jobs.value_counts("user").num_rows

@@ -12,11 +12,12 @@ scheme that round-trips it exactly:
   dwells at 0.0 through idle phases) when runs win, raw otherwise;
 * object columns — dictionary encoding (uniques + int32 codes), with
   the code stream run-length encoded when it helps;
-* opt-in lossy floats — quantise to :data:`QUANT_STEP` steps, then
-  delta + RLE (the cache's series file, :mod:`repro.monitor.codec`,
-  quantises every metric this way).  Maximum absolute error
-  ``QUANT_STEP / 2``; never applied unless the caller names the column
-  in :class:`SpillCodec.quantise`.
+* opt-in lossy floats — quantise to :data:`QUANT_STEP` steps and store
+  the integer levels in the narrowest dtype that holds them, as runs
+  only where runs are smaller (:data:`QUANT_SCHEME`; the cache's series
+  file, :mod:`repro.monitor.codec`, quantises every metric this way).
+  Maximum absolute error ``QUANT_STEP / 2``; never applied unless the
+  caller names the column in :class:`SpillCodec.quantise`.
 
 A spill file (a table chunk, a batch of series, or the cache's series
 file) is an ``.npz``-named zip with one member per chunk or series,
@@ -25,9 +26,10 @@ written by :func:`write_spill_file`: the encoded parts laid out by
 header parse.  Members are stored, not deflated, unless the file's
 codec quantises: after the lossless schemes, deflate shrinks dense
 telemetry only ~1.25x for ~20x the write CPU and ~9x the read CPU,
-while quantised levels deflate ~12x.  Every member keeps its CRC-32.
+while narrow quantised levels deflate another ~2.5x.  Every member
+keeps its CRC-32.
 
-Exactness contract: every scheme except ``quant`` reconstructs the
+Exactness contract: every scheme except ``quant2`` reconstructs the
 column with identical dtype and element-wise equal values (NaNs map to
 NaNs; integer delta arithmetic wraps modularly in the source dtype, so
 round-trips are exact even at dtype boundaries).  The scheme choice is
@@ -53,6 +55,7 @@ from repro.errors import FrameError
 from repro.obs.runtime import get_metrics
 
 __all__ = [
+    "QUANT_SCHEME",
     "QUANT_STEP",
     "SpillCodec",
     "LOSSLESS",
@@ -72,13 +75,20 @@ __all__ = [
 #: for power).
 QUANT_STEP = 0.5
 
-#: Run-length bookkeeping per run: one value plus one int64 length.
-_LENGTH_BYTES = 8
+#: Tag of the lossy scheme: levels ``round(x / QUANT_STEP)`` in the
+#: narrowest of :data:`_LEVEL_DTYPES` that holds them, run-length
+#: encoded (lengths in the narrowest of :data:`_LENGTH_DTYPES`) only
+#: where that takes fewer bytes.  The tag names the layout, so a member
+#: of the older ``quant`` layout (int64 delta runs) raises
+#: :class:`FrameError` rather than decoding to other numbers.
+QUANT_SCHEME = "quant2"
+_LEVEL_DTYPES = tuple(map(np.dtype, ("u1", "i1", "u2", "i2", "u4", "i4", "i8")))
+_LENGTH_DTYPES = tuple(map(np.dtype, ("u1", "u2", "u4", "u8")))
 
 #: Deflate level of the members of a quantising file (the cache's
-#: series file): their delta+RLE levels shrink another ~12x at level 1,
-#: about as well as level 6 for a fraction of the writer's CPU.
-#: Lossless and raw files store their members.
+#: series file): their narrow levels shrink another ~2.5x at level 1
+#: (1.98 -> 0.79 MB for the seed-7, scale-0.02 series file).  Lossless
+#: and raw files store their members.
 DEFLATE_LEVEL = 1
 #: First bytes of a packed member (spill format 2), and how many bytes
 #: a read takes from the member at a time.
@@ -176,7 +186,9 @@ def encode_column(values: np.ndarray, *, quantise: bool = False) -> tuple[str, d
     ``rle``                  — ``{"v": run values, "l": run lengths}``
     ``delta:<dtype>``        — integer deltas (modular, in ``<dtype>``), RLE'd
     ``dict`` / ``dict+rle``  — ``{"u": uniques, "v": codes[, "l": lengths]}``
-    ``quant``                — quantised int64 levels, delta + RLE (lossy)
+    ``quant2``               — quantised levels in the narrowest integer
+                               dtype, ``{"": levels}`` or RLE'd
+                               ``{"v": levels, "l": lengths}`` (lossy)
     """
     values = np.asarray(values)
     raw = ("raw", {"": values})
@@ -186,12 +198,12 @@ def encode_column(values: np.ndarray, *, quantise: bool = False) -> tuple[str, d
     if values.dtype == object:
         return _encode_object(values)
     if quantise and kind == "f":
-        if np.isfinite(values).all():
-            levels = np.round(values / QUANT_STEP).astype(np.int64)
-            deltas = np.diff(levels, prepend=np.int64(0))
-            run_values, run_lengths = rle_encode(deltas)
-            return "quant", {"v": run_values, "l": run_lengths}
-        # non-finite samples cannot be quantised; fall through lossless
+        levels = np.round(values / QUANT_STEP)
+        dtype = _narrowest(_LEVEL_DTYPES, levels.min(), levels.max())
+        if dtype is not None:
+            return QUANT_SCHEME, _encode_levels(levels.astype(dtype))
+        # non-finite or out-of-int64 samples cannot be quantised; fall
+        # through lossless
     if kind in "iu":
         deltas = np.diff(values, prepend=values.dtype.type(0))
         run_values, run_lengths = rle_encode(deltas)
@@ -206,6 +218,26 @@ def encode_column(values: np.ndarray, *, quantise: bool = False) -> tuple[str, d
             return "rle", encoded
         return raw
     return raw
+
+
+def _narrowest(dtypes: tuple[np.dtype, ...], lo, hi) -> np.dtype | None:
+    """The first of ``dtypes`` whose range holds ``[lo, hi]`` (compared
+    exactly, as Python numbers), or None (also for NaN or infinity)."""
+    lo, hi = lo.item(), hi.item()
+    for dtype in dtypes:
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return dtype
+    return None
+
+
+def _encode_levels(levels: np.ndarray) -> dict:
+    """Quantised levels as they are, or as runs when runs are smaller."""
+    run_values, run_lengths = rle_encode(levels)
+    lengths = run_lengths.astype(_narrowest(_LENGTH_DTYPES, run_lengths.min(), run_lengths.max()))
+    if run_values.nbytes + lengths.nbytes < levels.nbytes:
+        return {"v": run_values, "l": lengths}
+    return {"": levels}
 
 
 def _encode_object(values: np.ndarray) -> tuple[str, dict]:
@@ -244,9 +276,11 @@ def decode_column(scheme: str, arrays: dict[str, np.ndarray]) -> np.ndarray:
     if scheme == "dict+rle":
         codes = rle_decode(arrays["v"], arrays["l"])
         return arrays["u"][codes]
-    if scheme == "quant":
-        deltas = rle_decode(arrays["v"], arrays["l"])
-        return np.cumsum(deltas).astype(float) * QUANT_STEP
+    if scheme == QUANT_SCHEME:
+        levels = rle_decode(arrays["v"], arrays["l"]) if "l" in arrays else arrays[""]
+        out = levels.astype(np.float64)
+        out *= QUANT_STEP
+        return out
     raise FrameError(f"unknown spill codec scheme {scheme!r}")
 
 

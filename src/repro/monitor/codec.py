@@ -9,8 +9,11 @@ many samples.  A store is saved as one spill file of
 time ``t0`` (empty for an empty series), its sampling steps as int64
 microseconds ``steps_us`` (which the integer delta+RLE scheme stores
 losslessly), and every metric in :data:`METRIC_NAMES` under
-``SpillCodec(quantise=METRIC_NAMES)``: quantised to 0.5 % steps,
-delta-encoded, and run-length-encoded.
+``SpillCodec(quantise=METRIC_NAMES)``, the
+:data:`~repro.frame.codec.QUANT_SCHEME` scheme: quantised to 0.5 %
+steps and stored as integer levels in the narrowest dtype that holds
+them (uint8 for utilization, uint16 for power), run-length encoded
+where runs are smaller; the file's members are deflated at level 1.
 
 The encoding is lossy only through quantisation (max error 0.25 %,
 below nvidia-smi's own integer resolution for utilization metrics;
@@ -25,7 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import MonitoringError
-from repro.frame.codec import QUANT_STEP, SpillCodec, read_spill_member, write_spill_file
+from repro.frame.codec import (
+    QUANT_STEP,
+    SPILL_READ_ERRORS,
+    SpillCodec,
+    read_spill_member,
+    write_spill_file,
+)
 from repro.monitor.timeseries import (
     METRIC_NAMES,
     GpuTimeSeries,
@@ -81,9 +90,11 @@ def load_store(path: str | Path) -> TimeSeriesStore:
 
     Raises :class:`MonitoringError` naming ``path`` for anything
     unreadable — a truncated or overwritten file, a foreign zip, an
-    older layout, a corrupt member — so callers (notably the pipeline
-    artifact cache) can treat every corruption uniformly instead of
-    leaking zipfile/numpy internals.
+    older layout, a corrupt member: whatever raises
+    :data:`~repro.frame.codec.SPILL_READ_ERRORS` or fails a series' own
+    checks — so callers (notably the pipeline artifact cache) can treat
+    every corruption uniformly instead of leaking zipfile/numpy
+    internals.  Any other exception is a decoder bug and propagates.
     """
     path = Path(path)
     store = TimeSeriesStore()
@@ -91,7 +102,7 @@ def load_store(path: str | Path) -> TimeSeriesStore:
         with zipfile.ZipFile(path) as archive:
             for name in archive.namelist():
                 store.add(_decode_member(name, read_spill_member(archive, name)))
-    except Exception as exc:  # BadZipFile, FrameError, KeyError, OSError, ...
+    except (*SPILL_READ_ERRORS, MonitoringError) as exc:
         raise MonitoringError(f"unreadable time-series store {path}: {exc}") from exc
     return store
 

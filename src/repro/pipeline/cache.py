@@ -13,11 +13,13 @@ version)`` and holds:
 ``timeseries.npz``
     the dense series store (:func:`repro.monitor.codec.save_store`):
     one spill file of the frame codec, one member per series, metrics
-    quantised to 0.5 % steps and sampling steps kept as integer
-    microseconds;
+    quantised to 0.5 % steps and stored as narrow integer levels, and
+    sampling steps kept as integer microseconds;
 ``records.pkl``
     the raw :class:`~repro.slurm.job.JobRecord` list (timeline and
-    co-location analyses need the full records);
+    co-location analyses need the full records); each job's activity
+    model pickles as one float64 array
+    (:meth:`~repro.workload.activity.JobActivityModel.__reduce__`);
 ``config.pkl``
     the exact ``(WorkloadConfig, ClusterSpec)`` pair.
 
@@ -26,14 +28,22 @@ Figure results computed against an entry are cached next to it under
 
 Entries are written to a temp directory and atomically renamed into
 place, so concurrent writers (parallel seed sweeps, two commands
-sharing a cache directory) cannot publish a half-written entry.  Any load failure — missing file, corrupt npz,
-truncated pickle, schema mismatch — returns ``None`` and the caller
-regenerates; a broken cache can never make a run fail.
+sharing a cache directory) cannot publish a half-written entry.  Each
+file is written and read under one ``cache.store`` / ``cache.load``
+span carrying its ``file`` name and ``bytes``.  A missing, stale or
+corrupt file — anything that raises
+:data:`~repro.frame.codec.SPILL_READ_ERRORS` (JSON and CSV parse errors
+among them) or :class:`~repro.errors.MonitoringError`, or disagrees
+with the manifest — makes :meth:`DatasetCache.load` return ``None``,
+and the caller regenerates; the ``cache`` flight-recorder event names
+the file and the reason.  Any other exception is a loader bug and
+raises.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -43,16 +53,18 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+from repro.errors import MonitoringError
 from repro.frame import read_csv, write_csv
+from repro.frame.codec import SPILL_READ_ERRORS
 from repro.monitor.codec import load_store, save_store
 from repro.monitor.collector import MonitoringConfig
 from repro.obs import runtime as _obs_runtime
 from repro.workload.generator import WorkloadConfig
 
 
-def _count_cache_event(kind: str) -> None:
+def _count_cache_event(kind: str, **attrs) -> None:
     """Mirror one cache operation into the ambient metrics registry
-    and the flight recorder."""
+    and the flight recorder (``attrs`` go to the recorder only)."""
     metrics = _obs_runtime.get_metrics()
     if metrics.enabled:
         metrics.counter(
@@ -60,7 +72,7 @@ def _count_cache_event(kind: str) -> None:
             help="artifact cache operations by kind",
             kind=kind,
         ).inc()
-    _obs_runtime.record_event("cache", category="cache", kind=kind)
+    _obs_runtime.record_event("cache", category="cache", kind=kind, **attrs)
 
 #: Bump when the dataset schema or the cache layout changes; every
 #: existing entry is invalidated (its key no longer matches).
@@ -69,9 +81,35 @@ def _count_cache_event(kind: str) -> None:
 #:    ``job_id``-ordered tables and records (same content as before).
 #: 4: ``timeseries.npz`` is a frame-codec spill file (same decoded
 #:    series as before).
-SCHEMA_VERSION = 4
+#: 5: narrow quantised levels in ``timeseries.npz`` and one array per
+#:    activity model in ``records.pkl`` (same decoded content).
+SCHEMA_VERSION = 5
 
 _TABLE_FILES = {"jobs": "jobs.csv", "gpu_jobs": "gpu_jobs.csv", "per_gpu": "per_gpu.csv"}
+
+#: What unreadable or corrupt entry files raise: a miss, not a bug.
+_CORRUPT = (*SPILL_READ_ERRORS, MonitoringError)
+
+
+class _Miss(Exception):
+    """An entry file that cannot be used: ``(file name, reason)``."""
+
+
+def _dump(value, path: Path) -> None:
+    with path.open("wb") as fh:
+        pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _undump(path: Path):
+    with path.open("rb") as fh:
+        return pickle.load(fh)
+
+
+def _read_manifest(path: Path) -> dict:
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("rows"), dict):
+        raise ValueError("not a cache manifest")
+    return manifest
 
 
 def default_cache_dir() -> Path:
@@ -151,22 +189,31 @@ class DatasetCache:
         _count_cache_event("dataset_store")
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = Path(tempfile.mkdtemp(prefix=f".{key}-", dir=self.root))
+        manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "key": key,
+            "rows": {attr: getattr(dataset, attr).num_rows for attr in _TABLE_FILES},
+            "num_series": len(dataset.timeseries),
+            "num_records": len(dataset.records),
+        }
+        writers = {
+            **{
+                filename: functools.partial(write_csv, getattr(dataset, attr))
+                for attr, filename in _TABLE_FILES.items()
+            },
+            "timeseries.npz": functools.partial(save_store, dataset.timeseries),
+            "records.pkl": functools.partial(_dump, dataset.records),
+            "config.pkl": functools.partial(_dump, (dataset.config, dataset.spec)),
+            "manifest.json": lambda path: path.write_text(
+                json.dumps(manifest, indent=1), encoding="utf-8"
+            ),
+        }
+        tracer = _obs_runtime.get_tracer()
         try:
-            for attr, filename in _TABLE_FILES.items():
-                write_csv(getattr(dataset, attr), tmp / filename)
-            save_store(dataset.timeseries, tmp / "timeseries.npz")
-            with (tmp / "records.pkl").open("wb") as fh:
-                pickle.dump(dataset.records, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            with (tmp / "config.pkl").open("wb") as fh:
-                pickle.dump((dataset.config, dataset.spec), fh, protocol=pickle.HIGHEST_PROTOCOL)
-            manifest = {
-                "schema_version": SCHEMA_VERSION,
-                "key": key,
-                "rows": {attr: getattr(dataset, attr).num_rows for attr in _TABLE_FILES},
-                "num_series": len(dataset.timeseries),
-                "num_records": len(dataset.records),
-            }
-            (tmp / "manifest.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+            for filename, write in writers.items():
+                with tracer.span("cache.store", category="cache", file=filename) as span:
+                    write(tmp / filename)
+                    span.set(bytes=(tmp / filename).stat().st_size)
             try:
                 os.replace(tmp, entry)
             except OSError:
@@ -179,29 +226,40 @@ class DatasetCache:
         return entry
 
     def load(self, key: str):
-        """Reconstruct a dataset, or ``None`` on any kind of failure."""
+        """Reconstruct a dataset, or ``None`` when the entry is missing,
+        stale or corrupt (see the module docstring)."""
         from repro.dataset import SupercloudDataset
 
         entry = self.entry_dir(key)
+        tracer = _obs_runtime.get_tracer()
+
+        def read(filename: str, loader, expected=None):
+            path = entry / filename
+            try:
+                with tracer.span("cache.load", category="cache", file=filename) as span:
+                    span.set(bytes=path.stat().st_size)
+                    value = loader(path)
+            except _CORRUPT as error:
+                raise _Miss(filename, f"{type(error).__name__}: {error}") from None
+            if expected is not None and len(value) != expected:
+                raise _Miss(filename, f"holds {len(value)} items, the manifest {expected}")
+            return value
+
         try:
-            manifest = json.loads((entry / "manifest.json").read_text(encoding="utf-8"))
+            manifest = read("manifest.json", _read_manifest)
             if manifest.get("schema_version") != SCHEMA_VERSION or manifest.get("key") != key:
-                return None
-            tables = {attr: read_csv(entry / filename) for attr, filename in _TABLE_FILES.items()}
-            for attr, table in tables.items():
-                if table.num_rows != manifest["rows"][attr]:
-                    return None
-            store = load_store(entry / "timeseries.npz")
-            if len(store) != manifest["num_series"]:
-                return None
-            with (entry / "records.pkl").open("rb") as fh:
-                records = pickle.load(fh)
-            if len(records) != manifest["num_records"]:
-                return None
-            with (entry / "config.pkl").open("rb") as fh:
-                config, spec = pickle.load(fh)
-        except Exception:
-            _count_cache_event("dataset_load_failed")
+                raise _Miss("manifest.json", "another schema version or key")
+            rows = manifest["rows"]
+            tables = {
+                attr: read(filename, read_csv, rows.get(attr, -1))
+                for attr, filename in _TABLE_FILES.items()
+            }
+            store = read("timeseries.npz", load_store, manifest.get("num_series", -1))
+            records = read("records.pkl", _undump, manifest.get("num_records", -1))
+            config, spec = read("config.pkl", _undump, expected=2)
+        except _Miss as miss:
+            filename, reason = miss.args
+            _count_cache_event("dataset_load_failed", file=filename, reason=reason)
             return None
         _count_cache_event("dataset_load")
         return SupercloudDataset(

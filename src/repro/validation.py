@@ -124,15 +124,16 @@ def grade(check: Check, paper: float, measured: float) -> bool:
 
 
 def validate_dataset(dataset: SupercloudDataset) -> list[CheckResult]:
-    """Run every check against a dataset; figures run once each."""
-    results_by_figure = {}
+    """Run every check against a dataset.
+
+    Figures come from :func:`~repro.figures.registry.run_figure`, which
+    the dataset memoizes: each runs at most once, and a figure a report
+    already ran is graded from its kept result.
+    """
     out: list[CheckResult] = []
     for check in CHECKS:
-        if check.figure_id not in results_by_figure:
-            results_by_figure[check.figure_id] = run_figure(check.figure_id, dataset)
-        figure = results_by_figure[check.figure_id]
         try:
-            comparison = figure.get(check.name)
+            comparison = run_figure(check.figure_id, dataset).get(check.name)
         except KeyError:
             continue  # the statistic was not computable on this dataset
         out.append(

@@ -29,6 +29,7 @@ passes, and a model's own ``metrics_at`` is a one-model batch.
 
 from __future__ import annotations
 
+import copyreg
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -300,6 +301,42 @@ class JobActivityModel:
     def num_gpus(self) -> int:
         return self._num_gpus
 
+    def __reduce__(self):
+        """Pickle as one float64 array plus sizes and scalars.
+
+        The schedule boundaries, the GPU scales and each process's
+        amplitudes, frequencies, phases and burst windows travel
+        concatenated, so a pickle holds one array per model instead of
+        22 (:func:`_rebuild_model` slices views back out).  A model
+        with an array outside that layout — not float64, or not the
+        1-D / ``(n, 2)`` shape — pickles its attributes as they are.
+        """
+        processes = self.processes.values()
+        vectors = [self.schedule.boundaries, self.gpu_scale]
+        for p in processes:
+            vectors += [p.amplitudes, p.frequencies_hz, p.phases]
+        windows = [p.burst_windows for p in processes]
+        if not (
+            type(self.schedule) is PhaseSchedule
+            and all(type(p) is MetricProcess for p in processes)
+            and all(a.dtype == np.float64 and a.ndim == 1 for a in vectors)
+            and all(a.dtype == np.float64 and a.shape[1:] == (2,) for a in windows)
+        ):
+            return copyreg.__newobj__, (type(self),), self.__dict__
+        scalars = (
+            self.job_id, self._num_gpus, self.duration_s, self.mem_ramp_s,
+            self.schedule.starts_active, self.schedule.duration_s, tuple(self.processes),
+            tuple(x for p in processes for x in (p.level, p.burst_level)),
+        )
+        arrays = vectors + windows
+        return _rebuild_model, (
+            type(self),
+            np.concatenate(arrays, axis=None),
+            tuple(a.size for a in arrays),
+            scalars,
+            self.power_model,
+        )
+
     def metrics_at(self, times_s: np.ndarray, gpu_index: int) -> dict[str, np.ndarray]:
         """Every metric of GPU ``gpu_index`` at ``times_s`` (any shape).
 
@@ -314,6 +351,33 @@ class JobActivityModel:
         times = np.asarray(times_s, dtype=float)
         metrics = ActivityBatch([self]).metrics(times.reshape(-1), rows=[gpu_index])
         return {name: values[0].reshape(times.shape) for name, values in metrics.items()}
+
+
+def _rebuild_model(cls, values, sizes, scalars, power_model):
+    """Invert :meth:`JobActivityModel.__reduce__`: every array is a view
+    of ``values``, and the constructors' checks do not run again."""
+    job_id, num_gpus, duration_s, mem_ramp_s, starts_active, schedule_s, names, levels = scalars
+    if sum(sizes) != values.size or len(sizes) != 2 + 4 * len(names):
+        raise ValueError("corrupt activity-model pickle: sizes do not match the values")
+    views, start = [], 0
+    for size in sizes:
+        views.append(values[start : start + size])
+        start += size
+    schedule = PhaseSchedule.__new__(PhaseSchedule)
+    schedule.__dict__.update(boundaries=views[0], starts_active=starts_active, duration_s=schedule_s)
+    vectors, windows = views[2 : 2 + 3 * len(names)], views[2 + 3 * len(names) :]
+    processes = {
+        name: MetricProcess(
+            levels[2 * i], *vectors[3 * i : 3 * i + 3], levels[2 * i + 1], windows[i].reshape(-1, 2)
+        )
+        for i, name in enumerate(names)
+    }
+    model = cls.__new__(cls)
+    model.__dict__.update(
+        job_id=job_id, _num_gpus=num_gpus, duration_s=duration_s, schedule=schedule,
+        processes=processes, gpu_scale=views[1], power_model=power_model, mem_ramp_s=mem_ramp_s,
+    )
+    return model
 
 
 # ----------------------------------------------------------------------

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.analysis.multigpu import (
+    MultiGpuCovResult,
     gpu_count_breakdown,
     idle_gpu_fraction,
     multi_gpu_cov,
     user_gpu_breadth,
     wait_by_size,
 )
+from repro.analysis.stats import coefficient_of_variation
+from repro.analysis.streaming import iter_sorted_groups
 from repro.errors import AnalysisError
 from repro.frame import Table
 
@@ -119,6 +122,80 @@ class TestMultiGpuCov:
             multi_gpu_cov(Table.empty(["job_id"]))
         with pytest.raises(AnalysisError):
             idle_gpu_fraction([])
+
+
+def materialize_every_group(per_gpu, metrics=("sm_mean", "mem_bw_mean", "mem_size_mean")):
+    """The fold before one-GPU groups were skipped: every job's rows
+    become a table, and groups of one row are dropped afterwards."""
+    results = []
+    for job_key, group in iter_sorted_groups(per_gpu, "job_id"):
+        if group.num_rows < 2:
+            continue
+        sm = np.asarray(group["sm_mean"], dtype=float)
+        mem = np.asarray(group["mem_bw_mean"], dtype=float)
+        active = (sm > 0.5) | (mem > 0.5)
+        columns = {m: np.asarray(group[m], dtype=float) for m in metrics}
+        results.append(
+            MultiGpuCovResult(
+                job_id=int(job_key),
+                num_gpus=group.num_rows,
+                num_idle_gpus=int((~active).sum()),
+                cov_all={m: coefficient_of_variation(v) for m, v in columns.items()},
+                cov_active={
+                    m: coefficient_of_variation(v[active]) if active.sum() >= 2 else float("nan")
+                    for m, v in columns.items()
+                },
+            )
+        )
+    return results
+
+
+def comparable(results):
+    """Results with every float as its repr, so NaN equals NaN."""
+    return [
+        (r.job_id, r.num_gpus, r.num_idle_gpus,
+         {m: repr(v) for m, v in r.cov_all.items()},
+         {m: repr(v) for m, v in r.cov_active.items()})
+        for r in results
+    ]
+
+
+class TestSkipsOneGpuGroups:
+    """Skipping one-GPU jobs before they are materialized changes no
+    result, on the table and on chunked views whose boundaries split
+    multi-GPU jobs."""
+
+    @pytest.fixture(scope="class")
+    def per_gpu(self):
+        rng = np.random.default_rng(14)
+        sizes = [1, 1, 3, 1, 2, 4, 1, 1, 1, 8, 2, 1, 5, 1, 2]
+        spec = {}
+        for job_id, size in enumerate(sizes, start=10):
+            sms = rng.uniform(0.0, 90.0, size)
+            sms[rng.random(size) < 0.3] = 0.0  # some idle GPUs
+            spec[job_id] = sms.tolist()
+        return per_gpu_rows(spec)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 3, 7])
+    def test_matches_materializing_every_group(self, per_gpu, chunk_rows):
+        source = per_gpu if chunk_rows is None else per_gpu.to_chunked(chunk_rows)
+        got = multi_gpu_cov(source)
+        assert comparable(got) == comparable(materialize_every_group(source))
+        assert [r.num_gpus for r in got] == [3, 2, 4, 8, 2, 5, 2]
+
+    def test_one_chunk_of_all_rows(self, per_gpu):
+        source = per_gpu.to_chunked(per_gpu.num_rows)
+        assert comparable(multi_gpu_cov(source)) == comparable(materialize_every_group(per_gpu))
+
+    def test_a_job_straddling_chunks_is_stitched(self, per_gpu):
+        """With 3-row chunks the 8-GPU job (rows 15-22) spans three
+        chunks and still yields one result over its eight rows."""
+        results = {r.job_id: r for r in multi_gpu_cov(per_gpu.to_chunked(3))}
+        assert results[19].num_gpus == 8
+
+    def test_only_one_gpu_jobs(self):
+        table = per_gpu_rows({1: [50.0], 2: [0.0], 3: [10.0]})
+        assert multi_gpu_cov(table) == multi_gpu_cov(table.to_chunked(1)) == []
 
 
 class TestOnGeneratedData:

@@ -7,8 +7,10 @@ The spill format promises two things (see :mod:`repro.frame.codec`):
   *any* input, including empty columns, single-run columns, all-distinct
   columns, and values at the dtype boundaries where delta arithmetic
   wraps;
-* the opt-in ``quant`` scheme never errs by more than ``QUANT_STEP / 2``
-  per sample.
+* the opt-in quantising scheme (:data:`QUANT_SCHEME`) never errs by
+  more than ``QUANT_STEP / 2`` per sample, and decodes to exactly
+  ``np.round(x / QUANT_STEP) * QUANT_STEP`` whatever integer width its
+  levels need; a member of the older ``quant`` layout is refused.
 
 A third promise is the file layout's: :func:`pack` / :func:`unpack`
 round-trip any dict of arrays with equal dtype, shape and bytes, and
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.errors import FrameError
 from repro.frame.codec import (
+    QUANT_SCHEME,
     QUANT_STEP,
     decode_column,
     encode_column,
@@ -143,7 +146,7 @@ def test_object_encode_round_trip_is_exact(values):
 def test_quantisation_error_is_bounded(values):
     """The lossy scheme's whole promise: |decoded - x| <= QUANT_STEP/2.
 
-    Quantised levels are exact int64s and the delta+RLE transport is
+    Quantised levels are exact integers and their transport is
     lossless, so the only error is the initial rounding.
     """
     # Keep |x / QUANT_STEP| inside int64 so the level computation is
@@ -152,7 +155,7 @@ def test_quantisation_error_is_bounded(values):
     values = np.clip(values, -1e15, 1e15)
     scheme, arrays = encode_column(values, quantise=True)
     decoded = decode_column(scheme, arrays)
-    if scheme == "quant":
+    if scheme == QUANT_SCHEME:
         assert np.abs(decoded - values).max(initial=0.0) <= QUANT_STEP / 2
     else:
         # Adaptive fallback (e.g. empty input) must stay lossless.
@@ -167,8 +170,89 @@ def test_quantisation_refuses_non_finite(values):
     if values.size and np.isfinite(values).all():
         return
     scheme, arrays = encode_column(values, quantise=True)
-    assert scheme != "quant"
+    assert scheme != QUANT_SCHEME
     _assert_identical(decode_column(scheme, arrays), values)
+
+
+#: Level ranges around the integer widths the quantised scheme picks
+#: from: each pair straddles (or touches) a dtype boundary.
+_LEVEL_RANGES = (
+    (0, 0), (0, 200), (0, 255), (0, 256), (-1, 0), (-128, 127), (-129, 100),
+    (0, 600), (0, 65535), (0, 65536), (-32768, 32767), (-32769, 0),
+    (0, 2**32 - 1), (0, 2**32), (-(2**31), 2**31 - 1), (-(2**31) - 1, 5),
+)
+
+
+@st.composite
+def _level_columns(draw):
+    """Float columns whose levels span one of :data:`_LEVEL_RANGES`:
+    runs (dwelling telemetry) or noise, one sample up to a few hundred,
+    constant columns included; samples sit anywhere inside a step."""
+    lo, hi = draw(st.sampled_from(_LEVEL_RANGES))
+    size = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.integers(lo, hi, size, endpoint=True)
+    if draw(st.booleans()):  # dwell: long runs of one level
+        levels = np.repeat(levels[: size // 50 + 1], 50)[:size]
+    levels[rng.integers(size)] = draw(st.sampled_from([lo, hi]))
+    offsets = rng.uniform(-0.49, 0.49, levels.size) * QUANT_STEP
+    return levels * QUANT_STEP + offsets
+
+
+@given(_level_columns())
+@settings(max_examples=300, deadline=None)
+def test_quantised_decode_is_the_rounded_column(values):
+    """The scheme decodes to exactly ``np.round(x / QUANT_STEP) *
+    QUANT_STEP`` and stores its levels in the narrowest width that
+    holds them, runs or not."""
+    scheme, arrays = encode_column(values, quantise=True)
+    assert scheme == QUANT_SCHEME
+    decoded = decode_column(scheme, arrays)
+    assert decoded.dtype == np.float64 and decoded.shape == values.shape
+    np.testing.assert_array_equal(decoded, np.round(values / QUANT_STEP) * QUANT_STEP)
+    levels = np.round(values / QUANT_STEP)
+    stored = arrays["v"] if "l" in arrays else arrays[""]
+    narrower = [np.dtype(d) for d in ("u1", "i1", "u2", "i2", "u4", "i4")
+                if np.dtype(d).itemsize < stored.dtype.itemsize]
+    assert all(
+        levels.min() < np.iinfo(d).min or levels.max() > np.iinfo(d).max for d in narrower
+    ), stored.dtype
+    if "l" in arrays:
+        assert arrays["v"].nbytes + arrays["l"].nbytes < values.size * stored.dtype.itemsize
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.array([]), np.array([42.2]), np.full(1000, 37.4), np.full(7, -3.0)],
+    ids=["empty", "one", "constant", "negative-constant"],
+)
+def test_quantised_edge_columns(values):
+    scheme, arrays = encode_column(values, quantise=True)
+    decoded = decode_column(scheme, arrays)
+    np.testing.assert_array_equal(decoded, np.round(values / QUANT_STEP) * QUANT_STEP)
+    if values.size:
+        assert scheme == QUANT_SCHEME
+        stored = arrays.get("v", arrays.get(""))
+        assert stored.dtype == (np.uint8 if values.min() >= 0 else np.int8)
+    if values.size > 8:  # a constant column is one run
+        assert arrays["v"].size == 1 and arrays["l"].tolist() == [values.size]
+
+
+def test_telemetry_levels_are_one_or_two_bytes():
+    """Utilization (0-100 %) fits uint8 at 0.5 steps, power (0-300 W) uint16."""
+    rng = np.random.default_rng(3)
+    for top, dtype in ((100.0, np.uint8), (300.0, np.uint16)):
+        _, arrays = encode_column(rng.uniform(0.0, top, 500), quantise=True)
+        assert arrays[""].dtype == dtype
+
+
+def test_older_quant_layout_is_refused():
+    """A member written in the int64 delta-run layout raises FrameError
+    instead of decoding its deltas as levels."""
+    levels = np.array([10, 10, 12, 12, 12], dtype=np.int64)
+    run_values, run_lengths = rle_encode(np.diff(levels, prepend=np.int64(0)))
+    with pytest.raises(FrameError, match="unknown spill codec scheme 'quant'"):
+        decode_column("quant", {"v": run_values, "l": run_lengths})
 
 
 # ----------------------------------------------------------------------

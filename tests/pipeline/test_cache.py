@@ -138,6 +138,46 @@ class TestCorruption:
     def test_missing_entry_loads_none(self, tmp_path):
         assert DatasetCache(tmp_path).load("no-such-key") is None
 
+    def test_recorder_names_the_corrupt_file(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        first = Session(CONFIG, cache_dir=cache_dir)
+        first.dataset()
+        (DatasetCache(cache_dir).entry_dir(first.key) / "records.pkl").write_bytes(b"garbage")
+
+        second = Session(CONFIG, cache_dir=cache_dir)
+        second.dataset()
+        failed = [
+            event.attrs
+            for event in second.recorder.events()
+            if event.name == "cache" and event.attrs.get("kind") == "dataset_load_failed"
+        ]
+        assert [attrs["file"] for attrs in failed] == ["records.pkl"]
+        assert "UnpicklingError" in failed[0]["reason"]
+
+    @pytest.mark.parametrize("error", [TypeError, AttributeError, NameError])
+    def test_loader_bug_raises_and_evicts_nothing(self, tmp_path, monkeypatch, error):
+        """An exception that is not corrupt input is a bug in a loader:
+        it leaves the session, and the entry stays on disk."""
+        import repro.pipeline.cache as cache_module
+
+        cache_dir = tmp_path / "cache"
+        first = Session(CONFIG, cache_dir=cache_dir)
+        first.dataset()
+
+        def broken_loader(path):
+            raise error("a bug in the series decoder")
+
+        monkeypatch.setattr(cache_module, "load_store", broken_loader)
+        second = Session(CONFIG, cache_dir=cache_dir)
+        with pytest.raises(error, match="a bug in the series decoder"):
+            second.dataset()
+        assert second.instrumentation.count("cache_corrupt") == 0
+        assert DatasetCache(cache_dir).has(first.key)
+        assert sorted(p.name for p in DatasetCache(cache_dir).entry_dir(first.key).iterdir()) == [
+            "config.pkl", "gpu_jobs.csv", "jobs.csv", "manifest.json", "per_gpu.csv",
+            "records.pkl", "timeseries.npz",
+        ]
+
 
 class TestWriteFailure:
     def test_failed_series_write_leaves_no_entry(self, small_dataset, tmp_path, monkeypatch):

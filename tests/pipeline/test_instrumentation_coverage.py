@@ -72,6 +72,22 @@ def test_every_build_stage_lands_in_the_flight_recorder(traced_session):
     assert not missing, f"stages missing from the exported timeline: {missing}"
 
 
+def test_each_cache_entry_file_opens_one_span(tmp_path):
+    """A traced cold build stores, and a traced warm load reads, every
+    entry file under one span naming it and its size."""
+    cold = Session(CONFIG, cache_dir=tmp_path)
+    cold.dataset()
+    warm = Session(CONFIG, cache_dir=tmp_path)
+    warm.dataset()
+    entry = cold.cache.entry_dir(cold.key)
+    sizes = {path.name: path.stat().st_size for path in entry.iterdir()}
+    assert len(sizes) == 7
+    for session, name in ((cold, "cache.store"), (warm, "cache.load")):
+        spans = [s for s in session.tracer.finished() if s.name == name]
+        assert all(s.category == "cache" for s in spans)
+        assert sorted((s.attrs["file"], s.attrs["bytes"]) for s in spans) == sorted(sizes.items())
+
+
 @pytest.fixture(scope="module")
 def forked_stream_session(tmp_path_factory):
     """A forked two-island coupled streaming build."""

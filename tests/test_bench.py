@@ -316,6 +316,26 @@ class TestSpillCodecStatDetectors:
         assert check.ok
         assert check.stat_checked
 
+    def test_cache_entry_stats_are_gated_and_trended(self, tmp_path):
+        """Per-file entry bytes gate like spill volume, per-file load
+        seconds like wall time (floor included), and both are trended."""
+        from repro.bench import bench_trend
+
+        for i in range(3):
+            stat_run(tmp_path, 6 + i, {"cache_entry": {
+                "records_pkl_entry_bytes": 4e6, "records_pkl_load_s": 0.1,
+            }})
+        stat_run(tmp_path, 9, {"cache_entry": {
+            "records_pkl_entry_bytes": 20e6, "records_pkl_load_s": 1.0,
+        }})
+        check = check_regressions(tmp_path)
+        assert [(row["metric"], row["kind"]) for row in check.stat_regressions] == [
+            ("cache_entry.records_pkl_entry_bytes", "spill")
+        ]
+        kinds = {row["metric"]: row["kind"] for row in bench_trend(tmp_path)["series"]}
+        assert kinds["cache_entry.records_pkl_entry_bytes"] == "spill"
+        assert kinds["cache_entry.records_pkl_load_s"] == "seconds"
+
     def test_trend_report_notes_spill_drift(self, tmp_path):
         from repro.bench import trend_report
 

@@ -114,3 +114,50 @@ class TestPhaseTable:
         assert len(folds) == 2 and ours is not theirs
         for name in ours.column_names:
             np.testing.assert_array_equal(np.asarray(ours[name]), np.asarray(theirs[name]))
+
+
+class TestFigureResults:
+    """A dataset keeps each figure result the first time it is computed."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        from repro.figures import registry
+
+        calls = []
+        for figure_id, runner in list(registry._REGISTRY.items()):
+            monkeypatch.setitem(
+                registry._REGISTRY,
+                figure_id,
+                lambda dataset, fid=figure_id, run=runner: calls.append(fid) or run(dataset),
+            )
+        return calls
+
+    def test_a_report_evaluates_each_figure_once(self, small_dataset, evaluations):
+        """All figures, then validation: 21 evaluations, and the grades
+        equal those of a copy whose validation runs its own figures."""
+        import dataclasses
+
+        from repro.figures.registry import all_figures, run_figure
+        from repro.validation import validate_dataset
+
+        dataset = dataclasses.replace(small_dataset)
+        results = [run_figure(fid, dataset) for fid in all_figures()]
+        graded = validate_dataset(dataset)
+        assert sorted(evaluations) == sorted(all_figures())
+        assert [run_figure(fid, dataset) for fid in all_figures()] == results
+        assert len(evaluations) == 21
+
+        fresh = validate_dataset(dataclasses.replace(small_dataset))
+        assert [(r.check, r.measured, r.passed) for r in graded] == [
+            (r.check, r.measured, r.passed) for r in fresh
+        ]
+
+    def test_copies_compute_their_own(self, small_dataset, evaluations):
+        import dataclasses
+
+        from repro.figures.registry import run_figure
+
+        dataset = dataclasses.replace(small_dataset)
+        ours = run_figure("fig13", dataset)
+        theirs = run_figure("fig13", dataset.streaming_view(chunk_rows=256))
+        assert evaluations == ["fig13", "fig13"] and ours is not theirs

@@ -430,3 +430,116 @@ def test_burst_placement_matches_per_burst_choice(kind, seed, num_bursts, durati
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
     places = schedule.spans()[2].any() and burst_level > level
     assert len(new.burst_windows) == (num_bursts if places else 0)
+
+
+# ----------------------------------------------------------------------
+# Pickling: one buffer per model
+# ----------------------------------------------------------------------
+
+_METRICS = ("sm", "mem_bw", "mem_size", "pcie_tx", "pcie_rx")
+
+
+@st.composite
+def activity_models(draw, power=POWER):
+    """Models of 1-16 GPUs (some idle) on any :func:`schedules` shape,
+    each metric with no burst windows or up to dozens."""
+    schedule = draw(schedules())
+    num_gpus = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    processes = {
+        name: build_metric_process(
+            rng,
+            level=float(rng.uniform(0, 100)),
+            noise_cov=float(rng.uniform(0, 0.5)),
+            burst_level=draw(st.sampled_from([0.0, 100.0])),
+            schedule=schedule,
+            num_bursts=draw(st.sampled_from([0, 1, 40])),
+        )
+        for name in _METRICS
+    }
+    gpu_scale = rng.uniform(0.0, 1.2, num_gpus) * (rng.random(num_gpus) < 0.8)
+    return JobActivityModel(
+        draw(st.integers(0, 10**6)), num_gpus, schedule.duration_s, schedule, processes,
+        gpu_scale, power,
+    )
+
+
+def model_arrays(model):
+    arrays = [model.schedule.boundaries, model.gpu_scale]
+    for process in model.processes.values():
+        arrays += [process.amplitudes, process.frequencies_hz, process.phases,
+                   process.burst_windows]
+    return arrays
+
+
+def model_scalars(model):
+    return (
+        model.job_id, model.num_gpus, model.duration_s, model.mem_ramp_s,
+        model.schedule.starts_active, model.schedule.duration_s,
+        [(name, p.level, p.burst_level) for name, p in model.processes.items()],
+    )
+
+
+def round_trip(value):
+    import pickle
+
+    return pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+@given(activity_models())
+@settings(max_examples=150, deadline=None)
+def test_pickle_round_trip_is_exact(model):
+    """Byte-identical arrays, dtypes and shapes, equal scalars, one
+    shared buffer, and equal sampled values and analytic maxima."""
+    back = round_trip(model)
+    assert type(back) is JobActivityModel
+    assert model_scalars(back) == model_scalars(model)
+    assert back.power_model == model.power_model
+    arrays = model_arrays(back)
+    for got, want in zip(arrays, model_arrays(model)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert len({id(array.base) for array in arrays}) == 1
+    assert all(array.base is not None for array in arrays)
+    times = np.linspace(0.0, model.duration_s, 64)
+    for gpu in {0, model.num_gpus - 1}:
+        want, got = model.metrics_at(times, gpu), back.metrics_at(times, gpu)
+        assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+    want, got = ActivityBatch([model]).analytic_max(), ActivityBatch([back]).analytic_max()
+    assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+
+
+@given(st.lists(activity_models(), min_size=2, max_size=4))
+@settings(max_examples=20, deadline=None)
+def test_pickled_models_keep_their_shared_power_model(models):
+    """One :class:`PowerModel` shared by many models is one object after
+    loading too, and the models keep their own buffers."""
+    back = round_trip(models)
+    assert all(model.power_model is back[0].power_model for model in back)
+    assert len({id(model.gpu_scale.base) for model in back}) == len(back)
+
+
+class _FlatSubclass(JobActivityModel):
+    pass
+
+
+@pytest.mark.parametrize("layout", ["int_amplitudes", "flat_windows", "subclass"])
+def test_pickle_keeps_models_outside_the_layout(layout):
+    """A model whose arrays are not float64 vectors and (n, 2) windows
+    pickles as it is; a subclass stays its class."""
+    processes = {
+        name: MetricProcess(40.0, np.zeros(2), np.zeros(2), np.zeros(2), 90.0, np.empty((0, 2)))
+        for name in _METRICS
+    }
+    if layout == "int_amplitudes":
+        processes["sm"].amplitudes = np.arange(2)
+    elif layout == "flat_windows":
+        processes["sm"].burst_windows = np.array([1.0, 2.0])
+    cls = _FlatSubclass if layout == "subclass" else JobActivityModel
+    model = cls(3, 2, 100.0, PhaseSchedule.always(100.0, True), processes, np.ones(2), POWER)
+    back = round_trip(model)
+    assert type(back) is cls
+    assert model_scalars(back) == model_scalars(model)
+    for got, want in zip(model_arrays(back), model_arrays(model)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
