@@ -255,10 +255,11 @@ def coupled_builds(assemble_peak):
     truth the bit-identity gate compares against.
 
     The parallel build runs with a live progress sink installed — the
-    heartbeat side channel promises to be observation-only, so the
-    bit-identity gate downstream is also the proof that watching a
-    build never changes it.  Its assemble pass runs under tracemalloc
-    (``assemble_peak``) for the parent-memory gate.
+    heartbeat pipe carrying each ``island.epoch`` event promises to be
+    observation-only, so the bit-identity gate downstream is also the
+    proof that watching a build never changes it.  Its assemble pass
+    runs under tracemalloc (``assemble_peak``) for the parent-memory
+    gate.
     """
     from repro.obs.progress import ProgressAggregator, use_sink
     from repro.pipeline import shard
@@ -302,7 +303,7 @@ def coupled_builds(assemble_peak):
         island_peak_rss_bytes=stream_session.metrics.gauge(
             "repro_shard_island_peak_rss_bytes"
         ).value,
-        heartbeats=progress.heartbeats,
+        heartbeats=progress.updates,
         cpu_count=os.cpu_count(),
         jobs=serial.jobs.num_rows,
     )
@@ -444,18 +445,18 @@ def test_stream_report_folds_once_and_joins_nothing(coupled_builds, monkeypatch)
 def test_coupled_build_emits_live_heartbeats(coupled_builds):
     """Gate: every island reported live telemetry during the build.
 
-    The heartbeats must carry a moving epoch counter and the worker's
-    peak RSS — the fields ``--progress`` renders — and their arrival
-    must not have perturbed the build (the bit-identity gate above ran
-    against this same watched build).
+    The ``island.epoch`` events must carry a moving epoch counter and
+    the worker's peak RSS — the fields ``--progress`` renders — and
+    their arrival must not have perturbed the build (the bit-identity
+    gate above ran against this same watched build).
     """
     _, _, _, _, _, _, progress = coupled_builds
     islands = progress.islands()
-    assert {hb.island for hb in islands} == set(range(PARTITIONS))
-    assert progress.heartbeats >= PARTITIONS
-    for hb in islands:
-        assert hb.epoch > 0
-        assert hb.peak_rss_bytes > 0
+    assert {event.island for event in islands} == set(range(PARTITIONS))
+    assert progress.updates >= PARTITIONS
+    for event in islands:
+        assert event.attrs["epoch"] > 0
+        assert event.attrs["peak_rss_bytes"] > 0
     assert "island" in progress.render()
 
 

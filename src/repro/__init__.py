@@ -19,7 +19,7 @@ redistributable):
 Quickstart
 ----------
 A :class:`~repro.pipeline.Session` owns dataset construction: it runs
-the ``workload → schedule → monitor → assemble`` stages at most once,
+the ``workload → schedule → assemble`` stages at most once,
 memoizes the result, and (with ``cache_dir``) persists the artifacts
 so later runs — even in other processes — skip generation entirely.
 
@@ -46,7 +46,7 @@ from repro.pipeline import Session
 from repro.workload.calibration import PAPER_TARGETS, PaperTargets
 from repro.workload.generator import WorkloadConfig
 
-__version__ = "9.1.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "PAPER_TARGETS",

@@ -11,7 +11,6 @@ simulation when the workload is roughly stationary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,26 +69,6 @@ def mgc_mean_wait(
     if math.isinf(base):
         return base
     return base * (1.0 + service_scv) / 2.0
-
-
-@dataclass(frozen=True)
-class QueueingCrossCheck:
-    """Simulated vs analytic waits for one configuration."""
-
-    servers: int
-    offered_load: float
-    simulated_mean_wait_s: float
-    analytic_mean_wait_s: float
-
-    @property
-    def utilization(self) -> float:
-        return self.offered_load / self.servers
-
-    @property
-    def ratio(self) -> float:
-        if self.analytic_mean_wait_s == 0:
-            return float("nan")
-        return self.simulated_mean_wait_s / self.analytic_mean_wait_s
 
 
 def workload_parameters(gpu_jobs) -> dict[str, float]:

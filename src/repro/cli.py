@@ -124,8 +124,9 @@ class DatasetOptions:
             )
             parser.add_argument(
                 "--progress", action="store_true",
-                help="render live per-island build telemetry (heartbeats "
-                     "+ resource sampler) to stderr while the command runs",
+                help="render live per-island build telemetry (one row per "
+                     "island, updated every island epoch) to stderr while "
+                     "the command runs",
             )
 
     @classmethod
@@ -297,7 +298,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     With ``--trace FILE`` it summarizes an existing Chrome trace
     export.  ``repro obs top`` runs the build under the live island
-    telemetry view (heartbeat table redrawn in place on a TTY) and
+    telemetry view (island table redrawn in place on a TTY) and
     finishes with the event-timeline digest.  The default ``report``
     mode runs the dataset build (and, with ``--figures``, every
     figure) under tracing and prints the run report — the span tree
@@ -325,12 +326,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _cmd_obs_top(args: argparse.Namespace) -> int:
     """``repro obs top``: live per-island telemetry around a build."""
-    from repro.obs import ProgressPrinter, ResourceSampler, summarize_events, timeline_events
+    from repro.obs import ProgressPrinter, summarize_events, timeline_events
     from repro.obs.progress import use_sink
 
     session = _session(args)
     printer = ProgressPrinter()
-    with use_sink(printer), ResourceSampler(session.metrics):
+    with use_sink(printer):
         session.dataset()
     printer.finish()
     print(session.summary())
@@ -570,11 +571,11 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "progress", False) and getattr(args, "mode", None) != "top":
         # --progress: render live island telemetry while the command
         # runs (``obs top`` installs its own printer, so skip it there).
-        from repro.obs import ProgressPrinter, ResourceSampler
+        from repro.obs import ProgressPrinter
         from repro.obs.progress import use_sink
 
         printer = ProgressPrinter()
-        with use_sink(printer), ResourceSampler():
+        with use_sink(printer):
             code = args.fn(args)
         printer.finish()
         return code

@@ -2,7 +2,7 @@
 
 The dataset *engine* lives in :mod:`repro.pipeline`: a
 :class:`~repro.pipeline.session.Session` runs the staged
-``workload → schedule → monitor → assemble`` pipeline with per-stage
+``workload → schedule → assemble`` pipeline with per-stage
 instrumentation, an on-disk artifact cache, and forked island
 hosts.  This module keeps the data container
 (:class:`SupercloudDataset`) and :func:`generate_dataset`, a thin

@@ -16,9 +16,9 @@ figure harness:
   structured events for the moments no span covers (cache probes,
   island epoch boundaries, k-way merges), with the same no-op fast
   path via :data:`~repro.obs.events.NULL_RECORDER`;
-* :mod:`~repro.obs.progress` — live island telemetry: worker
-  heartbeats, the ``--progress`` / ``repro obs top`` renderers, and
-  the background :class:`~repro.obs.progress.ResourceSampler`;
+* :mod:`~repro.obs.progress` — live island telemetry: the ambient
+  progress sink that folds each island's ``island.epoch`` events, and
+  the ``--progress`` / ``repro obs top`` renderers;
 * :mod:`~repro.obs.runtime` — the ambient (tracer, metrics, recorder)
   triple library code reads, scoped by sessions and island hosts;
 * :mod:`~repro.obs.export` — Chrome trace-event JSON, Prometheus text
@@ -28,7 +28,9 @@ figure harness:
   :func:`~repro.obs.events.write_jsonl`).
 
 Each record is kept once: span closes live only in the tracer, and the
-timeline derives their rows at export.
+timeline derives their rows at export; an island epoch is one
+``island.epoch`` event, which the recorder keeps and the progress sink
+folds.
 
 See ``docs/observability.md`` for the span model, the metric catalog,
 and the overhead contract.
@@ -62,12 +64,7 @@ from repro.obs.metrics import (
     NULL_METRICS,
     NullMetrics,
 )
-from repro.obs.progress import (
-    Heartbeat,
-    ProgressAggregator,
-    ProgressPrinter,
-    ResourceSampler,
-)
+from repro.obs.progress import ProgressAggregator, ProgressPrinter
 from repro.obs.trace import NULL_TRACER, NullTracer, SpanRecord, Tracer
 
 __all__ = [
@@ -77,7 +74,6 @@ __all__ = [
     "EventRecord",
     "FlightRecorder",
     "Gauge",
-    "Heartbeat",
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",
@@ -88,7 +84,6 @@ __all__ = [
     "NullTracer",
     "ProgressAggregator",
     "ProgressPrinter",
-    "ResourceSampler",
     "SpanRecord",
     "Tracer",
     "chrome_trace_events",

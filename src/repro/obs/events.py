@@ -84,6 +84,21 @@ class EventRecord:
         }
 
     @classmethod
+    def now(
+        cls, name: str, category: str = "repro", island: int | None = None, **attrs: Any
+    ) -> "EventRecord":
+        """An event stamped with the current clocks and this process's pid."""
+        return cls(
+            name=name,
+            category=category,
+            wall_us=_now_us(),
+            mono_ns=time.monotonic_ns(),
+            pid=os.getpid(),
+            island=island,
+            attrs=attrs,
+        )
+
+    @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "EventRecord":
         island = payload.get("island")
         return cls(
@@ -105,6 +120,9 @@ class NullRecorder:
     island = None
 
     def emit(self, name: str, category: str = "repro", **attrs: Any) -> None:
+        pass
+
+    def keep(self, record: EventRecord) -> None:
         pass
 
     def events(self) -> list[EventRecord]:
@@ -157,15 +175,10 @@ class FlightRecorder:
     def emit(self, name: str, category: str = "repro", **attrs: Any) -> None:
         """Record one event, stamped now, on this recorder's island."""
         island = attrs.pop("island", self.island)
-        record = EventRecord(
-            name=name,
-            category=category,
-            wall_us=_now_us(),
-            mono_ns=time.monotonic_ns(),
-            pid=os.getpid(),
-            island=island,
-            attrs=attrs,
-        )
+        self.keep(EventRecord.now(name, category, island, **attrs))
+
+    def keep(self, record: EventRecord) -> None:
+        """Append one already-stamped event to the ring."""
         with self._lock:
             if len(self._ring) >= self.capacity:
                 self._ring.popleft()

@@ -36,8 +36,9 @@ corrupt file — anything that raises
 among them) or :class:`~repro.errors.MonitoringError`, or disagrees
 with the manifest — makes :meth:`DatasetCache.load` return ``None``,
 and the caller regenerates; the ``cache`` flight-recorder event names
-the file and the reason.  Any other exception is a loader bug and
-raises.
+the file and the reason.  A figure result is a miss on the same terms
+(:meth:`DatasetCache.load_figure`).  Any other exception is a loader
+bug and raises.
 """
 
 from __future__ import annotations
@@ -302,16 +303,21 @@ class DatasetCache:
             raise
 
     def load_figure(self, key: str, figure_id: str):
-        """A cached figure result, or ``None``."""
+        """A cached figure result, or ``None`` when the file is missing,
+        corrupt or another schema's; any other exception raises."""
         path = self._figure_path(key, figure_id)
         try:
             with path.open("rb") as fh:
                 payload = pickle.load(fh)
-            if payload.get("schema_version") != SCHEMA_VERSION:
-                _count_cache_event("figure_miss")
-                return None
-            _count_cache_event("figure_hit")
-            return payload["result"]
-        except Exception:
-            _count_cache_event("figure_miss")
-            return None
+        except _CORRUPT as error:
+            reason = f"{type(error).__name__}: {error}"
+        else:
+            if not isinstance(payload, dict):
+                reason = f"holds a {type(payload).__name__}, not a figure payload"
+            elif payload.get("schema_version") != SCHEMA_VERSION:
+                reason = "another schema version"
+            else:
+                _count_cache_event("figure_hit")
+                return payload["result"]
+        _count_cache_event("figure_miss", file=path.name, reason=reason)
+        return None

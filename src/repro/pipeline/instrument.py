@@ -1,9 +1,9 @@
 """Per-stage timing and row-count instrumentation for pipeline sessions.
 
 A :class:`~repro.pipeline.session.Session` executes the dataset
-pipeline as named stages (``workload → schedule → sampling →
-monitor → assemble``) plus the cache interactions (``cache_load`` /
-``cache_store``) and figure execution (``figures``).  Every stage run
+pipeline as named stages (``workload → schedule → assemble``) plus
+the cache interactions (``cache_load`` / ``cache_store``) and figure
+execution (``figures``).  Every stage run
 is recorded here with wall time and the number of rows (or items) it
 produced, and named counters track how often the expensive paths ran —
 ``build`` vs ``cache_hit`` is how callers verify that a dataset was

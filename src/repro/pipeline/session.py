@@ -1,13 +1,13 @@
 """The :class:`Session` — single entry point to the dataset engine.
 
 A session owns one pipeline configuration and everything derived from
-it: the staged dataset build (``workload → schedule → sampling →
-monitor → assemble``, run by :func:`repro.pipeline.shard.build_sharded_dataset`
-as ``partitions`` cluster islands, one island for the whole machine),
-the on-disk artifact cache, figure execution, and per-stage
+it: the staged dataset build (``workload → schedule → assemble``, run
+by :func:`repro.pipeline.shard.build_sharded_dataset` as
+``partitions`` cluster islands, one island for the whole machine), the
+on-disk artifact cache, figure execution, and per-stage
 instrumentation.  Each island evaluates the GPU sampling tasks its
-monitoring epilogs deferred as it finishes, inside ``schedule``; the
-``sampling`` stage tallies those rows.  The session's ``workers``
+monitoring epilogs deferred as it finishes, inside ``schedule``, under
+its own ``monitor.sampling`` span.  The session's ``workers``
 setting bounds the forked island hosts and the cohort-generation
 pool; figures always run in the session's process.  Consumers —
 the CLI, figure regeneration, validation, robustness sweeps,
@@ -44,7 +44,7 @@ from repro.pipeline.shard import build_sharded_dataset
 from repro.workload.generator import WorkloadConfig
 
 #: The dataset-construction stages, in execution order.
-BUILD_STAGES = ("workload", "schedule", "sampling", "monitor", "assemble")
+BUILD_STAGES = ("workload", "schedule", "assemble")
 
 
 class Session:

@@ -118,7 +118,7 @@ def _island_finish(simulator, state, result) -> dict:
 
     collector, partition, context = state
     simulator.cluster.check_invariants()
-    sampling_rows = collector.flush()
+    collector.flush()
     per_gpu = collector.per_gpu_table()
     tables = {
         "jobs": accounting_table(
@@ -137,7 +137,6 @@ def _island_finish(simulator, state, result) -> dict:
         sources = {name: str(island_dir / name) for name in tables}
         store = str(island_dir / "series")
     return {
-        "sampling_rows": sampling_rows,
         "tables": {
             name: (sources[name], table.num_rows) for name, table in tables.items()
         },
@@ -238,23 +237,22 @@ def build_sharded_dataset(
 ):
     """Build the dataset as ``config.partitions`` islands: the only build.
 
-    Five stages.  ``workload`` draws the requests, its cohort streams
+    Three stages.  ``workload`` draws the requests, its cohort streams
     across a pool of ``workers`` processes when there are several;
     ``schedule`` runs the islands through one
     :class:`~repro.slurm.interchange.PartitionedRunner` — in-process, or
     across ``min(workers, partitions)`` forked hosts — whose finish hook
-    also samples each island and builds its key-sorted tables;
-    ``sampling`` tallies those rows; ``monitor`` opens the lazy k-way
-    merges of the island tables and unions the series stores; and
-    ``assemble`` runs the merges through the joins and lands the job
-    tables (:func:`_assemble`).  Both builds share that path; only where
-    the tables land differs.  Without ``streaming`` they stay in memory.
-    With ``streaming=True`` the islands spill them, ``assemble`` spills
-    its chunks once under ``<spill_dir>/assembled/`` and removes the
-    island table spills, and the returned dataset holds those
-    file-backed tables, a spilled series store, and no job records
-    (``spill_dir`` defaults to a temp directory, removed if any stage
-    from ``schedule`` on fails).
+    also samples each island (a ``monitor.sampling`` span per island)
+    and builds its key-sorted tables; and ``assemble`` unions the
+    series stores, k-way merges the island tables, runs the merges
+    through the joins and lands the job tables (:func:`_assemble`).
+    Both builds share that path; only where the tables land differs.
+    Without ``streaming`` they stay in memory.  With ``streaming=True``
+    the islands spill them, ``assemble`` spills its chunks once under
+    ``<spill_dir>/assembled/`` and removes the island table spills, and
+    the returned dataset holds those file-backed tables, a spilled
+    series store, and no job records (``spill_dir`` defaults to a temp
+    directory, removed if any stage from ``schedule`` on fails).
     """
     import shutil
     import tempfile
@@ -310,24 +308,16 @@ def build_sharded_dataset(
             ).set_max(outcome.island_peak_rss_bytes)
             probe.rows = sum(island["tables"]["jobs"][1] for island in islands)
 
-        with inst.stage("sampling") as probe:
-            # Sampling already ran island-locally inside ``schedule``; this
-            # stage only accounts for it so stage rows stay comparable.
-            probe.rows = sum(island["sampling_rows"] for island in islands)
-
-        with inst.stage("monitor") as probe:
-            jobs = _merge_islands(islands, "jobs", ("job_id",), rows, ACCOUNTING_COLUMNS)
-            gpu_summary = _merge_islands(islands, "gpu_summary", ("job_id",), rows)
-            per_gpu = _merge_islands(islands, "per_gpu", ("job_id", "gpu_index"), rows)
+        with inst.stage("assemble") as probe:
             stores = [island["store"] for island in islands]
             store = (
                 SpilledTimeSeriesStore(stores) if streaming else TimeSeriesStore.merged(stores)
             )
-            probe.rows = per_gpu.num_rows
-
-        with inst.stage("assemble") as probe:
             jobs, gpu_jobs, per_gpu = _assemble(
-                jobs, gpu_summary, per_gpu, Path(spill) / "assembled" if streaming else None
+                _merge_islands(islands, "jobs", ("job_id",), rows, ACCOUNTING_COLUMNS),
+                _merge_islands(islands, "gpu_summary", ("job_id",), rows),
+                _merge_islands(islands, "per_gpu", ("job_id", "gpu_index"), rows),
+                Path(spill) / "assembled" if streaming else None,
             )
             if streaming:
                 for island in islands:

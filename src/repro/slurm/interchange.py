@@ -397,14 +397,15 @@ class IslandHost:
     * ``finalize()`` — ``finalize``, remap nodes, ``island_finish``;
       the reply is ``{"result", "extra", "peak_rss_bytes"}``.
 
-    ``beat`` receives heartbeat payloads; ``lanes`` is a forked host's
-    own live ``(tracer, recorder)`` pair (``None`` for one that is off),
-    re-stamped with the island index before each island steps so its
-    spans and events keep their island.
+    ``beat`` receives each ``island.epoch`` event (the progress sink's
+    ``update``, or a forked host's heartbeat pipe); ``lanes`` is a
+    forked host's own live ``(tracer, recorder)`` pair (``None`` for one
+    that is off), re-stamped with the island index before each island
+    steps so its spans and events keep their island.
     """
 
     def __init__(self, runner: PartitionedRunner, buckets: dict[int, list], *,
-                 beat: Callable[[dict], None] | None = None,
+                 beat: Callable[[Any], None] | None = None,
                  lanes: tuple = (None, None)) -> None:
         self.runner = runner
         self.islands = sorted(buckets)
@@ -516,41 +517,33 @@ class IslandHost:
             recorder.island = index
 
     def _report(self, index: int, simulator: SlurmSimulator) -> None:
-        """The island's epoch event and heartbeat — observation only,
-        never part of the protocol payload."""
-        from repro.obs.runtime import get_metrics, get_recorder, record_event
+        """The island's ``island.epoch`` event, built once: the recorder
+        keeps it and ``beat`` carries the same event to the progress
+        sink.  Observation only, never part of the protocol payload."""
+        from repro.obs.events import EventRecord
+        from repro.obs.runtime import get_metrics, get_recorder, peak_rss_bytes
 
-        if self._beat is None and not get_recorder().enabled:
+        recorder = get_recorder()
+        if self._beat is None and not recorder.enabled:
             return
-        now, queued = float(simulator.loop.now), len(simulator.queue)
-        record_event(
-            "island.epoch", category="interchange", island=index,
-            epoch=self._epoch, sim_time_s=now, queue_depth=queued,
-        )
-        if self._beat is None:
-            return
-        from repro.obs.progress import Heartbeat
-        from repro.obs.runtime import peak_rss_bytes
-
         metrics = get_metrics()
-        spill = sum(
-            counter.value
-            for name, _labels, counter in metrics.samples("counter")
-            if name == "repro_frame_spill_bytes_total"
-        ) if metrics.enabled else 0.0
-        self._beat(
-            Heartbeat(
-                island=index,
-                epoch=self._epoch,
-                sim_time_s=now,
-                queue_depth=queued,
-                running=len(simulator._running),
-                events=simulator.loop.processed,
-                dispatched=len(simulator.records),
-                peak_rss_bytes=peak_rss_bytes(),
-                spill_bytes=spill,
-            ).to_payload()
+        event = EventRecord.now(
+            "island.epoch", "interchange", index,
+            epoch=self._epoch,
+            sim_time_s=float(simulator.loop.now),
+            queue_depth=len(simulator.queue),
+            running=len(simulator._running),
+            events=simulator.loop.processed,
+            dispatched=len(simulator.records),
+            peak_rss_bytes=peak_rss_bytes(),
+            spill_bytes=(
+                metrics.counter_value("repro_frame_spill_bytes_total")
+                if metrics.enabled else 0.0
+            ),
         )
+        recorder.keep(event)
+        if self._beat is not None:
+            self._beat(event)
 
 
 def _remap_nodes(records: list[JobRecord], node_start: int) -> None:

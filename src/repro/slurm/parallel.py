@@ -18,8 +18,9 @@ one ``("ok", reply)`` per owned island in index order, or with
 ``("error", traceback)`` in place of the failing island's reply and
 exits.  Finalize replies also carry the host's drained spans, metrics
 and flight-recorder events, which the parent adopts into its ambient
-observability.  Heartbeats ride a separate one-way pipe, so observation
-can never reorder or alter the lockstep payload.
+observability.  While a progress sink watches, each island's
+``island.epoch`` event also rides a separate one-way heartbeat pipe to
+it, so observation can never reorder or alter the lockstep payload.
 
 A host that fails or dies surfaces in the parent as
 :class:`~repro.pipeline.parallel.ParallelTaskError` naming the island
@@ -42,7 +43,7 @@ class ForkedHost:
         self.islands = sorted(buckets)
         self._sink = sink
         self._conn, child = ctx.Pipe()
-        # duplex=False: heartbeats flow host -> parent only.
+        # duplex=False: island.epoch events flow host -> parent only.
         self._beats, child_beats = ctx.Pipe(duplex=False) if sink is not None else (None, None)
         self.process = ctx.Process(
             target=_host_main, args=(child, runner, buckets, child_beats), daemon=True
@@ -97,8 +98,8 @@ class ForkedHost:
             self.process.join()
 
     def _forward_heartbeats(self) -> None:
-        """Hand queued heartbeats to the progress sink, never blocking:
-        the lockstep does not wait on telemetry."""
+        """Hand queued ``island.epoch`` events to the progress sink,
+        never blocking: the lockstep does not wait on telemetry."""
         if self._beats is None:
             return
         try:

@@ -13,6 +13,7 @@ declared once with its tolerance semantics:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.dataset import SupercloudDataset
@@ -128,14 +129,19 @@ def validate_dataset(dataset: SupercloudDataset) -> list[CheckResult]:
 
     Figures come from :func:`~repro.figures.registry.run_figure`, which
     the dataset memoizes: each runs at most once, and a figure a report
-    already ran is graded from its kept result.
+    already ran is graded from its kept result.  A check whose
+    statistic the figure did not emit fails, with ``paper`` and
+    ``measured`` NaN, so a statistic that goes missing lowers the pass
+    fraction instead of leaving the scorecard.
     """
     out: list[CheckResult] = []
     for check in CHECKS:
+        result = run_figure(check.figure_id, dataset)
         try:
-            comparison = run_figure(check.figure_id, dataset).get(check.name)
+            comparison = result.get(check.name)
         except KeyError:
-            continue  # the statistic was not computable on this dataset
+            out.append(CheckResult(check, paper=math.nan, measured=math.nan, passed=False))
+            continue
         out.append(
             CheckResult(
                 check=check,

@@ -1,24 +1,21 @@
-"""Live telemetry: heartbeats, the ambient sink, rendering, sampler."""
+"""Live telemetry: the ambient sink folding ``island.epoch`` events,
+and the rendered island table."""
 
 from __future__ import annotations
 
 import io
-import time
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.events import EventRecord
 from repro.obs.progress import (
-    Heartbeat,
     ProgressAggregator,
     ProgressPrinter,
-    ResourceSampler,
     get_sink,
     use_sink,
 )
 
 
-def _beat(island: int = 0, epoch: int = 1, **overrides) -> Heartbeat:
-    fields = dict(
-        island=island,
+def _epoch(island: int = 0, epoch: int = 1, **overrides) -> EventRecord:
+    attrs = dict(
         epoch=epoch,
         sim_time_s=3600.0 * epoch,
         queue_depth=5,
@@ -28,14 +25,8 @@ def _beat(island: int = 0, epoch: int = 1, **overrides) -> Heartbeat:
         peak_rss_bytes=256 * 1024 * 1024,
         spill_bytes=0.0,
     )
-    fields.update(overrides)
-    return Heartbeat(**fields)
-
-
-def test_heartbeat_payload_round_trip():
-    beat = _beat(island=3, epoch=7)
-    twin = Heartbeat.from_payload(beat.to_payload())
-    assert twin == beat
+    attrs.update(overrides)
+    return EventRecord.now("island.epoch", "interchange", island, **attrs)
 
 
 def test_ambient_sink_scoping():
@@ -43,11 +34,11 @@ def test_ambient_sink_scoping():
     agg = ProgressAggregator()
     with use_sink(agg):
         assert get_sink() is agg
-        get_sink().update(_beat(island=1))
-        get_sink().update(_beat(island=2).to_payload())  # plain dicts work too
+        get_sink().update(_epoch(island=1))
+        get_sink().update(_epoch(island=2))
     assert get_sink() is None
-    assert agg.heartbeats == 2
-    assert {hb.island for hb in agg.islands()} == {1, 2}
+    assert agg.updates == 2
+    assert {event.island for event in agg.islands()} == {1, 2}
 
 
 def test_use_sink_restores_previous_sink():
@@ -55,34 +46,34 @@ def test_use_sink_restores_previous_sink():
     inner = ProgressAggregator()
     with use_sink(outer):
         with use_sink(inner):
-            get_sink().update(_beat())
+            get_sink().update(_epoch())
         assert get_sink() is outer
     assert get_sink() is None
-    assert inner.heartbeats == 1
-    assert outer.heartbeats == 0
+    assert inner.updates == 1
+    assert outer.updates == 0
 
 
 def test_aggregator_keeps_latest_per_island():
     agg = ProgressAggregator()
-    agg.update(_beat(island=0, epoch=1))
-    agg.update(_beat(island=0, epoch=5))
-    agg.update(_beat(island=1, epoch=2))
-    assert agg.heartbeats == 3
-    latest = {hb.island: hb.epoch for hb in agg.islands()}
+    agg.update(_epoch(island=0, epoch=1))
+    agg.update(_epoch(island=0, epoch=5))
+    agg.update(_epoch(island=1, epoch=2))
+    assert agg.updates == 3
+    latest = {event.island: event.attrs["epoch"] for event in agg.islands()}
     assert latest == {0: 5, 1: 2}
 
 
 def test_aggregator_on_update_callback():
     seen = []
-    agg = ProgressAggregator(on_update=lambda a: seen.append(a.heartbeats))
-    agg.update(_beat())
-    agg.update(_beat(epoch=2))
+    agg = ProgressAggregator(on_update=lambda a: seen.append(a.updates))
+    agg.update(_epoch())
+    agg.update(_epoch(epoch=2))
     assert seen == [1, 2]
 
 
 def test_render_contains_island_rows():
     agg = ProgressAggregator()
-    agg.update(_beat(island=0, epoch=12, queue_depth=99))
+    agg.update(_epoch(island=0, epoch=12, queue_depth=99))
     text = agg.render()
     assert "1 island(s)" in text
     assert "sim-clock" in text
@@ -91,13 +82,13 @@ def test_render_contains_island_rows():
 
 
 def test_render_without_heartbeats():
-    assert "no heartbeats yet" in ProgressAggregator().render()
+    assert "no island epochs yet" in ProgressAggregator().render()
 
 
 def test_printer_plain_mode_emits_lines():
     stream = io.StringIO()
     printer = ProgressPrinter(stream, interval_s=0.0, live=False)
-    printer.update(_beat(island=0, epoch=3, queue_depth=7))
+    printer.update(_epoch(island=0, epoch=3, queue_depth=7))
     printer.finish()
     out = stream.getvalue()
     assert "progress: i0:e3/q7" in out
@@ -107,8 +98,8 @@ def test_printer_plain_mode_emits_lines():
 def test_printer_live_mode_redraws_in_place():
     stream = io.StringIO()
     printer = ProgressPrinter(stream, interval_s=0.0, live=True)
-    printer.update(_beat(island=0, epoch=1))
-    printer.update(_beat(island=0, epoch=2))
+    printer.update(_epoch(island=0, epoch=1))
+    printer.update(_epoch(island=0, epoch=2))
     out = stream.getvalue()
     assert "\x1b[" in out  # cursor-up + clear between frames
     printer.finish()  # live mode leaves the last frame on screen
@@ -118,37 +109,6 @@ def test_printer_live_mode_redraws_in_place():
 def test_printer_throttles_redraws():
     stream = io.StringIO()
     printer = ProgressPrinter(stream, interval_s=60.0, live=False)
-    printer.update(_beat(epoch=1))
-    printer.update(_beat(epoch=2))  # within the interval: suppressed
+    printer.update(_epoch(epoch=1))
+    printer.update(_epoch(epoch=2))  # within the interval: suppressed
     assert stream.getvalue().count("progress:") == 1
-
-
-def test_resource_sampler_records_gauges():
-    metrics = MetricsRegistry()
-    metrics.counter("repro_frame_stream_rows_total", op="spill").inc(1000)
-    sampler = ResourceSampler(metrics, interval_s=0.01)
-    with sampler:
-        metrics.counter("repro_frame_stream_rows_total", op="spill").inc(500)
-        time.sleep(0.05)
-    assert sampler.samples >= 1
-    assert metrics.gauge("repro_process_peak_rss_bytes").value > 0
-    # 500 rows arrived during the sampling window: throughput is positive.
-    assert metrics.gauge("repro_stream_rows_per_s").value >= 0
-
-
-def test_resource_sampler_uses_ambient_registry_when_unbound():
-    from repro.obs import runtime
-
-    metrics = MetricsRegistry()
-    sampler = ResourceSampler()  # no registry bound at construction
-    with runtime.use(None, metrics, None):
-        sampler.sample()
-    assert metrics.gauge("repro_process_peak_rss_bytes").value > 0
-
-
-def test_resource_sampler_disabled_registry_is_inert():
-    from repro.obs.metrics import NULL_METRICS
-
-    sampler = ResourceSampler(NULL_METRICS)
-    sampler.sample()
-    assert sampler.samples == 0  # nothing to record against

@@ -178,6 +178,50 @@ class TestCorruption:
             "records.pkl", "timeseries.npz",
         ]
 
+    def test_figure_loader_bug_raises_and_evicts_nothing(self, tmp_path, monkeypatch):
+        """A figure-result load that fails on anything but corrupt input
+        leaves ``run_figures``, and the figure file stays on disk."""
+        import pickle
+        from pathlib import Path
+
+        cache_dir = tmp_path / "cache"
+        first = Session(CONFIG, cache_dir=cache_dir)
+        first.run_figures(["fig13"])
+        figure_file = cache_dir / f"{first.key}.figures" / "fig13.pkl"
+        load = pickle.load
+
+        def broken_for_the_figure(fh, *args, **kwargs):
+            if Path(fh.name) == figure_file:
+                raise TypeError("a bug in a figure loader")
+            return load(fh, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "load", broken_for_the_figure)
+        second = Session(CONFIG, cache_dir=cache_dir)
+        with pytest.raises(TypeError, match="a bug in a figure loader"):
+            second.run_figures(["fig13"])
+        assert figure_file.is_file() and DatasetCache(cache_dir).has(first.key)
+        assert not [event for event in second.recorder.events() if event.name == "cache"]
+
+    def test_truncated_figure_file_is_a_miss_and_recomputed(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        first = Session(CONFIG, cache_dir=cache_dir)
+        (expected,) = first.run_figures(["fig13"])
+        figure_file = cache_dir / f"{first.key}.figures" / "fig13.pkl"
+        figure_file.write_bytes(figure_file.read_bytes()[:-16])
+
+        second = Session(CONFIG, cache_dir=cache_dir)
+        (result,) = second.run_figures(["fig13"])
+        assert second.instrumentation.count("figure_cache_hit") == 0
+        assert second.instrumentation.count("figures_computed") == 1
+        assert result.to_text() == expected.to_text()
+        misses = [
+            event.attrs
+            for event in second.recorder.events()
+            if event.name == "cache" and event.attrs["kind"] == "figure_miss"
+        ]
+        assert [attrs["file"] for attrs in misses] == ["fig13.pkl"]
+        assert misses[0]["reason"].startswith(("UnpicklingError", "EOFError"))
+
 
 class TestWriteFailure:
     def test_failed_series_write_leaves_no_entry(self, small_dataset, tmp_path, monkeypatch):

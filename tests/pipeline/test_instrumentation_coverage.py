@@ -7,8 +7,9 @@ in Chrome traces, the run report, and the exported event timeline).
 Adding a stage to ``BUILD_STAGES`` or a figure to the registry without
 instrumentation fails here, not in a silent gap in the next trace
 someone reads.  They also pin that each record is kept once: span
-closes live only in the tracer, and the flight recorder holds only the
-moments no span covers.
+closes live only in the tracer, the flight recorder holds only the
+moments no span covers, and the progress sink folds the recorder's own
+``island.epoch`` events.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import os
 import pytest
 
 from repro.figures.registry import all_figures
-from repro.obs import timeline_events
+from repro.obs import ProgressAggregator, timeline_events
+from repro.obs.progress import use_sink
 from repro.pipeline import BUILD_STAGES, Session
 from repro.slurm.interchange import InterchangeConfig
 from repro.workload.generator import WorkloadConfig
@@ -89,15 +91,22 @@ def test_each_cache_entry_file_opens_one_span(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def forked_stream_session(tmp_path_factory):
-    """A forked two-island coupled streaming build."""
+def watched_forked_build(tmp_path_factory):
+    """A forked two-island coupled streaming build under a progress sink."""
     session = Session(
         FORKED_CONFIG,
         workers=2,
         interchange=InterchangeConfig(epoch_s=3600.0, migrate_after_s=900.0),
     )
-    session.streaming_dataset(chunk_rows=512, spill_dir=tmp_path_factory.mktemp("spill"))
-    return session
+    progress = ProgressAggregator()
+    with use_sink(progress):
+        session.streaming_dataset(chunk_rows=512, spill_dir=tmp_path_factory.mktemp("spill"))
+    return session, progress
+
+
+@pytest.fixture(scope="module")
+def forked_stream_session(watched_forked_build):
+    return watched_forked_build[0]
 
 
 @pytest.mark.parametrize(
@@ -122,6 +131,22 @@ def test_each_record_is_kept_once(build, islands, request):
     ]
     assert sorted(rows) == sorted((f"span:{s.name}", s.end_us, s.pid) for s in spans)
     assert {event.island for event in events if event.name == "island.epoch"} == islands
+
+
+def test_each_island_epoch_is_one_event(watched_forked_build):
+    """The recorder keeps one ``island.epoch`` event per island epoch,
+    and the progress sink folds those same events, one update each."""
+    session, progress = watched_forked_build
+    by_island: dict[int, list] = {}
+    for event in session.recorder.events():
+        if event.name == "island.epoch":
+            by_island.setdefault(event.island, []).append(event)
+    assert sorted(by_island) == [0, 1]
+    for events in by_island.values():
+        events.sort(key=lambda event: event.attrs["epoch"])
+        assert [event.attrs["epoch"] for event in events] == list(range(1, len(events) + 1))
+    assert sum(len(events) for events in by_island.values()) == progress.updates
+    assert progress.islands() == [by_island[island][-1] for island in (0, 1)]
 
 
 def test_untraced_forked_hosts_ship_no_records(tmp_path, monkeypatch):

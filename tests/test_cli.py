@@ -316,6 +316,22 @@ class TestCommands:
         assert "jobs.csv" in captured.out  # command output intact, on stdout
         assert "sharded build:" in captured.err  # telemetry stays on stderr
 
+    @pytest.mark.parametrize("command", [["generate", "--progress"], ["obs", "top"]])
+    def test_live_telemetry_starts_no_thread(self, command, tmp_path, capsys, monkeypatch):
+        import threading
+
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda thread: (started.append(thread.name), start(thread))
+        )
+        argv = [*command, "--scale", "0.01", "--seed", "5", "--no-cache", "--workers", "1"]
+        if command[0] == "generate":
+            argv += ["--output", str(tmp_path / "ds")]
+        assert main(argv) == 0
+        assert "sharded build:" in capsys.readouterr().err
+        assert started == []
+
     def test_report_second_run_hits_cache(self, tmp_path, capsys):
         argv = [
             "report", "--scale", "0.01", "--seed", "5",

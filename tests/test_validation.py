@@ -55,8 +55,10 @@ class TestScorecard:
         assert {c.figure_id for c in CHECKS} <= figure_ids
 
     def test_validate_runs_most_checks(self, medium_dataset):
+        import math
+
         results = validate_dataset(medium_dataset)
-        assert len(results) >= 0.9 * len(CHECKS)
+        assert sum(not math.isnan(r.measured) for r in results) >= 0.9 * len(CHECKS)
 
     def test_medium_dataset_mostly_passes(self, medium_dataset):
         results = validate_dataset(medium_dataset)
@@ -67,6 +69,27 @@ class TestScorecard:
         assert set(table.column_names) == {
             "figure", "statistic", "kind", "paper", "measured", "passed",
         }
+
+    def test_missing_statistic_fails_by_name(self, small_dataset):
+        """A check whose statistic its figure did not emit is graded
+        failed, with NaN measured, and lowers the pass fraction."""
+        import dataclasses
+        import math
+
+        dataset = dataclasses.replace(small_dataset)
+        full = validate_dataset(dataset)
+        dropped = "single-GPU job fraction"
+        fig13 = dataset.figure_results["fig13"]
+        dataset.figure_results["fig13"] = dataclasses.replace(
+            fig13, comparisons=[c for c in fig13.comparisons if c.name != dropped]
+        )
+        results = validate_dataset(dataset)
+        assert [r.check for r in results] == list(CHECKS)
+        (missing,) = [r for r in results if r.check.name == dropped]
+        assert not missing.passed and math.isnan(missing.measured)
+        kept = [(r.check, r.measured, r.passed) for r in results if r is not missing]
+        assert kept == [(r.check, r.measured, r.passed) for r in full if r.check.name != dropped]
+        assert pass_fraction(results) == sum(passed for _, _, passed in kept) / len(CHECKS)
 
     def test_pass_fraction_empty_rejected(self):
         with pytest.raises(AnalysisError):
