@@ -5,7 +5,6 @@ import time
 
 from repro.bench import record_bench_stat
 from repro.dataset import generate_dataset
-from repro.figures.registry import run_all
 from repro.pipeline import Session
 from repro.slurm.scheduler import SlurmSimulator
 from repro.cluster.spec import supercloud_spec
@@ -68,23 +67,24 @@ def test_full_dataset_pipeline(benchmark):
 
 
 def test_cached_report(tmp_path):
-    """Perf gate on the cache path: warm ``run_all`` must be >=5x cold.
+    """Perf gate on the cache path: a warm ``run_figures`` must be >=5x
+    a cold one.
 
-    A regression that silently stops hitting the dataset or figure
-    caches (key instability, broken load, eager rebuild) collapses the
-    warm/cold ratio far below 5 and fails here visibly.
+    A regression that silently stops hitting the dataset cache (key
+    instability, broken load, eager rebuild) collapses the warm/cold
+    ratio far below 5 and fails here visibly.
     """
     config = WorkloadConfig(scale=0.01, seed=3)
     cache_dir = tmp_path / "cache"
 
     start = time.perf_counter()
     cold_session = Session(config, cache_dir=cache_dir)
-    cold_results = run_all(cold_session)
+    cold_results = cold_session.run_figures()
     cold_s = time.perf_counter() - start
 
     start = time.perf_counter()
     warm_session = Session(config, cache_dir=cache_dir)
-    warm_results = run_all(warm_session)
+    warm_results = warm_session.run_figures()
     warm_s = time.perf_counter() - start
 
     assert [r.figure_id for r in warm_results] == [r.figure_id for r in cold_results]
@@ -92,7 +92,7 @@ def test_cached_report(tmp_path):
     assert warm_session.instrumentation.count("build") == 0
     assert not warm_session.executed("workload")
     assert warm_s * 5 <= cold_s, (
-        f"warm run_all took {warm_s:.2f}s vs cold {cold_s:.2f}s (< 5x speedup)"
+        f"warm run_figures took {warm_s:.2f}s vs cold {cold_s:.2f}s (< 5x speedup)"
     )
 
     # The entry's cost per file, from the cache spans: bytes on disk and
@@ -100,7 +100,7 @@ def test_cached_report(tmp_path):
     loader = Session(config, cache_dir=cache_dir)
     loader.dataset()
     spans = [span for span in loader.tracer.finished() if span.name == "cache.load"]
-    assert len(spans) == 7
+    assert len(spans) == 6
     stats = {}
     for span in spans:
         stem = span.attrs["file"].replace(".", "_")

@@ -20,8 +20,10 @@ Quickstart
 ----------
 A :class:`~repro.pipeline.Session` owns dataset construction: it runs
 the ``workload → schedule → assemble`` stages at most once,
-memoizes the result, and (with ``cache_dir``) persists the artifacts
-so later runs — even in other processes — skip generation entirely.
+memoizes the result, and (with ``cache_dir``) persists its tables,
+series and job records so later runs — even in other processes — skip
+generation entirely.  Figures are computed from the dataset a session
+holds; it keeps each result.
 
 >>> from repro import Session
 >>> session = Session.from_scenario(scale=0.02, seed=7)
@@ -46,7 +48,7 @@ from repro.pipeline import Session
 from repro.workload.calibration import PAPER_TARGETS, PaperTargets
 from repro.workload.generator import WorkloadConfig
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "PAPER_TARGETS",

@@ -31,7 +31,9 @@ flight recorder's events and one row per span, as JSONL), plus
 ``docs/observability.md``.  All of
 them share one :class:`repro.pipeline.Session`, so the dataset is
 built at most once per configuration — and at most once *ever* while
-the cache holds it.
+the cache holds it.  Figures are computed from that dataset on every
+run; ``generate``, ``report``, ``validate``, ``summary`` and ``obs top``
+end with the session's stage and cache summary.
 """
 
 from __future__ import annotations
@@ -215,10 +217,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.figures.registry import run_all
-
-    session = _session(args)
-    (result,) = run_all(session, [args.figure_id])
+    (result,) = _session(args).run_figures([args.figure_id])
     print(result.to_text())
     return 0
 
@@ -227,8 +226,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.figures.report import write_report
 
     session = _session(args)
-    path = write_report(session, args.output)
-    print(f"wrote {path} ({session.dataset().describe()})")
+    session.run_figures()
+    dataset = session.dataset()
+    path = write_report(dataset, args.output)
+    print(f"wrote {path} ({dataset.describe()})")
     print(session.summary())
     _write_obs(session, args)
     return 0
@@ -273,12 +274,11 @@ def _cmd_opportunities(args: argparse.Namespace) -> int:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     from repro.figures.plots import plottable_figures, save_figure_plots
-    from repro.figures.registry import run_all
 
     session = _session(args)
     figure_ids = plottable_figures() if args.figure_id == "all" else [args.figure_id]
     written = []
-    for result in run_all(session, figure_ids):
+    for result in session.run_figures(figure_ids):
         written.extend(save_figure_plots(result, args.output))
     for path in written:
         print(f"wrote {path}")
@@ -289,7 +289,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 def _cmd_summary(args: argparse.Namespace) -> int:
     from repro.reporting import operator_summary
 
-    print(operator_summary(_session(args)))
+    session = _session(args)
+    print(operator_summary(session.dataset()))
+    print(session.summary())
     return 0
 
 

@@ -106,19 +106,3 @@ def run_figure(figure_id: str, dataset: SupercloudDataset) -> FigureResult:
         figure=figure_id,
     ).observe(time.perf_counter() - start)
     return result
-
-
-def run_all(source, figure_ids: list[str] | None = None) -> list[FigureResult]:
-    """Run figure reproductions against a shared dataset source.
-
-    ``source`` is preferably a :class:`repro.pipeline.Session` — the
-    figures then share its memoized dataset and its on-disk result
-    cache — but a bare :class:`SupercloudDataset` is accepted for
-    compatibility (uncached).
-    """
-    from repro.pipeline.session import Session
-
-    if isinstance(source, Session):
-        return source.run_figures(figure_ids)
-    ids = figure_ids if figure_ids is not None else all_figures()
-    return [run_figure(figure_id, source) for figure_id in ids]

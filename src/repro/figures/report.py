@@ -1,9 +1,8 @@
 """Run every figure and render the paper-vs-measured report.
 
-``python -m repro report`` writes EXPERIMENTS.md from this module.
-Entry points accept either a :class:`repro.pipeline.Session` (shared
-cached dataset and figure results) or a bare
-:class:`~repro.dataset.SupercloudDataset`.
+``python -m repro report`` writes EXPERIMENTS.md from this module,
+after :meth:`repro.pipeline.Session.run_figures` has run the figures
+on the session's dataset, which keeps each result.
 """
 
 from __future__ import annotations
@@ -13,11 +12,6 @@ from pathlib import Path
 from repro.dataset import SupercloudDataset
 from repro.figures.base import FigureResult
 from repro.figures import registry
-
-
-def run_all(source) -> list[FigureResult]:
-    """Run every registered figure against one shared dataset source."""
-    return registry.run_all(source)
 
 
 def render_markdown(dataset: SupercloudDataset, results: list[FigureResult]) -> str:
@@ -50,11 +44,10 @@ def render_markdown(dataset: SupercloudDataset, results: list[FigureResult]) -> 
     return "\n".join(lines)
 
 
-def write_report(source, path: str | Path) -> Path:
-    """Run all figures and write the markdown report to ``path``."""
-    from repro.pipeline.session import as_dataset
-
-    results = run_all(source)
+def write_report(dataset: SupercloudDataset, path: str | Path) -> Path:
+    """Run every registered figure on ``dataset`` and write the
+    markdown report to ``path``."""
+    results = [registry.run_figure(fid, dataset) for fid in registry.all_figures()]
     path = Path(path)
-    path.write_text(render_markdown(as_dataset(source), results), encoding="utf-8")
+    path.write_text(render_markdown(dataset, results), encoding="utf-8")
     return path

@@ -21,7 +21,7 @@ from repro.pipeline.cache import (
 )
 from repro.pipeline.instrument import PipelineInstrumentation, StageRecord
 from repro.pipeline.parallel import parallel_map, resolve_workers
-from repro.pipeline.session import BUILD_STAGES, Session, as_dataset
+from repro.pipeline.session import BUILD_STAGES, Session
 
 __all__ = [
     "BUILD_STAGES",
@@ -30,7 +30,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "Session",
     "StageRecord",
-    "as_dataset",
     "dataset_key",
     "default_cache_dir",
     "parallel_map",

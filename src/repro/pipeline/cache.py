@@ -4,7 +4,8 @@ The paper's own operators materialize the combined dataset *once* and
 run every analysis against that artifact; this module gives the
 reproduction the same property.  A cache entry is keyed by a stable
 content hash of ``(WorkloadConfig, MonitoringConfig, schema
-version)`` and holds:
+version)`` and holds what a session cannot rebuild from its own
+configuration:
 
 ``manifest.json``
     schema version, key, and row counts used as an integrity check;
@@ -19,12 +20,13 @@ version)`` and holds:
     the raw :class:`~repro.slurm.job.JobRecord` list (timeline and
     co-location analyses need the full records); each job's activity
     model pickles as one float64 array
-    (:meth:`~repro.workload.activity.JobActivityModel.__reduce__`);
-``config.pkl``
-    the exact ``(WorkloadConfig, ClusterSpec)`` pair.
+    (:meth:`~repro.workload.activity.JobActivityModel.__reduce__`).
 
-Figure results computed against an entry are cached next to it under
-``<key>.figures/<figure_id>.pkl``.
+A loaded dataset takes the loading session's ``WorkloadConfig`` (the
+key hashes it) and rebuilds its ``ClusterSpec`` from it, as a build
+does.  Figure results are not cached: a session recomputes them from
+the loaded dataset, which keeps each one
+(:attr:`~repro.dataset.SupercloudDataset.figure_results`).
 
 Entries are written to a temp directory and atomically renamed into
 place, so concurrent writers (parallel seed sweeps, two commands
@@ -36,9 +38,8 @@ corrupt file — anything that raises
 among them) or :class:`~repro.errors.MonitoringError`, or disagrees
 with the manifest — makes :meth:`DatasetCache.load` return ``None``,
 and the caller regenerates; the ``cache`` flight-recorder event names
-the file and the reason.  A figure result is a miss on the same terms
-(:meth:`DatasetCache.load_figure`).  Any other exception is a loader
-bug and raises.
+the file and the reason.  Any other exception is a loader bug and
+raises.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+from repro.cluster.spec import supercloud_spec
 from repro.errors import MonitoringError
 from repro.frame import read_csv, write_csv
 from repro.frame.codec import SPILL_READ_ERRORS
@@ -84,7 +86,8 @@ def _count_cache_event(kind: str, **attrs) -> None:
 #:    series as before).
 #: 5: narrow quantised levels in ``timeseries.npz`` and one array per
 #:    activity model in ``records.pkl`` (same decoded content).
-SCHEMA_VERSION = 5
+#: 6: no ``config.pkl`` and no ``<key>.figures/`` figure results.
+SCHEMA_VERSION = 6
 
 _TABLE_FILES = {"jobs": "jobs.csv", "gpu_jobs": "gpu_jobs.csv", "per_gpu": "per_gpu.csv"}
 
@@ -161,7 +164,7 @@ def dataset_key(
 
 
 class DatasetCache:
-    """A directory of immutable dataset (and figure-result) artifacts."""
+    """A directory of immutable dataset artifacts."""
 
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
@@ -204,7 +207,6 @@ class DatasetCache:
             },
             "timeseries.npz": functools.partial(save_store, dataset.timeseries),
             "records.pkl": functools.partial(_dump, dataset.records),
-            "config.pkl": functools.partial(_dump, (dataset.config, dataset.spec)),
             "manifest.json": lambda path: path.write_text(
                 json.dumps(manifest, indent=1), encoding="utf-8"
             ),
@@ -226,9 +228,11 @@ class DatasetCache:
             raise
         return entry
 
-    def load(self, key: str):
-        """Reconstruct a dataset, or ``None`` when the entry is missing,
-        stale or corrupt (see the module docstring)."""
+    def load(self, key: str, config: WorkloadConfig):
+        """Reconstruct the dataset ``config`` builds, or ``None`` when
+        the entry is missing, stale or corrupt (see the module
+        docstring).  ``key`` is the loading session's
+        :func:`dataset_key`, which hashes ``config``."""
         from repro.dataset import SupercloudDataset
 
         entry = self.entry_dir(key)
@@ -257,7 +261,6 @@ class DatasetCache:
             }
             store = read("timeseries.npz", load_store, manifest.get("num_series", -1))
             records = read("records.pkl", _undump, manifest.get("num_records", -1))
-            config, spec = read("config.pkl", _undump, expected=2)
         except _Miss as miss:
             filename, reason = miss.args
             _count_cache_event("dataset_load_failed", file=filename, reason=reason)
@@ -269,55 +272,10 @@ class DatasetCache:
             per_gpu=tables["per_gpu"],
             timeseries=store,
             records=records,
-            spec=spec,
+            spec=supercloud_spec(config.scaled_nodes),
             config=config,
         )
 
     def evict(self, key: str) -> None:
-        """Drop one entry and its figure results (no error if absent)."""
+        """Drop one entry (no error if absent)."""
         shutil.rmtree(self.entry_dir(key), ignore_errors=True)
-        shutil.rmtree(self.root / f"{key}.figures", ignore_errors=True)
-
-    # ------------------------------------------------------------------
-    # Figure-result artifacts
-    # ------------------------------------------------------------------
-    def _figure_path(self, key: str, figure_id: str) -> Path:
-        # kept outside the dataset entry so figure writes can never
-        # collide with the atomic publication of the entry itself
-        return self.root / f"{key}.figures" / f"{figure_id}.pkl"
-
-    def store_figure(self, key: str, figure_id: str, result) -> None:
-        """Cache one figure result next to its dataset entry."""
-        _count_cache_event("figure_store")
-        path = self._figure_path(key, figure_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"schema_version": SCHEMA_VERSION, "result": result}
-        fd, tmp = tempfile.mkstemp(prefix=f".{figure_id}-", dir=path.parent)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def load_figure(self, key: str, figure_id: str):
-        """A cached figure result, or ``None`` when the file is missing,
-        corrupt or another schema's; any other exception raises."""
-        path = self._figure_path(key, figure_id)
-        try:
-            with path.open("rb") as fh:
-                payload = pickle.load(fh)
-        except _CORRUPT as error:
-            reason = f"{type(error).__name__}: {error}"
-        else:
-            if not isinstance(payload, dict):
-                reason = f"holds a {type(payload).__name__}, not a figure payload"
-            elif payload.get("schema_version") != SCHEMA_VERSION:
-                reason = "another schema version"
-            else:
-                _count_cache_event("figure_hit")
-                return payload["result"]
-        _count_cache_event("figure_miss", file=path.name, reason=reason)
-        return None

@@ -22,8 +22,10 @@ True
 
 With ``cache_dir`` set, the built artifacts persist: a second session
 (or a second *process*) with the same configuration loads the frame
-tables and time series from disk instead of re-simulating, and cached
-figure results short-circuit ``run_figures`` entirely.
+tables, time series and job records from disk instead of
+re-simulating.  Figure results live only on the dataset
+(:attr:`~repro.dataset.SupercloudDataset.figure_results`), so every
+session computes its figures from the dataset it holds.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ class Session:
         with obs_runtime.use(self.tracer, self.metrics, self.recorder):
             if self.cache is not None and self.cache.has(self.key):
                 with inst.stage("cache_load", from_cache=True) as probe:
-                    loaded = self.cache.load(self.key)
+                    loaded = self.cache.load(self.key, self.config)
                     probe.rows = loaded.jobs.num_rows if loaded is not None else 0
                 if loaded is not None:
                     inst.bump("cache_hit")
@@ -221,37 +223,21 @@ class Session:
     def run_figures(self, figure_ids: Sequence[str] | None = None) -> list:
         """Run figure reproductions against the shared dataset.
 
-        Cached figure results are returned without touching the
-        dataset at all; the remainder run one after another in this
-        process, under the ``figures`` stage.
+        The figures run one after another in this process, under the
+        ``figures`` stage; the dataset keeps each result, so a figure
+        it already computed is not run again.
         """
         from repro.figures.registry import all_figures, get_figure, run_figure
 
         ids = list(figure_ids) if figure_ids is not None else all_figures()
         for figure_id in ids:
             get_figure(figure_id)  # validate up front
-        inst = self.instrumentation
-        results: dict[str, object] = {}
-        misses = []
         with obs_runtime.use(self.tracer, self.metrics, self.recorder):
-            for figure_id in ids:
-                cached = self.cache.load_figure(self.key, figure_id) if self.cache else None
-                if cached is not None:
-                    results[figure_id] = cached
-                    inst.bump("figure_cache_hit")
-                else:
-                    misses.append(figure_id)
-            if misses:
-                dataset = self.dataset()
-                with inst.stage("figures") as probe:
-                    computed = [run_figure(fid, dataset) for fid in misses]
-                    probe.rows = len(misses)
-                inst.bump("figures_computed", len(misses))
-                for figure_id, result in zip(misses, computed):
-                    results[figure_id] = result
-                    if self.cache is not None:
-                        self.cache.store_figure(self.key, figure_id, result)
-        return [results[figure_id] for figure_id in ids]
+            dataset = self.dataset()
+            with self.instrumentation.stage("figures") as probe:
+                results = [run_figure(figure_id, dataset) for figure_id in ids]
+                probe.rows = len(ids)
+        return results
 
     # ------------------------------------------------------------------
     # Introspection
@@ -275,22 +261,9 @@ class Session:
             f"  cache: {cache_line}",
             f"  workers: {self.workers}",
             f"  builds: {self.instrumentation.count('build')}, "
-            f"cache hits: {self.instrumentation.count('cache_hit')}, "
-            f"figure cache hits: {self.instrumentation.count('figure_cache_hit')}",
+            f"cache hits: {self.instrumentation.count('cache_hit')}",
         ]
         text = self.instrumentation.to_text()
         if text:
             lines.append(text)
         return "\n".join(lines)
-
-
-def as_dataset(source):
-    """Accept a :class:`Session` or a dataset; return the dataset.
-
-    The compatibility bridge that lets every report/summary entry
-    point take either the redesigned session API or a bare
-    ``SupercloudDataset``.
-    """
-    if isinstance(source, Session):
-        return source.dataset()
-    return source

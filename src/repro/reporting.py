@@ -23,15 +23,8 @@ def _section(title: str) -> str:
     return f"\n== {title} " + "=" * max(50 - len(title), 3)
 
 
-def operator_summary(source) -> str:
-    """Render the full text report for one dataset.
-
-    ``source`` is a :class:`repro.pipeline.Session` or a
-    :class:`~repro.dataset.SupercloudDataset`.
-    """
-    from repro.pipeline.session import as_dataset
-
-    dataset: SupercloudDataset = as_dataset(source)
+def operator_summary(dataset: SupercloudDataset) -> str:
+    """Render the full text report for one dataset."""
     gpu = dataset.gpu_jobs
     lines: list[str] = [f"Supercloud operations summary — {dataset.describe()}"]
 
@@ -120,23 +113,4 @@ def operator_summary(source) -> str:
         f"dense GPU series {volume.gpu_series_gb:.1f} GB, CPU series "
         f"{volume.cpu_series_gb:.1f} GB, {volume.epilog_file_count} epilog copy-backs"
     )
-
-    # --- pipeline health (only when we were handed a live session)
-    from repro.pipeline.session import Session
-
-    if isinstance(source, Session):
-        lines.append(_section("pipeline session"))
-        inst = source.instrumentation
-        lines.append(
-            f"builds {inst.count('build')}, cache hits {inst.count('cache_hit')}, "
-            f"figure cache hits {inst.count('figure_cache_hit')}, "
-            f"memory hits {inst.count('memory_hit')}, "
-            f"corrupt entries regenerated {inst.count('cache_corrupt')}"
-        )
-        for record in inst.stages:
-            lines.append("  " + "  " * record.depth + record.formatted())
-        lines.append(
-            f"total stage time {inst.total_seconds():.3f} s "
-            "(top-level stages; nested spans not double-counted)"
-        )
     return "\n".join(lines)

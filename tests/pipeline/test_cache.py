@@ -14,6 +14,11 @@ from repro.workload.generator import WorkloadConfig
 
 CONFIG = WorkloadConfig(scale=0.01, seed=101)
 
+#: Everything a cache entry holds: what a session cannot rebuild.
+ENTRY_FILES = [
+    "gpu_jobs.csv", "jobs.csv", "manifest.json", "per_gpu.csv", "records.pkl", "timeseries.npz",
+]
+
 
 @pytest.fixture(scope="module")
 def cached_pair(tmp_path_factory):
@@ -136,7 +141,7 @@ class TestCorruption:
         assert third.instrumentation.count("cache_hit") == 1
 
     def test_missing_entry_loads_none(self, tmp_path):
-        assert DatasetCache(tmp_path).load("no-such-key") is None
+        assert DatasetCache(tmp_path).load("no-such-key", CONFIG) is None
 
     def test_recorder_names_the_corrupt_file(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -173,54 +178,74 @@ class TestCorruption:
             second.dataset()
         assert second.instrumentation.count("cache_corrupt") == 0
         assert DatasetCache(cache_dir).has(first.key)
-        assert sorted(p.name for p in DatasetCache(cache_dir).entry_dir(first.key).iterdir()) == [
-            "config.pkl", "gpu_jobs.csv", "jobs.csv", "manifest.json", "per_gpu.csv",
-            "records.pkl", "timeseries.npz",
-        ]
+        entry = DatasetCache(cache_dir).entry_dir(first.key)
+        assert sorted(p.name for p in entry.iterdir()) == ENTRY_FILES
 
-    def test_figure_loader_bug_raises_and_evicts_nothing(self, tmp_path, monkeypatch):
-        """A figure-result load that fails on anything but corrupt input
-        leaves ``run_figures``, and the figure file stays on disk."""
+
+class TestFigures:
+    """Figure results come from the dataset a session holds, never from disk."""
+
+    SEED31 = WorkloadConfig(scale=0.01, seed=31)
+
+    def test_one_warm_entry_one_answer(self, tmp_path):
+        """A warm session's figures equal what ``validate_dataset``
+        grades on its dataset (on a copy, which runs its own figures)."""
+        import dataclasses
+
+        from repro.validation import validate_dataset
+
+        Session(self.SEED31, cache_dir=tmp_path).run_figures(["fig06", "fig07"])
+        warm = Session(self.SEED31, cache_dir=tmp_path)
+        results = {r.figure_id: r for r in warm.run_figures(["fig06", "fig07"])}
+        graded = [
+            (r.check.figure_id, r.check.name, r.measured)
+            for r in validate_dataset(dataclasses.replace(warm.dataset()))
+            if r.check.figure_id in results
+        ]
+        assert [(fid, name, results[fid].get(name).measured) for fid, name, _ in graded] == graded
+        assert graded and warm.instrumentation.count("cache_hit") == 1
+
+    def test_cache_never_hides_a_figures_code(self, tmp_path, monkeypatch):
+        from repro.figures import registry
+        from repro.figures.base import FigureResult
+
+        Session(CONFIG, cache_dir=tmp_path).run_figures(["fig15"])
+        patched = FigureResult(figure_id="fig15", title="patched fig15")
+        monkeypatch.setitem(registry._REGISTRY, "fig15", lambda dataset: patched)
+        (result,) = Session(CONFIG, cache_dir=tmp_path).run_figures(["fig15"])
+        assert result is patched
+
+    def test_one_pickle_per_report_and_six_entry_files(self, tmp_path, monkeypatch):
+        """A cold report with a cache writes one pickle (``records.pkl``)
+        and a warm one reads one; the cache root holds the entry alone."""
         import pickle
-        from pathlib import Path
 
-        cache_dir = tmp_path / "cache"
-        first = Session(CONFIG, cache_dir=cache_dir)
-        first.run_figures(["fig13"])
-        figure_file = cache_dir / f"{first.key}.figures" / "fig13.pkl"
-        load = pickle.load
+        calls = []
+        dump, load = pickle.dump, pickle.load
 
-        def broken_for_the_figure(fh, *args, **kwargs):
-            if Path(fh.name) == figure_file:
-                raise TypeError("a bug in a figure loader")
-            return load(fh, *args, **kwargs)
+        def counted_dump(*args, **kwargs):
+            calls.append("dump")
+            return dump(*args, **kwargs)
 
-        monkeypatch.setattr(pickle, "load", broken_for_the_figure)
-        second = Session(CONFIG, cache_dir=cache_dir)
-        with pytest.raises(TypeError, match="a bug in a figure loader"):
-            second.run_figures(["fig13"])
-        assert figure_file.is_file() and DatasetCache(cache_dir).has(first.key)
-        assert not [event for event in second.recorder.events() if event.name == "cache"]
+        def counted_load(*args, **kwargs):
+            calls.append("load")
+            return load(*args, **kwargs)
 
-    def test_truncated_figure_file_is_a_miss_and_recomputed(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        first = Session(CONFIG, cache_dir=cache_dir)
-        (expected,) = first.run_figures(["fig13"])
-        figure_file = cache_dir / f"{first.key}.figures" / "fig13.pkl"
-        figure_file.write_bytes(figure_file.read_bytes()[:-16])
+        monkeypatch.setattr(pickle, "dump", counted_dump)
+        monkeypatch.setattr(pickle, "load", counted_load)
+        cold = Session(self.SEED31, cache_dir=tmp_path)
+        cold.run_figures()
+        assert calls == ["dump"]
+        calls.clear()
+        warm = Session(self.SEED31, cache_dir=tmp_path)
+        warm.run_figures()
+        assert calls == ["load"]
 
-        second = Session(CONFIG, cache_dir=cache_dir)
-        (result,) = second.run_figures(["fig13"])
-        assert second.instrumentation.count("figure_cache_hit") == 0
-        assert second.instrumentation.count("figures_computed") == 1
-        assert result.to_text() == expected.to_text()
-        misses = [
-            event.attrs
-            for event in second.recorder.events()
-            if event.name == "cache" and event.attrs["kind"] == "figure_miss"
-        ]
-        assert [attrs["file"] for attrs in misses] == ["fig13.pkl"]
-        assert misses[0]["reason"].startswith(("UnpicklingError", "EOFError"))
+        assert [p.name for p in tmp_path.iterdir()] == [cold.key]
+        assert sorted(p.name for p in (tmp_path / cold.key).iterdir()) == ENTRY_FILES
+        built, loaded = cold.dataset(), warm.dataset()
+        assert loaded.config == built.config
+        assert loaded.spec == built.spec
 
 
 class TestWriteFailure:

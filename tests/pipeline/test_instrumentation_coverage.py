@@ -83,7 +83,7 @@ def test_each_cache_entry_file_opens_one_span(tmp_path):
     warm.dataset()
     entry = cold.cache.entry_dir(cold.key)
     sizes = {path.name: path.stat().st_size for path in entry.iterdir()}
-    assert len(sizes) == 7
+    assert len(sizes) == 6
     for session, name in ((cold, "cache.store"), (warm, "cache.load")):
         spans = [s for s in session.tracer.finished() if s.name == name]
         assert all(s.category == "cache" for s in spans)

@@ -4,8 +4,6 @@ import math
 
 import pytest
 
-from repro.figures import registry
-from repro.figures.report import run_all
 from repro.pipeline import BUILD_STAGES, Session
 from repro.workload.generator import WorkloadConfig
 
@@ -74,21 +72,6 @@ class TestFigures:
         with pytest.raises(AnalysisError):
             session.run_figures(["fig99"])
 
-    def test_registry_run_all_accepts_dataset(self, session):
-        results = registry.run_all(session.dataset(), ["fig15"])
-        assert results[0].figure_id == "fig15"
-
-    def test_report_run_all_matches_session(self, session):
-        via_dataset = run_all(session.dataset())
-        via_session = run_all(session)
-        assert [r.figure_id for r in via_dataset] == [r.figure_id for r in via_session]
-        for a, b in zip(via_dataset, via_session):
-            for ca, cb in zip(a.comparisons, b.comparisons):
-                assert ca.name == cb.name
-                assert ca.measured == cb.measured or (
-                    math.isnan(ca.measured) and math.isnan(cb.measured)
-                )
-
 
 class TestParallelFigures:
     def test_parallel_matches_serial(self, tmp_path):
@@ -98,7 +81,7 @@ class TestParallelFigures:
         ids = ["table1", "fig06", "fig09", "queue_waits"]
         parallel = Session(CONFIG, cache_dir=tmp_path, workers=2)
         parallel_results = parallel.run_figures(ids)
-        assert parallel.instrumentation.count("figures_computed") == len(ids)
+        assert [(st.name, st.rows) for st in parallel.stages][-1] == ("figures", len(ids))
 
         serial_results = Session(CONFIG).run_figures(ids)
         for a, b in zip(parallel_results, serial_results):
@@ -108,14 +91,3 @@ class TestParallelFigures:
                 assert ca.measured == cb.measured or (
                     math.isnan(ca.measured) and math.isnan(cb.measured)
                 )
-
-    def test_figure_cache_short_circuits_dataset(self, tmp_path):
-        first = Session(CONFIG, cache_dir=tmp_path)
-        first.run_figures(["fig15"])
-
-        second = Session(CONFIG, cache_dir=tmp_path)
-        results = second.run_figures(["fig15"])
-        assert results[0].figure_id == "fig15"
-        assert second.instrumentation.count("figure_cache_hit") == 1
-        # no dataset was materialized at all: no build, no cache load
-        assert second.instrumentation.stage_names() == []

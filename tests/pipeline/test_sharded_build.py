@@ -90,7 +90,7 @@ class TestBitIdentity:
         warm = Session(config, cache_dir=tmp_path, workers=2)
         results = warm.run_figures()
         assert warm.instrumentation.count("cache_hit") == 1
-        assert len(results) == warm.instrumentation.count("figures_computed") > 0
+        assert [(st.name, st.rows) for st in warm.stages][-1] == ("figures", len(results))
         assert pools == []
 
 
@@ -691,7 +691,7 @@ class TestSummary:
     def test_operator_summary_shows_islands(self, serial_session):
         from repro.reporting import operator_summary
 
-        text = operator_summary(serial_session)
+        text = operator_summary(serial_session.dataset())
         assert "partition layout" in text
         assert "4 cluster islands" in text
         assert "island 0: nodes 0.." in text

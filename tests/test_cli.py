@@ -347,4 +347,4 @@ class TestCommands:
         warm = capsys.readouterr().out
         assert "builds: 0" in warm
         assert "stage workload:" not in warm
-        assert "figure cache hits: 21" in warm
+        assert "cache hits: 1" in warm
