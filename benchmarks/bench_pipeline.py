@@ -1,10 +1,14 @@
 """End-to-end pipeline benchmarks: generation, scheduling, monitoring,
 and the session artifact cache."""
 
+import gc
 import time
+
+import numpy as np
 
 from repro.bench import record_bench_stat
 from repro.dataset import generate_dataset
+from repro.monitor.cpu_sampler import CpuSampler
 from repro.pipeline import Session
 from repro.slurm.scheduler import SlurmSimulator
 from repro.cluster.spec import supercloud_spec
@@ -19,17 +23,54 @@ def _best_seconds(benchmark) -> float | None:
         return None
 
 
-def test_workload_generation(benchmark):
-    def generate():
-        return WorkloadGenerator(WorkloadConfig(scale=0.02, seed=1)).generate()
+def _best_of(fn, repeats=3):
+    """Fastest of ``repeats`` timed calls, and the last call's result."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
 
-    requests = benchmark(generate)
+
+def _generate(cohorts=1):
+    return WorkloadGenerator(WorkloadConfig(scale=0.02, seed=1, cohorts=cohorts)).generate()
+
+
+def test_workload_generation(benchmark):
+    """Jobs generated per second on the single stream (``cohorts=1``)
+    and on the spawn-keyed cohort streams a two-island build draws."""
+    requests = benchmark(_generate)
     assert len(requests) > 500
+    cohort_s, cohort_requests = _best_of(lambda: _generate(cohorts=2))
+    assert len(cohort_requests) == len(requests)
     best_s = _best_seconds(benchmark)
     if best_s:
         record_bench_stat(
-            "workload_generation", rows_per_s=len(requests) / best_s
+            "workload_generation",
+            rows_per_s=len(requests) / best_s,
+            cohort_rows_per_s=len(cohort_requests) / cohort_s,
         )
+
+
+def test_cpu_epilog(benchmark):
+    """CPU epilog summaries per second: one ``CpuSampler.summarize``
+    call per job (one jobs-table row), over a scale-0.02 trace's run
+    times and requests."""
+    jobs = [
+        (min(r.runtime_s, r.time_limit_s), r.cores, r.memory_gb) for r in _generate()
+    ]
+    sampler = CpuSampler()
+
+    def epilog():
+        rng = np.random.default_rng(20220402)
+        return [sampler.summarize(*job, rng) for job in jobs]
+
+    summaries = benchmark(epilog)
+    assert len(summaries) == len(jobs)
+    best_s = _best_seconds(benchmark)
+    if best_s:
+        record_bench_stat("cpu_epilog", rows_per_s=len(jobs) / best_s)
 
 
 def test_scheduler_simulation(benchmark):
@@ -66,31 +107,50 @@ def test_full_dataset_pipeline(benchmark):
         )
 
 
+def _timed_from_frozen_heap(fn):
+    """``(seconds, fn())``, timed from a collected, frozen heap.
+
+    The cyclic GC then never walks what earlier code left on the heap
+    (an earlier suite in the same pytest process, or a session released
+    just before), so ``fn`` pays for its own objects only — as it does
+    in a fresh ``repro report`` process.
+    """
+    gc.collect()
+    gc.freeze()
+    try:
+        start = time.perf_counter()
+        result = fn()
+        return time.perf_counter() - start, result
+    finally:
+        gc.unfreeze()
+
+
 def test_cached_report(tmp_path):
     """Perf gate on the cache path: a warm ``run_figures`` must be >=5x
     a cold one.
 
     A regression that silently stops hitting the dataset cache (key
     instability, broken load, eager rebuild) collapses the warm/cold
-    ratio far below 5 and fails here visibly.
+    ratio far below 5 and fails here visibly.  Each side runs in a
+    session released before the other is timed, from a collected,
+    frozen heap (:func:`_timed_from_frozen_heap`).
     """
     config = WorkloadConfig(scale=0.01, seed=3)
     cache_dir = tmp_path / "cache"
 
-    start = time.perf_counter()
-    cold_session = Session(config, cache_dir=cache_dir)
-    cold_results = cold_session.run_figures()
-    cold_s = time.perf_counter() - start
+    def report():
+        session = Session(config, cache_dir=cache_dir)
+        ids = [r.figure_id for r in session.run_figures()]
+        return ids, session.instrumentation.count("build"), session.executed("workload")
 
-    start = time.perf_counter()
-    warm_session = Session(config, cache_dir=cache_dir)
-    warm_results = warm_session.run_figures()
-    warm_s = time.perf_counter() - start
+    cold_s, (cold_ids, cold_builds, _) = _timed_from_frozen_heap(report)
+    warm_s, (warm_ids, warm_builds, warm_built) = _timed_from_frozen_heap(report)
 
-    assert [r.figure_id for r in warm_results] == [r.figure_id for r in cold_results]
-    assert cold_session.instrumentation.count("build") == 1
-    assert warm_session.instrumentation.count("build") == 0
-    assert not warm_session.executed("workload")
+    assert warm_ids == cold_ids
+    assert cold_builds == 1
+    assert warm_builds == 0
+    assert not warm_built
+    record_bench_stat("cached_report", speedup_x=round(cold_s / warm_s, 2))
     assert warm_s * 5 <= cold_s, (
         f"warm run_figures took {warm_s:.2f}s vs cold {cold_s:.2f}s (< 5x speedup)"
     )

@@ -48,7 +48,7 @@ from repro.pipeline import Session
 from repro.workload.calibration import PAPER_TARGETS, PaperTargets
 from repro.workload.generator import WorkloadConfig
 
-__version__ = "11.0.0"
+__version__ = "11.1.0"
 
 __all__ = [
     "PAPER_TARGETS",

@@ -440,9 +440,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.validation import pass_fraction, scorecard, validate_dataset
+    from repro.validation import CHECKS, pass_fraction, scorecard, validate_dataset
 
     session = _session(args)
+    # The graded figures run as the session's ``figures`` stage, traced
+    # like a report's; grading then reads the results the dataset kept.
+    session.run_figures(list(dict.fromkeys(check.figure_id for check in CHECKS)))
     results = validate_dataset(session.dataset())
     table = scorecard(results)
     failed = table.filter(lambda t: ~_np.asarray(t["passed"], dtype=bool))

@@ -14,6 +14,9 @@ module provides that machinery:
 * :class:`Mixture` — weighted mixture (used for per-class utilization).
 * :class:`Constant`, :class:`Uniform`, :class:`BoundedPareto`,
   :class:`Categorical` — supporting casts.
+* :func:`choice_cdf` and :func:`uniform` — ``Generator.choice`` and
+  ``Generator.uniform``'s scalar draws without their per-call array
+  wrapping: the same uniform, the same arithmetic, the same checks.
 
 All distributions expose ``sample(rng, size)`` and, where meaningful,
 ``quantile(p)`` / ``cdf(x)`` so tests can verify calibration without
@@ -22,12 +25,68 @@ sampling noise.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import CalibrationError
+
+
+def choice_cdf(n: int, p: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(n, p=p)`` inverts, with ``p`` checked
+    as ``choice`` checks it.
+
+    ``cdf.searchsorted(rng.random(size), side="right")`` then returns
+    the indices ``rng.choice(n, size, p=p)`` returns (``size=None``
+    included), from the same uniforms: ``choice`` draws exactly so.
+    Build the CDF once, where the probabilities become fixed, and each
+    draw skips ``choice``'s per-call checks, sum and cumulative sum.  A
+    bad ``p`` raises ``choice``'s ``ValueError`` here.
+    """
+    if n <= 0:
+        raise ValueError("a must be a positive integer unless no samples are taken")
+    atol = np.sqrt(np.finfo(np.float64).eps)
+    if isinstance(p, np.ndarray) and np.issubdtype(p.dtype, np.floating):
+        atol = max(atol, np.sqrt(np.finfo(p.dtype).eps))
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    if p.size != n:
+        raise ValueError("a and p must have same size")
+    # choice's Kahan summation, term for term.
+    values = p.tolist()
+    total, carry = values[0], 0.0
+    for value in values[1:]:
+        term = value - carry
+        partial = total + term
+        carry = (partial - total) - term
+        total = partial
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > atol:
+        raise ValueError(
+            "Probabilities do not sum to 1. See Notes section of docstring for more information."
+        )
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``rng.uniform(low, high)`` for scalar bounds, at the cost of one
+    ``rng.random()``: ``uniform`` draws ``low + (high - low) * u`` from
+    one uniform ``u``, after these checks, and so does this."""
+    low, high = float(low), float(high)
+    span = high - low
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if math.copysign(1.0, span) < 0:
+        raise ValueError("high - low < 0")
+    return low + span * rng.random()
 
 
 class Distribution:
@@ -80,6 +139,9 @@ class QuantileDistribution(Distribution):
         self._probs = np.asarray(probs)
         self._log_space = log_space
         self._values = np.log(values) if log_space else np.asarray(values)
+        # The anchors as floats, for the scalar draw in :meth:`sample`.
+        self._prob_list = self._probs.tolist()
+        self._value_list = self._values.tolist()
 
     def quantile(self, p: float | np.ndarray) -> float | np.ndarray:
         """Evaluate the inverse CDF at probability ``p``."""
@@ -108,8 +170,25 @@ class QuantileDistribution(Distribution):
         return float(lo), float(hi)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        u = rng.random(size)
-        return self.quantile(u)
+        if size is not None:
+            return self.quantile(rng.random(size))
+        # ``quantile(rng.random())`` without its array wrappers: u lies
+        # in [0, 1), inside the anchors' [0, 1], so the clip is a no-op,
+        # and the interpolation is np.interp's, operation for operation.
+        u = rng.random()
+        probs, values = self._prob_list, self._value_list
+        j = bisect.bisect_right(probs, u) - 1
+        if probs[j] == u:
+            out = values[j]
+        else:
+            slope = (values[j + 1] - values[j]) / (probs[j + 1] - probs[j])
+            out = slope * (u - probs[j]) + values[j]
+            if math.isnan(out):  # np.interp retries from the right end
+                out = slope * (u - probs[j + 1]) + values[j + 1]
+                if math.isnan(out) and values[j] == values[j + 1]:
+                    out = values[j]
+        # np.exp, not math.exp: the two differ in the last bit on some inputs.
+        return float(np.exp(out)) if self._log_space else out
 
 
 class LogNormal(Distribution):
@@ -230,12 +309,14 @@ class Categorical:
             raise CalibrationError(f"weights must be non-negative and sum > 0: {weights}")
         self.labels = list(labels)
         self.probabilities = np.asarray([w / total for w in weights])
+        self._cdf = choice_cdf(len(self.labels), self.probabilities)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        idx = rng.choice(len(self.labels), size=size, p=self.probabilities)
+        # The draw ``rng.choice(len(self.labels), size, p=self.probabilities)`` makes.
+        idx = self._cdf.searchsorted(rng.random(size), side="right")
         if size is None:
             return self.labels[int(idx)]
-        return [self.labels[i] for i in np.asarray(idx)]
+        return [self.labels[i] for i in idx]
 
 
 def clipped(samples: np.ndarray | float, low: float, high: float):

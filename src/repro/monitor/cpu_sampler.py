@@ -17,6 +17,12 @@ import numpy as np
 from repro.errors import MonitoringError
 
 
+#: The sampled series, in row order of :meth:`CpuSampler._draw`'s array.
+_SERIES = ("cpu_load", "memory_gb", "io_mbps")
+#: :meth:`CpuSampler.summarize`'s keys: min, mean and max of each series.
+_SUMMARY_KEYS = tuple(f"{name}_{stat}" for name in _SERIES for stat in ("min", "mean", "max"))
+
+
 class CpuSampler:
     """Generates the 10 s CPU series for one job on one node."""
 
@@ -27,6 +33,41 @@ class CpuSampler:
             )
         self.interval_s = interval_s
 
+    def _draw(
+        self,
+        duration_s: float,
+        cores: int,
+        memory_gb: float,
+        rng: np.random.Generator,
+        max_samples: int = 1024,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(times_s, series)``: the sample times and one ``(3, n)``
+        array holding the ``cpu_load``, ``memory_gb`` and ``io_mbps`` rows.
+
+        Four draws, in this order: the load and memory noise, then the
+        burst and quiet I/O rates, each rate drawn for every sample.
+        """
+        if duration_s < 0:
+            raise MonitoringError(f"negative duration {duration_s}")
+        count = min(int(duration_s / self.interval_s) + 1, max_samples)
+        times = np.linspace(0.0, max(duration_s, 1e-9), count)
+        progress = times / max(duration_s, 1e-9)
+
+        # ``x.clip`` is what ``np.clip(x)`` calls.
+        series = np.empty((3, count))
+        load, memory, io = series
+        rng.normal(0.85, 0.1, count).clip(0.0, 1.0, out=load)
+        load *= cores
+        # The working set loads in the first 5 % of the run.
+        (progress / 0.05).clip(0.0, 1.0, out=memory)
+        memory *= memory_gb
+        memory *= rng.normal(0.9, 0.05, count).clip(0.0, 1.0)
+        burst_rate = rng.gamma(2.0, 120.0, count)
+        io[:] = rng.gamma(1.2, 8.0, count)
+        # Input is read in the first 5 % of the run, results written in the last.
+        np.copyto(io, burst_rate, where=(progress < 0.05) | (progress > 0.95))
+        return times, series
+
     def sample(
         self,
         duration_s: float,
@@ -36,23 +77,8 @@ class CpuSampler:
         max_samples: int = 1024,
     ) -> dict[str, np.ndarray]:
         """Return ``{"times_s", "cpu_load", "memory_gb", "io_mbps"}``."""
-        if duration_s < 0:
-            raise MonitoringError(f"negative duration {duration_s}")
-        count = min(int(duration_s / self.interval_s) + 1, max_samples)
-        times = np.linspace(0.0, max(duration_s, 1e-9), count)
-        progress = times / max(duration_s, 1e-9)
-
-        load = cores * np.clip(rng.normal(0.85, 0.1, count), 0.0, 1.0)
-        ramp = np.clip(progress / 0.05, 0.0, 1.0)  # working set loads in first 5%
-        memory = memory_gb * ramp * np.clip(rng.normal(0.9, 0.05, count), 0.0, 1.0)
-        io_burst = (progress < 0.05) | (progress > 0.95)
-        io = np.where(io_burst, rng.gamma(2.0, 120.0, count), rng.gamma(1.2, 8.0, count))
-        return {
-            "times_s": times,
-            "cpu_load": load,
-            "memory_gb": memory,
-            "io_mbps": io,
-        }
+        times, series = self._draw(duration_s, cores, memory_gb, rng, max_samples)
+        return {"times_s": times, **dict(zip(_SERIES, series))}
 
     def summarize(
         self,
@@ -62,11 +88,10 @@ class CpuSampler:
         rng: np.random.Generator,
     ) -> dict[str, float]:
         """min/mean/max of the CPU series (as stored per job)."""
-        series = self.sample(duration_s, cores, memory_gb, rng)
-        out: dict[str, float] = {}
-        for name in ("cpu_load", "memory_gb", "io_mbps"):
-            values = series[name]
-            out[f"{name}_min"] = float(values.min())
-            out[f"{name}_mean"] = float(values.mean())
-            out[f"{name}_max"] = float(values.max())
-        return out
+        _, series = self._draw(duration_s, cores, memory_gb, rng)
+        # Each row reduces as its own 1-D array would, and a mean is
+        # np.mean's arithmetic: the row's sum, then one division.
+        means = series.sum(axis=1)
+        means /= series.shape[1]
+        stats = np.array([series.min(axis=1), means, series.max(axis=1)])
+        return dict(zip(_SUMMARY_KEYS, stats.T.ravel().tolist()))

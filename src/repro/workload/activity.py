@@ -10,7 +10,8 @@ Structure per job:
   lognormal lengths (high CoV — the paper's Fig 6b finding that phases
   "do not occur at a fixed periodic interval"), handed out as
   ``(starts, ends, active)`` arrays by :meth:`PhaseSchedule.spans`,
-  computed on demand so a pickled schedule holds only its boundaries;
+  computed on demand so a pickled schedule holds only its boundaries
+  (a generator computes them once per job, as :class:`ActiveIntervals`);
 * per-metric active-phase levels, with smooth within-phase fluctuation
   synthesised from random sinusoids (Fig 7a CoV targets);
 * short burst windows during which a metric jumps to its peak — 100 %
@@ -30,10 +31,13 @@ passes, and a model's own ``metrics_at`` is a one-model batch.
 from __future__ import annotations
 
 import copyreg
+import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
+from repro.distributions import uniform
 from repro.errors import WorkloadError
 
 #: Metrics that are gated by the active/idle schedule.
@@ -41,6 +45,7 @@ GATED_METRICS = ("sm", "mem_bw", "pcie_tx", "pcie_rx")
 
 #: Log-uniform range of sinusoid frequencies: periods of 5 s to 10 min.
 _LOG_FREQ_LOW, _LOG_FREQ_HIGH = np.log(1.0 / 600.0), np.log(1.0 / 5.0)
+_LOG_FREQ_SPAN = _LOG_FREQ_HIGH - _LOG_FREQ_LOW
 
 
 class PhaseSchedule:
@@ -79,7 +84,8 @@ class PhaseSchedule:
         """
         if duration_s < 0:
             raise WorkloadError(f"negative duration {duration_s}")
-        active_fraction = float(np.clip(active_fraction, 0.0, 1.0))
+        # min/max clip a scalar exactly as np.clip does, without its overhead.
+        active_fraction = float(min(max(active_fraction, 0.0), 1.0))
         if duration_s == 0 or active_fraction <= 0.005:
             return cls.always(duration_s, active=False)
         if active_fraction >= 0.995:
@@ -96,12 +102,16 @@ class PhaseSchedule:
             mean_active_s *= stretch
             mean_idle_s *= stretch
 
-        def draw_batch(mean: float, cov: float, n: int) -> np.ndarray:
-            sigma = np.sqrt(np.log(1.0 + cov * cov))
-            mu = np.log(mean) - sigma * sigma / 2.0
-            return np.maximum(rng.lognormal(mu, sigma, n), 0.1)
+        def lognormal_params(mean: float, cov: float) -> tuple[float, float]:
+            # np.log, not math.log: the two differ in the last bit on
+            # some inputs.  Square roots round correctly in both.
+            sigma = math.sqrt(np.log(1.0 + cov * cov))
+            return np.log(mean) - sigma * sigma / 2.0, sigma
 
         starts_active = bool(rng.random() < active_fraction)
+        active = lognormal_params(mean_active_s, active_cov)
+        idle = lognormal_params(mean_idle_s, idle_cov)
+        first, second = (active, idle) if starts_active else (idle, active)
         cycle_s = mean_active_s + mean_idle_s
         # Draw interval lengths in bulk, growing the batch until the
         # cumulative length covers the run.
@@ -111,15 +121,11 @@ class PhaseSchedule:
             # Redraw the whole alternating sequence at a larger size so
             # the active/idle parity stays intact.
             half = (batch + 1) // 2
-            first = draw_batch(mean_active_s if starts_active else mean_idle_s,
-                               active_cov if starts_active else idle_cov, half)
-            second = draw_batch(mean_idle_s if starts_active else mean_active_s,
-                                idle_cov if starts_active else active_cov, half)
             lengths = np.empty(2 * half)
-            lengths[0::2] = first
-            lengths[1::2] = second
+            lengths[0::2] = np.maximum(rng.lognormal(*first, half), 0.1)
+            lengths[1::2] = np.maximum(rng.lognormal(*second, half), 0.1)
             batch *= 2
-        boundaries = np.cumsum(lengths)
+        boundaries = lengths.cumsum()
         boundaries = boundaries[boundaries < duration_s]
         return cls(boundaries, starts_active, duration_s)
 
@@ -146,16 +152,43 @@ class PhaseSchedule:
         return starts[keep], ends[keep], active[keep]
 
     def active_time_s(self) -> float:
+        return ActiveIntervals(self).active_s
+
+    def active_fraction(self) -> float:
+        return ActiveIntervals(self).fraction
+
+
+class ActiveIntervals:
+    """A schedule's active intervals, from one :meth:`PhaseSchedule.spans`.
+
+    A generator computes them once per job: the active time (and
+    fraction) that sets the job's metric levels, and the interval
+    bounds with the length-weighted CDF that every one of its five
+    :func:`build_metric_process` calls places burst windows with.
+    """
+
+    def __init__(self, schedule: PhaseSchedule) -> None:
+        starts, ends, active = schedule.spans()
+        self.starts, self.ends = starts[active], ends[active]
+        self._lengths = self.ends - self.starts
+        self._duration_s = schedule.duration_s
+        # The CDF ``rng.choice(lengths.size, p=lengths / lengths.sum())``
+        # draws from, built once rather than once per burst.
+        self.cdf = None
+        if self._lengths.size:
+            self.cdf = (self._lengths / self._lengths.sum()).cumsum()
+            self.cdf /= self.cdf[-1]
+
+    @cached_property
+    def active_s(self) -> float:
         # The builtin sum folds left to right in interval order; np.sum
         # re-associates, which would move the realized active fraction
         # (and the metric levels set from it) by ULPs.
-        starts, ends, active = self.spans()
-        return sum((ends - starts)[active].tolist())
+        return sum(self._lengths.tolist())
 
-    def active_fraction(self) -> float:
-        if self.duration_s <= 0:
-            return 0.0
-        return self.active_time_s() / self.duration_s
+    @property
+    def fraction(self) -> float:
+        return self.active_s / self._duration_s if self._duration_s > 0 else 0.0
 
 
 
@@ -196,40 +229,40 @@ def build_metric_process(
     num_bursts: int,
     num_harmonics: int = 4,
     burst_width_median_s: float = 3.0,
+    intervals: ActiveIntervals | None = None,
 ) -> MetricProcess:
     """Assemble the sinusoid + burst process for one metric.
 
     Sinusoid amplitudes are sized so the within-phase standard
     deviation equals ``noise_cov * level``; burst windows are placed
     inside active intervals (length-weighted) so dense sampling can
-    observe them.
+    observe them.  ``intervals`` is ``ActiveIntervals(schedule)``, for
+    a caller that builds several processes on one schedule.
     """
     # min/max clip a scalar exactly as np.clip does, without its overhead.
     level = float(min(max(level, 0.0), 100.0))
     target_std = noise_cov * level
     # std of a sum of sinusoids with amplitudes a_k is sqrt(sum a_k^2/2)
-    amplitude = target_std * np.sqrt(2.0 / max(num_harmonics, 1))
+    amplitude = target_std * math.sqrt(2.0 / max(num_harmonics, 1))
     amplitudes = np.full(num_harmonics, amplitude)
-    frequencies = np.exp(rng.uniform(_LOG_FREQ_LOW, _LOG_FREQ_HIGH, num_harmonics))
-    phases = rng.uniform(0.0, 2.0 * np.pi, num_harmonics)
+    # ``rng.uniform(low, high, n)`` is ``low + (high - low) * u`` over n
+    # uniforms: one draw of 2n serves the log-frequencies, then the
+    # phases (whose low is 0).
+    u = rng.random(2 * num_harmonics)
+    frequencies = np.exp(_LOG_FREQ_LOW + _LOG_FREQ_SPAN * u[:num_harmonics])
+    phases = 2.0 * np.pi * u[num_harmonics:]
 
-    starts, ends, active = schedule.spans()
-    starts, ends = starts[active], ends[active]
+    if intervals is None:
+        intervals = ActiveIntervals(schedule)
     windows = []
-    if starts.size and burst_level > level and num_bursts > 0:
-        lengths = ends - starts
-        probs = lengths / lengths.sum()
-        # The draw ``rng.choice(starts.size, p=probs)`` makes, with its
-        # CDF built once per schedule rather than once per burst.
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
+    if intervals.cdf is not None and burst_level > level and num_bursts > 0:
+        cdf, starts, ends = intervals.cdf, intervals.starts, intervals.ends
         log_width = np.log(burst_width_median_s)
-        starts, ends = starts.tolist(), ends.tolist()
         for _ in range(num_bursts):
             idx = int(cdf.searchsorted(rng.random(), side="right"))
             a, b = starts[idx], ends[idx]
             width = min(rng.lognormal(log_width, 0.8), b - a)
-            start = rng.uniform(a, max(b - width, a))
+            start = uniform(rng, a, max(b - width, a))
             windows.append((start, start + width))
     return MetricProcess(
         level=level,

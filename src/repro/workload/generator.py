@@ -21,14 +21,16 @@ arrays) — this is what produces their long queue waits in Fig 3(b).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.distributions import QuantileDistribution
+from repro.distributions import QuantileDistribution, choice_cdf, uniform
 from repro.errors import WorkloadError
 from repro.slurm.job import JobRequest
 from repro.workload.activity import (
+    ActiveIntervals,
     JobActivityModel,
     PhaseSchedule,
     PowerModel,
@@ -122,7 +124,16 @@ class WorkloadConfig:
 
 
 class WorkloadGenerator:
-    """Generates the full calibrated workload."""
+    """Generates the full calibrated workload.
+
+    Per-job draws are scalar Python on the RNG: every categorical draw
+    inverts a CDF built once (:func:`~repro.distributions.choice_cdf`),
+    scalars clip with ``min``/``max`` (exactly as ``np.clip`` does), the
+    logs of constant knobs are taken here, once, and a job's schedule
+    spans are computed once (:class:`ActiveIntervals`).  Each job makes
+    the draws, in the order and with the arithmetic, that per-call
+    ``rng.choice``/``rng.uniform``/``np.clip``/``np.log`` made.
+    """
 
     def __init__(
         self,
@@ -155,7 +166,25 @@ class WorkloadGenerator:
         }
         self._mem_ratio = QuantileDistribution(knobs.mem_ratio_anchors)
         self._cpu_runtime = QuantileDistribution(knobs.cpu_runtime_anchors, log_space=True)
-        self._intensity_bins, self._intensity_probs = self._build_intensity()
+        self._intensity_bins, intensity_probs = self._build_intensity()
+        self._intensity_cdf = choice_cdf(len(self._intensity_bins), intensity_probs)
+        self._ide_limit_cdf = choice_cdf(len(knobs.ide_time_limits_s), knobs.ide_limit_probs)
+        self._cores_cdf = choice_cdf(len(knobs.gpu_job_cores_choices), knobs.gpu_job_cores_probs)
+        # np.log, not math.log: the two differ in the last bit on some
+        # inputs, and these feed the lognormal draws.
+        self._log_quick_range = tuple(np.log(bound) for bound in knobs.quick_job_range_s)
+        self._log_active_median = np.log(knobs.active_interval_median_s)
+        self._log_active_cov = np.log(knobs.active_interval_cov_median)
+        self._log_idle_cov = np.log(knobs.idle_interval_cov_median)
+        self._log_peak_mult = np.log(knobs.peak_multiplier_median)
+        noise_covs = {
+            "sm": knobs.sm_noise_cov_median,
+            "mem_bw": knobs.mem_noise_cov_median,
+            "mem_size": knobs.size_noise_cov_median,
+            "pcie_tx": knobs.mem_noise_cov_median,
+            "pcie_rx": knobs.mem_noise_cov_median,
+        }
+        self._log_noise_cov = {name: np.log(cov) for name, cov in noise_covs.items()}
         self._power_model = PowerModel(
             idle_w=knobs.power_idle_w,
             per_sm=knobs.power_per_sm_pct,
@@ -183,15 +212,20 @@ class WorkloadGenerator:
 
     def _sample_times(self, n: int) -> np.ndarray:
         """Draw submit times from the intensity grid (uniform in-bin)."""
-        bins = self._rng.choice(len(self._intensity_bins), size=n, p=self._intensity_probs)
+        bins = self._intensity_cdf.searchsorted(self._rng.random(n), side="right")
         return self._intensity_bins[bins] + self._rng.random(n) * 3600.0
+
+    def _sample_time(self) -> float:
+        """One :meth:`_sample_times` draw, as a float."""
+        index = self._intensity_cdf.searchsorted(self._rng.random(), side="right")
+        return float(self._intensity_bins[index] + self._rng.random() * 3600.0)
 
     def _session_times(self, num_jobs: int) -> np.ndarray:
         """Submit times for one user: jobs arrive in sessions."""
         knobs = self.config.knobs
         times: list[float] = []
         while len(times) < num_jobs:
-            session_start = float(self._sample_times(1)[0])
+            session_start = self._sample_time()
             in_session = 1 + self._rng.geometric(1.0 / knobs.session_jobs_mean)
             gaps = self._rng.exponential(knobs.session_spacing_s, in_session)
             times.extend(session_start + np.cumsum(gaps))
@@ -262,16 +296,15 @@ class WorkloadGenerator:
 
         time_limit = self._time_limit(interface, job_class)
         if short:
-            runtime = float(rng.uniform(2.0, 29.0))
+            runtime = uniform(rng, 2.0, 29.0)
             job_class = "development"  # instant crashes
         elif job_class == "ide":
             runtime = time_limit * 1.01  # runs until the session times out
         elif rng.random() < knobs.quick_job_fraction:
             # Quick validation runs (smoke tests, single-batch checks).
-            lo, hi = knobs.quick_job_range_s
-            runtime = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+            runtime = float(np.exp(uniform(rng, *self._log_quick_range)))
         else:
-            sigma = np.sqrt(np.log(1.0 + profile.runtime_cov**2))
+            sigma = math.sqrt(np.log(1.0 + profile.runtime_cov**2))
             if job_class == "exploratory":
                 sigma *= knobs.exploratory_runtime_sigma_factor
             draw = rng.lognormal(0.0, sigma)
@@ -281,11 +314,12 @@ class WorkloadGenerator:
                 * (knobs.multi_gpu_runtime_multiplier if num_gpus > 1 else 1.0)
                 * draw
             )
-            runtime = float(np.clip(runtime, 31.0, time_limit * 0.98))
+            runtime = float(min(max(runtime, 31.0), time_limit * 0.98))
 
-        cores = int(rng.choice(knobs.gpu_job_cores_choices, p=knobs.gpu_job_cores_probs))
+        cores_index = self._cores_cdf.searchsorted(rng.random(), side="right")
+        cores = int(knobs.gpu_job_cores_choices[cores_index])
         cores = max(cores, num_gpus)  # at least one core per GPU
-        memory = float(rng.uniform(*knobs.gpu_job_memory_range_gb))
+        memory = uniform(rng, *knobs.gpu_job_memory_range_gb)
 
         request = JobRequest(
             job_id=-1,
@@ -309,7 +343,7 @@ class WorkloadGenerator:
     def _time_limit(self, interface: str, job_class: str) -> float:
         knobs = self.config.knobs
         if job_class == "ide" or interface == "interactive":
-            idx = self._rng.choice(len(knobs.ide_time_limits_s), p=knobs.ide_limit_probs)
+            idx = self._ide_limit_cdf.searchsorted(self._rng.random(), side="right")
             return float(knobs.ide_time_limits_s[idx])
         return 96.0 * 3600.0
 
@@ -338,50 +372,36 @@ class WorkloadGenerator:
             job_class in ("mature", "exploratory") and rng.random() < mem_intensive_prob
         )
         if memory_intensive:
-            sm_mean = float(rng.uniform(0.0, 5.0))
-            mem_mean = float(rng.uniform(*knobs.memory_intensive_mem_range))
+            sm_mean = uniform(rng, 0.0, 5.0)
+            mem_mean = uniform(rng, *knobs.memory_intensive_mem_range)
         else:
             sm_mean = float(self._sm_dists[job_class].sample(rng)) * util_mult
             mem_mean = sm_mean * float(self._mem_ratio.sample(rng))
-        size_mean = float(self._size_dists[job_class].sample(rng)) * np.sqrt(util_mult)
+        size_mean = float(self._size_dists[job_class].sample(rng)) * math.sqrt(util_mult)
         pcie_mult = min(util_mult, 1.0) * knobs.pcie_class_multiplier[job_class]
-        tx_mean = float(rng.uniform(*knobs.pcie_tx_range)) * pcie_mult
-        rx_mean = float(rng.uniform(*knobs.pcie_rx_range)) * pcie_mult
-        sm_mean, mem_mean, size_mean = (
-            float(np.clip(v, 0.0, 97.0)) for v in (sm_mean, mem_mean, size_mean)
-        )
+        tx_mean = uniform(rng, *knobs.pcie_tx_range) * pcie_mult
+        rx_mean = uniform(rng, *knobs.pcie_rx_range) * pcie_mult
+        sm_mean = float(min(max(sm_mean, 0.0), 97.0))
+        mem_mean = float(min(max(mem_mean, 0.0), 97.0))
+        size_mean = float(min(max(size_mean, 0.0), 97.0))
 
         active_fraction = float(self._frac_dists[job_class].sample(rng))
         schedule = PhaseSchedule.generate(
             rng,
             duration_s,
             active_fraction,
-            mean_active_s=float(
-                rng.lognormal(np.log(knobs.active_interval_median_s), 0.6)
-            ),
-            active_cov=float(
-                rng.lognormal(np.log(knobs.active_interval_cov_median), knobs.interval_cov_spread)
-            ),
-            idle_cov=float(
-                rng.lognormal(np.log(knobs.idle_interval_cov_median), knobs.interval_cov_spread)
-            ),
+            mean_active_s=float(rng.lognormal(self._log_active_median, 0.6)),
+            active_cov=float(rng.lognormal(self._log_active_cov, knobs.interval_cov_spread)),
+            idle_cov=float(rng.lognormal(self._log_idle_cov, knobs.interval_cov_spread)),
         )
-        realized_fraction = max(schedule.active_fraction(), knobs.level_inversion_floor)
+        intervals = ActiveIntervals(schedule)
+        realized_fraction = max(intervals.fraction, knobs.level_inversion_floor)
 
         bottlenecks = self._draw_bottlenecks(job_class, sm_mean, size_mean)
         tags["bottlenecks"] = bottlenecks
         tags["memory_intensive"] = memory_intensive
 
-        peak_mult = float(
-            rng.lognormal(np.log(knobs.peak_multiplier_median), knobs.peak_multiplier_spread)
-        )
-        noise_covs = {
-            "sm": knobs.sm_noise_cov_median,
-            "mem_bw": knobs.mem_noise_cov_median,
-            "mem_size": knobs.size_noise_cov_median,
-            "pcie_tx": knobs.mem_noise_cov_median,
-            "pcie_rx": knobs.mem_noise_cov_median,
-        }
+        peak_mult = float(rng.lognormal(self._log_peak_mult, knobs.peak_multiplier_spread))
         means = {
             "sm": sm_mean,
             "mem_bw": mem_mean,
@@ -395,9 +415,7 @@ class WorkloadGenerator:
             # Gated metrics report mean-over-run = level * active_frac;
             # invert so the pooled means match the Fig 4 anchors.
             level = mean if name == "mem_size" else min(mean / realized_fraction, 97.0)
-            cov = float(
-                rng.lognormal(np.log(noise_covs[name]), knobs.noise_cov_spread)
-            )
+            cov = float(rng.lognormal(self._log_noise_cov[name], knobs.noise_cov_spread))
             burst_level = 100.0 if name in bottlenecks else min(level * peak_mult, 97.0)
             processes[name] = build_metric_process(
                 rng,
@@ -406,6 +424,7 @@ class WorkloadGenerator:
                 burst_level=burst_level,
                 schedule=schedule,
                 num_bursts=num_bursts,
+                intervals=intervals,
             )
 
         gpu_scale = self._gpu_scales(num_gpus)
@@ -471,17 +490,12 @@ class WorkloadGenerator:
         campaign_total = int(total * knobs.cpu_campaign_share)
         requests: list[JobRequest] = []
 
-        median_size = max(knobs.cpu_campaign_size_median * self.config.scale, 20.0)
+        log_median_size = np.log(max(knobs.cpu_campaign_size_median * self.config.scale, 20.0))
         produced = 0
         while produced < campaign_total:
-            size = int(
-                np.clip(
-                    rng.lognormal(np.log(median_size), knobs.cpu_campaign_size_sigma),
-                    5,
-                    campaign_total - produced if campaign_total - produced > 5 else 5,
-                )
-            )
-            start = float(self._sample_times(1)[0])
+            draw = rng.lognormal(log_median_size, knobs.cpu_campaign_size_sigma)
+            size = int(min(max(draw, 5), max(campaign_total - produced, 5)))
+            start = self._sample_time()
             user_index = int(rng.integers(len(self.population)))
             user = self.population.profiles[user_index]
             # Jobs of one campaign share a mild common factor, but each
@@ -489,9 +503,7 @@ class WorkloadGenerator:
             # so the pooled CPU runtime CDF matches Fig 3(a).
             campaign_factor = float(rng.lognormal(0.0, 0.3))
             for i in range(size):
-                runtime = float(
-                    np.clip(self._cpu_runtime.sample(rng) * campaign_factor, 3.0, 9e4)
-                )
+                runtime = float(min(max(self._cpu_runtime.sample(rng) * campaign_factor, 3.0), 9e4))
                 request = self._cpu_request(
                     user, start + i * knobs.cpu_campaign_spacing_s, runtime
                 )
@@ -516,7 +528,7 @@ class WorkloadGenerator:
         return JobRequest(
             job_id=-1,
             user=profile.name,
-            submit_time_s=float(np.clip(submit_time, 0.0, self.config.duration_s)),
+            submit_time_s=float(min(max(submit_time, 0.0), self.config.duration_s)),
             runtime_s=runtime,
             num_gpus=0,
             cores=knobs.cpu_job_cores,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.distributions import BoundedPareto, Categorical
+from repro.distributions import BoundedPareto, Categorical, choice_cdf
 from repro.errors import WorkloadError
 from repro.workload.calibration import GeneratorKnobs
 
@@ -43,10 +43,18 @@ class UserProfile:
     #: embedding-table jobs); most users never submit one.
     memory_intensive_user: bool = False
 
-    def sample_interface(self, rng: np.random.Generator) -> str:
+    def __post_init__(self) -> None:
+        # Each draw inverts a CDF built once, where its probabilities
+        # become fixed: the draw ``rng.choice(len(p), p=p)`` makes.
         labels = list(self.interface_probs)
         probs = np.asarray([self.interface_probs[k] for k in labels])
-        return labels[int(rng.choice(len(labels), p=probs / probs.sum()))]
+        self._interface_draw = (labels, choice_cdf(len(labels), probs / probs.sum()))
+        #: Per interface: the knobs, labels and CDF of :meth:`sample_class`.
+        self._class_draws: dict[str, tuple] = {}
+
+    def sample_interface(self, rng: np.random.Generator) -> str:
+        labels, cdf = self._interface_draw
+        return labels[int(cdf.searchsorted(rng.random(), side="right"))]
 
     def sample_class(self, rng: np.random.Generator, interface: str, knobs: GeneratorKnobs) -> str:
         """Life-cycle class: interface-conditional base, tilted by the
@@ -56,13 +64,19 @@ class UserProfile:
         class), so the population-average class mix stays at the base
         probabilities while individual users deviate widely (Fig 17).
         """
-        base = knobs.class_given_interface[interface]
-        labels = list(base)
-        weights = np.asarray([base[k] * max(self.class_probs.get(k, 0.0), 1e-4) for k in labels])
-        if weights.sum() <= 0:
-            weights = np.asarray([base[k] for k in labels])
-        weights = weights / weights.sum()
-        return labels[int(rng.choice(len(labels), p=weights))]
+        draw = self._class_draws.get(interface)
+        if draw is None or draw[0] is not knobs:
+            base = knobs.class_given_interface[interface]
+            labels = list(base)
+            weights = np.asarray(
+                [base[k] * max(self.class_probs.get(k, 0.0), 1e-4) for k in labels]
+            )
+            if weights.sum() <= 0:
+                weights = np.asarray([base[k] for k in labels])
+            weights = weights / weights.sum()
+            draw = self._class_draws[interface] = (knobs, labels, choice_cdf(len(labels), weights))
+        _, labels, cdf = draw
+        return labels[int(cdf.searchsorted(rng.random(), side="right"))]
 
     def sample_gpu_count(self, rng: np.random.Generator) -> int:
         return int(self.gpu_count_dist.sample(rng))

@@ -63,3 +63,16 @@ class TestSummarize:
         summary = CpuSampler().summarize(600.0, 4, 32.0, rng)
         for metric in ("cpu_load", "memory_gb", "io_mbps"):
             assert summary[f"{metric}_min"] <= summary[f"{metric}_mean"] <= summary[f"{metric}_max"]
+
+    @pytest.mark.parametrize("duration_s", [0.0, 5.0, 600.0, 1e5])
+    def test_summary_reduces_the_sampled_series(self, duration_s):
+        """Each statistic is the 1-D reduction of the series ``sample``
+        draws from the same stream, bit for bit."""
+        summary = CpuSampler().summarize(duration_s, 4, 32.0, np.random.default_rng(9))
+        series = CpuSampler().sample(duration_s, 4, 32.0, np.random.default_rng(9))
+        for name in ("cpu_load", "memory_gb", "io_mbps"):
+            values = series[name].copy()
+            for stat in ("min", "mean", "max"):
+                value, expected = summary[f"{name}_{stat}"], getattr(values, stat)()
+                assert type(value) is float
+                assert np.float64(value).tobytes() == expected.tobytes()

@@ -240,6 +240,22 @@ class TestCommands:
         assert rc == 0
         assert "checks passed" in capsys.readouterr().out
 
+    def test_validate_traces_its_figures(self, tmp_path, capsys):
+        """Each graded figure runs once, as a ``figure:<id>`` span in the
+        session's ``figures`` stage, as a report's figures do."""
+        import json
+
+        from repro.validation import CHECKS
+
+        trace = tmp_path / "trace.json"
+        argv = ["validate", "--scale", "0.01", "--seed", "5", "--min-pass", "0.0"]
+        assert main([*argv, "--trace-out", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "stage figures:" in out
+        spans = [e["name"] for e in json.loads(trace.read_text())["traceEvents"]]
+        figures = sorted(name for name in spans if name.startswith("figure:"))
+        assert figures == sorted({f"figure:{check.figure_id}" for check in CHECKS})
+
     def test_validate_threshold_gate(self, capsys):
         rc = main(["validate", "--scale", "0.01", "--seed", "5", "--min-pass", "1.01"])
         assert rc == 1

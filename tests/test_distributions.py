@@ -1,5 +1,7 @@
 """Tests for repro.distributions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,9 @@ from repro.distributions import (
     Mixture,
     QuantileDistribution,
     Uniform,
+    choice_cdf,
     clipped,
+    uniform,
 )
 from repro.errors import CalibrationError
 
@@ -232,3 +236,92 @@ def test_samples_stay_inside_support(anchors, seed):
 def test_lognormal_positive(median, cov, seed):
     samples = LogNormal(median, cov).sample(np.random.default_rng(seed), 50)
     assert (samples > 0).all()
+
+
+# ----------------------------------------------------------------------
+# Scalar draws without the per-call wrappers: the draws Generator makes
+# ----------------------------------------------------------------------
+@given(
+    st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12).filter(lambda w: sum(w) > 0),
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 40),
+)
+@settings(max_examples=120, deadline=None)
+def test_choice_cdf_draws_what_choice_draws(weights, seed, size):
+    p = np.asarray(weights) / sum(weights)
+    cdf = choice_cdf(len(p), p)
+    ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        assert int(cdf.searchsorted(ours.random(), side="right")) == int(numpy.choice(len(p), p=p))
+    drawn = cdf.searchsorted(ours.random(size), side="right")
+    assert drawn.tolist() == numpy.choice(len(p), size, p=p).tolist()
+    assert ours.random() == numpy.random()
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [
+        (0, []),
+        (2, [[0.5, 0.5]]),
+        (3, [0.5, 0.5]),
+        (2, [np.nan, 1.0]),
+        (2, [-0.5, 1.5]),
+        (2, [0.5, 0.6]),
+        (2, [0.5, 0.5 + 1e-7]),
+        (2, np.array([0.5, 0.6], dtype=np.float16)),
+    ],
+)
+def test_choice_cdf_rejects_what_choice_rejects(n, p):
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.default_rng(0).choice(n, p=p)
+    with pytest.raises(ValueError, match=re.escape(str(numpy_error.value))):
+        choice_cdf(n, p)
+
+
+def test_choice_cdf_accepts_what_choice_accepts():
+    # float16 probabilities get float16's looser tolerance, as in choice.
+    for p in ([0.5, 0.5 + 1e-9], np.array([0.5, 0.52], dtype=np.float16)):
+        np.random.default_rng(0).choice(2, p=p)
+        assert choice_cdf(2, p)[-1] == 1.0
+
+
+@given(
+    st.floats(-1e6, 1e6),
+    st.floats(0.0, 1e6),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_uniform_draws_what_generator_uniform_draws(low, width, seed):
+    high = low + width
+    ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        value = uniform(ours, low, high)
+        assert type(value) is float
+        assert np.float64(value).tobytes() == np.float64(numpy.uniform(low, high)).tobytes()
+    assert ours.random() == numpy.random()
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(2.0, 1.0), (0.0, -0.0), (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (-1e308, 1e308)],
+)
+def test_uniform_rejects_what_generator_uniform_rejects(low, high):
+    with pytest.raises((ValueError, OverflowError)) as numpy_error:
+        np.random.default_rng(0).uniform(low, high)
+    with pytest.raises(type(numpy_error.value), match=re.escape(str(numpy_error.value))):
+        uniform(np.random.default_rng(0), low, high)
+
+
+@given(anchor_lists(), st.booleans(), st.integers(0, 2**31 - 1))
+@settings(max_examples=120, deadline=None)
+def test_scalar_quantile_sample_is_the_array_path(anchors, log_space, seed):
+    """One draw equals ``quantile`` at the same uniform, bit for bit."""
+    if log_space:
+        anchors = [(p, v + 1e-3) for p, v in anchors]
+    dist = QuantileDistribution(anchors, log_space=log_space)
+    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        value = dist.sample(ours)
+        assert type(value) is float
+        expected = dist.quantile(reference.random())
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
