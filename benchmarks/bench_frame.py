@@ -179,11 +179,20 @@ def test_csv_read_3x(tmp_path):
 
 
 def test_csv_write_1_5x(tmp_path):
-    """Column-wise CSV write: >=1.5x over the per-row writer, same bytes."""
+    """Column-wise CSV write: >=1.5x over the per-row writer, same bytes.
+
+    The two writers run in alternating pairs, and each side keeps its
+    best of three, so a slow moment of the machine lands on both sides
+    instead of deciding the ratio.
+    """
     table = _bench_table().head(CSV_ROWS)
     fast_path, naive_path = tmp_path / "fast.csv", tmp_path / "naive.csv"
-    fast_s, _ = _best_of(lambda: write_csv(table, fast_path))
-    naive_s, _ = _best_of(lambda: naive_write_csv(table, naive_path), repeats=1)
+    fast_s = naive_s = float("inf")
+    for _ in range(3):
+        fast_s = min(fast_s, _best_of(lambda: write_csv(table, fast_path), repeats=1)[0])
+        naive_s = min(
+            naive_s, _best_of(lambda: naive_write_csv(table, naive_path), repeats=1)[0]
+        )
     record_bench_stat(
         "csv_write",
         rows_per_s=CSV_ROWS / fast_s,

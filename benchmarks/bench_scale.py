@@ -22,7 +22,9 @@ chunk streams once, into assembled spills, without ever
 materializing the dataset, and the gates pin (a) figure-grade
 statistics bit-identical to the serial materialized coupled build,
 (b) parent working memory, in the assemble pass and in a scan of its
-output, bounded by a chunk-size constant (independent of scale),
+output, bounded by a chunk-size constant (independent of scale), and
+in the workload stage, where the island hosts draw their own cohorts,
+holding no activity model and a few hundred bytes per job,
 (c) the same >= 2x speedup at 4 workers on real parallel hardware,
 (d) the *entire* figure registry running off the chunk streams with
 integer-count stats bit identical and the parent peak at
@@ -210,6 +212,13 @@ def test_island_buckets_stay_balanced(builds):
 #: islands into lockstep epochs, so the build exercises the
 #: process-parallel epoch protocol, not just the embarrassing fan-out.
 STREAM_INTERCHANGE = InterchangeConfig(epoch_s=6 * 3600.0, migrate_after_s=3600.0)
+#: tracemalloc budget of the parent's ``workload`` stage: a base for
+#: the generator's constant tables plus an allowance per drawn job.  A
+#: parent that holds only the CPU shard and the numbering measured
+#: 2.3 MB + ~300 bytes per job; one that drew every job, activity
+#: models included, 7.6 kB per job.
+WORKLOAD_BASE_BYTES = 4 * 2**20
+WORKLOAD_BYTES_PER_JOB = 1024
 
 
 def _traced_assemble(assemble, peak: dict):
@@ -236,6 +245,62 @@ def assemble_peak():
     return {}
 
 
+def _live_models() -> int:
+    """Activity models alive in this process."""
+    import gc
+
+    from repro.workload.activity import JobActivityModel
+
+    gc.collect()
+    return sum(isinstance(obj, JobActivityModel) for obj in gc.get_objects())
+
+
+def _traced_workload_stage(stage, measured: dict):
+    """``PipelineInstrumentation.stage`` with the ``workload`` stage run
+    inside a tracemalloc window: its peak goes to
+    ``measured["bytes"]`` and the activity models it left alive to
+    ``measured["models"]`` (beyond ``measured["models_before"]``)."""
+    import contextlib
+
+    @contextlib.contextmanager
+    def traced(self, name, *args, **kwargs):
+        if name != "workload":
+            with stage(self, name, *args, **kwargs) as probe:
+                yield probe
+            return
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            with stage(self, name, *args, **kwargs) as probe:
+                yield probe
+        finally:
+            _, measured["bytes"] = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        measured["jobs"] = probe.rows
+        measured["models"] = _live_models() - measured["models_before"]
+
+    return traced
+
+
+def _untraced_host(host_main):
+    """A forked island host that stops the tracemalloc window it
+    inherited: only the parent's workload stage is measured."""
+
+    def main(*args):
+        tracemalloc.stop()
+        return host_main(*args)
+
+    return main
+
+
+@pytest.fixture(scope="module")
+def workload_peak():
+    """tracemalloc peak, job count and live activity models of the
+    streaming build's ``workload`` stage in the parent, filled in by
+    ``coupled_builds``."""
+    return {}
+
+
 def _stream_config() -> WorkloadConfig:
     return WorkloadConfig(
         scale=STREAM_SCALE,
@@ -246,7 +311,7 @@ def _stream_config() -> WorkloadConfig:
 
 
 @pytest.fixture(scope="module")
-def coupled_builds(assemble_peak):
+def coupled_builds(assemble_peak, workload_peak):
     """Streaming process-parallel coupled build vs serial materialized.
 
     The parallel build spills every island table to disk and hands the
@@ -259,16 +324,20 @@ def coupled_builds(assemble_peak):
     observation-only, so the bit-identity gate downstream is also the
     proof that watching a build never changes it.  Its assemble pass
     runs under tracemalloc (``assemble_peak``) for the parent-memory
-    gate.
+    gate, and so does its ``workload`` stage (``workload_peak``), where
+    the island hosts fork and draw their own cohorts.
     """
     from repro.obs.progress import ProgressAggregator, use_sink
     from repro.pipeline import shard
+    from repro.pipeline.instrument import PipelineInstrumentation
+    from repro.slurm import parallel
 
     config = _stream_config()
     stream_session = Session(
         config, LIGHT_MONITORING, workers=PARTITIONS, interchange=STREAM_INTERCHANGE
     )
     progress = ProgressAggregator()
+    workload_peak["models_before"] = _live_models()
     start = time.perf_counter()
     with use_sink(progress), pytest.MonkeyPatch.context() as patch:
         patch.setattr(
@@ -276,6 +345,12 @@ def coupled_builds(assemble_peak):
             "_assemble",
             _traced_assemble(shard._assemble, assemble_peak),
         )
+        patch.setattr(
+            PipelineInstrumentation,
+            "stage",
+            _traced_workload_stage(PipelineInstrumentation.stage, workload_peak),
+        )
+        patch.setattr(parallel, "_host_main", _untraced_host(parallel._host_main))
         stream = stream_session.streaming_dataset(chunk_rows=STREAM_CHUNK_ROWS)
     parallel_s = time.perf_counter() - start
 
@@ -356,7 +431,7 @@ def test_coupled_stream_is_bit_identical(coupled_builds):
             assert ours.measured == theirs.measured, ours.name
 
 
-def test_coupled_stream_parent_memory_bounded(coupled_builds, assemble_peak):
+def test_coupled_stream_parent_memory_bounded(coupled_builds, assemble_peak, workload_peak):
     """Gate: merging and consuming the streams costs O(chunk), not O(scale).
 
     tracemalloc sees every numpy buffer the parent touches in two
@@ -366,6 +441,12 @@ def test_coupled_stream_parent_memory_bounded(coupled_builds, assemble_peak):
     CDF.  The budget is a constant multiple of the chunk footprint for
     each — it does not grow with ``STREAM_SCALE``, which is the whole
     point of the spill path.
+
+    A third window covers the build's ``workload`` stage, where the
+    island hosts draw their own GPU cohorts and the parent draws only
+    the CPU shard and numbers the jobs: the parent may hold no
+    activity model, and its peak stays under ``WORKLOAD_BASE_BYTES``
+    plus ``WORKLOAD_BYTES_PER_JOB`` per drawn job.
     """
     from repro.analysis.stats import column_ecdf, column_fraction
 
@@ -383,12 +464,25 @@ def test_coupled_stream_parent_memory_bounded(coupled_builds, assemble_peak):
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
+    workload_budget = WORKLOAD_BASE_BYTES + WORKLOAD_BYTES_PER_JOB * workload_peak["jobs"]
     record_bench_stat(
         "stream_coupled_memory",
         parent_peak_tracemalloc_bytes=int(peak),
         assemble_peak_tracemalloc_bytes=int(assemble_peak["bytes"]),
+        workload_peak_tracemalloc_bytes=int(workload_peak["bytes"]),
+        workload_live_models=workload_peak["models"],
+        workload_jobs=workload_peak["jobs"],
         chunk_bytes=chunk_bytes,
         sketch_samples=sketch.num_samples,
+    )
+    assert workload_peak["models"] == 0, (
+        f"the parent holds {workload_peak['models']} activity models after "
+        "the workload stage; the island hosts draw the GPU jobs"
+    )
+    assert workload_peak["bytes"] < workload_budget, (
+        f"the parent's workload stage peaked at {workload_peak['bytes'] / 1e6:.1f} MB "
+        f"for {workload_peak['jobs']} jobs; budget {workload_budget / 1e6:.1f} MB "
+        f"({WORKLOAD_BASE_BYTES / 1e6:.1f} MB + {WORKLOAD_BYTES_PER_JOB} bytes per job)"
     )
     assert 0.0 < short_share < 1.0
     for what, used in (("assemble", assemble_peak["bytes"]), ("consumption", peak)):

@@ -40,9 +40,10 @@ class CpuSampler:
         memory_gb: float,
         rng: np.random.Generator,
         max_samples: int = 1024,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(times_s, series)``: the sample times and one ``(3, n)``
-        array holding the ``cpu_load``, ``memory_gb`` and ``io_mbps`` rows.
+    ) -> np.ndarray:
+        """One ``(3, n)`` array holding the ``cpu_load``, ``memory_gb``
+        and ``io_mbps`` rows, sampled at ``np.linspace(0, span, n)``
+        with ``span = max(duration_s, 1e-9)``.
 
         Four draws, in this order: the load and memory noise, then the
         burst and quiet I/O rates, each rate drawn for every sample.
@@ -50,8 +51,24 @@ class CpuSampler:
         if duration_s < 0:
             raise MonitoringError(f"negative duration {duration_s}")
         count = min(int(duration_s / self.interval_s) + 1, max_samples)
-        times = np.linspace(0.0, max(duration_s, 1e-9), count)
-        progress = times / max(duration_s, 1e-9)
+        span = max(duration_s, 1e-9)
+        # Each sample's share of the run, ``linspace(0, span, n) / span``,
+        # with linspace's arithmetic: ``arange * step``, or, for a step
+        # that underflows, ``arange / div * span``; the last sample is
+        # ``span`` itself.  (linspace's ``+= start`` adds 0.0: a no-op.)
+        progress = np.arange(count, dtype=float)
+        if count > 1:
+            div = count - 1
+            step = span / div
+            if step == 0:
+                progress /= div
+                progress *= span
+            else:
+                progress *= step
+            progress[-1] = span
+        else:
+            progress *= span
+        progress /= span
 
         # ``x.clip`` is what ``np.clip(x)`` calls.
         series = np.empty((3, count))
@@ -66,7 +83,7 @@ class CpuSampler:
         io[:] = rng.gamma(1.2, 8.0, count)
         # Input is read in the first 5 % of the run, results written in the last.
         np.copyto(io, burst_rate, where=(progress < 0.05) | (progress > 0.95))
-        return times, series
+        return series
 
     def sample(
         self,
@@ -77,7 +94,8 @@ class CpuSampler:
         max_samples: int = 1024,
     ) -> dict[str, np.ndarray]:
         """Return ``{"times_s", "cpu_load", "memory_gb", "io_mbps"}``."""
-        times, series = self._draw(duration_s, cores, memory_gb, rng, max_samples)
+        series = self._draw(duration_s, cores, memory_gb, rng, max_samples)
+        times = np.linspace(0.0, max(duration_s, 1e-9), series.shape[1])
         return {"times_s": times, **dict(zip(_SERIES, series))}
 
     def summarize(
@@ -88,7 +106,7 @@ class CpuSampler:
         rng: np.random.Generator,
     ) -> dict[str, float]:
         """min/mean/max of the CPU series (as stored per job)."""
-        _, series = self._draw(duration_s, cores, memory_gb, rng)
+        series = self._draw(duration_s, cores, memory_gb, rng)
         # Each row reduces as its own 1-D array would, and a mean is
         # np.mean's arithmetic: the row's sum, then one division.
         means = series.sum(axis=1)

@@ -1,15 +1,12 @@
 """Process-parallel fan-out for pipeline sessions.
 
-:func:`parallel_map` is the process pool behind two fan-out shapes:
+:func:`parallel_map` is the process pool behind one fan-out shape,
+**many seeds, one analysis**: robustness sweeps run the full pipeline
+per seed in separate processes.
 
-* **many cohorts, one workload** — cohort generation draws each
-  cohort's jobs from its own stream
-  (:func:`repro.workload.cohorts.generate_sharded`);
-* **many seeds, one analysis** — robustness sweeps run the full
-  pipeline per seed in separate processes.
-
-The islands of a build fork their own hosts instead
-(:mod:`repro.slurm.parallel`).  Everything degrades to serial
+A dataset build forks its island hosts instead
+(:mod:`repro.slurm.parallel`), and those hosts draw the workload's
+cohorts.  Everything degrades to serial
 execution: ``workers <= 1``, a single work item, or a pool that cannot
 start (restricted environments) all take the in-process path, so
 parallelism is purely an optimisation and never a correctness

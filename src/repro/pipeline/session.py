@@ -8,8 +8,9 @@ on-disk artifact cache, figure execution, and per-stage
 instrumentation.  Each island evaluates the GPU sampling tasks its
 monitoring epilogs deferred as it finishes, inside ``schedule``, under
 its own ``monitor.sampling`` span.  The session's ``workers``
-setting bounds the forked island hosts and the cohort-generation
-pool; figures always run in the session's process.  Consumers —
+setting bounds the forked island hosts, which also draw the workload
+cohorts routed to their islands; figures always run in the session's
+process.  Consumers —
 the CLI, figure regeneration, validation, robustness sweeps,
 benchmarks — share one session instead of each re-running the
 generation pipeline:
@@ -63,9 +64,10 @@ class Session:
         disk caching (the in-memory memo still applies).
     workers:
         Process width of cold dataset builds; ``1`` means serial.  A
-        build draws its cohorts (when it has several) across a pool of
-        this width and forks ``min(workers, partitions)`` island hosts;
-        every island samples serially in the process that hosts it.
+        build forks ``min(workers, partitions)`` island hosts; each
+        draws the GPU cohorts routed to its islands, then simulates
+        and samples them serially, while the session's process draws
+        only the CPU shard and numbers the jobs.
         Figures run in the session's process at any width.  ``None``
         defers to the ``REPRO_WORKERS`` environment variable (serial
         when unset).

@@ -237,22 +237,26 @@ def build_sharded_dataset(
 ):
     """Build the dataset as ``config.partitions`` islands: the only build.
 
-    Three stages.  ``workload`` draws the requests, its cohort streams
-    across a pool of ``workers`` processes when there are several;
-    ``schedule`` runs the islands through one
-    :class:`~repro.slurm.interchange.PartitionedRunner` — in-process, or
-    across ``min(workers, partitions)`` forked hosts — whose finish hook
-    also samples each island (a ``monitor.sampling`` span per island)
-    and builds its key-sorted tables; and ``assemble`` unions the
-    series stores, k-way merges the island tables, runs the merges
-    through the joins and lands the job tables (:func:`_assemble`).
-    Both builds share that path; only where the tables land differs.
-    Without ``streaming`` they stay in memory.  With ``streaming=True``
-    the islands spill them, ``assemble`` spills its chunks once under
+    One :class:`~repro.slurm.interchange.PartitionedRunner` — an
+    in-process host, or ``min(workers, partitions)`` forked hosts —
+    runs three stages.  ``workload`` starts the hosts, each drawing the
+    GPU cohorts routed to its islands while the parent draws the CPU
+    shard and numbers every job, then checks that each island can place
+    its largest job (:func:`check_island_capacity`); the parent holds
+    no activity model.  ``schedule`` runs the islands through the
+    runner's epochs, whose finish hook also samples each island (a
+    ``monitor.sampling`` span per island) and builds its key-sorted
+    tables; and ``assemble`` unions the series stores, k-way merges the
+    island tables, runs the merges through the joins and lands the job
+    tables (:func:`_assemble`).  Both builds share that path; only
+    where the tables land differs.  Without ``streaming`` they stay in
+    memory.  With ``streaming=True`` the islands spill them,
+    ``assemble`` spills its chunks once under
     ``<spill_dir>/assembled/`` and removes the island table spills, and
     the returned dataset holds those file-backed tables, a spilled
     series store, and no job records (``spill_dir`` defaults to a temp
-    directory, removed if any stage from ``schedule`` on fails).
+    directory, removed if any stage fails).  A failure in any stage
+    reaps every host before it propagates.
     """
     import shutil
     import tempfile
@@ -262,12 +266,7 @@ def build_sharded_dataset(
     from repro.frame import DEFAULT_CHUNK_ROWS
     from repro.monitor.timeseries import SpilledTimeSeriesStore, TimeSeriesStore
     from repro.slurm.accounting import ACCOUNTING_COLUMNS
-    from repro.slurm.interchange import PartitionedRunner, route_requests
-    from repro.workload.cohorts import generate_sharded
-
-    with inst.stage("workload") as probe:
-        requests = generate_sharded(config, workers=workers)
-        probe.rows = len(requests)
+    from repro.slurm.interchange import PartitionedRunner
 
     layout = PartitionLayout.even(config.scaled_nodes, config.partitions)
     spec = supercloud_spec(config.scaled_nodes)
@@ -277,25 +276,30 @@ def build_sharded_dataset(
         spill_dir = tempfile.mkdtemp(prefix="repro-shard-")
     spill = str(spill_dir) if streaming else None
 
+    runner = None
     try:
-        with inst.stage("schedule") as probe:
-            check_island_capacity(layout, route_requests(requests, len(layout)), spec)
-            runner = PartitionedRunner(
-                layout,
-                spec=spec,
-                interchange=interchange,
-                workers=workers,
-                island_setup=_island_setup,
-                island_finish=_island_finish,
-                island_context={
-                    "monitoring": monitoring,
-                    "num_partitions": len(layout),
-                    "spill_dir": spill,
-                    "chunk_rows": rows,
-                },
-                return_records=not streaming,
+        runner = PartitionedRunner(
+            layout,
+            spec=spec,
+            interchange=interchange,
+            workers=workers,
+            island_setup=_island_setup,
+            island_finish=_island_finish,
+            island_context={
+                "monitoring": monitoring,
+                "num_partitions": len(layout),
+                "spill_dir": spill,
+                "chunk_rows": rows,
+            },
+            return_records=not streaming,
+        )
+        with inst.stage("workload") as probe:
+            probe.rows = runner.draw(
+                config, check=lambda buckets: check_island_capacity(layout, buckets, spec)
             )
-            outcome = runner.run(requests)
+
+        with inst.stage("schedule") as probe:
+            outcome = runner.finish()
             islands = outcome.extras
             records = outcome.merged_records()
             inst.metrics.counter(
@@ -325,6 +329,8 @@ def build_sharded_dataset(
                         shutil.rmtree(source, ignore_errors=True)
             probe.rows = jobs.num_rows
     except BaseException:
+        if runner is not None:
+            runner.close(failed=True)
         if temp_spill:
             shutil.rmtree(spill, ignore_errors=True)
         raise

@@ -33,6 +33,14 @@ are therefore bit-identical by construction
 (``tests/slurm/test_parallel_interchange.py`` pins it event for
 event).
 
+The hosts get their jobs one of two ways.  :meth:`PartitionedRunner.run`
+routes an explicit request list in the parent.  A dataset build calls
+:meth:`PartitionedRunner.draw` instead: the hosts start empty and draw
+the GPU cohorts routed to their own islands, so the parent never holds
+an activity model; it draws only the CPU shard, numbers every job and
+sends each host its ids and CPU jobs.  Both feed the same epoch loop
+(:meth:`PartitionedRunner.finish`).
+
 This module is about *simulation structure*; the similarly named
 :mod:`repro.interchange` maps datasets onto the public MIT Supercloud
 CSV layout and is unrelated.
@@ -42,7 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.cluster.partition import Partition, PartitionLayout
 from repro.cluster.spec import ClusterSpec, supercloud_spec
@@ -166,6 +174,14 @@ def plan_migrations(
     return moves
 
 
+class DrawnJob(NamedTuple):
+    """The parent's view of a GPU job an island host drew: its global
+    id and size, enough to check that its island can place it."""
+
+    job_id: int
+    num_gpus: int
+
+
 @dataclass
 class PartitionedResult:
     """Per-island results plus the deterministic global merge."""
@@ -220,6 +236,11 @@ class PartitionedRunner:
     ``return_records=False`` keeps job records out of the parent (the
     streaming build spills island-local accounting instead), so parent
     memory stays bounded by the interchange payload, not the trace.
+
+    :meth:`run` simulates an explicit request list.  A dataset build
+    instead calls :meth:`draw` (the hosts start and draw their own
+    islands' jobs) and then :meth:`finish`; :meth:`close` reaps hosts
+    a failure left running.
     """
 
     def __init__(
@@ -270,27 +291,101 @@ class PartitionedRunner:
             )
         self._global_usage: dict[str, float] = {}
         self.migrations = 0
+        self._hosts: list = []
+        self._mode = "serial"
 
     # ------------------------------------------------------------------
     def run(self, requests: list[JobRequest]) -> PartitionedResult:
         """Simulate all requests across the islands to completion."""
         buckets = dict(enumerate(route_requests(requests, len(self.layout))))
-        hosts, mode = self._start_hosts(buckets)
+        self._hosts, self._mode = self._start_hosts(buckets)
+        return self.finish()
+
+    def draw(self, config, check: Callable[[list], None]) -> int:
+        """Start the hosts and have each draw its islands' jobs.
+
+        Each host draws the GPU cohorts routed to its islands (cohort
+        ``c`` to island ``c % K``, :func:`repro.workload.cohorts.draw_cohort`)
+        while the parent draws the CPU shard; only submit times and GPU
+        counts come back.  The parent numbers every job with
+        :func:`~repro.workload.cohorts.assign_job_ids`, hands
+        ``check`` the islands' buckets — each in job-id order, a
+        :class:`DrawnJob` per GPU job and the island's CPU requests —
+        and sends each host its ids and CPU jobs.  Returns the job
+        count.  On any failure the hosts are reaped before it raises.
+        """
+        from repro.workload.cohorts import assign_job_ids, draw_cpu
+
+        num = len(self.layout)
+        self._hosts, self._mode = self._start_hosts({index: [] for index in range(num)})
+        try:
+            for host in self._hosts:
+                host.send("draw", config)
+            cpu = draw_cpu(config)
+            drawn = {
+                cohort: (times, gpus)
+                for island, host in self._owners()
+                for cohort, times, gpus in host.recv(island, 0)
+            }
+            cohorts = sorted(drawn)
+            *cohort_ids, cpu_ids = assign_job_ids(
+                [drawn[cohort][0] for cohort in cohorts]
+                + [[request.submit_time_s for request in cpu]]
+            )
+            ids = dict(zip(cohorts, cohort_ids))
+            cpu_jobs: list[list[JobRequest]] = [[] for _ in range(num)]
+            for request, job_id in zip(cpu, cpu_ids.tolist()):
+                request.job_id = job_id
+                cpu_jobs[int(request.tags["cohort"]) % num].append(request)
+            buckets = [list(jobs) for jobs in cpu_jobs]
+            for cohort in cohorts:
+                buckets[cohort % num].extend(
+                    map(DrawnJob, ids[cohort].tolist(), drawn[cohort][1].tolist())
+                )
+            for bucket in buckets:
+                bucket.sort(key=lambda job: job.job_id)
+            check(buckets)
+            for host in self._hosts:
+                host.send("assign", {
+                    index: ([ids[c] for c in range(index, len(cohorts), num)], cpu_jobs[index])
+                    for index in host.islands
+                })
+            for island, host in self._owners():
+                host.recv(island, 0)
+        except BaseException:
+            self.close(failed=True)
+            raise
+        return len(cpu) + sum(len(cohort) for cohort in cohort_ids)
+
+    def finish(self) -> PartitionedResult:
+        """Run the started hosts' islands through the epochs, then reap them."""
         failed = True
         try:
-            replies = self._epochs(hosts)
+            replies = self._epochs()
             failed = False
         finally:
-            for host in hosts:
-                host.close(failed)
+            self.close(failed)
         return PartitionedResult(
             layout=self.layout,
             results=[reply["result"] for reply in replies],
             interchange=self.interchange,
             migrations=self.migrations,
             extras=[reply["extra"] for reply in replies],
-            mode=mode,
+            mode=self._mode,
             island_peak_rss_bytes=max(reply["peak_rss_bytes"] for reply in replies),
+        )
+
+    def close(self, failed: bool = False) -> None:
+        """Close every started host (killing it if the run failed)."""
+        hosts, self._hosts = self._hosts, []
+        for host in hosts:
+            host.close(failed)
+
+    def _owners(self) -> list[tuple[int, Any]]:
+        """``(island, host)`` pairs in island-index order."""
+        return sorted(
+            ((index, host) for host in self._hosts for index in host.islands),
+            key=lambda pair: pair[0],
         )
 
     def _start_hosts(self, buckets: dict[int, list]) -> tuple[list, str]:
@@ -311,19 +406,19 @@ class PartitionedRunner:
         beat = sink.update if sink is not None else None
         return [IslandHost(self, buckets, beat=beat)], "serial"
 
-    def _epochs(self, hosts: list) -> list[dict]:
+    def _epochs(self) -> list[dict]:
         """The parent's epoch loop; returns every island's finalize reply.
 
         Each round every host advances its islands to the boundary;
         the parent merges the fair-share deltas in island-index order,
         plans migrations with :func:`plan_migrations`, and sends each
-        host its share of the exchange.  Uncoupled islands are the
-        one-round case: ``until=None`` runs each island to completion.
+        host its share of the exchange.  An epoch that syncs no ledger
+        and plans no move has nothing to exchange: the hosts are not
+        sent one, and whether events remain comes from the advance
+        replies.  Uncoupled islands are the one-round case:
+        ``until=None`` runs each island to completion.
         """
-        owners = sorted(
-            ((index, host) for host in hosts for index in host.islands),
-            key=lambda pair: pair[0],
-        )
+        hosts, owners = self._hosts, self._owners()
 
         def replies(epoch: int) -> list:
             return [host.recv(index, epoch) for index, host in owners]
@@ -345,13 +440,14 @@ class PartitionedRunner:
             if sync:
                 # Merge island deltas in index order: one float-summation
                 # order whichever hosts ran the islands.
-                for usage, _, _ in reports:
+                for usage, *_ in reports:
                     for user, hours in usage.items():
                         self._global_usage[user] = self._global_usage.get(user, 0.0) + hours
                 ledger = self._global_usage
             moves: dict[int, tuple[list, list]] = {
                 index: ([], []) for index in range(len(self.layout))
             }
+            planned = []
             if threshold is not None:
                 planned = plan_migrations(
                     [report[1] for report in reports],
@@ -364,11 +460,15 @@ class PartitionedRunner:
                     request.tags["migrated_to"] = target
                     moves[target][1].append(request)
                 self.migrations += len(planned)
-            for host in hosts:
-                host.send(
-                    "exchange", ledger, {i: moves[i] for i in host.islands}, until
-                )
-            if not any(replies(epoch)):
+            if ledger is not None or planned:
+                for host in hosts:
+                    host.send(
+                        "exchange", ledger, {i: moves[i] for i in host.islands}, until
+                    )
+                pending = any(replies(epoch))
+            else:
+                pending = any(report[3] for report in reports)
+            if not pending:
                 break
             until += interchange.epoch_s
         for host in hosts:
@@ -385,12 +485,19 @@ class IslandHost:
     (:mod:`repro.slurm.parallel`), so there is one implementation of
     the island protocol:
 
+    * ``draw(config)`` — draw the GPU cohorts routed to each owned
+      island; the reply is one ``(cohort, submit times, GPU counts)``
+      triple per cohort, arrays in draw order;
+    * ``assign({island: (ids per cohort, CPU requests)})`` — number
+      the drawn jobs and add the island's CPU jobs; the island's
+      bucket is then every job in job-id order;
     * ``advance(until, want_usage, threshold)`` — an island's first
       advance builds its simulator, runs ``island_setup`` and
       ``begin``; the reply is ``(usage delta, migration candidates,
-      queue length)``.  With ``until=None`` (uncoupled islands) each
-      island instead runs to completion and finishes before the next
-      one begins, so the host holds one island at a time;
+      queue length, events remain)``.  With ``until=None`` (uncoupled
+      islands) each island instead runs to completion and finishes
+      before the next one begins, so the host holds one island at a
+      time;
     * ``exchange(ledger, moves, boundary)`` — apply the fair-share
       ledger and this host's ``{island: (removed ids, incoming
       requests)}``; the reply is whether the island still has events;
@@ -410,6 +517,7 @@ class IslandHost:
         self.runner = runner
         self.islands = sorted(buckets)
         self._buckets = dict(buckets)
+        self._drawn: dict[int, list[list[JobRequest]]] = {}
         self._live: dict[int, tuple[SlurmSimulator, Any]] = {}
         self._done: dict[int, dict] = {}
         self._beat = beat
@@ -432,6 +540,36 @@ class IslandHost:
         return getattr(self, f"_{command}")(*args)
 
     # ------------------------------------------------------------------
+    def _draw(self, config):
+        import numpy as np
+
+        from repro.workload.cohorts import draw_cohort
+
+        num = len(self.runner.layout)
+        for index in self.islands:
+            cohorts = range(index, config.resolved_cohorts, num)
+            self._drawn[index] = [draw_cohort(config, cohort) for cohort in cohorts]
+            yield [
+                (
+                    cohort,
+                    np.array([request.submit_time_s for request in requests]),
+                    np.array([request.num_gpus for request in requests], dtype=np.int64),
+                )
+                for cohort, requests in zip(cohorts, self._drawn[index])
+            ]
+
+    def _assign(self, payload: dict):
+        for index in self.islands:
+            cohort_ids, bucket = payload[index]
+            bucket = list(bucket)
+            for requests, ids in zip(self._drawn.pop(index), cohort_ids):
+                for request, job_id in zip(requests, ids.tolist()):
+                    request.job_id = job_id
+                bucket.extend(requests)
+            bucket.sort(key=lambda request: request.job_id)
+            self._buckets[index] = bucket
+            yield len(bucket)
+
     def _advance(self, until: float | None, want_usage: bool, threshold: float | None):
         self._epoch += 1
         for index in self.islands:
@@ -458,7 +596,7 @@ class IslandHost:
             self._live[index] = self._setup(index)
             self._live[index][0].begin(self._buckets.pop(index))
         simulator = self._live[index][0]
-        simulator.advance(until=until)
+        pending = simulator.advance(until=until)
         usage = simulator._policy.drain_usage() if want_usage else None
         candidates = (
             migration_candidates(simulator.queue.scan(), until, threshold)
@@ -466,7 +604,7 @@ class IslandHost:
             else None
         )
         self._report(index, simulator)
-        return usage, candidates, len(simulator.queue)
+        return usage, candidates, len(simulator.queue), pending
 
     def _exchange(self, ledger: dict | None, moves: dict, boundary: float):
         for index in self.islands:

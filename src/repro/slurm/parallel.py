@@ -5,13 +5,18 @@ With ``workers > 1`` and more than one island, :func:`fork_hosts`
 starts ``min(workers, K)`` persistent host processes; host ``h`` owns
 every island ``i`` with ``i % hosts == h`` and runs an
 :class:`~repro.slurm.interchange.IslandHost` — the class the
-in-process host uses — for the whole run.  Only the bounded interchange
-payload crosses the process boundary each epoch: per-user fair-share
-usage *deltas*, migration *candidates* (overdue queued requests), queue
-lengths, and the planned moves coming back — never cluster or
-event-loop state.  The parent computes the ledger merge and the
-migration plan once, in the runner's epoch loop, so a forked run is
-bit-identical to the in-process one by construction.
+in-process host uses — for the whole run.  In a dataset build the
+hosts fork before anything is drawn and draw their own islands' GPU
+cohorts: the ``draw`` round carries each cohort's submit times and GPU
+counts to the parent, the ``assign`` round carries the job ids and the
+island's CPU jobs back, and no activity model ever crosses.  After
+that only the bounded interchange payload crosses the process boundary
+each epoch: per-user fair-share usage *deltas*, migration *candidates*
+(overdue queued requests), queue lengths, and the planned moves coming
+back — never cluster or event-loop state.  The parent computes the
+numbering, the ledger merge and the migration plan once, in the
+runner, so a forked run is bit-identical to the in-process one by
+construction.
 
 Protocol: the parent sends ``(command, args)``; the host answers with
 one ``("ok", reply)`` per owned island in index order, or with
@@ -24,8 +29,9 @@ it, so observation can never reorder or alter the lockstep payload.
 
 A host that fails or dies surfaces in the parent as
 :class:`~repro.pipeline.parallel.ParallelTaskError` naming the island
-the parent was waiting on and the epoch it had reached; the runner then
-closes every pipe and reaps every host process.
+the parent was waiting on and the epoch it had reached (epoch 0 while
+the jobs are drawn and assigned); the runner then closes every pipe and
+reaps every host process.
 """
 
 from __future__ import annotations

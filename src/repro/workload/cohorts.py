@@ -15,13 +15,17 @@ spawn key                 stream
                           ``user_index % cohorts == c``)
 ========================  =====================================================
 
-Because each shard's draws depend only on its own stream, the serial
-path (run the shards one after another in one process) and the sharded
-path (run them across a :func:`~repro.pipeline.parallel.parallel_map`
-pool) produce **bit-for-bit identical jobs** — the contract pinned by
-``tests/workload/test_cohorts.py``.  Merging is deterministic: shards
-are concatenated in task order, stably sorted by submit time, and job
-ids assigned in that final order.
+Because each shard's draws depend only on its own stream, a shard
+drawn in any process is **bit-for-bit** the shard
+:func:`generate_sharded` draws serially.  A dataset build uses that:
+each island host draws the cohorts routed to its islands
+(:func:`draw_cohort`, cohort ``c`` to island ``c % partitions``) while
+the parent draws the CPU shard (:func:`draw_cpu`), and the parent
+numbers the jobs with :func:`assign_job_ids` — shards concatenated in
+task order, stably sorted by submit time, ids assigned in that final
+order — the one numbering :func:`generate_sharded` uses.  The contract
+is pinned by ``tests/workload/test_cohorts.py`` and
+``tests/workload/test_trace_digests.py``.
 
 ``cohorts == 1`` is intentionally *not* routed through this module's
 streams: it keeps the legacy single-stream draw so existing datasets,
@@ -107,31 +111,56 @@ def run_generation_task(config: WorkloadConfig, task: GenerationTask) -> list[Jo
     )
 
 
-class _TaskRunner:
-    """Picklable ``parallel_map`` callable binding the config."""
+def draw_cohort(config: WorkloadConfig, cohort: int) -> list[JobRequest]:
+    """The GPU jobs of ``cohort``, as the island host that owns it draws them.
 
-    def __init__(self, config: WorkloadConfig) -> None:
-        self.config = config
+    With ``resolved_cohorts == 1`` the one cohort is the legacy
+    single-stream workload, CPU jobs included and ids already assigned
+    (:func:`draw_cpu` is then empty); otherwise it is the cohort's
+    :func:`run_generation_task` draw, ids unassigned.
+    """
+    if config.resolved_cohorts <= 1:
+        return WorkloadGenerator(config).generate()
+    return run_generation_task(config, GenerationTask("cohort", cohort))
 
-    def __call__(self, task: GenerationTask) -> list[JobRequest]:
-        return run_generation_task(self.config, task)
+
+def draw_cpu(config: WorkloadConfig) -> list[JobRequest]:
+    """The CPU shard from stream ``(1,)`` (ids unassigned), or nothing
+    when there is none or the legacy stream draws the CPU jobs."""
+    if config.resolved_cohorts <= 1 or not config.include_cpu_jobs:
+        return []
+    return run_generation_task(config, GenerationTask("cpu"))
 
 
-def generate_sharded(config: WorkloadConfig, workers: int | None = 1) -> list[JobRequest]:
-    """The full workload via cohort shards, serial or process-parallel.
+def assign_job_ids(submit_times) -> list[np.ndarray]:
+    """Global job ids for shards given in task order, as int64 arrays.
 
-    Returns the same jobs for any ``workers`` value.  With
-    ``resolved_cohorts <= 1`` this delegates to the legacy
+    ``submit_times[s]`` holds shard ``s``'s submit times in draw order.
+    The shards are concatenated in task order and stably sorted by
+    submit time; a job's id is its position in that order, so
+    ``ids[s][k]`` numbers shard ``s``'s ``k``-th job.
+    """
+    times = [np.asarray(shard, dtype=float) for shard in submit_times]
+    order = np.argsort(np.concatenate(times), kind="stable")
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.arange(len(order))
+    return np.split(ids, np.cumsum([len(shard) for shard in times])[:-1])
+
+
+def generate_sharded(config: WorkloadConfig) -> list[JobRequest]:
+    """The full workload via cohort shards, drawn serially, in job-id order.
+
+    With ``resolved_cohorts <= 1`` this delegates to the legacy
     single-stream generator so the pre-sharding output is preserved
     bit-for-bit.
     """
     if config.resolved_cohorts <= 1:
         return WorkloadGenerator(config).generate()
-    from repro.pipeline.parallel import parallel_map
-
-    chunks = parallel_map(_TaskRunner(config), generation_tasks(config), workers=workers)
-    requests = [request for chunk in chunks for request in chunk]
-    requests.sort(key=lambda r: r.submit_time_s)
-    for job_id, request in enumerate(requests):
-        request.job_id = job_id
+    shards = [run_generation_task(config, task) for task in generation_tasks(config)]
+    ids = assign_job_ids([[request.submit_time_s for request in shard] for shard in shards])
+    requests: list = [None] * sum(map(len, shards))
+    for shard, shard_ids in zip(shards, ids):
+        for request, job_id in zip(shard, shard_ids.tolist()):
+            request.job_id = job_id
+            requests[job_id] = request
     return requests

@@ -240,8 +240,8 @@ class WorkloadGenerator:
 
         With ``config.resolved_cohorts > 1`` the draw is delegated to
         the cohort-sharded path (:mod:`repro.workload.cohorts`), which
-        produces the same jobs whether run serially or across a process
-        pool.  ``cohorts == 1`` keeps the legacy single-stream draws
+        produces the same jobs as island hosts drawing their own
+        cohorts.  ``cohorts == 1`` keeps the legacy single-stream draws
         bit-for-bit.
         """
         if self.config.resolved_cohorts > 1:

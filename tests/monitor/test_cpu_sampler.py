@@ -76,3 +76,51 @@ class TestSummarize:
                 value, expected = summary[f"{name}_{stat}"], getattr(values, stat)()
                 assert type(value) is float
                 assert np.float64(value).tobytes() == expected.tobytes()
+
+
+def linspace_summary(duration_s, cores, memory_gb, rng, interval_s=10.0, max_samples=1024):
+    """The epilog with its sample times from ``np.linspace``, as it was
+    drawn before the progress fractions were computed directly."""
+    count = min(int(duration_s / interval_s) + 1, max_samples)
+    times = np.linspace(0.0, max(duration_s, 1e-9), count)
+    progress = times / max(duration_s, 1e-9)
+    series = np.empty((3, count))
+    load, memory, io = series
+    rng.normal(0.85, 0.1, count).clip(0.0, 1.0, out=load)
+    load *= cores
+    (progress / 0.05).clip(0.0, 1.0, out=memory)
+    memory *= memory_gb
+    memory *= rng.normal(0.9, 0.05, count).clip(0.0, 1.0)
+    burst_rate = rng.gamma(2.0, 120.0, count)
+    io[:] = rng.gamma(1.2, 8.0, count)
+    np.copyto(io, burst_rate, where=(progress < 0.05) | (progress > 0.95))
+    means = series.sum(axis=1)
+    means /= series.shape[1]
+    stats = np.array([series.min(axis=1), means, series.max(axis=1)])
+    keys = [f"{n}_{s}" for n in ("cpu_load", "memory_gb", "io_mbps") for s in ("min", "mean", "max")]
+    return dict(zip(keys, stats.T.ravel().tolist()))
+
+
+def test_epilog_equals_the_linspace_epilog():
+    """20,000 random epilogs give the ``np.linspace`` epilog's values,
+    bit for bit and type for type, and leave the stream where it did."""
+    draws = np.random.default_rng(2022)
+    durations = np.concatenate([
+        draws.lognormal(6.0, 3.0, 15_000),
+        draws.uniform(0.0, 40.0, 3_000),
+        np.arange(0.0, 10_240.0, 10.0)[draws.integers(0, 1024, 1_000)],
+        [0.0, 1e-300, 5e-324, 1e-9, 9.999999, 10.0, 10230.0, 10240.0, 1e12] * 111 + [0.0],
+    ])
+    assert len(durations) == 20_000
+    sampler = CpuSampler()
+    ours, theirs = np.random.default_rng(1), np.random.default_rng(1)
+    for duration in durations.tolist():
+        cores = int(draws.integers(1, 49))
+        memory = float(draws.uniform(0.5, 512.0))
+        got = sampler.summarize(duration, cores, memory, ours)
+        want = linspace_summary(duration, cores, memory, theirs)
+        assert list(got) == list(want)
+        for key, value in got.items():
+            assert type(value) is type(want[key]) is float
+            assert np.float64(value).tobytes() == np.float64(want[key]).tobytes(), (duration, key)
+    assert ours.bit_generator.state == theirs.bit_generator.state

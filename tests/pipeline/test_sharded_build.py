@@ -683,6 +683,107 @@ class TestDeadHost:
         assert not any((tmp_path / "tmp").iterdir())
 
 
+#: The coupled streaming build the e2e benchmark times: two forked
+#: islands of 400 nodes at scale 0.02, migration-coupled.
+E2E_STREAM = dict(scale=0.02, seed=20220214, num_nodes=800, partitions=2)
+E2E_INTERCHANGE = InterchangeConfig(epoch_s=6 * 3600.0, migrate_after_s=3600.0)
+
+
+class TestIslandDraw:
+    """Island hosts draw their own cohorts: the parent holds no activity
+    model, the drawn jobs are the serial draw, and a failure while
+    drawing reaps every host."""
+
+    def test_forked_build_holds_no_activity_model_in_the_parent(self, monkeypatch):
+        """Counted when the first epoch starts: the activity models the
+        parent holds beyond those alive before the build (other tests'
+        datasets), and the models its own code constructed."""
+        import gc
+
+        from repro.slurm.interchange import PartitionedRunner
+        from repro.workload.activity import JobActivityModel
+
+        def models():
+            gc.collect()
+            return [o for o in gc.get_objects() if isinstance(o, JobActivityModel)]
+
+        existing = models()
+        known = set(map(id, existing))
+        constructed = []
+        init = JobActivityModel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(os.getpid())
+            init(self, *args, **kwargs)
+
+        live_at_first_epoch = []
+        epochs = PartitionedRunner._epochs
+
+        def counting_epochs(self, *args):
+            live_at_first_epoch.append(sum(id(m) not in known for m in models()))
+            return epochs(self, *args)
+
+        monkeypatch.setattr(JobActivityModel, "__init__", counting_init)
+        monkeypatch.setattr(PartitionedRunner, "_epochs", counting_epochs)
+        session = Session(
+            WorkloadConfig(**E2E_STREAM), workers=2, interchange=E2E_INTERCHANGE
+        )
+        stream = session.streaming_dataset(chunk_rows=512)
+        assert stream.gpu_jobs.num_rows > 900
+        assert live_at_first_epoch == [0]
+        assert constructed == []
+        del existing
+
+    @pytest.mark.parametrize("cohorts", [2, 3])
+    def test_forked_records_are_the_serial_draw(self, cohorts):
+        from repro.workload.cohorts import generate_sharded
+        from tests.workload.test_trace_digests import trace_digest
+
+        config = WorkloadConfig(**dict(SMALL_STREAM, cohorts=cohorts))
+        session = Session(config, workers=2)
+        records = session.dataset().records
+        assert {span["pid"] for span in session.tracer.drain_payload()} - {os.getpid()}
+        requests = [record.request for record in records]
+        assert [r.job_id for r in requests] == list(range(len(requests)))
+        assert trace_digest(requests) == trace_digest(generate_sharded(config))
+
+    def test_host_dying_while_drawing_names_its_island(self, monkeypatch):
+        from repro.workload import cohorts
+
+        draw = cohorts.draw_cohort
+
+        def die_on_cohort_1(config, cohort):
+            if cohort == 1:
+                os._exit(1)
+            return draw(config, cohort)
+
+        monkeypatch.setattr(cohorts, "draw_cohort", die_on_cohort_1)
+        session = Session(WorkloadConfig(**SMALL_STREAM), workers=2)
+        with pytest.raises(ParallelTaskError, match="island 1 at epoch 0") as raised:
+            session.dataset()
+        assert raised.value.index == 1
+        assert multiprocessing.active_children() == []
+
+    def test_undersized_island_fails_with_the_remedy_and_reaps_hosts(self):
+        from repro.cluster.partition import PartitionError, PartitionLayout
+        from repro.cluster.spec import supercloud_spec
+        from repro.pipeline.shard import check_island_capacity
+        from repro.slurm.interchange import route_requests
+        from repro.workload.cohorts import generate_sharded
+
+        config = WorkloadConfig(scale=0.05, seed=20220214, partitions=2)
+        with pytest.raises(PartitionError) as expected:
+            check_island_capacity(
+                PartitionLayout.even(config.scaled_nodes, 2),
+                route_requests(generate_sharded(config), 2),
+                supercloud_spec(config.scaled_nodes),
+            )
+        with pytest.raises(PartitionError, match="fewer partitions") as raised:
+            Session(config, workers=2).dataset()
+        assert str(raised.value) == str(expected.value)
+        assert multiprocessing.active_children() == []
+
+
 class TestSummary:
     def test_summary_reports_partition_layout(self, serial_session):
         text = serial_session.summary()

@@ -279,3 +279,53 @@ class TestFairShareSync:
         policy.set_usage({"u": 5.0, "v": 1.0})
         assert policy._consumed["u"] == 5.0
         assert policy._consumed["v"] == 1.0
+
+
+class TestExchangeRounds:
+    """An epoch that plans no move and syncs no ledger sends the hosts
+    no exchange round: the advance replies say whether events remain."""
+
+    @staticmethod
+    def count_rounds(monkeypatch):
+        from repro.slurm import interchange
+
+        commands, plans = [], []
+        handle, plan = interchange.IslandHost.handle, interchange.plan_migrations
+
+        def counting(self, command, *args):
+            commands.append(command)
+            return handle(self, command, *args)
+
+        def recording(*args):
+            plans.append(plan(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(interchange.IslandHost, "handle", counting)
+        monkeypatch.setattr(interchange, "plan_migrations", recording)
+        return commands, plans
+
+    def test_only_epochs_that_move_jobs_exchange(self, monkeypatch):
+        commands, plans = self.count_rounds(monkeypatch)
+        result = run_partitioned(
+            workload(cohorts=2),
+            2,
+            total_nodes=16,
+            interchange=InterchangeConfig(epoch_s=3600.0, migrate_after_s=900.0),
+        )
+        epochs = commands.count("advance")
+        moving = sum(1 for plan in plans if plan)
+        assert result.migrations > 0
+        assert len(plans) == epochs > 2 * moving > 0
+        assert commands.count("exchange") == moving
+        assert commands.count("finalize") == 1
+
+    def test_a_synced_ledger_exchanges_every_epoch(self, monkeypatch):
+        commands, plans = self.count_rounds(monkeypatch)
+        runner = PartitionedRunner(
+            PartitionLayout.even(16, 2),
+            config=SchedulerConfig(policy="fair_share"),
+            interchange=InterchangeConfig(epoch_s=3600.0, fair_share_sync=True),
+        )
+        runner.run(workload(cohorts=2))
+        assert plans == []
+        assert commands.count("exchange") == commands.count("advance") > 1

@@ -1,9 +1,11 @@
 """Cohort-sharded workload generation must match the serial oracle.
 
 The contract pinned here is the foundation of the partitioned build:
-the sharded path (independent spawn-keyed RNG streams, any worker
-count) draws **bit-for-bit identical jobs** to running the same shards
-serially, and ``cohorts=1`` preserves the legacy single-stream output.
+cohort shards drawn on their own (independent spawn-keyed RNG streams,
+in any order, as island hosts draw them) and numbered by
+``assign_job_ids`` are **bit-for-bit identical jobs** to the serial
+``generate_sharded`` draw, and ``cohorts=1`` preserves the legacy
+single-stream output.
 """
 
 import numpy as np
@@ -15,9 +17,12 @@ from repro.errors import WorkloadError
 from repro.workload.cohorts import (
     CPU_STREAM,
     FIRST_COHORT_STREAM,
+    assign_job_ids,
     build_population,
     cohort_members,
     cohort_stream,
+    draw_cohort,
+    draw_cpu,
     generate_sharded,
     generation_tasks,
     run_generation_task,
@@ -109,9 +114,14 @@ class TestShardedEqualsSerial:
     def test_cohorts_one_matches_legacy_bit_for_bit(self):
         config = small_config()
         legacy = WorkloadGenerator(config).generate()
-        sharded = generate_sharded(config, workers=1)
+        sharded = generate_sharded(config)
         assert list(map(job_fingerprint, legacy)) == list(
             map(job_fingerprint, sharded)
+        )
+        island = draw_cohort(config, 0)
+        assert draw_cpu(config) == []
+        assert list(map(job_fingerprint, legacy)) == list(
+            map(job_fingerprint, island)
         )
 
     @settings(max_examples=4, deadline=None)
@@ -119,13 +129,30 @@ class TestShardedEqualsSerial:
         cohorts=st.integers(min_value=2, max_value=5),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_worker_count_never_changes_the_draw(self, cohorts, seed):
+    def test_island_draws_number_to_the_serial_draw(self, cohorts, seed):
+        """Cohorts drawn one by one, last first (as hosts that own
+        them draw them), plus the parent's CPU shard, numbered by
+        ``assign_job_ids`` in task order, are the serial draw."""
         config = small_config(seed=seed, cohorts=cohorts)
-        serial = generate_sharded(config, workers=1)
-        parallel = generate_sharded(config, workers=min(4, cohorts + 1))
-        assert list(map(job_fingerprint, serial)) == list(
-            map(job_fingerprint, parallel)
+        shards = {c: draw_cohort(config, c) for c in reversed(range(cohorts))}
+        shards[cohorts] = draw_cpu(config)
+        ids = assign_job_ids(
+            [[r.submit_time_s for r in shards[i]] for i in range(cohorts + 1)]
         )
+        for i, shard_ids in enumerate(ids):
+            for request, job_id in zip(shards[i], shard_ids.tolist()):
+                request.job_id = job_id
+        drawn = sorted(
+            (r for shard in shards.values() for r in shard), key=lambda r: r.job_id
+        )
+        serial = generate_sharded(config)
+        assert [r.job_id for r in drawn] == list(range(len(serial)))
+        assert list(map(job_fingerprint, serial)) == list(map(job_fingerprint, drawn))
+
+    def test_job_ids_follow_a_stable_sort_in_task_order(self):
+        ids = assign_job_ids([[5.0, 1.0], [], [1.0, 0.5, 5.0]])
+        assert [a.tolist() for a in ids] == [[3, 1], [], [2, 0, 4]]
+        assert all(a.dtype == np.int64 for a in ids)
 
     def test_every_job_tagged_with_valid_cohort(self):
         config = small_config(cohorts=3)
