@@ -4,11 +4,8 @@ and the session artifact cache."""
 import gc
 import time
 
-import numpy as np
-
 from repro.bench import record_bench_stat
 from repro.dataset import generate_dataset
-from repro.monitor.cpu_sampler import CpuSampler
 from repro.pipeline import Session
 from repro.slurm.scheduler import SlurmSimulator
 from repro.cluster.spec import supercloud_spec
@@ -51,26 +48,6 @@ def test_workload_generation(benchmark):
             rows_per_s=len(requests) / best_s,
             cohort_rows_per_s=len(cohort_requests) / cohort_s,
         )
-
-
-def test_cpu_epilog(benchmark):
-    """CPU epilog summaries per second: one ``CpuSampler.summarize``
-    call per job (one jobs-table row), over a scale-0.02 trace's run
-    times and requests."""
-    jobs = [
-        (min(r.runtime_s, r.time_limit_s), r.cores, r.memory_gb) for r in _generate()
-    ]
-    sampler = CpuSampler()
-
-    def epilog():
-        rng = np.random.default_rng(20220402)
-        return [sampler.summarize(*job, rng) for job in jobs]
-
-    summaries = benchmark(epilog)
-    assert len(summaries) == len(jobs)
-    best_s = _best_seconds(benchmark)
-    if best_s:
-        record_bench_stat("cpu_epilog", rows_per_s=len(jobs) / best_s)
 
 
 def test_scheduler_simulation(benchmark):

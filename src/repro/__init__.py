@@ -8,7 +8,7 @@ redistributable):
 * :mod:`repro.frame` — columnar table library (pandas substitute);
 * :mod:`repro.cluster` — the 224-node / 448-V100 hardware model;
 * :mod:`repro.slurm` — event-driven scheduler simulator;
-* :mod:`repro.monitor` — nvidia-smi/CPU telemetry substrate;
+* :mod:`repro.monitor` — nvidia-smi telemetry substrate;
 * :mod:`repro.workload` — calibrated workload generator;
 * :mod:`repro.pipeline` — the dataset engine: staged sessions, an
   on-disk artifact cache, process-parallel cohort and seed fan-out;
@@ -48,7 +48,7 @@ from repro.pipeline import Session
 from repro.workload.calibration import PAPER_TARGETS, PaperTargets
 from repro.workload.generator import WorkloadConfig
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "PAPER_TARGETS",

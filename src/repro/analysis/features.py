@@ -127,14 +127,20 @@ class IdlePhasePredictor:
         ``i`` in ``indices``; ``times_s`` must be ascending.
 
         The window of ``i`` is every sample in ``[times[i] - window,
-        times[i]]``: two binary searches bound it and a prefix sum of
-        ``mask`` counts its active samples.
+        times[i]]``: a binary search finds its start, its end is ``i``
+        unless times tie (then a second search finds it), and a prefix
+        sum of ``mask`` counts its active samples.
         """
         indices = np.asarray(indices)
         now = times_s[indices]
         lo = np.searchsorted(times_s, now - self.window_s, side="left")
-        hi = np.searchsorted(times_s, now, side="right")
-        active = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
+        if np.all(times_s[1:] > times_s[:-1]):
+            # no tied times: the window ends at sample i itself
+            hi = indices % len(times_s) + 1
+        else:
+            hi = np.searchsorted(times_s, now, side="right")
+        active = np.zeros(len(mask) + 1, dtype=np.int64)
+        np.cumsum(mask, dtype=np.int64, out=active[1:])
         duty_idle = 1.0 - (active[hi] - active[lo]) / (hi - lo)
         current_idle = np.where(mask[indices], 0.0, 1.0)
         return (

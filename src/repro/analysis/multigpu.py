@@ -135,18 +135,17 @@ def multi_gpu_cov(
     as the pipeline emits it.
     """
     results = []
-    for job_key, group in iter_sorted_groups(per_gpu, "job_id", min_rows=2):
+    # Group only the columns read here, not every per-GPU column.
+    read = {"job_id", "sm_mean", "mem_bw_mean", *metrics}
+    source = per_gpu.select([name for name in per_gpu.column_names if name in read])
+    for job_key, group in iter_sorted_groups(source, "job_id", min_rows=2):
         sm = np.asarray(group["sm_mean"], dtype=float)
         mem = np.asarray(group["mem_bw_mean"], dtype=float)
         active = (sm > idle_threshold) | (mem > idle_threshold)
-        cov_all = {
-            m: coefficient_of_variation(np.asarray(group[m], dtype=float)) for m in metrics
-        }
+        values = {m: np.asarray(group[m], dtype=float) for m in metrics}
+        cov_all = {m: coefficient_of_variation(v) for m, v in values.items()}
         if active.sum() >= 2:
-            cov_active = {
-                m: coefficient_of_variation(np.asarray(group[m], dtype=float)[active])
-                for m in metrics
-            }
+            cov_active = {m: coefficient_of_variation(v[active]) for m, v in values.items()}
         else:
             cov_active = {m: float("nan") for m in metrics}
         results.append(

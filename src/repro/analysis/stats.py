@@ -116,14 +116,20 @@ def coefficient_of_variation(values) -> float:
     NaN rather than raising, since per-user aggregation routinely hits
     all-zero utilization groups.
     """
-    arr = np.asarray(values, dtype=float)
-    arr = arr[np.isfinite(arr)]
+    arr = np.ascontiguousarray(values, dtype=float).ravel()
+    finite = np.isfinite(arr)
+    if not finite.all():
+        arr = arr[finite]
     if arr.size == 0:
         return float("nan")
-    mean = arr.mean()
+    # ``arr.mean()`` and ``arr.std()`` spelled out: the same reductions
+    # in the same order, so the same bits, without their per-call cost
+    # (this runs once per job or GPU group in several figures).
+    mean = np.add.reduce(arr) / arr.size
     if mean == 0:
         return float("nan")
-    return float(arr.std(ddof=0) / abs(mean))
+    deviation = arr - mean
+    return float(math.sqrt(np.add.reduce(deviation * deviation) / arr.size) / abs(mean))
 
 
 def spearman(x, y) -> tuple[float, float]:

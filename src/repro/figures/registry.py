@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 from repro.dataset import SupercloudDataset
@@ -73,36 +72,20 @@ def get_figure(figure_id: str) -> FigureRunner:
     return _REGISTRY[figure_id]
 
 
-#: Wall-time buckets for figure runs (seconds).
-_FIGURE_BUCKETS = (0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0)
-
-
 def run_figure(figure_id: str, dataset: SupercloudDataset) -> FigureResult:
     """Run one figure reproduction against a dataset.
 
     The dataset keeps the result (:attr:`SupercloudDataset.figure_results`),
     and a later call for the same figure returns it without running the
-    figure again — and so opens no ``figure:<id>`` span.  When
-    observability is active (inside a session's figure run), a run is
-    recorded as a ``figure:<id>`` span and its wall time lands in the
-    ``repro_figure_seconds`` histogram.
+    figure again — and so opens no ``figure:<id>`` span.  A run is a
+    ``figure:<id>`` span of the ambient tracer (a no-op outside a
+    traced session).
     """
     from repro.obs import runtime
 
     results = dataset.figure_results
     if figure_id in results:
         return results[figure_id]
-    tracer, metrics = runtime.get_tracer(), runtime.get_metrics()
-    if not tracer.enabled and not metrics.enabled:
+    with runtime.get_tracer().span(f"figure:{figure_id}", category="figure"):
         result = results[figure_id] = get_figure(figure_id)(dataset)
-        return result
-    start = time.perf_counter()
-    with tracer.span(f"figure:{figure_id}", category="figure"):
-        result = results[figure_id] = get_figure(figure_id)(dataset)
-    metrics.histogram(
-        "repro_figure_seconds",
-        buckets=_FIGURE_BUCKETS,
-        help="figure reproduction wall time",
-        figure=figure_id,
-    ).observe(time.perf_counter() - start)
     return result

@@ -63,12 +63,14 @@ __all__ = [
     "rle_decode",
     "encode_column",
     "decode_column",
+    "decoded_size",
     "column_raw_bytes",
     "pack",
     "unpack",
     "write_spill_file",
     "count_spill",
     "read_spill_member",
+    "read_spill_parts",
 ]
 
 #: Quantisation step for opt-in lossy float columns (percent, or watts
@@ -277,10 +279,29 @@ def decode_column(scheme: str, arrays: dict[str, np.ndarray]) -> np.ndarray:
         codes = rle_decode(arrays["v"], arrays["l"])
         return arrays["u"][codes]
     if scheme == QUANT_SCHEME:
-        levels = rle_decode(arrays["v"], arrays["l"]) if "l" in arrays else arrays[""]
-        out = levels.astype(np.float64)
-        out *= QUANT_STEP
-        return out
+        # Scale before expanding the runs: level x QUANT_STEP is exact in
+        # float64, so this allocates one full-length array, not three.
+        if "l" in arrays:
+            return rle_decode(np.multiply(arrays["v"], QUANT_STEP, dtype=np.float64), arrays["l"])
+        return np.multiply(arrays[""], QUANT_STEP, dtype=np.float64)
+    raise FrameError(f"unknown spill codec scheme {scheme!r}")
+
+
+def decoded_size(scheme: str, arrays: dict[str, np.ndarray]) -> int:
+    """The length :func:`decode_column` would return, without decoding.
+
+    Fails where ``decode_column`` would: an unknown scheme, a missing
+    part, or run values and lengths of different shapes.
+    """
+    runs = scheme in ("rle", "dict+rle") or scheme.startswith("delta:")
+    if runs or (scheme == QUANT_SCHEME and "l" in arrays):
+        if arrays["v"].shape != arrays["l"].shape:
+            raise FrameError("corrupt run-length payload: values/lengths mismatch")
+        return int(arrays["l"].sum())
+    if scheme in ("raw", QUANT_SCHEME):
+        return arrays[""].size
+    if scheme == "dict":
+        return arrays["v"].size
     raise FrameError(f"unknown spill codec scheme {scheme!r}")
 
 
@@ -440,8 +461,10 @@ def count_spill(files: int, encoded_bytes: int, raw_bytes: int) -> None:
         ).inc(raw_bytes)
 
 
-def read_spill_member(archive: zipfile.ZipFile, name: str) -> dict[str, np.ndarray]:
-    """Decode member ``name`` of a spill zip back into its columns."""
+def read_spill_parts(archive: zipfile.ZipFile, name: str) -> dict[str, tuple[str, dict]]:
+    """Member ``name`` of a spill zip as ``{column: (scheme, arrays)}``,
+    the arguments :func:`decode_column` takes; the member's CRC is
+    checked."""
     info = archive.getinfo(name)
     with archive.open(info) as fh:
         parts = unpack(fh, info.file_size)  # reads to the end: checks the CRC
@@ -449,7 +472,12 @@ def read_spill_member(archive: zipfile.ZipFile, name: str) -> dict[str, np.ndarr
     for key, part in parts.items():
         scheme, suffix, column = key.split("/", 2)
         grouped.setdefault(column, (scheme, {}))[1][suffix] = part
+    return grouped
+
+
+def read_spill_member(archive: zipfile.ZipFile, name: str) -> dict[str, np.ndarray]:
+    """Decode member ``name`` of a spill zip back into its columns."""
     return {
         column: decode_column(scheme, arrays)
-        for column, (scheme, arrays) in grouped.items()
+        for column, (scheme, arrays) in read_spill_parts(archive, name).items()
     }

@@ -18,11 +18,16 @@ where runs are smaller; the file's members are deflated at level 1.
 The encoding is lossy only through quantisation (max error 0.25 %,
 below nvidia-smi's own integer resolution for utilization metrics;
 power is quantised to 0.5 W) and the microsecond time steps.
+
+:func:`load_store` reads and checks every member (its CRC, and each
+column's length) but decodes only the time axes; a metric's runs are
+expanded when the metric is first read.
 """
 
 from __future__ import annotations
 
 import zipfile
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +37,9 @@ from repro.frame.codec import (
     QUANT_STEP,
     SPILL_READ_ERRORS,
     SpillCodec,
-    read_spill_member,
+    decode_column,
+    decoded_size,
+    read_spill_parts,
     write_spill_file,
 )
 from repro.monitor.timeseries import (
@@ -60,17 +67,61 @@ def _member_columns(series: GpuTimeSeries) -> dict[str, np.ndarray]:
     return columns
 
 
-def _decode_member(name: str, columns: dict[str, np.ndarray]) -> GpuTimeSeries:
-    """Invert :func:`_member_columns` for member ``name``."""
+class _DeferredMetrics(Mapping):
+    """A loaded series' metrics, each decoded on its first read.
+
+    The figures and the validation read ``sm``, ``mem_bw`` and
+    ``mem_size`` only, so a warm report never expands the other
+    metrics' runs into float arrays.
+    """
+
+    def __init__(self, parts: dict[str, tuple[str, dict]]) -> None:
+        self._parts = parts
+        self._decoded: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        values = self._decoded.get(name)
+        if values is None:
+            values = self._decoded[name] = decode_column(*self._parts[name])
+        return values
+
+    def __contains__(self, name) -> bool:
+        return name in self._parts
+
+    def __iter__(self):
+        return iter(self._parts)
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+
+def _decode_member(name: str, parts: dict[str, tuple[str, dict]]) -> GpuTimeSeries:
+    """Invert :func:`_member_columns` for member ``name``: the time axis
+    now, each metric on first read (:class:`_DeferredMetrics`)."""
     job_id, _, gpu_index = name[1:].partition("_")
-    t0 = columns.pop("t0")
-    steps = columns.pop("steps_us").astype(float) / 1e6
-    times = (
-        float(t0[0]) + np.concatenate(([0.0], np.cumsum(steps))) if t0.size else np.empty(0)
+    t0, steps_us = decode_column(*parts.pop("t0")), decode_column(*parts.pop("steps_us"))
+    # t0 + [0, cumsum(steps_us / 1e6)], built in place in one array
+    times = np.empty(steps_us.size + 1 if t0.size else 0)
+    if t0.size:
+        times[0] = 0.0
+        np.divide(steps_us, 1e6, out=times[1:])
+        np.cumsum(times[1:], out=times[1:])
+        times += float(t0[0])
+    # GpuTimeSeries's own checks, made on the parts so nothing decodes
+    for metric in METRIC_NAMES:
+        if metric not in parts:
+            raise MonitoringError(f"series for job {job_id} missing metric {metric!r}")
+        size = decoded_size(*parts[metric])
+        if size != times.size:
+            raise MonitoringError(
+                f"metric {metric!r} has {size} samples, expected {times.size}"
+            )
+    series = GpuTimeSeries.__new__(GpuTimeSeries)
+    series.__dict__.update(
+        job_id=int(job_id), gpu_index=int(gpu_index), times_s=times,
+        metrics=_DeferredMetrics(parts),
     )
-    return GpuTimeSeries(
-        job_id=int(job_id), gpu_index=int(gpu_index), times_s=times, metrics=columns
-    )
+    return series
 
 
 def save_store(store: TimeSeriesStore, path: str | Path) -> Path:
@@ -101,7 +152,7 @@ def load_store(path: str | Path) -> TimeSeriesStore:
     try:
         with zipfile.ZipFile(path) as archive:
             for name in archive.namelist():
-                store.add(_decode_member(name, read_spill_member(archive, name)))
+                store.add(_decode_member(name, read_spill_parts(archive, name)))
     except (*SPILL_READ_ERRORS, MonitoringError) as exc:
         raise MonitoringError(f"unreadable time-series store {path}: {exc}") from exc
     return store

@@ -1,15 +1,14 @@
-"""The collector tying the monitors into the scheduler's prolog/epilog.
+"""The collector tying the GPU monitor into the scheduler's epilog.
 
-At job start the prolog notes the placement; at job end the epilog
-records everything *ordered* about the job — the CPU summary, the
-keep-series decision, and the stratified sample offsets, all drawn
-from the collector RNG in job-completion order — and enqueues the
-expensive activity-model evaluation as a
-:class:`~repro.monitor.sampling.SamplingTask`.  :meth:`flush`
-evaluates the queue after the simulation and lands min/mean/max
-summary rows (one per GPU) plus the dense series subset, reproducing
-the paper's 2,149-job detailed dataset with bit-for-bit the output of
-an inline epilog.  One
+At job end the epilog records everything *ordered* about a GPU job —
+the keep-series decision and the stratified sample offsets, both
+drawn from the collector RNG in job-completion order — and enqueues
+the expensive activity-model evaluation as a
+:class:`~repro.monitor.sampling.SamplingTask`; a CPU-only job draws
+nothing.  :meth:`flush` evaluates the queue after the simulation and
+lands min/mean/max summary rows (one per GPU) plus the dense series
+subset, reproducing the paper's 2,149-job detailed dataset with
+bit-for-bit the output of an inline epilog.  One
 :class:`~repro.monitor.nvidia_smi.NvidiaSmiSampler`, built from the
 config, draws the offsets in the epilog and places the dense series
 in :meth:`flush`.
@@ -26,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MonitoringError
-from repro.frame import Table, TableBuilder
-from repro.monitor.cpu_sampler import CpuSampler
+from repro.frame import Table
 from repro.monitor.nvidia_smi import NvidiaSmiSampler
 from repro.monitor.sampling import SamplingTask, run_sampling
 from repro.monitor.timeseries import METRIC_NAMES, TimeSeriesStore
-from repro.slurm.job import JobRecord, JobRequest
+from repro.slurm.job import JobRecord
 
 
 @dataclass
@@ -39,7 +37,6 @@ class MonitoringConfig:
     """Knobs of the telemetry pipeline (paper Sec. II defaults)."""
 
     gpu_interval_s: float = 0.1
-    cpu_interval_s: float = 10.0
     #: Stratified samples used for production summaries.
     summary_samples: int = 256
     #: Fraction of GPU jobs that keep a dense series (2149 / 47120).
@@ -67,69 +64,37 @@ class MonitoringCollector:
             self.config.summary_samples,
             self.config.timeseries_max_samples,
         )
-        self._cpu_sampler = CpuSampler(self.config.cpu_interval_s)
         self._store = TimeSeriesStore()
         #: Per-GPU summary columns, one array per flush, concatenated
         #: once by :meth:`per_gpu_table`.
         self._gpu_parts: dict[str, list[np.ndarray]] = {"job_id": [], "gpu_index": []}
-        self._cpu_builder = TableBuilder(columns=["job_id"])
-        self._started: dict[int, tuple[float, tuple[int, ...]]] = {}
         self._pending: list[SamplingTask] = []
 
     # ------------------------------------------------------------------
-    # Scheduler hooks
+    # Scheduler hook
     # ------------------------------------------------------------------
-    def prolog(self, request: JobRequest, start_time_s: float, nodes: tuple[int, ...]) -> None:
-        """Called when a job starts: begin "sampling"."""
-        self._started[request.job_id] = (start_time_s, nodes)
-
     def epilog(self, record: JobRecord) -> None:
         """Called when a job ends: the cheap, RNG-ordered half.
 
-        Consumes the collector RNG exactly as the old inline epilog
-        did (CPU summary, keep-series draw, stratified offsets) and
+        A GPU job consumes the collector RNG exactly as an inline
+        epilog would (keep-series draw, then stratified offsets) and
         defers the activity-model evaluation to :meth:`flush`.
         """
         from repro.obs import runtime
 
         request = record.request
-        self._started.pop(request.job_id, None)
-        self._cpu_builder.append_row(
-            {
-                "job_id": request.job_id,
-                **self._cpu_sampler.summarize(
-                    record.run_time_s, request.cores, request.memory_gb, self._rng
-                ),
-            }
-        )
-        metrics = runtime.get_metrics()
         if not request.is_gpu_job:
-            if metrics.enabled:
-                metrics.counter(
-                    "repro_monitor_jobs_total",
-                    help="jobs summarized by the monitoring epilog",
-                    kind="cpu",
-                ).inc()
             return
         model = request.tags.get("activity")
         if model is None:
             raise MonitoringError(f"GPU job {request.job_id} has no activity model")
         keep_series = self._rng.random() < self.config.timeseries_fraction
-        if metrics.enabled:
+        metrics = runtime.get_metrics()
+        if keep_series and metrics.enabled:
             metrics.counter(
-                "repro_monitor_jobs_total",
-                help="jobs summarized by the monitoring epilog",
-                kind="gpu",
-            ).inc()
-            metrics.counter(
-                "repro_monitor_summary_rows_total",
-                help="per-GPU summary rows emitted",
+                "repro_monitor_series_kept_total",
+                help="dense time series retained (one per GPU)",
             ).inc(model.num_gpus)
-            if keep_series:
-                metrics.counter(
-                    "repro_monitor_series_kept_total",
-                    help="dense time series retained (one per GPU)",
-                ).inc(model.num_gpus)
         self._pending.append(
             SamplingTask(
                 job_id=request.job_id,
@@ -142,22 +107,9 @@ class MonitoringCollector:
             )
         )
 
-    def run_end(self, result) -> None:
-        """Called when the simulation drains: record the deferred load."""
-        from repro.obs import runtime
-
-        metrics = runtime.get_metrics()
-        if metrics.enabled:
-            metrics.gauge(
-                "repro_sampling_pending_tasks",
-                help="sampling tasks deferred by the epilog, awaiting flush",
-            ).set(len(self._pending))
-
     def attach(self, simulator) -> "MonitoringCollector":
-        """Register this collector on a :class:`SlurmSimulator`."""
-        simulator.add_prolog(self.prolog)
+        """Register this collector's epilog on a :class:`SlurmSimulator`."""
         simulator.add_epilog(self.epilog)
-        simulator.add_run_end(self.run_end)
         return self
 
     # ------------------------------------------------------------------
@@ -240,10 +192,6 @@ class MonitoringCollector:
             # An island without GPU jobs has empty float64 key columns.
             columns[name] = parts[0] if parts else np.empty(0)
         return Table(columns)
-
-    def cpu_table(self) -> Table:
-        """One row per job with CPU-side summary metrics."""
-        return self._cpu_builder.finish()
 
     def job_gpu_table(self) -> Table:
         """Per-job GPU summary of :meth:`per_gpu_table`; see

@@ -5,8 +5,8 @@ A :class:`MetricsRegistry` is a flat namespace of labelled
 instruments::
 
     metrics = MetricsRegistry()
-    metrics.counter("repro_cache_events_total", kind="hit").inc()
-    metrics.histogram("repro_stage_seconds", stage="workload").observe(1.8)
+    metrics.counter("repro_scheduler_events_total", kind="submit").inc()
+    metrics.histogram("repro_scheduler_queue_depth").observe(12)
 
 Instruments are get-or-create: the first call for a ``(name, labels)``
 pair creates it, later calls return the same object, so hot paths can

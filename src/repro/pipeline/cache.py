@@ -20,7 +20,9 @@ configuration:
     the raw :class:`~repro.slurm.job.JobRecord` list (timeline and
     co-location analyses need the full records); each job's activity
     model pickles as one float64 array
-    (:meth:`~repro.workload.activity.JobActivityModel.__reduce__`).
+    (:meth:`~repro.workload.activity.JobActivityModel.__reduce__`) and
+    loads packed, so a report that never evaluates a model never
+    unpacks one.
 
 A loaded dataset takes the loading session's ``WorkloadConfig`` (the
 key hashes it) and rebuilds its ``ClusterSpec`` from it, as a build
@@ -37,9 +39,9 @@ corrupt file — anything that raises
 :data:`~repro.frame.codec.SPILL_READ_ERRORS` (JSON and CSV parse errors
 among them) or :class:`~repro.errors.MonitoringError`, or disagrees
 with the manifest — makes :meth:`DatasetCache.load` return ``None``,
-and the caller regenerates; the ``cache`` flight-recorder event names
-the file and the reason.  Any other exception is a loader bug and
-raises.
+and the caller regenerates; a ``cache`` flight-recorder event
+(``kind=dataset_load_failed``) names the file and the reason.  Any
+other exception is a loader bug and raises.
 """
 
 from __future__ import annotations
@@ -65,18 +67,6 @@ from repro.obs import runtime as _obs_runtime
 from repro.workload.generator import WorkloadConfig
 
 
-def _count_cache_event(kind: str, **attrs) -> None:
-    """Mirror one cache operation into the ambient metrics registry
-    and the flight recorder (``attrs`` go to the recorder only)."""
-    metrics = _obs_runtime.get_metrics()
-    if metrics.enabled:
-        metrics.counter(
-            "repro_cache_events_total",
-            help="artifact cache operations by kind",
-            kind=kind,
-        ).inc()
-    _obs_runtime.record_event("cache", category="cache", kind=kind, **attrs)
-
 #: Bump when the dataset schema or the cache layout changes; every
 #: existing entry is invalidated (its key no longer matches).
 #: 2: WorkloadConfig grew ``partitions``/``cohorts`` (sharded builds).
@@ -87,7 +77,10 @@ def _count_cache_event(kind: str, **attrs) -> None:
 #: 5: narrow quantised levels in ``timeseries.npz`` and one array per
 #:    activity model in ``records.pkl`` (same decoded content).
 #: 6: no ``config.pkl`` and no ``<key>.figures/`` figure results.
-SCHEMA_VERSION = 6
+#: 7: the monitor draws no CPU telemetry, so each GPU job's keep-series
+#:    and sample-offset draws come from another point of its stream
+#:    (new ``gpu_jobs``, ``per_gpu`` and series; same ``jobs``).
+SCHEMA_VERSION = 7
 
 _TABLE_FILES = {"jobs": "jobs.csv", "gpu_jobs": "gpu_jobs.csv", "per_gpu": "per_gpu.csv"}
 
@@ -190,7 +183,6 @@ class DatasetCache:
         entry = self.entry_dir(key)
         if self.has(key):
             return entry
-        _count_cache_event("dataset_store")
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = Path(tempfile.mkdtemp(prefix=f".{key}-", dir=self.root))
         manifest = {
@@ -263,9 +255,14 @@ class DatasetCache:
             records = read("records.pkl", _undump, manifest.get("num_records", -1))
         except _Miss as miss:
             filename, reason = miss.args
-            _count_cache_event("dataset_load_failed", file=filename, reason=reason)
+            _obs_runtime.record_event(
+                "cache",
+                category="cache",
+                kind="dataset_load_failed",
+                file=filename,
+                reason=reason,
+            )
             return None
-        _count_cache_event("dataset_load")
         return SupercloudDataset(
             jobs=tables["jobs"],
             gpu_jobs=tables["gpu_jobs"],

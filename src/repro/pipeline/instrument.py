@@ -12,13 +12,14 @@ constructed exactly once.
 Since the `repro.obs` subsystem landed, this module is a thin
 back-compat adapter over it: :meth:`PipelineInstrumentation.stage`
 opens a real :class:`~repro.obs.trace.Tracer` span (category
-``pipeline``) and :meth:`~PipelineInstrumentation.bump` mirrors into
-the session's :class:`~repro.obs.metrics.MetricsRegistry`, while the
-flat :class:`StageRecord` list and counter dict keep their original
-shapes for existing consumers.  Stages may now nest (a figure span
-inside the ``figures`` stage, a cache probe inside a build); records
-carry their nesting ``depth`` and :meth:`total_seconds` sums only
-top-level stages so nested time is never double-counted.
+``pipeline``) carrying the stage's rows.  The flat
+:class:`StageRecord` list and counter dict keep their original shapes
+for existing consumers, and they answer
+:meth:`~PipelineInstrumentation.executed` and print the stage lines of
+an untraced session, whose tracer records nothing.  Stages may nest
+(a figure span inside the ``figures`` stage, a cache probe inside a
+build); records carry their nesting ``depth`` and :meth:`total_seconds`
+sums only top-level stages so nested time is never double-counted.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from typing import Iterator
 
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS, NullMetrics
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-
-#: Histogram buckets for stage latencies (seconds).
-STAGE_BUCKETS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0, 1800.0)
 
 
 @dataclass(frozen=True)
@@ -99,29 +97,9 @@ class PipelineInstrumentation:
             self.stages.append(
                 StageRecord(name, seconds, int(probe.rows), from_cache, depth)
             )
-            metrics = self.metrics
-            if metrics.enabled:
-                metrics.histogram(
-                    "repro_stage_seconds",
-                    buckets=STAGE_BUCKETS,
-                    help="pipeline stage wall time",
-                    stage=name,
-                ).observe(seconds)
-                metrics.counter(
-                    "repro_stage_rows_total",
-                    help="rows produced by pipeline stages",
-                    stage=name,
-                ).inc(int(probe.rows))
 
     def bump(self, name: str, by: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + by
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.counter(
-                "repro_session_events_total",
-                help="session cache/build/memo events",
-                event=name,
-            ).inc(by)
 
     def count(self, name: str) -> int:
         return self.counters.get(name, 0)

@@ -5,9 +5,9 @@ resources are free, and released when they finish.  A job's realised
 end is ``min(intrinsic runtime, time limit)``; hitting the limit
 produces a TIMEOUT exit (the fate of IDE jobs in the paper).
 
-The simulator runs prolog/epilog hooks, mirroring how Supercloud
-attaches its monitoring: the prolog starts per-node samplers and the
-epilog stops them and copies data back (Sec. II, "System Monitoring").
+The simulator runs epilog hooks as jobs end, mirroring how Supercloud
+attaches its monitoring: the epilog hands the finished job's
+telemetry to the central store (Sec. II, "System Monitoring").
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from repro.slurm.job import EXIT_FOR_CLASS, ExitCondition, JobRecord, JobRequest
 from repro.slurm.placement import PlacementPolicy
 from repro.slurm.queue import JobQueue
 
-PrologHook = Callable[[JobRequest, float, tuple[int, ...]], None]
 EpilogHook = Callable[[JobRecord], None]
-RunEndHook = Callable[["SimulationResult"], None]
 
 
 @dataclass
@@ -94,9 +92,7 @@ class SlurmSimulator:
         #: job_id -> (request, start time, nodes, attempt number)
         self._running: dict[int, tuple[JobRequest, float, list[int], int]] = {}
         self._attempts: dict[int, int] = {}
-        self._prolog_hooks: list[PrologHook] = []
         self._epilog_hooks: list[EpilogHook] = []
-        self._run_end_hooks: list[RunEndHook] = []
         self._peak_queue = 0
         self._node_failures = 0
         self._jobs_killed = 0
@@ -113,10 +109,6 @@ class SlurmSimulator:
             self._policy = self.config.policy
 
     # ------------------------------------------------------------------
-    def add_prolog(self, hook: PrologHook) -> None:
-        """Register a hook called when a job starts (monitoring start)."""
-        self._prolog_hooks.append(hook)
-
     def add_epilog(self, hook: EpilogHook) -> None:
         """Register a hook called when a job ends (monitoring stop).
 
@@ -126,16 +118,6 @@ class SlurmSimulator:
         here; the expensive evaluation happens after :meth:`run`.
         """
         self._epilog_hooks.append(hook)
-
-    def add_run_end(self, hook: RunEndHook) -> None:
-        """Register a hook called once, when the event loop drains.
-
-        Runs after the last epilog with the finished
-        :class:`SimulationResult` — where deferred work (the
-        collector's sampling queue) gets accounted before the caller
-        decides how to evaluate it.
-        """
-        self._run_end_hooks.append(hook)
 
     # ------------------------------------------------------------------
     def _init_obs(self) -> None:
@@ -255,13 +237,13 @@ class SlurmSimulator:
         return False
 
     def finalize(self) -> SimulationResult:
-        """Check the queue drained, build the result, fire run-end hooks."""
+        """Check the queue drained and build the result."""
         if self.queue:
             raise SchedulerError(
                 f"simulation drained but {len(self.queue)} jobs still queued"
             )
         self._peak_queue_gauge.set_max(self._peak_queue)
-        result = SimulationResult(
+        return SimulationResult(
             records=self.records,
             makespan_s=self.loop.now,
             events_processed=self.loop.processed,
@@ -270,9 +252,6 @@ class SlurmSimulator:
             node_failures=self._node_failures,
             jobs_killed_by_failures=self._jobs_killed,
         )
-        for hook in self._run_end_hooks:
-            hook(result)
-        return result
 
     # ------------------------------------------------------------------
     def _priority(self, request: JobRequest) -> float:
@@ -324,8 +303,6 @@ class SlurmSimulator:
         self._attempts[request.job_id] = attempt
         self._running[request.job_id] = (request, start, nodes, attempt)
         self.loop.schedule(start + realised_runtime, "finish", (request.job_id, attempt))
-        for hook in self._prolog_hooks:
-            hook(request, start, tuple(nodes))
 
     def _on_finish(self, payload: tuple[int, int]) -> None:
         job_id, attempt = payload

@@ -344,6 +344,8 @@ class JobActivityModel:
         with an array outside that layout — not float64, or not the
         1-D / ``(n, 2)`` shape — pickles its attributes as they are.
         """
+        if "_packed" in self.__dict__:  # loaded and not yet read: as loaded
+            return _rebuild_model, (type(self), *self._packed, self.power_model)
         processes = self.processes.values()
         vectors = [self.schedule.boundaries, self.gpu_scale]
         for p in processes:
@@ -370,6 +372,16 @@ class JobActivityModel:
             self.power_model,
         )
 
+    def __getattr__(self, name: str):
+        """Unpack a loaded model (:func:`_rebuild_model`) on the first
+        read of an attribute it lacks: its schedule, GPU scales or
+        processes."""
+        packed = self.__dict__.pop("_packed", None)
+        if packed is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(_unpack_model(*packed))
+        return getattr(self, name)
+
     def metrics_at(self, times_s: np.ndarray, gpu_index: int) -> dict[str, np.ndarray]:
         """Every metric of GPU ``gpu_index`` at ``times_s`` (any shape).
 
@@ -387,11 +399,29 @@ class JobActivityModel:
 
 
 def _rebuild_model(cls, values, sizes, scalars, power_model):
-    """Invert :meth:`JobActivityModel.__reduce__`: every array is a view
-    of ``values``, and the constructors' checks do not run again."""
-    job_id, num_gpus, duration_s, mem_ramp_s, starts_active, schedule_s, names, levels = scalars
+    """Invert :meth:`JobActivityModel.__reduce__` without running the
+    constructors' checks again.
+
+    The schedule, GPU scales and metric processes stay packed until
+    first read (:meth:`JobActivityModel.__getattr__`): a cached
+    dataset's records are loaded whole, but a report never evaluates
+    their models.
+    """
+    job_id, num_gpus, duration_s, mem_ramp_s, _, _, names, _ = scalars
     if sum(sizes) != values.size or len(sizes) != 2 + 4 * len(names):
         raise ValueError("corrupt activity-model pickle: sizes do not match the values")
+    model = cls.__new__(cls)
+    model.__dict__.update(
+        job_id=job_id, _num_gpus=num_gpus, duration_s=duration_s, power_model=power_model,
+        mem_ramp_s=mem_ramp_s, _packed=(values, sizes, scalars),
+    )
+    return model
+
+
+def _unpack_model(values, sizes, scalars) -> dict:
+    """The schedule, GPU scales and processes of a packed model: every
+    array is a view of ``values``."""
+    *_, starts_active, schedule_s, names, levels = scalars
     views, start = [], 0
     for size in sizes:
         views.append(values[start : start + size])
@@ -405,12 +435,7 @@ def _rebuild_model(cls, values, sizes, scalars, power_model):
         )
         for i, name in enumerate(names)
     }
-    model = cls.__new__(cls)
-    model.__dict__.update(
-        job_id=job_id, _num_gpus=num_gpus, duration_s=duration_s, schedule=schedule,
-        processes=processes, gpu_scale=views[1], power_model=power_model, mem_ramp_s=mem_ramp_s,
-    )
-    return model
+    return {"schedule": schedule, "processes": processes, "gpu_scale": views[1]}
 
 
 # ----------------------------------------------------------------------

@@ -214,3 +214,23 @@ def test_vectorized_replay_matches_per_index_loop(case):
         assert predictor.idle_probability(times, mask, index) == reference_probability(
             predictor, times, mask, index
         )
+
+
+@given(
+    st.integers(3, 200),
+    st.integers(2, 4),
+    st.lists(st.integers(1, 30), min_size=1, max_size=20),
+    st.floats(0.05, 20.0),
+    st.floats(0.0, 1.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_tied_times_close_the_window_after_the_tie(n, ties, runs, window_s, weight):
+    """Samples sharing a time all fall in each other's window, as in
+    the per-index loop."""
+    times = np.floor(np.arange(n) / ties) * 0.5
+    mask = np.resize(np.repeat(np.arange(len(runs)) % 2 == 0, runs), n)
+    predictor = IdlePhasePredictor(window_s, weight)
+    for index in range(n):
+        assert predictor.idle_probability(times, mask, index) == reference_probability(
+            predictor, times, mask, index
+        )

@@ -190,6 +190,27 @@ def test_cov_scale_invariant(values):
         assert scaled == pytest.approx(base, rel=1e-6)
 
 
+@given(
+    st.lists(
+        st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 0.5, float("nan")])),
+        min_size=1,
+        max_size=300,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_cov_has_numpys_bits(values):
+    """The CoV equals ``std / |mean|`` of the finite values as numpy
+    computes them, bit for bit."""
+    finite_values = np.asarray(values, dtype=float)
+    finite_values = finite_values[np.isfinite(finite_values)]
+    got = coefficient_of_variation(values)
+    if finite_values.size == 0 or finite_values.mean() == 0:
+        assert np.isnan(got)
+    else:
+        want = float(finite_values.std() / abs(finite_values.mean()))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 @given(st.lists(st.tuples(finite, finite), min_size=3, max_size=60))
 @settings(max_examples=60, deadline=None)
 def test_spearman_symmetric_and_bounded(pairs):

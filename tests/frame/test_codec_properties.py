@@ -33,6 +33,7 @@ from repro.frame.codec import (
     QUANT_SCHEME,
     QUANT_STEP,
     decode_column,
+    decoded_size,
     encode_column,
     pack,
     rle_decode,
@@ -244,6 +245,21 @@ def test_telemetry_levels_are_one_or_two_bytes():
     for top, dtype in ((100.0, np.uint8), (300.0, np.uint16)):
         _, arrays = encode_column(rng.uniform(0.0, top, 500), quantise=True)
         assert arrays[""].dtype == dtype
+
+
+@given(st.one_of(_int_arrays(), _float_arrays(), _object_arrays()), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_decoded_size_is_the_decoded_length(values, quantise):
+    """Every scheme's parts tell their decoded length undecoded."""
+    scheme, arrays = encode_column(values, quantise=quantise)
+    assert decoded_size(scheme, arrays) == decode_column(scheme, arrays).size
+
+
+def test_decoded_size_refuses_what_decoding_refuses():
+    with pytest.raises(FrameError, match="unknown spill codec scheme 'quant'"):
+        decoded_size("quant", {"v": np.zeros(2), "l": np.ones(2, dtype=np.int64)})
+    with pytest.raises(FrameError, match="values/lengths mismatch"):
+        decoded_size(QUANT_SCHEME, {"v": np.zeros(2, np.uint8), "l": np.ones(3, np.uint8)})
 
 
 def test_older_quant_layout_is_refused():

@@ -162,6 +162,16 @@ class TestRoundTrip:
         with pytest.raises(MonitoringError, match="old.npz"):
             load_store(path)
 
+    def test_metrics_decode_on_first_read(self, tmp_path):
+        """A loaded series expands a metric's runs when the metric is
+        first read, and keeps the array."""
+        decoded = load_store(save_store(one_series_store(make_series()), tmp_path / "s.npz"))
+        metrics = decoded.get(1, 0).metrics
+        assert list(metrics) == list(METRIC_NAMES) and vars(metrics)["_decoded"] == {}
+        assert "power_w" in metrics and "cpu" not in metrics
+        first = decoded.get(1, 0).metric("sm")
+        assert metrics["sm"] is first and list(vars(metrics)["_decoded"]) == ["sm"]
+
     def test_corrupt_lengths_detected(self, tmp_path):
         # three samples, but one metric is a sample short
         columns = {"t0": np.zeros(1), "steps_us": np.full(2, 100_000)}

@@ -1,5 +1,6 @@
 """Tests for the monitoring collector wired into the scheduler."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.spec import supercloud_spec
@@ -30,12 +31,6 @@ class TestCollection:
         assert table.num_rows == 2
         assert set(table["gpu_index"]) == {0, 1}
 
-    def test_cpu_rows_for_every_job(self):
-        collector = run_with_collector(
-            [gpu_request(1), make_request(job_id=2, num_gpus=0, cores=4)]
-        )
-        assert collector.cpu_table().num_rows == 2
-
     def test_cpu_only_job_has_no_gpu_rows(self):
         collector = run_with_collector([make_request(job_id=1, num_gpus=0, cores=4)])
         assert collector.per_gpu_table().num_rows == 0
@@ -50,6 +45,23 @@ class TestCollection:
         row = collector.per_gpu_table().row(0)
         assert row["sm_mean"] == pytest.approx(40.0)
         assert row["power_w_max"] == pytest.approx(100.0)
+
+
+class TestEpilogDraws:
+    def test_only_gpu_jobs_draw_keep_series_then_offsets(self):
+        """A CPU-only job draws nothing; a GPU job draws its keep-series
+        uniform, then one row of stratified offsets per GPU."""
+        simulator = SlurmSimulator(supercloud_spec(2))
+        collector = MonitoringCollector().attach(simulator)
+        result = simulator.run(
+            [make_request(job_id=1, num_gpus=0, cores=4), gpu_request(2, num_gpus=2)]
+        )
+        (gpu_record,) = result.gpu_records()
+        count = collector._gpu_sampler.summary_sample_count(gpu_record.run_time_s)
+        expected = np.random.default_rng(MonitoringConfig().seed)
+        expected.random()
+        expected.random((2, count))
+        assert collector._rng.bit_generator.state == expected.bit_generator.state
 
 
 class TestTimeSeriesSelection:

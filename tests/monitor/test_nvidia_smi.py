@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import MonitoringError
-from repro.monitor.cpu_sampler import CpuSampler
 from repro.monitor.nvidia_smi import NvidiaSmiSampler
 from repro.monitor.sampling import SamplingTask, run_sampling
 from repro.workload.activity import JobActivityModel, MetricProcess, PhaseSchedule, PowerModel
@@ -79,7 +78,7 @@ class TestSampleSeries:
 
 
 @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("sampler", [NvidiaSmiSampler, CpuSampler])
+@pytest.mark.parametrize("sampler", [NvidiaSmiSampler])
 def test_interval_must_be_positive_and_finite(sampler, interval):
     with pytest.raises(MonitoringError, match=f"got {interval}"):
         sampler(interval_s=interval)

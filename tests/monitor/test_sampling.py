@@ -155,19 +155,17 @@ def _run_collector(shape, collector):
 
 def _snapshot(collector):
     per_gpu = collector.per_gpu_table().to_dict()
-    cpu = collector.cpu_table().to_dict()
     series = {
         (s.job_id, s.gpu_index): (s.times_s, s.metrics) for s in collector.store
     }
-    return per_gpu, cpu, series
+    return per_gpu, series
 
 
 def _assert_same(left, right):
     assert left[0] == right[0]  # per-GPU summary table
-    assert left[1] == right[1]  # CPU table
-    assert left[2].keys() == right[2].keys()
-    for key, (times, metrics) in left[2].items():
-        other_times, other_metrics = right[2][key]
+    assert left[1].keys() == right[1].keys()
+    for key, (times, metrics) in left[1].items():
+        other_times, other_metrics = right[1][key]
         assert np.array_equal(times, other_times)
         for name in METRIC_NAMES:
             assert np.array_equal(metrics[name], other_metrics[name]), name

@@ -82,14 +82,18 @@ class TestInstrumentationAdapter:
         assert inst.total_seconds() == outer.seconds
         assert inst.total_seconds() < outer.seconds + inner.seconds
 
-    def test_stage_records_feed_metrics(self):
-        metrics = MetricsRegistry()
-        inst = PipelineInstrumentation(Tracer(), metrics)
+    def test_stage_record_agrees_with_its_span(self):
+        inst = PipelineInstrumentation(Tracer(), MetricsRegistry())
         with inst.stage("workload") as probe:
             probe.rows = 10
-        hist = metrics.histogram("repro_stage_seconds", stage="workload")
-        assert hist.count == 1
-        assert metrics.counter_value("repro_stage_rows_total", stage="workload") == 10
+        (record,) = inst.stages
+        (span,) = inst.tracer.finished()
+        assert (span.name, span.category, span.attrs["rows"]) == ("workload", "pipeline", 10)
+        assert (record.name, record.rows) == ("workload", 10)
+        # The record's interval encloses the span's.  A span rounds its
+        # ends to whole microseconds of an epoch-offset clock, so allow
+        # two microseconds.
+        assert span.duration_us / 1e6 <= record.seconds + 2e-6
 
     def test_default_instrumentation_is_null_backed(self):
         inst = PipelineInstrumentation()

@@ -207,10 +207,13 @@ def test_forked_island_sampling_is_attributed():
 
 
 def test_every_figure_run_is_timed(traced_session):
-    timed = {
-        dict(labels).get("figure")
-        for name, labels, _ in traced_session.metrics.samples("histogram")
-        if name == "repro_figure_seconds"
-    }
-    missing = [fig for fig in all_figures() if fig not in timed]
-    assert not missing, f"figures without a timing histogram: {missing}"
+    """Each figure runs once, timed by one ``figure:<id>`` span inside
+    the ``figures`` stage."""
+    spans = traced_session.tracer.finished()
+    (stage,) = [span for span in spans if span.name == "figures"]
+    timed = [span for span in spans if span.category == "figure"]
+    assert sorted(span.name for span in timed) == sorted(
+        f"figure:{figure_id}" for figure_id in all_figures()
+    )
+    assert all(span.parent_id == stage.span_id for span in timed)
+    assert sum(span.duration_us for span in timed) <= stage.duration_us

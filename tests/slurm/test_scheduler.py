@@ -103,20 +103,13 @@ class TestTimeout:
 
 
 class TestHooks:
-    def test_prolog_epilog_called_in_order(self):
-        calls = []
+    def test_epilog_record_lists_the_nodes(self):
+        records = []
         simulator = SlurmSimulator(supercloud_spec(2))
-        simulator.add_prolog(lambda req, start, nodes: calls.append(("start", req.job_id)))
-        simulator.add_epilog(lambda rec: calls.append(("end", rec.request.job_id)))
-        simulator.run([make_request(job_id=1)])
-        assert calls == [("start", 1), ("end", 1)]
-
-    def test_prolog_receives_nodes(self):
-        seen = {}
-        simulator = SlurmSimulator(supercloud_spec(2))
-        simulator.add_prolog(lambda req, start, nodes: seen.update(nodes=nodes))
+        simulator.add_epilog(records.append)
         simulator.run([make_request(job_id=1, num_gpus=4, cores=8)])
-        assert len(seen["nodes"]) == 2
+        (record,) = records
+        assert len(record.nodes) == 2  # a 4-GPU job spans two 2-GPU nodes
 
 
 class TestAccounting:

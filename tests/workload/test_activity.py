@@ -509,6 +509,26 @@ def test_pickle_round_trip_is_exact(model):
     assert all(got[name].tobytes() == want[name].tobytes() for name in want)
 
 
+@given(activity_models())
+@settings(max_examples=50, deadline=None)
+def test_loaded_model_unpacks_on_first_read(model):
+    """A loaded model keeps its one array packed until the first read
+    of its schedule, scales or processes; pickled again before that, it
+    gives the same bytes."""
+    import pickle
+
+    data = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+    back = pickle.loads(data)
+    assert "_packed" in vars(back) and "processes" not in vars(back)
+    assert back.num_gpus == model.num_gpus and "_packed" in vars(back)
+    assert pickle.dumps(back, protocol=pickle.HIGHEST_PROTOCOL) == data
+    assert back.gpu_scale.tobytes() == model.gpu_scale.tobytes()
+    assert "_packed" not in vars(back)
+    assert model_scalars(back) == model_scalars(model)
+    with pytest.raises(AttributeError, match="no_such_attribute"):
+        back.no_such_attribute
+
+
 @given(st.lists(activity_models(), min_size=2, max_size=4))
 @settings(max_examples=20, deadline=None)
 def test_pickled_models_keep_their_shared_power_model(models):
