@@ -29,9 +29,9 @@ holding no activity model and a few hundred bytes per job,
 (d) the *entire* figure registry running off the chunk streams with
 integer-count stats bit identical and the parent peak at
 O(islands x chunk), (e) the spill codec: lossless round trips bit
-identical, and opt-in telemetry quantisation cuts encoded spill
-bytes >= 3x below the raw layout (both recorded as checked stats for
-``--check``), and (f) a whole report — every figure plus
+identical, and the spilled series, sensor counts at nvidia-smi
+resolution, >= 3x below their raw float64 layout (both recorded as
+checked stats for ``--check``), and (f) a whole report — every figure plus
 ``validate_dataset`` — running no join and one phase-table fold.
 
 ``REPRO_BENCH_SCALE_FULL`` shrinks or grows the build (default
@@ -663,7 +663,7 @@ def test_stream_runs_full_figure_registry(coupled_builds):
 
 
 # ----------------------------------------------------------------------
-# Spill codec: lossless bit identity, opt-in quantisation ratio
+# Spill codec: lossless bit identity, narrow series
 # ----------------------------------------------------------------------
 
 
@@ -672,17 +672,17 @@ def test_spill_codec_compresses_telemetry(coupled_builds, tmp_path_factory):
 
     Re-spilling the streaming build's widest table through the default
     lossless codec must round-trip bit identically, chunk for chunk.
-    Opting the telemetry summary columns (``*_min/_mean/_max``) into
-    quantisation must cut the encoded spill bytes at least 3x below
-    the raw layout while staying within ``QUANT_STEP / 2`` of every
-    original sample.  Both ratios and the encoded byte volumes are
-    recorded as checked stats, so ``repro bench --check`` flags a
-    codec or schema change that silently bloats the spill.
+    The build's spilled series batches (sensor counts at nvidia-smi
+    resolution, time axes stored as the calls that rebuild them) must
+    take at least 3x fewer bytes than their raw float64 layout, a time
+    and six metrics per sample.  Both ratios and the encoded byte
+    volumes are recorded as checked stats, so ``repro bench --check``
+    flags a codec or schema change that silently bloats the spill.
     """
     from pathlib import Path
 
-    from repro.frame.codec import QUANT_STEP, SpillCodec
     from repro.frame.io import table_raw_bytes
+    from repro.monitor.timeseries import METRIC_NAMES
 
     _, _, stream, _, _, _, _ = coupled_builds
     base = tmp_path_factory.mktemp("spill-codec")
@@ -700,41 +700,28 @@ def test_spill_codec_compresses_telemetry(coupled_builds, tmp_path_factory):
             )
     lossless_bytes = sum(p.stat().st_size for p in Path(lossless_dir).glob("*.npz"))
 
-    telemetry = tuple(
-        name
-        for name in source.column_names
-        if name.rsplit("_", 1)[-1] in ("min", "mean", "max")
+    series = stream.timeseries
+    assert len(series), "the coupled build kept no dense series"
+    series_raw_bytes = series.total_samples() * 8 * (1 + len(METRIC_NAMES))
+    series_bytes = sum(
+        path.stat().st_size for directory in series.directories
+        for path in Path(directory).glob("batch_*.npz")
     )
-    assert telemetry, "per_gpu lost its telemetry summary columns"
-    quant_dir = base / "quantised"
-    quantised = source.spill(quant_dir, codec=SpillCodec(quantise=telemetry))
-    for original, decoded in zip(source.chunks(), quantised.chunks()):
-        for name in original.column_names:
-            expected = np.asarray(original[name])
-            got = np.asarray(decoded[name])
-            if name in telemetry:
-                finite = np.isfinite(expected.astype(float))
-                assert np.all(
-                    np.abs(got[finite].astype(float) - expected[finite].astype(float))
-                    <= QUANT_STEP / 2 + 1e-9
-                ), name
-            else:
-                np.testing.assert_array_equal(got, expected, name)
-    quantised_bytes = sum(p.stat().st_size for p in Path(quant_dir).glob("*.npz"))
 
     lossless_ratio = raw_bytes / lossless_bytes if lossless_bytes else 0.0
-    quantised_ratio = raw_bytes / quantised_bytes if quantised_bytes else 0.0
+    series_ratio = series_raw_bytes / series_bytes if series_bytes else 0.0
     record_bench_stat(
         "spill_codec",
         raw_bytes=raw_bytes,
         lossless_spill_bytes=lossless_bytes,
-        quantised_spill_bytes=quantised_bytes,
         lossless_compression_ratio=round(lossless_ratio, 3),
-        compression_ratio=round(quantised_ratio, 3),
+        series_raw_bytes=series_raw_bytes,
+        series_spill_bytes=series_bytes,
+        series_compression_ratio=round(series_ratio, 3),
     )
     assert lossless_ratio > 1.0, "lossless codec failed to beat the raw layout"
-    assert quantised_ratio >= 3.0, (
-        f"opt-in quantisation only reached {quantised_ratio:.2f}x over raw "
-        f"({quantised_bytes} vs {raw_bytes} bytes); the spill codec no "
-        "longer pays for the streaming build"
+    assert series_ratio >= 3.0, (
+        f"spilled series only reached {series_ratio:.2f}x below their raw "
+        f"float64 layout ({series_bytes} vs {series_raw_bytes} bytes); the "
+        "series no longer spill at sensor resolution"
     )

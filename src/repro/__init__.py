@@ -48,7 +48,7 @@ from repro.pipeline import Session
 from repro.workload.calibration import PAPER_TARGETS, PaperTargets
 from repro.workload.generator import WorkloadConfig
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 __all__ = [
     "PAPER_TARGETS",

@@ -189,23 +189,31 @@ class BenchCheck:
     #: ratio+absolute double gate as wall time.
     stat_checked: list[dict] = field(default_factory=list)
     stat_regressions: list[dict] = field(default_factory=list)
+    #: Suites whose gates failed in the latest run (``passed: false``).
+    failed_suites: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.regressions and not self.stat_regressions
+        return not (self.regressions or self.stat_regressions or self.failed_suites)
 
     def to_text(self) -> str:
         if self.latest_id is None:
             return "bench check: no BENCH_<n>.json history to compare"
+        failed = [
+            f"  {name:<12} FAILED: its gates failed in BENCH_{self.latest_id}"
+            for name in self.failed_suites
+        ]
         if self.baseline_runs == 0:
-            return (
+            return "\n".join([
                 f"bench check: BENCH_{self.latest_id} has no comparable "
-                "baseline runs (first run at this bench scale?)"
-            )
+                "baseline runs (first run at this bench scale?)",
+                *failed,
+            ])
         lines = [
             f"bench check: BENCH_{self.latest_id} vs median of "
             f"{self.baseline_runs} prior run(s) "
-            f"(flag > {1 + self.threshold:.2f}x and > +{self.min_seconds:g}s)"
+            f"(flag > {1 + self.threshold:.2f}x and > +{self.min_seconds:g}s)",
+            *failed,
         ]
         for row in self.checked:
             flagged = "REGRESSION" if row in self.regressions else "ok"
@@ -236,8 +244,8 @@ def _median(values: list[float]) -> float:
 #: ``min_seconds`` for wall time): a throughput drop must lose at
 #: least this many rows/s, a peak-memory growth must add at least
 #: this many bytes, a spill-volume growth must add at least this many
-#: encoded bytes, and a compression ratio must lose at least this much
-#: before the ratio gate can flag it.
+#: encoded bytes, and a ratio (compression or speedup) must lose at
+#: least this much before the ratio gate can flag it.
 MIN_ROWS_PER_S_DROP = 10_000.0
 MIN_PEAK_BYTES_GROWTH = 16 * 1024 * 1024
 MIN_SPILL_BYTES_GROWTH = 4 * 1024 * 1024
@@ -263,13 +271,14 @@ def _stat_kind(key: str) -> str | None:
     ``*spill*bytes``- and ``*entry*bytes``-style keys are stored volume,
     spill files or cache-entry files (higher is worse — the codec's job
     is to keep encoded bytes down); keys ending in
-    ``compression_ratio`` are codec ratios (lower is worse); keys
+    ``compression_ratio`` (codec ratios) or ``speedup_x`` (a gate's
+    fast path over its reference) are ratios (lower is worse); keys
     ending in ``_load_s`` are seconds (higher is worse).  Anything
     else is informational and never gated.
     """
     if key.endswith("rows_per_s"):
         return "throughput"
-    if key.endswith("compression_ratio"):
+    if key.endswith(("compression_ratio", "speedup_x")):
         return "ratio"
     if key.endswith("_load_s"):
         return "seconds"
@@ -314,7 +323,9 @@ def check_regressions(
     The newest ``BENCH_<n>.json`` is compared, suite by suite, against
     the **median** of up to ``window`` immediately preceding runs that
     used the same ``bench_scale`` and ``bench_scale_full`` (different
-    scales are incomparable by construction).  A suite regresses when
+    scales are incomparable by construction).  A suite the newest run
+    records as failed (``passed: false``) fails the check whatever its
+    numbers, even with no baseline.  A suite regresses when
     its latest wall time exceeds ``(1 + threshold) * median`` **and**
     the absolute slowdown exceeds ``min_seconds`` — the second clause
     keeps sub-second suites from tripping on scheduler noise.  Suites absent from the baseline
@@ -329,8 +340,8 @@ def check_regressions(
     stat (or ``*entry*bytes``) works like memory with a
     :data:`MIN_SPILL_BYTES_GROWTH` floor; a ``*_load_s`` seconds stat
     works like wall time, ``min_seconds`` floor included; a
-    ``*compression_ratio`` stat works like throughput with a
-    :data:`MIN_COMPRESSION_RATIO_DROP` floor.  Stats absent from the
+    ``*compression_ratio`` or ``*speedup_x`` ratio stat works like
+    throughput with a :data:`MIN_COMPRESSION_RATIO_DROP` floor.  Stats absent from the
     baseline are, like new suites, never flagged.
     """
     history = load_bench_history(root)
@@ -343,6 +354,9 @@ def check_regressions(
         if _scale_knobs(payload) == _scale_knobs(latest)
     ][-window:]
     check = BenchCheck(latest_id, len(baselines), threshold, min_seconds)
+    check.failed_suites = [
+        str(suite.get("name")) for suite in latest["suites"] if suite.get("passed") is False
+    ]
     if not baselines:
         return check
     baseline_times: dict[str, list[float]] = {}

@@ -39,7 +39,6 @@ from repro.frame.chunked import (
     concat_chunked,
     merge_sorted_chunked,
 )
-from repro.frame.codec import LOSSLESS, QUANT_STEP, SpillCodec
 from repro.frame.column import as_column, column_dtype, is_string_column
 from repro.frame.factorize import Factorization, factorize_columns
 from repro.frame.groupby import EXACT_STREAMING_REDUCERS, STREAMABLE_REDUCERS, GroupBy
@@ -81,9 +80,6 @@ __all__ = [
     "table_raw_bytes",
     "scan_csv",
     "scan_jsonl",
-    "SpillCodec",
-    "LOSSLESS",
-    "QUANT_STEP",
     "adaptive_chunk_rows",
     "DEFAULT_CHUNK_BYTES",
     "DEFAULT_CHUNK_ROWS",

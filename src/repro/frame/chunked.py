@@ -441,7 +441,7 @@ class ChunkedTable:
     def spill(
         self,
         directory: str | Path | None = None,
-        codec: "SpillCodec | None | str" = "default",
+        codec: "str | None" = "default",
     ) -> "ChunkedTable":
         """Stream every chunk to ``.npz`` files; return the file-backed view.
 
@@ -449,12 +449,10 @@ class ChunkedTable:
         the producing pipeline, so a spilled view can be scanned many
         times for the cost of one upstream pass.
 
-        Chunks are written through the spill codec
-        (:class:`~repro.frame.codec.SpillCodec`): by default the
-        lossless policy, whose decoded chunks are bit-identical to the
-        originals; pass a codec with ``quantise=...`` to opt named
-        float columns into lossy quantisation, or ``codec=None`` to
-        store every column raw.  Each chunk file is one packed zip
+        Chunks are written through the lossless spill codec
+        (:mod:`repro.frame.codec`), whose decoded chunks are
+        bit-identical to the originals; ``codec=None`` stores every
+        column raw.  Each chunk file is one packed zip
         member (:func:`~repro.frame.io.write_table_npz`); a failed write
         leaves no file, and an ``OSError`` raises :class:`FrameError`
         naming it (:func:`~repro.frame.codec.write_spill_file`), as does
@@ -465,11 +463,9 @@ class ChunkedTable:
         ``frame.stream.spill`` span carrying the chunk, row, encoded
         byte and raw byte counts.
         """
-        from repro.frame.codec import LOSSLESS, count_spill, make_spill_dir
+        from repro.frame.codec import count_spill, make_spill_dir
         from repro.frame.io import read_table_npz, table_raw_bytes, write_table_npz
 
-        if codec == "default":
-            codec = LOSSLESS
         target = make_spill_dir(
             tempfile.mkdtemp(prefix="repro-spill-") if directory is None else directory
         )
@@ -481,7 +477,7 @@ class ChunkedTable:
         with tracer.span("frame.stream.spill", category="frame", directory=str(target)) as span:
             for chunk in self.chunks():
                 path = write_table_npz(
-                    chunk, target / f"chunk_{len(paths):06d}.npz", codec=codec
+                    chunk, target / f"chunk_{len(paths):06d}.npz", encode=codec is not None
                 )
                 paths.append(path)
                 rows += chunk.num_rows

@@ -11,27 +11,19 @@ scheme that round-trips it exactly:
 * floats — run-length encoding of the exact values (gated telemetry
   dwells at 0.0 through idle phases) when runs win, raw otherwise;
 * object columns — dictionary encoding (uniques + int32 codes), with
-  the code stream run-length encoded when it helps;
-* opt-in lossy floats — quantise to :data:`QUANT_STEP` steps and store
-  the integer levels in the narrowest dtype that holds them, as runs
-  only where runs are smaller (:data:`QUANT_SCHEME`; the cache's series
-  file, :mod:`repro.monitor.codec`, quantises every metric this way).
-  Maximum absolute error ``QUANT_STEP / 2``; never applied unless the
-  caller names the column in :class:`SpillCodec.quantise`.
+  the code stream run-length encoded when it helps.
 
 A spill file (a table chunk, a batch of series, or the cache's series
 file) is an ``.npz``-named zip with one member per chunk or series,
 written by :func:`write_spill_file`: the encoded parts laid out by
 :func:`pack` behind a small header, so a read is one member read and one
-header parse.  Members are stored, not deflated, unless the file's
-codec quantises: after the lossless schemes, deflate shrinks dense
-telemetry only ~1.25x for ~20x the write CPU and ~9x the read CPU,
-while narrow quantised levels deflate another ~2.5x.  Every member
-keeps its CRC-32.
+header parse.  Members are stored, not deflated: after the lossless
+schemes, deflate shrinks dense telemetry only ~1.25x for ~20x the write
+CPU and ~9x the read CPU.  Every member keeps its CRC-32.
 
-Exactness contract: every scheme except ``quant2`` reconstructs the
-column with identical dtype and element-wise equal values (NaNs map to
-NaNs; integer delta arithmetic wraps modularly in the source dtype, so
+Exactness contract: every scheme reconstructs the column with
+identical dtype and element-wise equal values (NaNs map to NaNs;
+integer delta arithmetic wraps modularly in the source dtype, so
 round-trips are exact even at dtype boundaries).  The scheme choice is
 adaptive per column — when an encoding would not shrink the column it
 falls back to ``raw`` — so pathological inputs (all-distinct codes,
@@ -45,7 +37,6 @@ import math
 import pickle
 import zipfile
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping
 
@@ -55,10 +46,6 @@ from repro.errors import FrameError
 from repro.obs.runtime import get_metrics
 
 __all__ = [
-    "QUANT_SCHEME",
-    "QUANT_STEP",
-    "SpillCodec",
-    "LOSSLESS",
     "rle_encode",
     "rle_decode",
     "encode_column",
@@ -73,25 +60,6 @@ __all__ = [
     "read_spill_parts",
 ]
 
-#: Quantisation step for opt-in lossy float columns (percent, or watts
-#: for power).
-QUANT_STEP = 0.5
-
-#: Tag of the lossy scheme: levels ``round(x / QUANT_STEP)`` in the
-#: narrowest of :data:`_LEVEL_DTYPES` that holds them, run-length
-#: encoded (lengths in the narrowest of :data:`_LENGTH_DTYPES`) only
-#: where that takes fewer bytes.  The tag names the layout, so a member
-#: of the older ``quant`` layout (int64 delta runs) raises
-#: :class:`FrameError` rather than decoding to other numbers.
-QUANT_SCHEME = "quant2"
-_LEVEL_DTYPES = tuple(map(np.dtype, ("u1", "i1", "u2", "i2", "u4", "i4", "i8")))
-_LENGTH_DTYPES = tuple(map(np.dtype, ("u1", "u2", "u4", "u8")))
-
-#: Deflate level of the members of a quantising file (the cache's
-#: series file): their narrow levels shrink another ~2.5x at level 1
-#: (1.98 -> 0.79 MB for the seed-7, scale-0.02 series file).  Lossless
-#: and raw files store their members.
-DEFLATE_LEVEL = 1
 #: First bytes of a packed member (spill format 2), and how many bytes
 #: a read takes from the member at a time.
 _PACK_MAGIC, _READ_PIECE = b"RPK2", 1 << 18
@@ -102,32 +70,6 @@ SPILL_READ_ERRORS = (
     OSError, EOFError, KeyError, ValueError, FrameError,
     zipfile.BadZipFile, zlib.error, pickle.UnpicklingError,
 )
-
-
-@dataclass(frozen=True)
-class SpillCodec:
-    """Spill-encoding policy for one table stream.
-
-    ``quantise`` names float columns that may be stored lossily
-    (quantised to :data:`QUANT_STEP` steps, max error ``QUANT_STEP/2``).
-    It defaults to empty: the default codec is fully lossless and the
-    decoded chunks are bit-identical to the originals.
-    """
-
-    quantise: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "quantise", tuple(self.quantise))
-
-    def scheme_for(self, name: str, values: np.ndarray) -> tuple[str, dict]:
-        """Encode one named column under this policy."""
-        return encode_column(
-            values, quantise=name in self.quantise
-        )
-
-
-#: The default policy: every column round-trips exactly.
-LOSSLESS = SpillCodec()
 
 
 def rle_encode(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +120,7 @@ def _encoded_bytes(arrays: dict[str, np.ndarray]) -> int:
     return sum(column_raw_bytes(a) for a in arrays.values())
 
 
-def encode_column(values: np.ndarray, *, quantise: bool = False) -> tuple[str, dict]:
+def encode_column(values: np.ndarray) -> tuple[str, dict]:
     """Encode one column; returns ``(scheme_tag, arrays)``.
 
     ``arrays`` maps suffix → ndarray (a packed member names each part
@@ -188,9 +130,9 @@ def encode_column(values: np.ndarray, *, quantise: bool = False) -> tuple[str, d
     ``rle``                  — ``{"v": run values, "l": run lengths}``
     ``delta:<dtype>``        — integer deltas (modular, in ``<dtype>``), RLE'd
     ``dict`` / ``dict+rle``  — ``{"u": uniques, "v": codes[, "l": lengths]}``
-    ``quant2``               — quantised levels in the narrowest integer
-                               dtype, ``{"": levels}`` or RLE'd
-                               ``{"v": levels, "l": lengths}`` (lossy)
+
+    Any other tag, the older lossy ``quant`` and ``quant2`` layouts
+    among them, raises :class:`FrameError` on decoding.
     """
     values = np.asarray(values)
     raw = ("raw", {"": values})
@@ -199,13 +141,6 @@ def encode_column(values: np.ndarray, *, quantise: bool = False) -> tuple[str, d
     kind = values.dtype.kind
     if values.dtype == object:
         return _encode_object(values)
-    if quantise and kind == "f":
-        levels = np.round(values / QUANT_STEP)
-        dtype = _narrowest(_LEVEL_DTYPES, levels.min(), levels.max())
-        if dtype is not None:
-            return QUANT_SCHEME, _encode_levels(levels.astype(dtype))
-        # non-finite or out-of-int64 samples cannot be quantised; fall
-        # through lossless
     if kind in "iu":
         deltas = np.diff(values, prepend=values.dtype.type(0))
         run_values, run_lengths = rle_encode(deltas)
@@ -220,26 +155,6 @@ def encode_column(values: np.ndarray, *, quantise: bool = False) -> tuple[str, d
             return "rle", encoded
         return raw
     return raw
-
-
-def _narrowest(dtypes: tuple[np.dtype, ...], lo, hi) -> np.dtype | None:
-    """The first of ``dtypes`` whose range holds ``[lo, hi]`` (compared
-    exactly, as Python numbers), or None (also for NaN or infinity)."""
-    lo, hi = lo.item(), hi.item()
-    for dtype in dtypes:
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max:
-            return dtype
-    return None
-
-
-def _encode_levels(levels: np.ndarray) -> dict:
-    """Quantised levels as they are, or as runs when runs are smaller."""
-    run_values, run_lengths = rle_encode(levels)
-    lengths = run_lengths.astype(_narrowest(_LENGTH_DTYPES, run_lengths.min(), run_lengths.max()))
-    if run_values.nbytes + lengths.nbytes < levels.nbytes:
-        return {"v": run_values, "l": lengths}
-    return {"": levels}
 
 
 def _encode_object(values: np.ndarray) -> tuple[str, dict]:
@@ -278,12 +193,6 @@ def decode_column(scheme: str, arrays: dict[str, np.ndarray]) -> np.ndarray:
     if scheme == "dict+rle":
         codes = rle_decode(arrays["v"], arrays["l"])
         return arrays["u"][codes]
-    if scheme == QUANT_SCHEME:
-        # Scale before expanding the runs: level x QUANT_STEP is exact in
-        # float64, so this allocates one full-length array, not three.
-        if "l" in arrays:
-            return rle_decode(np.multiply(arrays["v"], QUANT_STEP, dtype=np.float64), arrays["l"])
-        return np.multiply(arrays[""], QUANT_STEP, dtype=np.float64)
     raise FrameError(f"unknown spill codec scheme {scheme!r}")
 
 
@@ -293,12 +202,11 @@ def decoded_size(scheme: str, arrays: dict[str, np.ndarray]) -> int:
     Fails where ``decode_column`` would: an unknown scheme, a missing
     part, or run values and lengths of different shapes.
     """
-    runs = scheme in ("rle", "dict+rle") or scheme.startswith("delta:")
-    if runs or (scheme == QUANT_SCHEME and "l" in arrays):
+    if scheme in ("rle", "dict+rle") or scheme.startswith("delta:"):
         if arrays["v"].shape != arrays["l"].shape:
             raise FrameError("corrupt run-length payload: values/lengths mismatch")
         return int(arrays["l"].sum())
-    if scheme in ("raw", QUANT_SCHEME):
+    if scheme == "raw":
         return arrays[""].size
     if scheme == "dict":
         return arrays["v"].size
@@ -405,30 +313,24 @@ def make_spill_dir(directory: str | Path) -> Path:
 def write_spill_file(
     path: str | Path,
     members: Iterable[tuple[str, Mapping[str, np.ndarray]]],
-    codec: SpillCodec | None,
+    encode: bool = True,
 ) -> None:
     """Write a spill zip with one packed member per ``(name, columns)``.
 
-    Each column is encoded by ``codec`` (``None``: every column ``raw``)
-    and its parts are packed straight into the zip entry, deflated at
-    :data:`DEFLATE_LEVEL` when ``codec`` quantises and stored otherwise;
-    ``members`` may be a generator, so one member is alive at a time.
-    A failed write leaves no file, and an ``OSError`` (a full or
-    unwritable disk) raises :class:`FrameError` naming it.
+    Each column goes through :func:`encode_column` (``encode=False``:
+    every column ``raw``) and its parts are packed straight into a
+    stored zip entry; ``members`` may be a generator, so one member is
+    alive at a time.  A failed write leaves no file, and an ``OSError``
+    (a full or unwritable disk) raises :class:`FrameError` naming it.
     """
     path = Path(path)
-    quantises = codec is not None and codec.quantise
     try:
-        with zipfile.ZipFile(
-            path, "w", zipfile.ZIP_DEFLATED if quantises else zipfile.ZIP_STORED,
-            compresslevel=DEFLATE_LEVEL,
-        ) as archive:
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
             for name, columns in members:
                 parts = {}
                 for column, values in columns.items():
                     scheme, encoded = (
-                        ("raw", {"": values}) if codec is None
-                        else codec.scheme_for(column, np.asarray(values))
+                        encode_column(values) if encode else ("raw", {"": values})
                     )
                     for suffix, part in encoded.items():
                         parts[f"{scheme}/{suffix}/{column}"] = part

@@ -135,16 +135,14 @@ def scan_jsonl(path: str | Path, chunk_rows: int = 65536) -> Iterator[Table]:
         yield Table.from_rows(rows, columns=columns)
 
 
-def write_table_npz(
-    table: Table, path: str | Path, codec: "SpillCodec | None" = None
-) -> Path:
+def write_table_npz(table: Table, path: str | Path, encode: bool = False) -> Path:
     """Write one table as a spill file (a one-member ``.npz`` zip).
 
-    The member packs every column encoded by ``codec``: a
-    :class:`~repro.frame.codec.SpillCodec` picks delta/RLE for
-    integers, exact RLE for run-heavy floats, dictionary coding for
-    object columns and opt-in quantisation for the columns it names;
-    ``codec=None`` stores every column ``raw``.  Column order is kept.
+    The member packs every column ``raw``, or with ``encode=True``
+    through the lossless spill codec
+    (:func:`~repro.frame.codec.encode_column`: delta/RLE for integers,
+    exact RLE for run-heavy floats, dictionary coding for object
+    columns).  Column order is kept.
     A failed write leaves no file; an ``OSError`` raises
     :class:`FrameError` naming it.
     """
@@ -155,7 +153,7 @@ def write_table_npz(
         raise FrameError(f"spill files must end in .npz, got {path.name}")
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = {name: table.column(name) for name in table.column_names}
-    write_spill_file(path, [(_CHUNK_MEMBER, columns)], codec)
+    write_spill_file(path, [(_CHUNK_MEMBER, columns)], encode)
     return path
 
 

@@ -19,7 +19,10 @@ set is bounded by the block however large the island.  min/mean/max
 reduce along each block's rows and the analytic maxima are array
 expressions.  A kept dense series is a one-model batch at
 :meth:`~repro.monitor.nvidia_smi.NvidiaSmiSampler.series_times`, its
-smooth part computed once for all of the job's GPUs.  Each row is
+smooth part computed once for all of the job's GPUs, and is kept at
+nvidia-smi's resolution
+(:data:`~repro.monitor.timeseries.METRIC_RESOLUTION`); the summaries
+reduce the float samples.  Each row is
 computed elementwise and reduced along its own axis, so neither
 grouping nor blocking changes a byte of the output.  The island's
 host process runs the whole list serially.

@@ -1,10 +1,17 @@
 """Time-series containers for sampled GPU telemetry.
 
-:class:`TimeSeriesStore` holds series in memory; :meth:`TimeSeriesStore.spill`
-writes them to batch files of :data:`SPILL_BATCH_SERIES` series, one packed
-zip member per series (spill format 2, :mod:`repro.frame.codec`), and
+A :class:`GpuTimeSeries` holds its samples at nvidia-smi's resolution
+(:data:`METRIC_RESOLUTION`): each metric is an array of unsigned
+integer counts, and reading it returns a new float64 array in the
+metric's unit.  :class:`TimeSeriesStore` holds series in memory;
+:meth:`TimeSeriesStore.spill` writes them to batch files of
+:data:`SPILL_BATCH_SERIES` series, one packed zip member per series
+(spill format 3, :mod:`repro.frame.codec`), and
 :class:`SpilledTimeSeriesStore` reads them back one member at a time,
-holding one open batch per spill directory.
+holding one open batch per spill directory.  Spill batches and the
+cache's series file (:mod:`repro.monitor.codec`) pack a series one way
+(:func:`pack_series`, :func:`unpack_series`), and both round-trip it
+exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -19,17 +27,89 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from repro.errors import FrameError, MonitoringError
+from repro.frame.codec import decode_column, decoded_size
 
 #: Series per spill batch file: small enough that loading one batch
 #: stays bounded, large enough to amortize the zip overhead.
 SPILL_BATCH_SERIES = 64
 _SPILL_MANIFEST = "manifest.json"
-_SPILL_FORMAT_VERSION = 2
+_SPILL_FORMAT_VERSION = 3
 
 #: Metrics reported per GPU sample, in nvidia-smi naming order:
 #: SM utilization (%), memory-bandwidth utilization (%), memory-size
 #: utilization (%), PCIe Tx/Rx bandwidth utilization (%), power (W).
 METRIC_NAMES = ("sm", "mem_bw", "mem_size", "pcie_tx", "pcie_rx", "power_w")
+
+#: Each metric's resolution as nvidia-smi reports it: the integer type
+#: a sample is stored in and the counts per unit.  Utilizations are
+#: whole percents and power is hundredths of a watt (up to 655.35 W).
+#: A fixed table, not a setting: the dataset's series are sensor data.
+METRIC_RESOLUTION = {
+    "sm": (np.uint8, 1),
+    "mem_bw": (np.uint8, 1),
+    "mem_size": (np.uint8, 1),
+    "pcie_tx": (np.uint8, 1),
+    "pcie_rx": (np.uint8, 1),
+    "power_w": (np.uint16, 100),
+}
+
+
+def sensor_counts(values: np.ndarray, name: str, where: str) -> np.ndarray:
+    """``values`` of metric ``name`` as whole counts of its resolution,
+    rounded half to even (``np.rint``).
+
+    A negative, non-finite or too large sample raises
+    :class:`MonitoringError` naming ``where`` and the metric; nothing
+    wraps.
+    """
+    dtype, per_unit = METRIC_RESOLUTION[name]
+    values = np.asarray(values, dtype=float)
+    counts = np.rint(values * per_unit)
+    # NaN fails both comparisons
+    valid = (values >= 0) & (counts <= np.iinfo(dtype).max)
+    if not valid.all():
+        raise MonitoringError(
+            f"{where}: metric {name!r} sample {float(values[~valid][0])} is outside "
+            f"[0, {np.iinfo(dtype).max / per_unit:g}]"
+        )
+    return counts.astype(dtype)
+
+
+class SensorMetrics(Mapping):
+    """One series' metrics as sensor counts (:data:`METRIC_RESOLUTION`).
+
+    Reading a metric returns a new float64 array in the metric's unit,
+    so analysis code never sees integer arithmetic and no float copy
+    stays behind.  A loaded series holds each metric's encoded parts
+    until the metric is first read, then its counts.
+    """
+
+    def __init__(self, counts: dict) -> None:
+        #: metric name -> counts, or ``(scheme, parts)`` not yet decoded
+        self._counts = counts
+
+    def counts(self, name: str) -> np.ndarray:
+        """The metric's integer counts."""
+        held = self._counts[name]
+        if isinstance(held, tuple):
+            held = self._counts[name] = decode_column(*held)
+        return held
+
+    def num_samples(self, name: str) -> int:
+        held = self._counts[name]
+        return decoded_size(*held) if isinstance(held, tuple) else held.size
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.counts(name) / METRIC_RESOLUTION[name][1]
+
+    def __contains__(self, name) -> bool:
+        return name in self._counts
+
+    def __iter__(self):
+        return iter(self._counts)
+
+    def __len__(self) -> int:
+        return len(self._counts)
 
 
 @dataclass
@@ -37,23 +117,31 @@ class GpuTimeSeries:
     """Sampled telemetry for one GPU of one job.
 
     ``times_s`` are offsets from job start; ``metrics`` maps metric
-    name to an equal-length float array.
+    name to an equal-length array.  Float samples are rounded to the
+    metric's sensor resolution on construction
+    (:func:`sensor_counts`), and ``metrics`` becomes their
+    :class:`SensorMetrics`.
     """
 
     job_id: int
     gpu_index: int
     times_s: np.ndarray
-    metrics: dict[str, np.ndarray]
+    metrics: SensorMetrics
 
     def __post_init__(self) -> None:
         n = len(self.times_s)
         for name in METRIC_NAMES:
             if name not in self.metrics:
                 raise MonitoringError(f"series for job {self.job_id} missing metric {name!r}")
-            if len(self.metrics[name]) != n:
-                raise MonitoringError(
-                    f"metric {name!r} has {len(self.metrics[name])} samples, expected {n}"
-                )
+        if not isinstance(self.metrics, SensorMetrics):
+            where = f"job {self.job_id} GPU {self.gpu_index}"
+            self.metrics = SensorMetrics(
+                {name: sensor_counts(self.metrics[name], name, where) for name in METRIC_NAMES}
+            )
+        for name in METRIC_NAMES:
+            size = self.metrics.num_samples(name)
+            if size != n:
+                raise MonitoringError(f"metric {name!r} has {size} samples, expected {n}")
 
     @property
     def num_samples(self) -> int:
@@ -161,35 +249,27 @@ class TimeSeriesStore:
             lambda: (self._series[key] for key in keys), self.total_samples(), chunk_rows
         )
 
-    def spill(
-        self, directory: str | Path, codec: "object | None | str" = "default"
-    ) -> "SpilledTimeSeriesStore":
+    def spill(self, directory: str | Path) -> "SpilledTimeSeriesStore":
         """Write every series to batched ``.npz`` files; return the view.
 
-        Each series is one zip member packing ``times_s`` and every
-        metric.  By default the arrays go through the lossless spill
-        codec — exact run-length encoding where idle dwells make it
-        win, raw arrays otherwise — so the streaming build hands figure
-        code bit-identical samples to what the in-memory store holds.
-        A :class:`~repro.frame.SpillCodec` with ``quantise=`` metric
-        names opts those arrays into the lossy quantise+delta+RLE
-        transform (max error ``QUANT_STEP/2``); ``codec=None`` stores
-        every array raw.  Batches of :data:`SPILL_BATCH_SERIES` series
-        land in ``batch_%06d.npz`` with a JSON manifest, and the
+        Each series is one zip member packed by :func:`pack_series`, so
+        the streaming build hands figure code bit-identical samples to
+        what the in-memory store holds.  Batches of
+        :data:`SPILL_BATCH_SERIES` series land in ``batch_%06d.npz``
+        with a JSON manifest, and the
         returned :class:`SpilledTimeSeriesStore` loads one member at a
         time on access.  A batch or manifest that fails to write leaves
         no file (the manifest lands through a temp file), and an
         ``OSError`` raises :class:`~repro.errors.FrameError` naming it,
         as does a ``directory`` that cannot be created.  Spill traffic
         counts into the ``repro_frame_spill_*`` byte counters, and a
-        ``monitor.series.spill`` span carries the raw bytes, encoded
-        bytes and compression ratio.
+        ``monitor.series.spill`` span carries the raw bytes (the float64
+        layout of times and metrics), encoded bytes and compression
+        ratio.
         """
-        from repro.frame.codec import LOSSLESS, count_spill, make_spill_dir, write_spill_file
+        from repro.frame.codec import count_spill, make_spill_dir, write_spill_file
         from repro.obs.runtime import get_tracer
 
-        if codec == "default":
-            codec = LOSSLESS
         target = make_spill_dir(directory)
         keys = sorted(self._series)
         files: list[dict] = []
@@ -203,9 +283,7 @@ class TimeSeriesStore:
                 name = f"batch_{len(files):06d}.npz"
                 path = target / name
                 write_spill_file(
-                    path,
-                    ((_series_member(s.job_id, s.gpu_index), _series_columns(s)) for s in batch),
-                    codec,
+                    path, ((_series_member(s.job_id, s.gpu_index), pack_series(s)) for s in batch)
                 )
                 raw_bytes += sum(s.num_samples for s in batch) * 8 * (1 + len(METRIC_NAMES))
                 encoded_bytes += path.stat().st_size
@@ -279,15 +357,11 @@ class SpilledTimeSeriesStore:
         return held[1]
 
     def _load(self, key: tuple[int, int]) -> GpuTimeSeries:
-        from repro.frame.codec import SPILL_READ_ERRORS, read_spill_member
+        from repro.frame.codec import SPILL_READ_ERRORS, read_spill_parts
 
         path, _ = self._index[key]
         try:
-            columns = read_spill_member(self._batch(path), _series_member(*key))
-            times = columns.pop("times_s")
-            return GpuTimeSeries(
-                job_id=key[0], gpu_index=key[1], times_s=times, metrics=columns
-            )
+            return unpack_series(*key, read_spill_parts(self._batch(path), _series_member(*key)))
         except SPILL_READ_ERRORS + (MonitoringError,) as error:
             raise MonitoringError(
                 f"cannot read spill batch {path} for job {key[0]} GPU {key[1]}: {error}"
@@ -347,12 +421,49 @@ def _series_member(job_id: int, gpu_index: int) -> str:
     return f"s{job_id}_{gpu_index}"
 
 
-def _series_columns(series: GpuTimeSeries) -> dict[str, np.ndarray]:
-    """The arrays one spilled series member packs."""
-    columns = {"times_s": np.asarray(series.times_s, dtype=float)}
+def pack_series(series: GpuTimeSeries) -> dict[str, np.ndarray]:
+    """The columns of one series member, spill batch or cache file.
+
+    The time axis is stored as the call that rebuilds it bit for bit:
+    ``times_step`` for ``np.arange(n) * step`` (the sampler's cadence)
+    or ``times_end`` for ``np.linspace(0.0, end, n)`` (a decimated
+    series), and as raw float64 ``times_s`` otherwise.  Each metric is
+    its sensor counts, which the codec's integer path stores exactly.
+    """
+    times = np.asarray(series.times_s, dtype=float)
+    columns = {"times_s": times}
+    if times.size >= 2:
+        step, end = times[1:2] - times[:1], times[-1:]
+        if (np.arange(times.size) * step[0]).tobytes() == times.tobytes():
+            columns = {"times_step": step}
+        elif np.linspace(0.0, end[0], times.size).tobytes() == times.tobytes():
+            columns = {"times_end": end}
     for name in METRIC_NAMES:
-        columns[name] = np.asarray(series.metrics[name], dtype=float)
+        columns[name] = series.metrics.counts(name)
     return columns
+
+
+def unpack_series(
+    job_id: int, gpu_index: int, parts: dict[str, tuple[str, dict]]
+) -> GpuTimeSeries:
+    """Invert :func:`pack_series` from a member's undecoded ``parts``
+    (:func:`~repro.frame.codec.read_spill_parts`): the time axis now,
+    each metric on its first read.  A member that lacks a time axis or
+    a metric, or whose lengths disagree, raises :class:`MonitoringError`.
+    """
+    if "sm" not in parts:
+        raise MonitoringError(f"series for job {job_id} missing metric 'sm'")
+    n = decoded_size(*parts["sm"])
+    if "times_step" in parts:
+        times = np.arange(n) * decode_column(*parts["times_step"])[0]
+    elif "times_end" in parts:
+        times = np.linspace(0.0, decode_column(*parts["times_end"])[0], n)
+    elif "times_s" in parts:
+        times = decode_column(*parts["times_s"])
+    else:
+        raise MonitoringError(f"series for job {job_id} has no time axis")
+    metrics = {name: parts[name] for name in METRIC_NAMES if name in parts}
+    return GpuTimeSeries(job_id, gpu_index, times, SensorMetrics(metrics))
 
 
 def _write_manifest(directory: Path, manifest: dict) -> None:
@@ -433,8 +544,6 @@ def _series_table(batch: "list[GpuTimeSeries]") -> "Table":
         ),
         "time_s": np.concatenate([np.asarray(s.times_s, dtype=float) for s in batch]),
     }
-    for name in METRIC_NAMES:
-        data[name] = np.concatenate(
-            [np.asarray(s.metrics[name], dtype=float) for s in batch]
-        )
+    for name, (_, per_unit) in METRIC_RESOLUTION.items():
+        data[name] = np.concatenate([s.metrics.counts(name) for s in batch]) / per_unit
     return Table(data)

@@ -13,9 +13,9 @@ configuration:
     the frame tables, via :mod:`repro.frame.io`;
 ``timeseries.npz``
     the dense series store (:func:`repro.monitor.codec.save_store`):
-    one spill file of the frame codec, one member per series, metrics
-    quantised to 0.5 % steps and stored as narrow integer levels, and
-    sampling steps kept as integer microseconds;
+    one spill file of the frame codec, one member per series, each
+    metric's sensor counts and the time axis stored exactly, so a
+    loaded dataset equals the build that stored it;
 ``records.pkl``
     the raw :class:`~repro.slurm.job.JobRecord` list (timeline and
     co-location analyses need the full records); each job's activity
@@ -80,7 +80,9 @@ from repro.workload.generator import WorkloadConfig
 #: 7: the monitor draws no CPU telemetry, so each GPU job's keep-series
 #:    and sample-offset draws come from another point of its stream
 #:    (new ``gpu_jobs``, ``per_gpu`` and series; same ``jobs``).
-SCHEMA_VERSION = 7
+#: 8: series samples at nvidia-smi resolution, stored exactly in
+#:    ``timeseries.npz`` (new series; same tables and records).
+SCHEMA_VERSION = 8
 
 _TABLE_FILES = {"jobs": "jobs.csv", "gpu_jobs": "gpu_jobs.csv", "per_gpu": "per_gpu.csv"}
 

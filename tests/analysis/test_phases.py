@@ -28,8 +28,9 @@ class TestActivityMask:
         assert activity_mask(series).tolist() == [False, True, False]
 
     def test_memory_alone_counts_as_active(self):
-        series = series_from_sm([0.0, 0.0])
-        series.metrics["mem_bw"][1] = 30.0
+        metrics = {name: np.zeros(2) for name in METRIC_NAMES}
+        metrics["mem_bw"][1] = 30.0
+        series = GpuTimeSeries(1, 0, np.arange(2.0), metrics)
         assert activity_mask(series).tolist() == [False, True]
 
     def test_threshold_respected(self):

@@ -17,10 +17,8 @@ import pytest
 
 from repro.errors import FrameError
 from repro.frame import (
-    QUANT_STEP,
     ChunkedTable,
     QuantileSketch,
-    SpillCodec,
     StreamingMoments,
     Table,
     concat_chunked,
@@ -360,9 +358,9 @@ class TestScanCodecs:
 
 
 class TestSpillFiles:
-    """A spilled chunk is one packed zip member, with or without a codec,
-    stored unless the codec quantises; a damaged or older-layout chunk
-    raises FrameError naming the file."""
+    """A spilled chunk is one stored zip member, with or without the
+    codec; a damaged or older-layout chunk raises FrameError naming the
+    file."""
 
     @pytest.mark.parametrize("codec", ["default", None])
     def test_chunk_is_one_member(self, table, tmp_path, codec):
@@ -375,18 +373,6 @@ class TestSpillFiles:
                 assert archive.namelist() == ["chunk"]
                 assert archive.getinfo("chunk").compress_type == zipfile.ZIP_STORED
         assert spilled.materialize().to_dict() == table.to_dict()
-
-    def test_quantised_chunk_is_deflated(self, table, tmp_path):
-        codec = SpillCodec(quantise=("runtime_s",))
-        spilled = table.to_chunked(chunk_rows=30).spill(tmp_path / "spill", codec=codec)
-        paths = sorted((tmp_path / "spill").glob("*.npz"))
-        assert len(paths) == 4
-        for path in paths:
-            with zipfile.ZipFile(path) as archive:
-                assert archive.getinfo("chunk").compress_type == zipfile.ZIP_DEFLATED
-        back = spilled.materialize()
-        error = np.abs(back.column("runtime_s") - table.column("runtime_s")).max()
-        assert error <= QUANT_STEP / 2
 
     def test_truncated_chunk_names_the_file(self, table, tmp_path):
         path = write_table_npz(table, tmp_path / "t.npz")

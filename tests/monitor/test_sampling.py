@@ -10,12 +10,14 @@ Deferred sampling rests on three bit-for-bit contracts:
   end build identical tables and series stores;
 * the island batch changes nothing — :func:`run_sampling` over a whole
   mixed island is byte-for-byte the per-job evaluation it replaced,
-  kept below as the oracle (``oracle_task``).
+  kept below as the oracle (``oracle_task``), whose kept series are
+  rounded to sensor resolution as the sampler's are.
 
 Hypothesis drives arbitrary activity models and job mixes through
 all three.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -28,7 +30,7 @@ from repro.errors import MonitoringError
 from repro.monitor.collector import MonitoringCollector, MonitoringConfig
 from repro.monitor.nvidia_smi import NvidiaSmiSampler, stratified_times
 from repro.monitor.sampling import SamplingTask, run_sampling
-from repro.monitor.timeseries import METRIC_NAMES
+from repro.monitor.timeseries import METRIC_NAMES, METRIC_RESOLUTION
 from repro.slurm.scheduler import SlurmSimulator
 from repro.workload.activity import (
     GATED_METRICS,
@@ -286,6 +288,13 @@ def oracle_analytic_max(model, gpu_index):
     return out
 
 
+def oracle_sensor(name, values):
+    """Float samples as a kept series reads them back: rounded half to
+    even to whole counts of the metric's resolution."""
+    dtype, per_unit = METRIC_RESOLUTION[name]
+    return np.rint(values * per_unit).astype(dtype) / per_unit
+
+
 def oracle_task(sampler, task):
     """One task's ``(summary, [(times, metrics) per GPU])``, per job."""
     model, duration, offsets = task.model, task.run_time_s, task.offsets
@@ -309,7 +318,7 @@ def oracle_task(sampler, task):
             times = np.arange(count) * sampler.interval_s
         dense = oracle_metrics(model, np.broadcast_to(times, (model.num_gpus, times.size)))
         series = [
-            (times, {name: values[g] for name, values in dense.items()})
+            (times, {name: oracle_sensor(name, values[g]) for name, values in dense.items()})
             for g in range(model.num_gpus)
         ]
     return summary, series
@@ -379,7 +388,8 @@ class TestIslandBatchMatchesPerJob:
             for gpu_index, (got, (times, metrics)) in enumerate(zip(result.series, series)):
                 assert (got.job_id, got.gpu_index) == (task.job_id, gpu_index)
                 assert got.times_s.tobytes() == times.tobytes()
-                assert list(got.metrics) == list(metrics)
+                # a series lists its metrics in nvidia-smi naming order
+                assert list(got.metrics) == sorted(metrics, key=METRIC_NAMES.index)
                 for name, values in metrics.items():
                     assert got.metrics[name].tobytes() == values.tobytes(), name
         assert [pickle.dumps(task.model) for task in tasks] == pickled
@@ -496,30 +506,37 @@ def _odd_model(rng, job_id, num_harmonics=4, level=None, burst_level=None, windo
 
 
 @pytest.mark.parametrize(
-    "shapes",
+    "shapes, kept_series_raise",
     [
-        [dict(num_harmonics=h) for h in (2, 4, 0, 7)],
-        [dict(level=-0.0), dict()],
-        [dict(level=-20.0)],
-        [dict(level=np.inf, scale=[1.0, 0.0, 0.5])],
-        [dict(burst_level=-5.0, windows=[[0.0, 2000.0]]), dict(burst_level=-0.0)],
-        [dict(windows=[[300.0, 200.0], [100.0, 400.0]])],
-        [dict(scale=[np.nan, 1.0, 0.0]), dict(scale=[-1.0, np.inf, -0.0])],
-        [dict(power=PowerModel(30, 1, 0.5, 0.02, 0.25, 250)), dict(),
-         dict(power=PowerModel(60.0, 2.5, 0.1, 0.3, 0.0, 180.0))],
-    ],
-    ids=[
-        "mixed_harmonics", "negative_zero_level", "negative_level", "infinite_level",
-        "negative_burst",
-        "inverted_window", "odd_scales", "mixed_power_models",
+        pytest.param([dict(num_harmonics=h) for h in (2, 4, 0, 7)], False,
+                     id="mixed_harmonics"),
+        pytest.param([dict(level=-0.0), dict()], False, id="negative_zero_level"),
+        pytest.param([dict(level=-20.0)], False, id="negative_level"),
+        pytest.param([dict(level=np.inf, scale=[1.0, 0.0, 0.5])], True, id="infinite_level"),
+        pytest.param(
+            [dict(burst_level=-5.0, windows=[[0.0, 2000.0]]), dict(burst_level=-0.0)], True,
+            id="negative_burst",
+        ),
+        pytest.param([dict(windows=[[300.0, 200.0], [100.0, 400.0]])], False,
+                     id="inverted_window"),
+        pytest.param(
+            [dict(scale=[np.nan, 1.0, 0.0]), dict(scale=[-1.0, np.inf, -0.0])], True,
+            id="odd_scales",
+        ),
+        pytest.param(
+            [dict(power=PowerModel(30, 1, 0.5, 0.02, 0.25, 250)), dict(),
+             dict(power=PowerModel(60.0, 2.5, 0.1, 0.3, 0.0, 180.0))], False,
+            id="mixed_power_models",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_odd_models_match_the_oracle(shapes):
+def test_odd_models_match_the_oracle(shapes, kept_series_raise):
     """Batches mixing harmonic counts, and processes whose gated-off
     samples are not +0.0, still match the per-job evaluation byte for
     byte — in the island batch and in a one-model batch at unsorted
-    times."""
+    times.  A model whose kept series holds a negative or non-finite
+    sample fails naming its job and metric; its summaries still match."""
     rng = np.random.default_rng(5)
     sampler = NvidiaSmiSampler(0.1, 256, max_series_samples=300)
     tasks = []
@@ -527,6 +544,10 @@ def test_odd_models_match_the_oracle(shapes):
         model = _odd_model(rng, job_id, **shape)
         offsets = sampler.draw_offsets(1900.0, 3, rng)
         tasks.append(SamplingTask(job_id, model, 1900.0, offsets, True))
+    if kept_series_raise:
+        with pytest.raises(MonitoringError, match=r"job 0 GPU \d: metric '\w+' sample"):
+            run_sampling(tasks, sampler)
+        tasks = [dataclasses.replace(task, keep_series=False) for task in tasks]
     for task, result in zip(tasks, run_sampling(tasks, sampler)):
         summary, series = oracle_task(sampler, task)
         for name, values in summary.items():

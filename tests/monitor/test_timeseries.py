@@ -1,4 +1,5 @@
-"""Tests for GPU time-series containers and the lossless disk spill."""
+"""Tests for GPU time-series containers, their sensor resolution and
+the lossless disk spill."""
 
 import json
 import re
@@ -6,10 +7,14 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.phases import ACTIVITY_THRESHOLD, activity_mask
 from repro.errors import MonitoringError
 from repro.monitor.timeseries import (
     METRIC_NAMES,
+    METRIC_RESOLUTION,
     SPILL_BATCH_SERIES,
     GpuTimeSeries,
     SpilledTimeSeriesStore,
@@ -59,6 +64,62 @@ class TestGpuTimeSeries:
         series = GpuTimeSeries(1, 0, np.empty(0), metrics)
         assert np.isnan(series.summary()["sm_mean"])
         assert series.duration_s == 0.0
+
+
+#: Finite samples a percentage metric can hold: 0 up to the largest
+#: value that rounds into uint8.
+_PERCENTS = st.floats(0.0, 255.49, allow_nan=False, allow_infinity=False)
+
+
+class TestSensorResolution:
+    """Samples are rounded half to even to the metric's resolution,
+    stored as narrow integers and read back as new float64 arrays."""
+
+    def test_storage_dtypes_and_reads(self):
+        series = make_series(n=11)
+        for name in METRIC_NAMES:
+            dtype, _ = METRIC_RESOLUTION[name]
+            assert series.metrics.counts(name).dtype == dtype
+            values = series.metrics[name]
+            assert values.dtype == np.float64 and values is not series.metrics[name]
+        assert [METRIC_RESOLUTION[name][0] for name in METRIC_NAMES].count(np.uint8) == 5
+
+    def test_rounding_is_half_to_even(self):
+        metrics = {name: np.array([0.5, 1.5, 2.5, 99.49]) for name in METRIC_NAMES}
+        metrics["power_w"] = np.array([0.125, 0.135, 250.004, 655.35])
+        series = GpuTimeSeries(1, 0, np.arange(4.0), metrics)
+        assert series.metric("sm").tolist() == [0.0, 2.0, 2.0, 99.0]
+        assert series.metrics.counts("power_w").tolist() == [12, 14, 25000, 65535]
+        assert series.metric("power_w").tolist() == [0.12, 0.14, 250.0, 655.35]
+
+    @given(st.lists(st.tuples(_PERCENTS, _PERCENTS), min_size=1, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_rounding_keeps_every_activity_mask(self, samples):
+        """For finite x >= 0, rint(x) > ACTIVITY_THRESHOLD exactly when
+        x > ACTIVITY_THRESHOLD: a series' activity mask is the mask of
+        the float samples it was built from."""
+        sm, mem_bw = (np.array(column) for column in zip(*samples))
+        metrics = {name: np.zeros(sm.size) for name in METRIC_NAMES}
+        metrics.update(sm=sm, mem_bw=mem_bw)
+        series = GpuTimeSeries(1, 0, np.arange(float(sm.size)), metrics)
+        assert np.array_equal(np.rint(sm) > ACTIVITY_THRESHOLD, sm > ACTIVITY_THRESHOLD)
+        expected = (sm > ACTIVITY_THRESHOLD) | (mem_bw > ACTIVITY_THRESHOLD)
+        assert activity_mask(series).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("sm", np.nan), ("mem_bw", np.inf), ("mem_size", -np.inf), ("pcie_tx", -0.1),
+            ("pcie_rx", 255.5), ("power_w", 655.356), ("power_w", np.nan),
+        ],
+    )
+    def test_bad_values_raise_naming_job_and_metric(self, name, bad):
+        """A negative, non-finite or too large sample raises; it never
+        wraps into the narrow type."""
+        metrics = {metric: np.ones(3) for metric in METRIC_NAMES}
+        metrics[name] = np.array([1.0, bad, 2.0])
+        with pytest.raises(MonitoringError, match=rf"job 7 GPU 2: metric '{name}' sample"):
+            GpuTimeSeries(7, 2, np.arange(3.0), metrics)
 
 
 class TestTimeSeriesStore:
@@ -113,9 +174,8 @@ def filled_store(num_jobs=3, gpus=2, start=0):
 
 
 class TestSpilledStore:
-    """The spill is **lossless** by default — not the 0.5%-quantized
-    cache series file of ``repro.monitor.codec`` — so figure-grade
-    statistics off the spill are bit-identical to the in-memory store."""
+    """The spill is **lossless**, so figure-grade statistics off the
+    spill are bit-identical to the in-memory store."""
 
     def test_roundtrip_is_bit_exact(self, tmp_path):
         store = filled_store()
@@ -127,6 +187,18 @@ class TestSpilledStore:
             assert np.array_equal(series.times_s, twin.times_s)
             for name, values in series.metrics.items():
                 assert np.array_equal(values, twin.metrics[name]), name
+
+    def test_generated_store_spills_exactly(self, small_dataset, tmp_path):
+        """Every series of a built dataset comes back from its spill
+        with the same time axis and metrics, bit for bit."""
+        store = small_dataset.timeseries
+        spilled = store.spill(tmp_path / "series")
+        assert len(spilled) == len(store) > 0
+        for series, twin in zip(store.iter_sorted(), spilled):
+            assert (series.job_id, series.gpu_index) == (twin.job_id, twin.gpu_index)
+            assert series.times_s.tobytes() == twin.times_s.tobytes()
+            for name in METRIC_NAMES:
+                assert series.metrics[name].tobytes() == twin.metrics[name].tobytes(), name
 
     def test_total_samples_needs_no_loads(self, tmp_path):
         store = filled_store()
@@ -200,7 +272,7 @@ def interleaved_islands(tmp_path, jobs_per_island):
 class TestSpillLayout:
     def test_one_member_per_series(self, tmp_path):
         store = filled_store(num_jobs=40, gpus=2)
-        store.spill(tmp_path / "series", codec=None)
+        store.spill(tmp_path / "series")
         batches = sorted((tmp_path / "series").glob("batch_*.npz"))
         assert len(batches) == 2
         members = []
@@ -260,7 +332,7 @@ class TestSpillLayout:
     def test_corrupt_member_names_batch_job_and_gpu(self, tmp_path):
         store = filled_store(num_jobs=1, gpus=1)
         store.add(make_series(job_id=5, gpu_index=0, n=5000))
-        store.spill(tmp_path / "series", codec=None)
+        store.spill(tmp_path / "series")
         batch = tmp_path / "series" / "batch_000000.npz"
         data = bytearray(batch.read_bytes())
         data[stored_part_byte(batch, "s5_0", "sm")] ^= 0xFF  # caught by CRC-32 only
@@ -345,9 +417,9 @@ class TestSpillLayout:
     @pytest.mark.parametrize(
         "payload",
         [
-            '{"format_version": 2, "files": [{"name": "batch_0',
+            '{"format_version": 3, "files": [{"name": "batch_0',
             "[]",
-            '{"format_version": 2, "files": [{"name": "batch_000000.npz"}]}',
+            '{"format_version": 3, "files": [{"name": "batch_000000.npz"}]}',
             b"\xff\xfe\x00",
         ],
         ids=["truncated", "not_an_object", "entry_without_series", "not_text"],

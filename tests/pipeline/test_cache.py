@@ -77,26 +77,24 @@ class TestRoundTrip:
                 assert list(a[name]) == list(b[name]), (attr, name)
 
     def test_timeseries_within_codec_quantisation(self, cached_pair):
+        """The codec no longer quantises: every series comes back bit
+        for bit, its time axis and each metric at sensor resolution."""
         fresh, loaded, _ = cached_pair
         assert fresh.timeseries.job_ids() == loaded.timeseries.job_ids()
         for series in fresh.timeseries:
             twin = loaded.timeseries.get(series.job_id, series.gpu_index)
-            # sampling steps are stored as integer microseconds, so the
-            # time axis may drift by up to 0.5 us per step
-            np.testing.assert_allclose(
-                twin.times_s, series.times_s, atol=1e-6 * series.num_samples
-            )
+            assert twin.times_s.tobytes() == series.times_s.tobytes()
             for name, values in series.metrics.items():
-                np.testing.assert_allclose(twin.metrics[name], values, atol=0.26)
+                assert twin.metrics[name].tobytes() == values.tobytes(), name
 
-    def test_series_file_members_are_deflated(self, cached_pair):
-        """The cache's quantised series file keeps deflate: its delta+RLE
-        levels shrink ~12x more, unlike the stored lossless spills."""
+    def test_series_file_members_are_stored(self, cached_pair):
+        """The series file stores its members, like every spill file:
+        sensor counts need no deflate, and a warm load inflates nothing."""
         _, _, loader = cached_pair
         path = loader.cache.entry_dir(loader.key) / "timeseries.npz"
         with zipfile.ZipFile(path) as archive:
             infos = archive.infolist()
-        assert infos and {info.compress_type for info in infos} == {zipfile.ZIP_DEFLATED}
+        assert infos and {info.compress_type for info in infos} == {zipfile.ZIP_STORED}
 
     def test_records_and_config_survive(self, cached_pair):
         fresh, loaded, _ = cached_pair
@@ -109,6 +107,42 @@ class TestRoundTrip:
         fresh, _, _ = cached_pair
         reference = generate_dataset(CONFIG)
         assert list(fresh.gpu_jobs["sm_mean"]) == list(reference.gpu_jobs["sm_mean"])
+
+
+class TestWarmEqualsCold:
+    """A warm session answers what the cold build it cached answers."""
+
+    @pytest.mark.parametrize("seed", [11, 31])
+    def test_figures_and_validation_equal_the_cold_build(self, tmp_path, seed):
+        from repro.figures.registry import all_figures
+        from repro.validation import validate_dataset
+
+        def answers(session):
+            """``(figure comparisons, validation rows)``, the measured
+            value last in each row."""
+            figures = [
+                (result.figure_id, c.name, c.measured)
+                for result in session.run_figures()
+                for c in result.comparisons
+            ]
+            rows = [
+                (r.check.figure_id, r.check.name, r.passed, r.measured)
+                for r in validate_dataset(session.dataset())
+            ]
+            return figures, rows
+
+        config = WorkloadConfig(scale=0.02, seed=seed)
+        cold = answers(Session(config, cache_dir=tmp_path))
+        warm_session = Session(config, cache_dir=tmp_path)
+        warm = answers(warm_session)
+        assert warm_session.instrumentation.count("cache_hit") == 1
+        assert len({row[0] for row in warm[0]}) == len(all_figures()) == 21
+        assert len(warm[1]) > 50
+        for cold_rows, warm_rows in zip(cold, warm):
+            assert [row[:-1] for row in warm_rows] == [row[:-1] for row in cold_rows]
+            # bit for bit, NaNs included
+            measured = [np.array([row[-1] for row in rows]) for rows in (cold_rows, warm_rows)]
+            assert measured[1].tobytes() == measured[0].tobytes()
 
 
 class TestCorruption:

@@ -133,14 +133,15 @@ class TestGolden:
 
     ``jobs`` and ``records`` equal the monolithic (pre-island) build's;
     ``gpu_jobs``, ``per_gpu`` and ``series`` pin the monitor's draws as
-    of ``SCHEMA_VERSION`` 7.
+    of ``SCHEMA_VERSION`` 7, and ``series`` its samples at sensor
+    resolution as of ``SCHEMA_VERSION`` 8.
     """
 
     GOLDEN = {
         "jobs": "3226757f9e6ef73e4c12838361599d5ae8ad9f4da27f4cf3cbc5402a9606f299",
         "gpu_jobs": "4dc3ea543ef2a7c12c5d206dcc06be628b77f9788ab1ef9fd00a2ec1ee424d83",
         "per_gpu": "b8d3b7e4a1867e8a43fd2754bbcf5f9d95d93d71a5d9d13400ac6166484918d7",
-        "series": "34ee0f630e1b47559b1534cb91b0d619ffd7da58081a7d40e98dcf1f2c468bde",
+        "series": "f3f7adc30e151f7c56673f7ba0f8521e697102fbda294223dfe5e8354d9ed9bb",
         "records": "38708501dd5b5e3fa4a7d9a0ced3dd13b9818349a230b7568fcd0668848f6ce5",
     }
 
@@ -367,10 +368,10 @@ class TestAssembledOnce:
         written = []
         write = codec.write_spill_file
 
-        def spy(path, members, spill_codec):
+        def spy(path, members, *encode):
             members = list(members)
             written.append((Path(path).relative_to(tmp_path), members))
-            return write(path, members, spill_codec)
+            return write(path, members, *encode)
 
         monkeypatch.setattr(codec, "write_spill_file", spy)
         stream = Session(WorkloadConfig(**SMALL_STREAM), workers=1).streaming_dataset(

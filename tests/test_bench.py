@@ -70,13 +70,20 @@ class TestWriteBenchJson:
         assert suites["stream"]["stats"]["stream_sketch"]["rows_per_s"] == 1e6
 
 
-def write_run(root, bench_id, seconds_by_suite, scale="0.05", stats=None, scale_full=None):
+def write_run(
+    root, bench_id, seconds_by_suite, scale="0.05", stats=None, scale_full=None, failed=()
+):
     payload = {
         "schema": 1,
         "bench_scale": scale,
         **({} if scale_full is None else {"bench_scale_full": scale_full}),
         "suites": [
-            {"name": name, "seconds": seconds, "stats": (stats or {}).get(name, {})}
+            {
+                "name": name,
+                "seconds": seconds,
+                "stats": (stats or {}).get(name, {}),
+                **({"passed": False} if name in failed else {}),
+            }
             for name, seconds in seconds_by_suite.items()
         ],
     }
@@ -198,6 +205,29 @@ class TestCheckRegressions:
         write_run(tmp_path, 11, {"frame": 11.0})
         assert check_regressions(tmp_path).ok
 
+    def test_failed_suite_fails_the_check(self, tmp_path):
+        """A suite whose gate failed in the newest run fails the check
+        and is named, however its time and stats compare."""
+        for i in range(3):
+            write_run(tmp_path, 6 + i, {"frame": 10.0, "pipeline": 5.0})
+        write_run(tmp_path, 9, {"frame": 10.0, "pipeline": 5.0}, failed={"pipeline"})
+        check = check_regressions(tmp_path)
+        assert not check.ok
+        assert check.failed_suites == ["pipeline"]
+        assert not check.regressions and not check.stat_regressions
+        assert "pipeline" in check.to_text() and "FAILED" in check.to_text()
+
+    def test_failed_suite_fails_without_a_baseline(self, tmp_path):
+        write_run(tmp_path, 6, {"pipeline": 5.0}, failed={"pipeline"})
+        check = check_regressions(tmp_path)
+        assert check.baseline_runs == 0 and not check.ok
+        assert "pipeline" in check.to_text()
+
+    def test_an_earlier_failure_does_not_fail_the_check(self, tmp_path):
+        write_run(tmp_path, 6, {"pipeline": 5.0}, failed={"pipeline"})
+        write_run(tmp_path, 7, {"pipeline": 5.0})
+        assert check_regressions(tmp_path).ok
+
     def test_window_limits_baseline(self, tmp_path):
         write_run(tmp_path, 6, {"frame": 100.0})  # ancient, outside window
         for i in range(5):
@@ -257,9 +287,9 @@ class TestStatDetectors:
         assert check.stat_checked == []
 
     def test_non_gateable_keys_ignored(self, tmp_path):
-        # Context keys (counts, seeds, speedups) never gate.
-        stat_run(tmp_path, 6, {"merge": {"jobs": 100.0, "speedup_x": 4.0}})
-        stat_run(tmp_path, 7, {"merge": {"jobs": 1.0, "speedup_x": 0.1}})
+        # Context keys (counts, seeds) never gate.
+        stat_run(tmp_path, 6, {"merge": {"jobs": 100.0, "seed": 4.0}})
+        stat_run(tmp_path, 7, {"merge": {"jobs": 1.0, "seed": 0.1}})
         check = check_regressions(tmp_path)
         assert check.ok
         assert check.stat_checked == []
@@ -270,6 +300,24 @@ class TestStatDetectors:
         check = check_regressions(tmp_path)
         assert check.ok
         assert check.stat_checked[0]["ratio"] == pytest.approx(0.9)
+
+    def test_speedup_drop_flagged_as_a_ratio(self, tmp_path):
+        """A gate's speedup is a ratio: lower is worse, under the same
+        double gate as a compression ratio."""
+        for i in range(3):
+            stat_run(tmp_path, 6 + i, {"cached_report": {"speedup_x": 6.5}})
+        stat_run(tmp_path, 9, {"cached_report": {"speedup_x": 3.7}})
+        check = check_regressions(tmp_path)
+        assert not check.ok
+        row = check.stat_regressions[0]
+        assert (row["metric"], row["kind"]) == ("cached_report.speedup_x", "ratio")
+
+    def test_speedup_within_threshold_or_floor_passes(self, tmp_path):
+        stat_run(tmp_path, 6, {"cached_report": {"speedup_x": 6.5}, "island": {"speedup_x": 0.5}})
+        # 0.85x of its baseline; 0.6x, but 0.2 below it
+        stat_run(tmp_path, 7, {"cached_report": {"speedup_x": 5.5}, "island": {"speedup_x": 0.3}})
+        check = check_regressions(tmp_path)
+        assert check.ok and len(check.stat_checked) == 2
 
     def test_to_text_renders_stat_rows(self, tmp_path):
         stat_run(tmp_path, 6, {"merge": {"rows_per_s": 1_000_000.0}})
